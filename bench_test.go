@@ -118,15 +118,25 @@ func BenchmarkHiggsAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkScriptAnalysis measures the interpreted path per event.
+// BenchmarkScriptAnalysis measures the interpreted path per event —
+// decode and evaluate — on the script the end-to-end script_rerun
+// workload runs (bench/session.go scriptVariant).
 func BenchmarkScriptAnalysis(b *testing.B) {
 	recs := makeEvents(b, 1000)
 	sa, err := script.NewAnalysis(`
-		h = tree.h1d("/b", "mult", "", 50, 0, 200);
+		mult = tree.h1d("/anaA", "mult", "Particles per event", 50, 0, 200);
+		evis = tree.h1d("/anaA", "evis", "Visible energy [GeV]", 50, 0, 600);
+		esel = tree.h1d("/anaA", "esel", "Selected object energy [GeV]", 50, 0, 300);
+		nsel = tree.h1d("/anaA", "nsel", "Selected objects per event", 40, 0, 40);
 		function process(ev) {
-			sel = 0;
-			for (p : ev.particles) if (p.e >= 20) sel += 1;
-			h.fill(sel);
+			mult.fill(ev.n);
+			tot = 0; n = 0;
+			for (p : ev.particles) {
+				tot += p.e;
+				if (p.e >= 20) { n += 1; esel.fill(p.e); }
+			}
+			evis.fill(tot);
+			nsel.fill(n);
 		}
 	`, events.EventDecoderName)
 	if err != nil {
@@ -136,6 +146,7 @@ func BenchmarkScriptAnalysis(b *testing.B) {
 	if err := sa.Init(ctx); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sa.Process(recs[i%len(recs)], ctx); err != nil {
@@ -143,6 +154,28 @@ func BenchmarkScriptAnalysis(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScriptEventDecode measures the decode half alone: a record to
+// the event object a script's process(ev) receives.
+func BenchmarkScriptEventDecode(b *testing.B) {
+	recs := makeEvents(b, 1000)
+	decode, ok := script.LookupDecoder(events.EventDecoderName)
+	if !ok {
+		b.Fatal("no lc-event decoder")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := decode(recs[i%len(recs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchEvent = ev
+	}
+}
+
+// benchEvent keeps BenchmarkScriptEventDecode's result alive.
+var benchEvent script.Value
 
 // BenchmarkSplitter measures record-aware splitting throughput.
 func BenchmarkSplitter(b *testing.B) {

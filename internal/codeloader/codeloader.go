@@ -51,6 +51,31 @@ type Bundle struct {
 	Version int
 	// Hash is the content hash (assigned by the loader).
 	Hash string
+
+	// compiled is the script's program, shared by every copy of a stored
+	// bundle (assigned by the loader; never serialised).
+	compiled *compiled
+}
+
+// compiled compiles one source at most once, whoever asks first.
+type compiled struct {
+	source string
+	once   sync.Once
+	prog   *script.Program
+	err    error
+}
+
+// program returns the bundle's compiled script. A stored bundle compiles
+// once for all its users — the upload check, every engine, every rewind;
+// a bundle that never went through Loader.Store, or whose Source was
+// edited since, compiles afresh.
+func (b *Bundle) program() (*script.Program, error) {
+	c := b.compiled
+	if c == nil || c.source != b.Source {
+		return script.Compile(b.Source)
+	}
+	c.once.Do(func() { c.prog, c.err = script.Compile(c.source) })
+	return c.prog, c.err
 }
 
 // SizeBytes approximates the staged payload size — what the paper's
@@ -89,7 +114,7 @@ func (b *Bundle) Validate() error {
 		if b.Source == "" {
 			return fmt.Errorf("codeloader: script bundle %q has no source", b.Name)
 		}
-		if _, err := script.Compile(b.Source); err != nil {
+		if _, err := b.program(); err != nil {
 			return fmt.Errorf("codeloader: bundle %q does not compile: %w", b.Name, err)
 		}
 	case LangNative:
@@ -106,7 +131,11 @@ func (b *Bundle) Validate() error {
 func (b *Bundle) Instantiate(reg *analysis.Registry) (analysis.Analysis, error) {
 	switch b.Language {
 	case LangScript:
-		return script.NewAnalysis(b.Source, b.Decoder)
+		prog, err := b.program()
+		if err != nil {
+			return nil, err
+		}
+		return script.NewAnalysisFromProgram(prog, b.Decoder)
 	case LangNative:
 		if reg == nil {
 			reg = analysis.Default
@@ -132,6 +161,7 @@ func New() *Loader {
 // Store validates and saves a bundle, assigning version and hash.
 // Re-uploading identical content returns the existing version unchanged.
 func (l *Loader) Store(b Bundle) (*Bundle, error) {
+	b.compiled = &compiled{source: b.Source}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package codeloader
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/ipa-grid/ipa/internal/aida"
@@ -106,5 +107,60 @@ func TestSizeBytesReflectsPayload(t *testing.T) {
 	}
 	if big.SizeBytes() < 15*1024 {
 		t.Fatalf("15kb bundle reports %d bytes", big.SizeBytes())
+	}
+}
+
+// A stored bundle compiles once, and the one program runs on any number
+// of engines at once (run under -race).
+func TestStoredBundleCompilesOnceAndRunsConcurrently(t *testing.T) {
+	const src = `
+		h = tree.h1d("/c", "len", "", 10, 0, 10);
+		seen = [];
+		function process(r) { n = len(r); push(seen, n); h.fill(n); }
+	`
+	stored, err := New().Store(Bundle{Name: "s", Language: LangScript, Source: src, Decoder: "raw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := make([]*aida.Tree, 2)
+	var wg sync.WaitGroup
+	for g := range trees {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, err := stored.Instantiate(nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			trees[g] = aida.NewTree()
+			ctx := &analysis.Context{Tree: trees[g]}
+			if err := a.Init(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 500; i++ {
+				if err := a.Process([]byte("abc"), ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, tree := range trees {
+		if h, _ := tree.Get("/c/len").(*aida.Histogram1D); h == nil || h.Entries() != 500 {
+			t.Fatalf("analysis %d did not fill its own 500 entries", g)
+		}
+	}
+	p1, _ := stored.program()
+	cp := *stored
+	p2, _ := cp.program()
+	if p1 == nil || p1 != p2 {
+		t.Fatal("copies of a stored bundle do not share one compiled program")
+	}
+	cp.Source += "\nx = 1;"
+	if p3, err := cp.program(); err != nil || p3 == p1 {
+		t.Fatalf("edited source still runs the stored program (err %v)", err)
 	}
 }

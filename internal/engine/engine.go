@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/analysis"
@@ -88,6 +89,8 @@ type Engine struct {
 	lastErr  error
 	lastSnap time.Time
 	events   int64 // processed since init
+	// unsentLog is analysis output no publish has delivered yet.
+	unsentLog string
 
 	// transport owns the snapshot uplink protocol: generation stamps,
 	// re-baselining after failures, and per-connection compression.
@@ -259,6 +262,7 @@ func (e *Engine) Rewind() error {
 	e.nextRec = 0
 	e.events = 0
 	e.anal = nil
+	e.unsentLog = ""
 	e.lastErr = nil
 	if e.reader != nil && e.bundle != nil {
 		e.state = StateReady
@@ -403,24 +407,18 @@ func (e *Engine) processBatch() {
 	}
 	finished := e.nextRec >= e.total
 	stepDone := e.stepLeft == 0
+	next, nextErr := e.state, error(nil)
 	switch {
 	case procErr != nil:
-		e.lastErr = procErr
-		e.state = StateError
+		next, nextErr = StateError, procErr
 	case finished:
 		if err := anal.End(ctx); err != nil {
-			e.lastErr = err
-			e.state = StateError
+			next, nextErr = StateError, err
 		} else {
-			e.state = StateFinished
+			next = StateFinished
 		}
 	case stepDone:
-		e.state = StatePaused
-	}
-	if procErr != nil || finished || stepDone {
-		// Wake WaitState callers; without this every wait burns its full
-		// timeout even though the state already changed.
-		e.cond.Broadcast()
+		next = StatePaused
 	}
 	needSnap := finished || stepDone || procErr != nil ||
 		e.events%int64(e.cfg.SnapshotEvery) < processed ||
@@ -430,6 +428,23 @@ func (e *Engine) processBatch() {
 	if needSnap {
 		e.publish(procErr)
 	}
+	if procErr == nil && !finished && !stepDone {
+		return
+	}
+	// The transition follows the publish: whoever sees Finished, Paused or
+	// Error finds the run's last snapshot — or the failure to send it —
+	// already in place. A rewind during that publish keeps its own state.
+	e.mu.Lock()
+	if e.nextRec == from+processed {
+		if nextErr != nil {
+			e.lastErr = nextErr
+		}
+		e.state = next
+		// Wake WaitState callers; without this every wait burns its full
+		// timeout even though the state already changed.
+		e.cond.Broadcast()
+	}
+	e.mu.Unlock()
 }
 
 // publish sends the current tree snapshot through the transport — a
@@ -444,11 +459,14 @@ func (e *Engine) publish(procErr error) {
 		e.mu.Unlock()
 		return
 	}
+	// Each snapshot carries what was printed since the last one that got
+	// through, so the client sees every line once.
+	if sa, ok := e.anal.(interface{ TakeOutput() string }); ok {
+		e.unsentLog = capLog(e.unsentLog + sa.TakeOutput())
+	}
 	var logs []string
-	if sa, ok := e.anal.(interface{ Output() string }); ok {
-		if out := strings.TrimSpace(sa.Output()); out != "" {
-			logs = append(logs, out)
-		}
+	if out := strings.TrimSpace(e.unsentLog); out != "" {
+		logs = append(logs, out)
 	}
 	if procErr != nil {
 		logs = append(logs, fmt.Sprintf("[%s] ERROR: %v", e.cfg.WorkerID, procErr))
@@ -486,13 +504,38 @@ func (e *Engine) publish(procErr error) {
 		snap.Delta = d
 		return snap, nil
 	})
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err != nil {
-		e.mu.Lock()
 		if e.lastErr == nil {
 			e.lastErr = fmt.Errorf("engine: snapshot: %w", err)
 		}
-		e.mu.Unlock()
+		return
 	}
+	// Only this goroutine appends to unsentLog, so all of it went out.
+	e.unsentLog = ""
+}
+
+// maxSnapshotLog bounds the analysis output one snapshot carries.
+const maxSnapshotLog = 64 << 10
+
+const truncatedMark = "…[truncated]\n"
+
+// capLog keeps the newest maxSnapshotLog bytes of s, on a line boundary
+// where there is one, behind a single truncation mark.
+func capLog(s string) string {
+	if len(s) <= maxSnapshotLog {
+		return s
+	}
+	s = strings.TrimPrefix(s, truncatedMark)
+	s = s[len(s)-(maxSnapshotLog-len(truncatedMark)):]
+	if i := strings.IndexByte(s, '\n'); i >= 0 && i+1 < len(s) {
+		s = s[i+1:]
+	}
+	for len(s) > 0 && !utf8.RuneStart(s[0]) {
+		s = s[1:]
+	}
+	return truncatedMark + s
 }
 
 // WaitState blocks until the engine reaches one of the given states or

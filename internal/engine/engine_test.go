@@ -364,3 +364,54 @@ func TestGlobalOffsetVisibleToContext(t *testing.T) {
 		t.Fatalf("progress %d/%d", done, total)
 	}
 }
+
+// Script output rides the next snapshot once: a line printed at top level
+// and a line printed in end() each reach the client exactly one time, no
+// matter how many snapshots the run publishes.
+func TestScriptOutputRelayedOnce(t *testing.T) {
+	mgr := merge.NewManager()
+	part := makePart(t, 1000, 9)
+	e := startEngine(t, mgr, part, 1000)
+	if err := e.LoadCode(scriptBundle(t, `
+		println("booked");
+		h = tree.h1d("/t", "mult", "multiplicity", 50, 0, 200);
+		function process(ev) { h.fill(ev.n); }
+		function end() { println("done:", h.entries()); }
+	`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.WaitState(10*time.Second, StateFinished); err != nil {
+		t.Fatal(err)
+	}
+	var poll merge.PollReply
+	if err := mgr.Poll(merge.PollArgs{SessionID: "s1"}, &poll); err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(poll.Logs, "\n")
+	for _, line := range []string{"booked", "done: 1000"} {
+		if n := strings.Count(joined, line); n != 1 {
+			t.Errorf("%q relayed %d times, want once; logs:\n%s", line, n, joined)
+		}
+	}
+}
+
+func TestCapLogKeepsNewestBehindOneMark(t *testing.T) {
+	if s := "short\n"; capLog(s) != s {
+		t.Fatal("a log under the cap was changed")
+	}
+	line := strings.Repeat("é", 50) + "\n"
+	long := strings.Repeat(line, 2*maxSnapshotLog/len(line)) + "last\n"
+	got := capLog(long)
+	if len(got) > maxSnapshotLog || !strings.HasPrefix(got, truncatedMark+"éé") || !strings.HasSuffix(got, line+"last\n") {
+		t.Fatalf("capped log: %d bytes, starts %q", len(got), got[:40])
+	}
+	// Capping what was already capped (a retained log that grew) must not
+	// stack marks.
+	again := capLog(got + long)
+	if strings.Count(again, truncatedMark) != 1 || len(again) > maxSnapshotLog {
+		t.Fatalf("re-capped log has %d marks in %d bytes", strings.Count(again, truncatedMark), len(again))
+	}
+}

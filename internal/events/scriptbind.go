@@ -7,38 +7,91 @@ import (
 // EventDecoderName is the script record-decoder key for LC event records.
 const EventDecoderName = "lc-event"
 
-// scriptEvent exposes a decoded event to scripts as an object with
-// members: number, run, signal, n, particles (array of particle objects).
-func scriptEvent(e *Event) script.Value {
-	parts := &script.Array{Elems: make([]script.Value, len(e.Particles))}
-	for i, p := range e.Particles {
-		v := p.Vec()
-		parts.Elems[i] = &script.MapObject{
-			Name: "particle",
-			Members: map[string]script.Value{
-				"id":     float64(p.ID),
-				"charge": float64(p.Charge),
-				"px":     v.Px,
-				"py":     v.Py,
-				"pz":     v.Pz,
-				"e":      v.E,
-				"pt":     v.Pt(),
-				"p":      v.P(),
-				"mass":   v.Mass(),
-				"cost":   v.CosTheta(),
-			},
-		}
+// eventView exposes a decoded event to scripts as an object with members
+// number, run, signal, n and particles (an array of particle objects). It
+// reads the decoded struct on access; nothing is copied out per member.
+// Every record gets a view of its own — one eventView, one particle slab,
+// one element slice — so a script may keep ev, ev.particles or a particle
+// past the event it came from.
+type eventView struct {
+	Event
+	parts script.Array
+}
+
+func newEventView(rec []byte) (*eventView, error) {
+	v := new(eventView)
+	if err := UnmarshalInto(rec, &v.Event); err != nil {
+		return nil, err
 	}
-	return &script.MapObject{
-		Name: "event",
-		Members: map[string]script.Value{
-			"number":    float64(e.Number),
-			"run":       float64(e.Run),
-			"signal":    e.IsSignal,
-			"n":         float64(len(e.Particles)),
-			"particles": parts,
-		},
+	v.parts.Elems = make([]script.Value, len(v.Particles))
+	for i := range v.Particles {
+		v.parts.Elems[i] = (*particleView)(&v.Particles[i])
 	}
+	return v, nil
+}
+
+// TypeName implements script.HostObject.
+func (*eventView) TypeName() string { return "event" }
+
+// Member implements script.HostObject.
+func (v *eventView) Member(name string) (script.Value, bool) { return script.MemberOf(v, name) }
+
+// Get implements script.Getter.
+func (v *eventView) Get(name string) (script.Val, bool) {
+	switch name {
+	case "number":
+		return script.NumVal(float64(v.Number)), true
+	case "run":
+		return script.NumVal(float64(v.Run)), true
+	case "signal":
+		return script.BoolVal(v.IsSignal), true
+	case "n":
+		return script.NumVal(float64(len(v.Particles))), true
+	case "particles":
+		return script.ValOf(&v.parts), true
+	}
+	return script.Val{}, false
+}
+
+// particleView is a Particle as scripts see it: id, charge, the
+// four-vector px, py, pz, e, and pt, p, mass, cost derived from it when
+// asked for.
+type particleView Particle
+
+// TypeName implements script.HostObject.
+func (*particleView) TypeName() string { return "particle" }
+
+// Member implements script.HostObject.
+func (p *particleView) Member(name string) (script.Value, bool) { return script.MemberOf(p, name) }
+
+// Get implements script.Getter.
+func (p *particleView) Get(name string) (script.Val, bool) {
+	var f float64
+	switch name {
+	case "id":
+		f = float64(p.ID)
+	case "charge":
+		f = float64(p.Charge)
+	case "px":
+		f = float64(p.Px)
+	case "py":
+		f = float64(p.Py)
+	case "pz":
+		f = float64(p.Pz)
+	case "e":
+		f = float64(p.E)
+	case "pt":
+		f = Particle(*p).Vec().Pt()
+	case "p":
+		f = Particle(*p).Vec().P()
+	case "mass":
+		f = Particle(*p).Vec().Mass()
+	case "cost":
+		f = Particle(*p).Vec().CosTheta()
+	default:
+		return script.Val{}, false
+	}
+	return script.NumVal(f), true
 }
 
 // pairMass computes the invariant mass of two particle script objects —
@@ -61,24 +114,20 @@ func pairMass(args []script.Value) (script.Value, error) {
 var errArity = &script.RuntimeError{Msg: "pairMass expects (particle, particle)"}
 
 func particleVec(v script.Value) (FourVec, error) {
-	o, ok := v.(*script.MapObject)
-	if !ok || o.Name != "particle" {
+	p, ok := v.(*particleView)
+	if !ok {
 		return FourVec{}, &script.RuntimeError{Msg: "pairMass: argument is not a particle"}
 	}
-	px, _ := o.Members["px"].(float64)
-	py, _ := o.Members["py"].(float64)
-	pz, _ := o.Members["pz"].(float64)
-	e, _ := o.Members["e"].(float64)
-	return FourVec{px, py, pz, e}, nil
+	return Particle(*p).Vec(), nil
 }
 
 func init() {
 	script.RegisterDecoder(EventDecoderName, func(rec []byte) (script.Value, error) {
-		var e Event
-		if err := UnmarshalInto(rec, &e); err != nil {
+		v, err := newEventView(rec)
+		if err != nil {
 			return nil, err
 		}
-		return scriptEvent(&e), nil
+		return v, nil
 	})
 	script.RegisterGlobal("pairMass", script.HostFunc(pairMass))
 }

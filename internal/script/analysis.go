@@ -94,7 +94,6 @@ type Analysis struct {
 	decoder RecordDecoder
 	interp  *Interp
 	output  bytes.Buffer
-	fuel    int64
 }
 
 // NewAnalysis compiles source and binds the named record decoder.
@@ -103,6 +102,13 @@ func NewAnalysis(source, decoderName string) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewAnalysisFromProgram(prog, decoderName)
+}
+
+// NewAnalysisFromProgram binds the named record decoder to an already
+// compiled program. Programs are immutable, so any number of analyses, on
+// any goroutines, may share one.
+func NewAnalysisFromProgram(prog *Program, decoderName string) (*Analysis, error) {
 	if decoderName == "" {
 		decoderName = "raw"
 	}
@@ -113,9 +119,17 @@ func NewAnalysis(source, decoderName string) (*Analysis, error) {
 	return &Analysis{prog: prog, decoder: dec}, nil
 }
 
-// Output returns everything the script printed so far (relayed to the
-// client as notification messages).
+// Output returns what the script printed since Init or the last
+// TakeOutput.
 func (a *Analysis) Output() string { return a.output.String() }
+
+// TakeOutput returns what Output would and forgets it, so an engine that
+// relays the text with every snapshot sends each line once.
+func (a *Analysis) TakeOutput() string {
+	s := a.output.String()
+	a.output.Reset()
+	return s
+}
 
 // Init implements analysis.Analysis: it builds a fresh interpreter (so a
 // rewind truly restarts the analysis), binds host objects, executes the
@@ -123,14 +137,7 @@ func (a *Analysis) Output() string { return a.output.String() }
 func (a *Analysis) Init(ctx *analysis.Context) error {
 	a.output.Reset()
 	a.interp = New(Options{Output: &a.output, Fuel: perEventFuel})
-	installExtraGlobals(a.interp)
-	a.interp.Define("tree", &TreeObject{Tree: ctx.Tree})
-	params := NewMap()
-	for k, v := range ctx.Params {
-		params.Items[k] = v
-	}
-	a.interp.Define("params", params)
-	a.interp.Define("workerid", ctx.WorkerID)
+	bindHost(a.interp, ctx)
 	if err := a.interp.Run(a.prog); err != nil {
 		return fmt.Errorf("script top-level: %w", err)
 	}
@@ -143,6 +150,19 @@ func (a *Analysis) Init(ctx *analysis.Context) error {
 		return fmt.Errorf("script: no process(event) function defined")
 	}
 	return nil
+}
+
+// bindHost defines what every analysis script finds in its global scope
+// beyond the builtins: registered globals, tree, params and workerid.
+func bindHost(in *Interp, ctx *analysis.Context) {
+	installExtraGlobals(in)
+	in.Define("tree", &TreeObject{Tree: ctx.Tree})
+	params := NewMap()
+	for k, v := range ctx.Params {
+		params.Items[k] = v
+	}
+	in.Define("params", params)
+	in.Define("workerid", ctx.WorkerID)
 }
 
 // Process implements analysis.Analysis.

@@ -163,8 +163,11 @@ func (n *returnStmt) position() Pos   { return n.pos }
 func (n *breakStmt) position() Pos    { return n.pos }
 func (n *continueStmt) position() Pos { return n.pos }
 
-// Program is a compiled script, ready to run on an Interp.
+// Program is a compiled script, ready to run on an Interp. It is
+// immutable: every interpreter, on any goroutine, may run the same one.
 type Program struct {
-	stmts  []Node
-	source string
+	code    []stmt   // top-level statements
+	pos     []Pos    // their positions
+	globals []string // names the code may reach in the global scope, by index
+	source  string
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 )
 
 // RuntimeError is a script execution failure with its source position.
@@ -15,51 +16,20 @@ type RuntimeError struct {
 
 func (e *RuntimeError) Error() string { return fmt.Sprintf("script:%s: %s", e.Pos, e.Msg) }
 
+// Is lets errors.Is(err, ErrFuelExhausted) find the budget guard behind
+// the position it stopped the script at.
+func (e *RuntimeError) Is(target error) bool {
+	return target == ErrFuelExhausted && e.Msg == ErrFuelExhausted.Error()
+}
+
 // ErrFuelExhausted aborts scripts that exceed their execution budget — the
 // guard that keeps a runaway uploaded script from wedging a worker node.
 var ErrFuelExhausted = errors.New("script: execution budget exhausted")
 
-// env is a lexical scope.
-type env struct {
-	vars   map[string]Value
-	parent *env
-}
-
-func newEnv(parent *env) *env { return &env{vars: make(map[string]Value), parent: parent} }
-
-func (e *env) lookup(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// assign updates name where it is bound, or defines it in scope e.
-func (e *env) assign(name string, v Value) {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
-	}
-	e.vars[name] = v
-}
-
-// control-flow signals threaded through exec.
-type ctrl int
-
-const (
-	ctrlNone ctrl = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-)
-
 // Options configure an interpreter.
 type Options struct {
-	// Fuel bounds the number of AST evaluations (0 = DefaultFuel).
+	// Fuel bounds loop iterations plus calls (0 = DefaultFuel): every
+	// iteration of every loop and every call costs at least one unit.
 	Fuel int64
 	// Output receives print()/println() text (nil = discard).
 	Output io.Writer
@@ -71,20 +41,39 @@ type Options struct {
 // parts while still halting accidental infinite loops in bounded time.
 const DefaultFuel = 200_000_000
 
+// global is one name of the global scope. Programs reach it by index
+// through the table link builds, the host by name through Define/Lookup.
+type global struct {
+	v Val // kUnbound until something defines the name
+}
+
+// frame is one activation: the top level of a program, or a call.
+type frame struct {
+	in     *Interp
+	g      []*global // the running program's globals
+	slots  []Val     // this function's variables; kUnbound until assigned
+	parent *frame    // activation of the enclosing function
+	ret    Val       // set by return
+}
+
 // Interp executes compiled programs.
 type Interp struct {
-	globals   *env
-	fuel      int64
-	maxDepth  int
-	depth     int
-	out       io.Writer
-	returnVal Value
+	globals  map[string]*global
+	fuel     int64
+	maxDepth int
+	depth    int
+	out      io.Writer
+	// stack holds call arguments while a call is being set up.
+	stack []Val
+	// frames[d] is reused by every call at depth d of a function whose
+	// activation no closure can capture.
+	frames []*frame
 }
 
 // New creates an interpreter with the standard library installed.
 func New(opts Options) *Interp {
 	in := &Interp{
-		globals:  newEnv(nil),
+		globals:  make(map[string]*global),
 		fuel:     opts.Fuel,
 		maxDepth: opts.MaxCallDepth,
 		out:      opts.Output,
@@ -99,11 +88,27 @@ func New(opts Options) *Interp {
 	return in
 }
 
+// cell returns the global named name, creating it unbound.
+func (in *Interp) cell(name string) *global {
+	g, ok := in.globals[name]
+	if !ok {
+		g = &global{v: Val{k: kUnbound}}
+		in.globals[name] = g
+	}
+	return g
+}
+
 // Define binds a global name (host objects, configuration values).
-func (in *Interp) Define(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) Define(name string, v Value) { in.cell(name).v = ValOf(v) }
 
 // Lookup fetches a global.
-func (in *Interp) Lookup(name string) (Value, bool) { return in.globals.lookup(name) }
+func (in *Interp) Lookup(name string) (Value, bool) {
+	g, ok := in.globals[name]
+	if !ok || g.v.k == kUnbound {
+		return nil, false
+	}
+	return g.v.Value(), true
+}
 
 // RemainingFuel returns the unspent execution budget.
 func (in *Interp) RemainingFuel() int64 { return in.fuel }
@@ -114,13 +119,17 @@ func (in *Interp) AddFuel(n int64) { in.fuel += n }
 
 // Run executes a program's top-level statements in the global scope.
 func (in *Interp) Run(p *Program) error {
-	for _, s := range p.stmts {
-		c, err := in.exec(s, in.globals)
+	fr := &frame{in: in, g: make([]*global, len(p.globals))}
+	for i, name := range p.globals {
+		fr.g[i] = in.cell(name)
+	}
+	for i, s := range p.code {
+		c, err := s(fr)
 		if err != nil {
 			return err
 		}
 		if c != ctrlNone {
-			return &RuntimeError{Pos: s.position(), Msg: "break/continue/return outside function or loop"}
+			return &RuntimeError{Pos: p.pos[i], Msg: "break/continue/return outside function or loop"}
 		}
 	}
 	return nil
@@ -128,7 +137,7 @@ func (in *Interp) Run(p *Program) error {
 
 // Call invokes a named global function with the given arguments.
 func (in *Interp) Call(name string, args ...Value) (Value, error) {
-	fn, ok := in.globals.lookup(name)
+	fn, ok := in.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("script: no function %q defined", name)
 	}
@@ -137,10 +146,7 @@ func (in *Interp) Call(name string, args ...Value) (Value, error) {
 
 // Has reports whether a global name is bound to a callable.
 func (in *Interp) Has(name string) bool {
-	v, ok := in.globals.lookup(name)
-	if !ok {
-		return false
-	}
+	v, _ := in.Lookup(name)
 	switch v.(type) {
 	case *Closure, HostFunc:
 		return true
@@ -152,7 +158,13 @@ func (in *Interp) Has(name string) bool {
 func (in *Interp) CallValue(fn Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
-		return in.callClosure(f, args, Pos{})
+		base := len(in.stack)
+		for _, a := range args {
+			in.stack = append(in.stack, ValOf(a))
+		}
+		v, err := in.callClosure(f, in.stack[base:], Pos{})
+		in.stack = in.stack[:base]
+		return v.Value(), err
 	case HostFunc:
 		return f(args)
 	default:
@@ -160,33 +172,52 @@ func (in *Interp) CallValue(fn Value, args []Value) (Value, error) {
 	}
 }
 
-func (in *Interp) callClosure(f *Closure, args []Value, at Pos) (Value, error) {
-	if in.depth >= in.maxDepth {
-		return nil, &RuntimeError{Pos: at, Msg: fmt.Sprintf("call depth exceeds %d", in.maxDepth)}
+// callClosure runs f on args (which it copies before f's body can move
+// the stack they sit on). at is the call site, zero for a call from Go.
+func (in *Interp) callClosure(f *Closure, args []Val, at Pos) (Val, error) {
+	fn := f.fn
+	if at == (Pos{}) {
+		at = fn.pos
 	}
-	scope := newEnv(f.env)
-	for i, p := range f.params {
-		if i < len(args) {
-			scope.vars[p] = args[i]
-		} else {
-			scope.vars[p] = nil
-		}
+	if in.depth >= in.maxDepth {
+		return Val{}, &RuntimeError{Pos: at, Msg: fmt.Sprintf("call depth exceeds %d", in.maxDepth)}
+	}
+	if err := in.burn(at); err != nil {
+		return Val{}, err
+	}
+	var fr *frame
+	switch {
+	case fn.captured:
+		fr = new(frame)
+	case in.depth < len(in.frames):
+		fr = in.frames[in.depth]
+	default:
+		fr = new(frame)
+		in.frames = append(in.frames, fr)
+	}
+	if cap(fr.slots) < fn.nslots {
+		fr.slots = make([]Val, fn.nslots)
+	}
+	fr.in, fr.g, fr.parent, fr.ret = in, f.g, f.parent, Val{}
+	fr.slots = fr.slots[:fn.nslots]
+	// Parameters are bound even when the caller passed too few.
+	n := copy(fr.slots[:fn.nparams], args)
+	for i := n; i < fn.nparams; i++ {
+		fr.slots[i] = Val{}
+	}
+	for i := fn.nparams; i < fn.nslots; i++ {
+		fr.slots[i] = Val{k: kUnbound}
 	}
 	in.depth++
-	defer func() { in.depth-- }()
-	in.returnVal = nil
-	c, err := in.exec(f.body, scope)
-	if err != nil {
-		return nil, err
+	c, err := fn.body(fr)
+	in.depth--
+	if err != nil || c != ctrlReturn {
+		return Val{}, err
 	}
-	if c == ctrlReturn {
-		v := in.returnVal
-		in.returnVal = nil
-		return v, nil
-	}
-	return nil, nil
+	return fr.ret, nil
 }
 
+// burn charges one unit of fuel.
 func (in *Interp) burn(pos Pos) error {
 	in.fuel--
 	if in.fuel < 0 {
@@ -199,306 +230,16 @@ func rtErr(pos Pos, format string, args ...any) error {
 	return &RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// exec runs a statement.
-func (in *Interp) exec(n Node, scope *env) (ctrl, error) {
-	if err := in.burn(n.position()); err != nil {
-		return ctrlNone, err
+// hostErr positions an error a host function returned, unless the host
+// already made it a RuntimeError.
+func hostErr(pos Pos, err error) error {
+	if _, isRT := err.(*RuntimeError); isRT {
+		return err
 	}
-	switch s := n.(type) {
-	case *exprStmt:
-		_, err := in.eval(s.x, scope)
-		return ctrlNone, err
-	case *blockStmt:
-		for _, st := range s.stmts {
-			c, err := in.exec(st, scope)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return ctrlNone, nil
-	case *ifStmt:
-		cond, err := in.eval(s.cond, scope)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if Truthy(cond) {
-			return in.exec(s.then, scope)
-		}
-		if s.alt != nil {
-			return in.exec(s.alt, scope)
-		}
-		return ctrlNone, nil
-	case *whileStmt:
-		for {
-			cond, err := in.eval(s.cond, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !Truthy(cond) {
-				return ctrlNone, nil
-			}
-			c, err := in.exec(s.body, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if err := in.burn(s.pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *forStmt:
-		if s.init != nil {
-			if _, err := in.eval(s.init, scope); err != nil {
-				return ctrlNone, err
-			}
-		}
-		for {
-			if s.cond != nil {
-				cond, err := in.eval(s.cond, scope)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if !Truthy(cond) {
-					return ctrlNone, nil
-				}
-			}
-			c, err := in.exec(s.body, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if s.post != nil {
-				if _, err := in.eval(s.post, scope); err != nil {
-					return ctrlNone, err
-				}
-			}
-			if err := in.burn(s.pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *forEachStmt:
-		iter, err := in.eval(s.iterable, scope)
-		if err != nil {
-			return ctrlNone, err
-		}
-		runBody := func(v Value) (ctrl, error) {
-			scope.assign(s.ident, v)
-			return in.exec(s.body, scope)
-		}
-		switch it := iter.(type) {
-		case *Array:
-			for _, v := range it.Elems {
-				c, err := runBody(v)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-				if err := in.burn(s.pos); err != nil {
-					return ctrlNone, err
-				}
-			}
-			return ctrlNone, nil
-		case *Map:
-			for _, k := range sortedMapKeys(it) {
-				c, err := runBody(k)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-			}
-			return ctrlNone, nil
-		case float64:
-			for i := 0.0; i < it; i++ {
-				c, err := runBody(i)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-				if err := in.burn(s.pos); err != nil {
-					return ctrlNone, err
-				}
-			}
-			return ctrlNone, nil
-		default:
-			return ctrlNone, rtErr(s.pos, "cannot iterate over %s", TypeName(iter))
-		}
-	case *returnStmt:
-		if s.val != nil {
-			v, err := in.eval(s.val, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			in.returnVal = v
-		} else {
-			in.returnVal = nil
-		}
-		return ctrlReturn, nil
-	case *breakStmt:
-		return ctrlBreak, nil
-	case *continueStmt:
-		return ctrlContinue, nil
-	default:
-		return ctrlNone, rtErr(n.position(), "internal: unknown statement %T", n)
-	}
+	return rtErr(pos, "%v", err)
 }
 
-// eval computes an expression value.
-func (in *Interp) eval(n Node, scope *env) (Value, error) {
-	if err := in.burn(n.position()); err != nil {
-		return nil, err
-	}
-	switch e := n.(type) {
-	case *numberLit:
-		return e.val, nil
-	case *stringLit:
-		return e.val, nil
-	case *boolLit:
-		return e.val, nil
-	case *nilLit:
-		return nil, nil
-	case *identExpr:
-		v, ok := scope.lookup(e.name)
-		if !ok {
-			return nil, rtErr(e.pos, "undefined variable %q", e.name)
-		}
-		return v, nil
-	case *arrayLit:
-		arr := &Array{Elems: make([]Value, 0, len(e.elems))}
-		for _, el := range e.elems {
-			v, err := in.eval(el, scope)
-			if err != nil {
-				return nil, err
-			}
-			arr.Elems = append(arr.Elems, v)
-		}
-		return arr, nil
-	case *mapLit:
-		m := NewMap()
-		for i := range e.keys {
-			k, err := in.eval(e.keys[i], scope)
-			if err != nil {
-				return nil, err
-			}
-			ks, ok := k.(string)
-			if !ok {
-				return nil, rtErr(e.keys[i].position(), "map key must be string, got %s", TypeName(k))
-			}
-			v, err := in.eval(e.vals[i], scope)
-			if err != nil {
-				return nil, err
-			}
-			m.Items[ks] = v
-		}
-		return m, nil
-	case *funcLit:
-		return &Closure{name: e.name, params: e.params, body: e.body, env: scope}, nil
-	case *unaryExpr:
-		x, err := in.eval(e.x, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch e.op {
-		case tokMinus:
-			f, ok := x.(float64)
-			if !ok {
-				return nil, rtErr(e.pos, "cannot negate %s", TypeName(x))
-			}
-			return -f, nil
-		case tokNot:
-			return !Truthy(x), nil
-		}
-		return nil, rtErr(e.pos, "internal: bad unary op")
-	case *binaryExpr:
-		return in.evalBinary(e, scope)
-	case *ternaryExpr:
-		cond, err := in.eval(e.cond, scope)
-		if err != nil {
-			return nil, err
-		}
-		if Truthy(cond) {
-			return in.eval(e.then, scope)
-		}
-		return in.eval(e.alt, scope)
-	case *assignExpr:
-		return in.evalAssign(e, scope)
-	case *callExpr:
-		return in.evalCall(e, scope)
-	case *indexExpr:
-		target, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(e.index, scope)
-		if err != nil {
-			return nil, err
-		}
-		return indexValue(e.pos, target, idx)
-	case *memberExpr:
-		target, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		return memberValue(e.pos, target, e.name)
-	default:
-		return nil, rtErr(n.position(), "internal: unknown expression %T", n)
-	}
-}
-
-func (in *Interp) evalBinary(e *binaryExpr, scope *env) (Value, error) {
-	// Short-circuit logical operators.
-	if e.op == tokAnd || e.op == tokOr {
-		l, err := in.eval(e.l, scope)
-		if err != nil {
-			return nil, err
-		}
-		if e.op == tokAnd && !Truthy(l) {
-			return false, nil
-		}
-		if e.op == tokOr && Truthy(l) {
-			return true, nil
-		}
-		r, err := in.eval(e.r, scope)
-		if err != nil {
-			return nil, err
-		}
-		return Truthy(r), nil
-	}
-	l, err := in.eval(e.l, scope)
-	if err != nil {
-		return nil, err
-	}
-	r, err := in.eval(e.r, scope)
-	if err != nil {
-		return nil, err
-	}
-	return applyBinary(e.pos, e.op, l, r)
-}
-
+// applyBinary is every binary operator except the short-circuit ones.
 func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 	switch op {
 	case tokEq:
@@ -575,157 +316,82 @@ func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 	return nil, rtErr(pos, "internal: bad binary op %v", op)
 }
 
-func (in *Interp) evalAssign(e *assignExpr, scope *env) (Value, error) {
-	val, err := in.eval(e.value, scope)
-	if err != nil {
-		return nil, err
+// compoundOp maps an assignment operator to the binary operator it
+// applies first (tokAssign itself maps to tokAssign).
+func compoundOp(op tokKind) tokKind {
+	switch op {
+	case tokPlusAssign:
+		return tokPlus
+	case tokMinusAssign:
+		return tokMinus
+	case tokStarAssign:
+		return tokStar
+	case tokSlashAssign:
+		return tokSlash
 	}
-	// Compound ops read the old value first.
-	if e.op != tokAssign {
-		old, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		var binOp tokKind
-		switch e.op {
-		case tokPlusAssign:
-			binOp = tokPlus
-		case tokMinusAssign:
-			binOp = tokMinus
-		case tokStarAssign:
-			binOp = tokStar
-		case tokSlashAssign:
-			binOp = tokSlash
-		}
-		val, err = applyBinary(e.pos, binOp, old, val)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch t := e.target.(type) {
-	case *identExpr:
-		scope.assign(t.name, val)
-		return val, nil
-	case *indexExpr:
-		target, err := in.eval(t.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(t.index, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch tv := target.(type) {
-		case *Array:
-			i, err := arrayIndex(t.pos, tv, idx)
-			if err != nil {
-				return nil, err
-			}
-			tv.Elems[i] = val
-			return val, nil
-		case *Map:
-			k, ok := idx.(string)
-			if !ok {
-				return nil, rtErr(t.pos, "map key must be string, got %s", TypeName(idx))
-			}
-			tv.Items[k] = val
-			return val, nil
-		default:
-			return nil, rtErr(t.pos, "cannot index-assign into %s", TypeName(target))
-		}
-	case *memberExpr:
-		target, err := in.eval(t.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch tv := target.(type) {
-		case *Map:
-			tv.Items[t.name] = val
-			return val, nil
-		case SettableHostObject:
-			if err := tv.SetMember(t.name, val); err != nil {
-				return nil, rtErr(t.pos, "%v", err)
-			}
-			return val, nil
-		default:
-			return nil, rtErr(t.pos, "cannot set member %q on %s", t.name, TypeName(target))
-		}
-	}
-	return nil, rtErr(e.pos, "internal: bad assignment target")
+	return op
 }
 
-func (in *Interp) evalCall(e *callExpr, scope *env) (Value, error) {
-	callee, err := in.eval(e.callee, scope)
-	if err != nil {
-		return nil, err
+// seqIndex checks idx as an index into a sequence (what: "array" or
+// "string") of n elements: a number, integral, in range.
+func seqIndex(pos Pos, what string, n int, idx Val) (int, error) {
+	if idx.k != kNum {
+		return 0, rtErr(pos, "%s index must be number, got %s", what, TypeName(idx.Value()))
 	}
-	args := make([]Value, len(e.args))
-	for i, a := range e.args {
-		v, err := in.eval(a, scope)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
+	i := int(idx.n)
+	if float64(i) != idx.n {
+		return 0, rtErr(pos, "%s index %v is not an integer", what, idx.n)
 	}
-	switch f := callee.(type) {
-	case *Closure:
-		return in.callClosure(f, args, e.pos)
-	case HostFunc:
-		v, err := f(args)
-		if err != nil {
-			if _, isRT := err.(*RuntimeError); isRT {
-				return nil, err
-			}
-			return nil, rtErr(e.pos, "%v", err)
-		}
-		return v, nil
-	default:
-		return nil, rtErr(e.pos, "cannot call %s", TypeName(callee))
-	}
-}
-
-func arrayIndex(pos Pos, a *Array, idx Value) (int, error) {
-	f, ok := idx.(float64)
-	if !ok {
-		return 0, rtErr(pos, "array index must be number, got %s", TypeName(idx))
-	}
-	i := int(f)
-	if float64(i) != f {
-		return 0, rtErr(pos, "array index %v is not an integer", f)
-	}
-	if i < 0 || i >= len(a.Elems) {
-		return 0, rtErr(pos, "array index %d out of range [0,%d)", i, len(a.Elems))
+	if i < 0 || i >= n {
+		return 0, rtErr(pos, "%s index %d out of range [0,%d)", what, i, n)
 	}
 	return i, nil
 }
 
-func indexValue(pos Pos, target, idx Value) (Value, error) {
+func indexValue(pos Pos, target Value, idx Val) (Value, error) {
 	switch t := target.(type) {
 	case *Array:
-		i, err := arrayIndex(pos, t, idx)
+		i, err := seqIndex(pos, "array", len(t.Elems), idx)
 		if err != nil {
 			return nil, err
 		}
 		return t.Elems[i], nil
 	case *Map:
-		k, ok := idx.(string)
+		k, ok := idx.r.(string)
 		if !ok {
-			return nil, rtErr(pos, "map key must be string, got %s", TypeName(idx))
+			return nil, rtErr(pos, "map key must be string, got %s", TypeName(idx.Value()))
 		}
 		return t.Items[k], nil
 	case string:
-		f, ok := idx.(float64)
-		if !ok {
-			return nil, rtErr(pos, "string index must be number")
-		}
-		i := int(f)
-		if i < 0 || i >= len(t) {
-			return nil, rtErr(pos, "string index %d out of range", i)
+		i, err := seqIndex(pos, "string", len(t), idx)
+		if err != nil {
+			return nil, err
 		}
 		return string(t[i]), nil
 	default:
 		return nil, rtErr(pos, "cannot index %s", TypeName(target))
 	}
+}
+
+// setIndex is target[idx] = v.
+func setIndex(pos Pos, target Value, idx Val, v Value) error {
+	switch t := target.(type) {
+	case *Array:
+		i, err := seqIndex(pos, "array", len(t.Elems), idx)
+		if err != nil {
+			return err
+		}
+		t.Elems[i] = v
+	case *Map:
+		k, ok := idx.r.(string)
+		if !ok {
+			return rtErr(pos, "map key must be string, got %s", TypeName(idx.Value()))
+		}
+		t.Items[k] = v
+	default:
+		return rtErr(pos, "cannot index-assign into %s", TypeName(target))
+	}
+	return nil
 }
 
 func memberValue(pos Pos, target Value, name string) (Value, error) {
@@ -735,7 +401,7 @@ func memberValue(pos Pos, target Value, name string) (Value, error) {
 	case HostObject:
 		v, ok := t.Member(name)
 		if !ok {
-			return nil, rtErr(pos, "%s has no member %q", t.TypeName(), name)
+			return nil, noMember(pos, t, name)
 		}
 		return v, nil
 	case *Array:
@@ -753,20 +419,32 @@ func memberValue(pos Pos, target Value, name string) (Value, error) {
 	}
 }
 
-func sortedMapKeys(m *Map) []Value {
+func noMember(pos Pos, o HostObject, name string) error {
+	return rtErr(pos, "%s has no member %q", o.TypeName(), name)
+}
+
+// setMember is target.name = v.
+func setMember(pos Pos, target Value, name string, v Value) error {
+	switch t := target.(type) {
+	case *Map:
+		t.Items[name] = v
+	case SettableHostObject:
+		if err := t.SetMember(name, v); err != nil {
+			return rtErr(pos, "%v", err)
+		}
+	default:
+		return rtErr(pos, "cannot set member %q on %s", name, TypeName(target))
+	}
+	return nil
+}
+
+// sortedMapKeys is the order for-each visits a map in: deterministic, for
+// reproducible analyses.
+func sortedMapKeys(m *Map) []string {
 	keys := make([]string, 0, len(m.Items))
 	for k := range m.Items {
 		keys = append(keys, k)
 	}
-	// Deterministic iteration for reproducible analyses.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := make([]Value, len(keys))
-	for i, k := range keys {
-		out[i] = k
-	}
-	return out
+	sort.Strings(keys)
+	return keys
 }

@@ -8,8 +8,17 @@ type parser struct {
 	pos  int
 }
 
-// Compile parses source into a Program.
+// Compile parses source and compiles it into a Program.
 func Compile(src string) (*Program, error) {
+	stmts, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return compile(stmts, src), nil
+}
+
+// parse turns source into its top-level statements.
+func parse(src string) ([]Node, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
@@ -23,7 +32,7 @@ func Compile(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{stmts: stmts, source: src}, nil
+	return stmts, nil
 }
 
 func (p *parser) cur() token        { return p.toks[p.pos] }

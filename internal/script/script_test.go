@@ -252,6 +252,9 @@ func TestRuntimeErrorsCarryPositions(t *testing.T) {
 		"m = {\"a\": 1}; m[3];",
 		"x = -\"str\";",
 		`x = 1 < "a";`,
+		`x = "abc"[1.5];`, // strings index like arrays: no silent truncation
+		`x = "abc"[3];`,
+		`x = "abc"["a"];`,
 	} {
 		prog, err := Compile(src)
 		if err != nil {

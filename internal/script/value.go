@@ -37,16 +37,16 @@ type Map struct {
 // NewMap builds an empty map value.
 func NewMap() *Map { return &Map{Items: make(map[string]Value)} }
 
-// Closure is a script-defined function bound to its defining environment.
+// Closure is a script-defined function bound to the activation that
+// defined it.
 type Closure struct {
-	name   string
-	params []string
-	body   *blockStmt
-	env    *env
+	fn     *funcProto
+	parent *frame    // defining activation: where enclosing functions' variables live
+	g      []*global // the defining program's globals, linked to its interpreter
 }
 
 // Name returns the function's declared name ("" for anonymous).
-func (c *Closure) Name() string { return c.name }
+func (c *Closure) Name() string { return c.fn.name }
 
 // HostFunc is a native function callable from scripts.
 type HostFunc func(args []Value) (Value, error)
@@ -65,6 +65,136 @@ type HostObject interface {
 type SettableHostObject interface {
 	HostObject
 	SetMember(name string, v Value) error
+}
+
+// Getter is the optional allocation-free form of Member. The evaluator
+// reads obj.name and dispatches obj.name(args...) through Get when a host
+// object has it, and through Member (and a call of what Member returned)
+// when it does not.
+type Getter interface {
+	HostObject
+	// Get returns the named member the way compiled code carries it:
+	// numbers and booleans inline, methods as their unbound Method.
+	Get(name string) (v Val, ok bool)
+}
+
+// Method is a host-object method before it is bound to a receiver. It
+// captures nothing, so Get can hand one out without allocating; recv is
+// the object Get was called on and args is valid only during the call.
+type Method func(recv HostObject, args []Val) (Val, error)
+
+// MethodVal wraps a Method for return from Get.
+func MethodVal(m Method) Val { return Val{k: kRef, r: m} }
+
+// bind turns a method into the HostFunc that Member promises, for a
+// script that takes obj.name as a value instead of calling it.
+func (m Method) bind(recv HostObject) HostFunc {
+	return func(args []Value) (Value, error) {
+		vals := make([]Val, len(args))
+		for i, a := range args {
+			vals[i] = ValOf(a)
+		}
+		v, err := m(recv, vals)
+		return v.Value(), err
+	}
+}
+
+// MemberOf implements HostObject.Member on top of Get: numbers boxed,
+// methods bound to o.
+func MemberOf(o Getter, name string) (Value, bool) {
+	v, ok := o.Get(name)
+	if !ok {
+		return nil, false
+	}
+	if m, isMethod := v.r.(Method); isMethod {
+		return m.bind(o), true
+	}
+	return v.Value(), true
+}
+
+// kind tags a Val.
+type kind uint8
+
+const (
+	kNil kind = iota
+	kNum
+	kBool
+	kRef
+	// kUnbound marks a frame slot or global whose name is not bound; no
+	// expression ever yields it.
+	kUnbound
+)
+
+// Val is a Value as compiled code carries it: numbers and booleans
+// inline, so arithmetic and host-object reads allocate nothing; every
+// other value rides along as a Value. The zero Val is nil.
+type Val struct {
+	k kind
+	n float64 // kNum; kBool as 0 or 1
+	r Value   // kRef: never a float64, bool or nil
+}
+
+// NumVal is the number f.
+func NumVal(f float64) Val { return Val{k: kNum, n: f} }
+
+// BoolVal is the boolean b.
+func BoolVal(b bool) Val {
+	if b {
+		return Val{k: kBool, n: 1}
+	}
+	return Val{k: kBool}
+}
+
+// ValOf unboxes a Value.
+func ValOf(v Value) Val {
+	switch x := v.(type) {
+	case nil:
+		return Val{}
+	case float64:
+		return Val{k: kNum, n: x}
+	case bool:
+		return BoolVal(x)
+	default:
+		return Val{k: kRef, r: v}
+	}
+}
+
+// Value boxes v.
+func (v Val) Value() Value {
+	switch v.k {
+	case kNum:
+		return v.n
+	case kBool:
+		return v.n != 0
+	case kRef:
+		return v.r
+	default:
+		return nil
+	}
+}
+
+// Number returns v as a float64 or reports what it is instead.
+func (v Val) Number() (float64, error) {
+	if v.k == kNum {
+		return v.n, nil
+	}
+	return Number(v.Value())
+}
+
+// Str returns v as a string or reports what it is instead.
+func (v Val) Str() (string, error) { return Str(v.Value()) }
+
+func (v Val) truthy() bool {
+	switch v.k {
+	case kNum:
+		return v.n != 0 && !math.IsNaN(v.n)
+	case kBool:
+		return v.n != 0
+	case kRef:
+		return Truthy(v.r)
+	default:
+		return false
+	}
 }
 
 // Truthy implements the language's boolean coercion: false, nil, 0 and ""
@@ -152,8 +282,8 @@ func ToString(v Value) string {
 		b.WriteByte('}')
 		return b.String()
 	case *Closure:
-		if x.name != "" {
-			return "function " + x.name
+		if name := x.Name(); name != "" {
+			return "function " + name
 		}
 		return "function"
 	case HostFunc:
@@ -208,26 +338,4 @@ func Str(v Value) (string, error) {
 		return s, nil
 	}
 	return "", fmt.Errorf("expected string, got %s", TypeName(v))
-}
-
-// MapObject is a convenience HostObject backed by a Go map — useful for
-// exposing fixed-shape records (the decoded dataset events) without
-// defining a new type per field set.
-type MapObject struct {
-	Name    string
-	Members map[string]Value
-}
-
-// Member implements HostObject.
-func (m *MapObject) Member(name string) (Value, bool) {
-	v, ok := m.Members[name]
-	return v, ok
-}
-
-// TypeName implements HostObject.
-func (m *MapObject) TypeName() string {
-	if m.Name != "" {
-		return m.Name
-	}
-	return "object"
 }

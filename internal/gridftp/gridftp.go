@@ -329,7 +329,8 @@ func (x *serverXfer) finish(err error) {
 
 // acceptStreams handles the data side of one transfer.
 func (x *serverXfer) acceptStreams() {
-	x.ln.(*net.TCPListener).SetDeadline(time.Now().Add(60 * time.Second))
+	deadline := time.Now().Add(60 * time.Second)
+	x.ln.(*net.TCPListener).SetDeadline(deadline)
 	var wg sync.WaitGroup
 	var streamErr error
 	var errMu sync.Mutex
@@ -404,24 +405,29 @@ func (x *serverXfer) acceptStreams() {
 		x.finish(streamErr)
 		return
 	}
-	// STOR: receive blocks from any number of streams until size reached.
-	// Buffered so the completing stream's signal survives even if it wins
-	// the race with the select below.
-	received := make(chan struct{}, 1)
-	go func() {
-		for {
+	// STOR: the client opens exactly x.streams data connections and ends
+	// each with an EOF block — including streams that carry no data, when
+	// the file has fewer blocks than streams. Accept and drain every one
+	// before completing: the control reply that follows closes the
+	// listener, and a stream still dialling would be refused.
+	if x.size > 0 {
+		for accepted := 0; accepted < x.streams; {
 			conn, err := x.ln.Accept()
 			if err != nil {
-				return
+				fail(fmt.Errorf("gridftp: accepting data stream: %w", err))
+				break
 			}
+			_, r, err := readDataHello(conn, x.id)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			accepted++
+			conn.SetReadDeadline(deadline)
 			wg.Add(1)
-			go func(conn net.Conn) {
+			go func(conn net.Conn, r *bufio.Reader) {
 				defer wg.Done()
 				defer conn.Close()
-				_, r, err := readDataHello(conn, x.id)
-				if err != nil {
-					return
-				}
 				for {
 					off, payload, err := readBlock(r)
 					if err != nil {
@@ -436,26 +442,17 @@ func (x *serverXfer) acceptStreams() {
 					x.mu.Lock()
 					x.chunks[int64(off)] = payload
 					x.received += int64(len(payload))
-					complete := x.received >= x.size
 					x.mu.Unlock()
-					if complete {
-						select {
-						case received <- struct{}{}:
-						default:
-						}
-						return
-					}
 				}
-			}(conn)
+			}(conn, r)
 		}
-	}()
-	if x.size == 0 {
-		close(received)
+		wg.Wait()
 	}
-	select {
-	case <-received:
-	case <-time.After(60 * time.Second):
-		x.finish(errors.New("gridftp: transfer timed out"))
+	if streamErr == nil && x.received != x.size {
+		streamErr = fmt.Errorf("gridftp: received %d of %d bytes", x.received, x.size)
+	}
+	if streamErr != nil {
+		x.finish(streamErr)
 		return
 	}
 	// Reassemble in offset order and store.
@@ -479,11 +476,8 @@ func (x *serverXfer) acceptStreams() {
 		}
 		pw.Close()
 	}()
-	if _, err := x.srv.store.Put(x.path, pr); err != nil {
-		x.finish(err)
-		return
-	}
-	x.finish(streamErr)
+	_, err := x.srv.store.Put(x.path, pr)
+	x.finish(err)
 }
 
 func sortInt64s(a []int64) {

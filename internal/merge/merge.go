@@ -99,11 +99,26 @@ type PublishArgs struct {
 	// mirror stream — so one engine publish is followable end to end.
 	// Old gob peers silently drop the field.
 	Trace obs.TraceContext
+
+	// frame is the publish's delta as a plain binary frame
+	// (aida.AppendDeltaState) when some hop already encoded it — the
+	// bytes the manager's log appends verbatim instead of re-encoding.
+	// Unexported, so gob and RMI never carry it.
+	frame []byte
 }
 
 // TraceCtx implements obs.Carrier: rmi.Client lifts the context into
 // the wire envelope.
 func (a PublishArgs) TraceCtx() obs.TraceContext { return a.Trace }
+
+// SetFrame attaches the delta's encoded frame. b must be exactly
+// aida.AppendDeltaState of the delta (a legacy Tree publish: of the
+// full delta of its entries), must not be modified afterwards, and may
+// be shared by every copy that logs this publish.
+func (a *PublishArgs) SetFrame(b []byte) { a.frame = b }
+
+// Frame returns the attached encoded frame (nil when none).
+func (a PublishArgs) Frame() []byte { return a.frame }
 
 // SetTraceCtx implements obs.Setter: rmi.Server stores the recovered,
 // hop-advanced context back before dispatch.
@@ -129,7 +144,16 @@ type PublishReply struct {
 	// larger batches instead of piling onto a contended session.
 	QueueDepth int
 	Busy       bool
+
+	// frame is the accepted delta's encoded frame as the manager logged
+	// it (nil without a log), handed back so a replicating router's
+	// replicas log the same bytes instead of encoding their own.
+	frame []byte
 }
+
+// Frame returns the accepted publish's logged frame (nil when the
+// manager has no log or the reply crossed RMI).
+func (r PublishReply) Frame() []byte { return r.frame }
 
 // PollArgs is the client's update request.
 type PollArgs struct {
@@ -591,6 +615,9 @@ func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	if err != nil {
 		return fmt.Errorf("merge: bad snapshot from %s: %w", args.WorkerID, err)
 	}
+	if args.frame, err = m.logFrame(args.frame, publishDeltaOf(&args)); err != nil {
+		return err
+	}
 	s := m.session(args.SessionID)
 	s.publishes.Add(1)
 	obsPublishes.Inc()
@@ -629,7 +656,19 @@ func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	s.recordTrace(args.Trace, t0)
 	reply.Accepted = true
 	reply.Version = s.version
+	reply.frame = args.frame
 	return m.walAppend(&walRecord{Kind: walPublish, Publish: &args})
+}
+
+// logFrame returns the frame a publish or mirror record logs for d: the
+// one a previous hop encoded, else — with a log attached — a fresh
+// encoding, made here once and outside the session write section. nil
+// without a log.
+func (m *Manager) logFrame(have []byte, d *aida.DeltaState) ([]byte, error) {
+	if have != nil || m.wal == nil {
+		return have, nil
+	}
+	return encodeFrame(d)
 }
 
 // recordTrace notes an accepted traced write on this state: the trace
@@ -660,6 +699,10 @@ func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
 			return fmt.Errorf("merge: bad delta from %s at %q: %w", args.WorkerID, e.Path, err)
 		}
 		objs[i] = obj
+	}
+	var err error
+	if args.frame, err = m.logFrame(args.frame, d); err != nil {
+		return err
 	}
 	t0 := obs.Now()
 	defer obsPublishSeconds.ObserveSince(t0)
@@ -764,6 +807,7 @@ func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
 	s.recordTrace(args.Trace, t0)
 	reply.Accepted = true
 	reply.Version = s.version
+	reply.frame = args.frame
 	return m.walAppend(&walRecord{Kind: walPublish, Publish: &args})
 }
 

@@ -62,10 +62,21 @@ type MirrorArgs struct {
 	// whatever that replica is later promoted into). Old gob peers
 	// silently drop the field.
 	Trace obs.TraceContext
+
+	// frame is Delta's encoded frame as the primary logged it; the
+	// replica's log appends it verbatim (see PublishArgs.frame).
+	frame []byte
 }
 
 // TraceCtx implements obs.Carrier (see PublishArgs.TraceCtx).
 func (a MirrorArgs) TraceCtx() obs.TraceContext { return a.Trace }
+
+// SetFrame attaches Delta's encoded frame, under the same contract as
+// PublishArgs.SetFrame.
+func (a *MirrorArgs) SetFrame(b []byte) { a.frame = b }
+
+// Frame returns the attached encoded frame (nil when none).
+func (a MirrorArgs) Frame() []byte { return a.frame }
 
 // SetTraceCtx implements obs.Setter (see PublishArgs.SetTraceCtx).
 func (a *MirrorArgs) SetTraceCtx(t obs.TraceContext) { a.Trace = t }
@@ -92,6 +103,10 @@ func (m *Manager) Mirror(args MirrorArgs, reply *MirrorReply) error {
 	}
 	if args.Delta == nil {
 		return fmt.Errorf("merge: mirror from %s carries no delta", args.WorkerID)
+	}
+	var err error
+	if args.frame, err = m.logFrame(args.frame, args.Delta); err != nil {
+		return err
 	}
 	defer m.lockCoarse()()
 	s := m.session(args.SessionID)

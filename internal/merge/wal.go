@@ -1,15 +1,39 @@
 // Durability: an optional append-only snapshot/delta log per manager.
 // Every state-changing call the manager accepts (publish, mirror,
-// import, reset, drop, fence, promote) appends one length-prefixed gob
-// record; a restarted ipa-manager replays the log through the same
-// entry points and rejoins the fabric with its sessions intact instead
-// of version-0 tombstones. Compaction rotates the live log aside and
-// re-seeds a fresh one with a full snapshot per session (Import-shaped)
-// so replay cost tracks live state, not history. A torn tail — the
-// record an OS crash cut mid-write — is detected by its length prefix,
-// truncated, and replay stops at the last complete record: the state
-// that syncs is a consistent prefix, and clients behind the lost tail
-// re-sync through the version-regression path they already honor.
+// import, reset, drop, fence, promote) appends one record; a restarted
+// ipa-manager replays the log through the same entry points and rejoins
+// the fabric with its sessions intact instead of version-0 tombstones.
+//
+// Record format (ipawal2): a uvarint length, then a kind byte, a flags
+// byte, a fixed binary header (session, worker, seq, epoch, version,
+// events done/total, log text, trace context) and the payload. Publish
+// and mirror payloads are the delta's plain version-1 aida frame
+// (aida.AppendDeltaState) — no gob, no DEFLATE, and no compression
+// policy is consulted. The frame is encoded once per accepted publish:
+// a replicating router hands the primary's bytes down the replica
+// chain (PublishReply.Frame → MirrorArgs.SetFrame), so every copy logs
+// the same bytes verbatim and nothing is decoded or re-encoded on the
+// in-process path. A manager called without the bytes (direct callers,
+// RMI-served shards) encodes them itself, once, outside its write
+// section. Import and snapshot records are binary too: each worker's
+// tree as a length-prefixed aida tree frame, then removed paths and
+// logs — no per-record gob type descriptors to outweigh small deltas.
+//
+// Logs written by the older ipawal1 format (one gob record per entry,
+// deltas DEFLATE-compressed by whatever policy the sender attached)
+// still replay: the scanner dispatches on the file's magic. Replay
+// rewrites a v1 live log as v2 by compacting it, so the writer only
+// ever writes v2.
+//
+// Compaction rotates the live log aside and re-seeds a fresh one with
+// a full snapshot per session (Import-shaped) every CompactEvery delta
+// records (4096 by default), so replay cost and log size track live
+// state plus at most that many uncompressed deltas — about 2.2× the
+// bytes the compressed v1 records took for the same tail. A torn tail
+// — the record an OS crash cut mid-write — is detected by its length
+// prefix, truncated, and replay stops at the last complete record: the
+// state that syncs is a consistent prefix, and clients behind the lost
+// tail re-sync through the version-regression path they already honor.
 
 package merge
 
@@ -18,8 +42,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -27,8 +53,12 @@ import (
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-// walMagic heads every log file; a mismatch means the file is not ours.
-const walMagic = "ipawal1\n"
+// walMagic heads every log this package writes; walMagicV1 heads logs
+// of the older gob-record format, which replay still reads.
+const (
+	walMagic   = "ipawal2\n"
+	walMagicV1 = "ipawal1\n"
+)
 
 // Record kinds. Snapshot records carry the same Import-shaped payload
 // as imports; the separate kind only marks compaction re-seeds.
@@ -43,10 +73,18 @@ const (
 	walPromote
 )
 
+// Record header flags.
+const (
+	walFlagTombstone = 1 << iota // drop: leave a sealed shell
+	walFlagTree                  // publish: legacy whole-tree snapshot
+)
+
+// maxWALRecord bounds a record's declared length; anything larger is a
+// corrupt prefix and ends the scan like a torn tail.
+const maxWALRecord = 1 << 31
+
 // walRecord is one logged state change. Exactly one payload field is
-// set, selected by Kind; each record is gob-encoded independently
-// (fresh encoder per record) so a torn tail never corrupts its
-// predecessors and replay needs no shared stream state.
+// set, selected by Kind.
 type walRecord struct {
 	Kind      uint8
 	Publish   *PublishArgs
@@ -55,6 +93,359 @@ type walRecord struct {
 	Session   string
 	Tombstone bool
 	Epoch     int64
+}
+
+// walBufPool recycles record and frame scratch buffers. Only scratch:
+// a frame that outlives the call is always an exact-size copy.
+var walBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 4096)
+		return &b
+	},
+}
+
+func putWALBuf(bp *[]byte, b []byte) {
+	if cap(b) > 1<<20 {
+		return // one huge snapshot must not pin its buffer forever
+	}
+	*bp = b[:0]
+	walBufPool.Put(bp)
+}
+
+// encodeFrame returns d's plain binary frame as an exact-size slice the
+// caller owns — the bytes a publish or mirror record logs, shared
+// read-only by every copy that logs the same delta.
+func encodeFrame(d *aida.DeltaState) ([]byte, error) {
+	bp := walBufPool.Get().(*[]byte)
+	buf, err := aida.AppendDeltaState((*bp)[:0], d)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(buf))
+		copy(out, buf)
+	}
+	putWALBuf(bp, buf)
+	return out, err
+}
+
+// publishDeltaOf is the delta a publish record logs: the publish's own
+// delta, or a legacy whole-tree snapshot as the full baseline it is.
+func publishDeltaOf(p *PublishArgs) *aida.DeltaState {
+	if p.Delta != nil {
+		return p.Delta
+	}
+	return &aida.DeltaState{Full: true, Entries: p.Tree.Entries}
+}
+
+func appendWALString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendRecord appends rec's record body (everything after the length
+// prefix) to dst. A publish or mirror without a frame attached is
+// encoded straight into dst.
+func appendRecord(dst []byte, rec *walRecord) ([]byte, error) {
+	var (
+		flags                            byte
+		session, worker, log             string
+		seq, epoch, version, done, total int64
+		trace                            obs.TraceContext
+		frame                            []byte
+		delta                            *aida.DeltaState
+	)
+	switch rec.Kind {
+	case walPublish:
+		p := rec.Publish
+		session, worker, seq, done, total, log, trace = p.SessionID, p.WorkerID, p.Seq, p.EventsDone, p.EventsTotal, p.Log, p.Trace
+		if p.Delta == nil {
+			flags |= walFlagTree
+		}
+		frame, delta = p.frame, publishDeltaOf(p)
+	case walMirror:
+		a := rec.Mirror
+		session, worker, seq, epoch, version = a.SessionID, a.WorkerID, a.Seq, a.Epoch, a.Version
+		done, total, log, trace = a.EventsDone, a.EventsTotal, a.Log, a.Trace
+		frame, delta = a.frame, a.Delta
+	case walImport, walSnapshot:
+		a := rec.Import
+		session, epoch, version, trace.TraceID = a.SessionID, a.Epoch, a.Version, a.LastTraceID
+	default:
+		session, epoch = rec.Session, rec.Epoch
+		if rec.Tombstone {
+			flags |= walFlagTombstone
+		}
+	}
+	dst = append(dst, rec.Kind, flags)
+	dst = appendWALString(dst, session)
+	dst = appendWALString(dst, worker)
+	for _, v := range [...]int64{seq, epoch, version, done, total} {
+		dst = binary.AppendVarint(dst, v)
+	}
+	dst = appendWALString(dst, log)
+	dst = binary.AppendUvarint(dst, trace.TraceID)
+	dst = binary.AppendUvarint(dst, trace.SpanID)
+	dst = binary.AppendUvarint(dst, uint64(trace.Hop))
+	switch {
+	case frame != nil:
+		return append(dst, frame...), nil
+	case delta != nil:
+		return aida.AppendDeltaState(dst, delta)
+	case rec.Import != nil:
+		return appendImport(dst, rec.Import)
+	}
+	return dst, nil
+}
+
+// appendImport appends an import or snapshot record's payload — what
+// the header does not already carry of a.
+func appendImport(dst []byte, a *ImportArgs) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(a.Workers)))
+	for i := range a.Workers {
+		ws := &a.Workers[i]
+		dst = appendWALString(dst, ws.WorkerID)
+		dst = binary.AppendVarint(dst, ws.Seq)
+		dst = binary.AppendVarint(dst, ws.Done)
+		dst = binary.AppendVarint(dst, ws.Total)
+		if !ws.HasTree {
+			dst = append(dst, 0)
+			continue
+		}
+		// A length-prefixed tree frame: reserve the worst-case prefix,
+		// then close the gap once the frame's size is known.
+		dst = append(dst, 1)
+		mark := len(dst)
+		dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
+		var err error
+		if dst, err = aida.AppendTreeState(dst, &ws.Tree); err != nil {
+			return dst, err
+		}
+		size := len(dst) - mark - binary.MaxVarintLen64
+		n := binary.PutUvarint(dst[mark:], uint64(size))
+		dst = append(dst[:mark+n], dst[mark+binary.MaxVarintLen64:]...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(a.Removed)))
+	for _, rp := range a.Removed {
+		dst = appendWALString(dst, rp.Path)
+		dst = binary.AppendVarint(dst, rp.Version)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(a.Logs)))
+	for _, l := range a.Logs {
+		dst = binary.AppendVarint(dst, l.Version)
+		dst = appendWALString(dst, l.Text)
+	}
+	return dst, nil
+}
+
+// walReader is a cursor over one record body; the first malformed read
+// latches err and turns every later read into a no-op.
+type walReader struct {
+	b   []byte
+	err error
+}
+
+var errWALShort = errors.New("merge: truncated log record")
+
+func (r *walReader) byte() byte {
+	if r.err != nil || len(r.b) == 0 {
+		r.err = errWALShort
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *walReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.err = errWALShort
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *walReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.err = errWALShort
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// bytes reads a length-prefixed byte string, aliasing the body.
+func (r *walReader) bytes() []byte {
+	n := r.uvarint()
+	if r.err != nil || n > uint64(len(r.b)) {
+		r.err = errWALShort
+		return nil
+	}
+	b := r.b[:n:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *walReader) str() string { return string(r.bytes()) }
+
+// count reads a collection length, bounded by the bytes left (each
+// element takes at least minSize) so a corrupt count cannot drive a
+// huge allocation.
+func (r *walReader) count(minSize int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)/minSize) {
+		r.err = errWALShort
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// importPayload parses appendImport's payload into a.
+func (r *walReader) importPayload(a *ImportArgs) {
+	if n := r.count(5); n > 0 { // ID length, three varints, tree flag
+		a.Workers = make([]WorkerSnapshot, n)
+	}
+	for i := range a.Workers {
+		ws := &a.Workers[i]
+		ws.WorkerID = r.str()
+		ws.Seq, ws.Done, ws.Total = r.varint(), r.varint(), r.varint()
+		if ws.HasTree = r.byte() != 0; ws.HasTree {
+			frame := r.bytes()
+			if r.err != nil {
+				return
+			}
+			st, err := aida.DecodeTreeState(frame)
+			if err != nil {
+				r.err = err
+				return
+			}
+			ws.Tree = *st
+		}
+	}
+	if n := r.count(2); n > 0 {
+		a.Removed = make([]RemovedPath, n)
+	}
+	for i := range a.Removed {
+		a.Removed[i] = RemovedPath{Path: r.str(), Version: r.varint()}
+	}
+	if n := r.count(2); n > 0 {
+		a.Logs = make([]LogLine, n)
+	}
+	for i := range a.Logs {
+		a.Logs[i].Version = r.varint()
+		a.Logs[i].Text = r.str()
+	}
+}
+
+// decodeRecord parses one ipawal2 record body. Publish and mirror
+// records keep their payload as the attached frame, so re-logging a
+// replayed record (ReplaySessionInto) copies the bytes verbatim. body
+// must be a fresh slice the record may keep.
+func decodeRecord(body []byte) (*walRecord, error) {
+	r := &walReader{b: body}
+	rec := &walRecord{Kind: r.byte()}
+	flags := r.byte()
+	session, worker := r.str(), r.str()
+	seq, epoch, version, done, total := r.varint(), r.varint(), r.varint(), r.varint(), r.varint()
+	log := r.str()
+	trace := obs.TraceContext{TraceID: r.uvarint(), SpanID: r.uvarint()}
+	if hop := r.uvarint(); hop > math.MaxUint32 {
+		r.err = errWALShort
+	} else {
+		trace.Hop = uint32(hop)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	payload := r.b
+	switch rec.Kind {
+	case walPublish, walMirror:
+		d, err := aida.DecodeDeltaState(payload)
+		if err != nil {
+			return nil, err
+		}
+		if rec.Kind == walMirror {
+			rec.Mirror = &MirrorArgs{
+				SessionID: session, WorkerID: worker, Seq: seq, Epoch: epoch, Version: version,
+				Delta: d, EventsDone: done, EventsTotal: total, Log: log, Trace: trace, frame: payload,
+			}
+			break
+		}
+		p := &PublishArgs{
+			SessionID: session, WorkerID: worker, Seq: seq,
+			EventsDone: done, EventsTotal: total, Log: log, Trace: trace, frame: payload,
+		}
+		if flags&walFlagTree != 0 {
+			p.Tree = aida.TreeState{Entries: d.Entries}
+		} else {
+			p.Delta = d
+		}
+		rec.Publish = p
+	case walImport, walSnapshot:
+		rec.Import = &ImportArgs{SessionID: session, Version: version, Epoch: epoch, LastTraceID: trace.TraceID}
+		if r.importPayload(rec.Import); r.err != nil {
+			return nil, r.err
+		}
+	default:
+		rec.Session, rec.Epoch, rec.Tombstone = session, epoch, flags&walFlagTombstone != 0
+	}
+	return rec, nil
+}
+
+// decodeRecordV1 parses one ipawal1 record: a self-contained gob value
+// (fresh encoder per record, so a torn tail never corrupted its
+// predecessors). A record missing its kind's payload is corrupt.
+func decodeRecordV1(body []byte) (*walRecord, error) {
+	if !gobFramesFit(body) {
+		return nil, errWALShort
+	}
+	var rec walRecord
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
+		return nil, err
+	}
+	if (rec.Kind == walPublish && rec.Publish == nil) || (rec.Kind == walMirror && rec.Mirror == nil) ||
+		((rec.Kind == walImport || rec.Kind == walSnapshot) && rec.Import == nil) {
+		return nil, errWALShort
+	}
+	return &rec, nil
+}
+
+// gobFramesFit reports whether body splits exactly into gob messages,
+// each a gob-encoded unsigned byte count and that many bytes. gob
+// allocates a message's declared size before reading it, so a corrupt
+// count must be caught here, against the bytes actually present.
+func gobFramesFit(body []byte) bool {
+	for len(body) > 0 {
+		n := uint64(body[0])
+		body = body[1:]
+		if n >= 0x80 {
+			// Not a small count: the byte is the negated length of a
+			// big-endian count that follows.
+			k := int(-int8(n))
+			if k < 1 || k > 8 || k > len(body) {
+				return false
+			}
+			n = 0
+			for _, b := range body[:k] {
+				n = n<<8 | uint64(b)
+			}
+			body = body[k:]
+		}
+		if n > uint64(len(body)) {
+			return false
+		}
+		body = body[n:]
+	}
+	return true
 }
 
 // WALOptions tune the log.
@@ -81,6 +472,9 @@ type WAL struct {
 	unsynced int
 	deltas   int
 	closed   bool
+	// legacy marks a live log still in the ipawal1 format: it takes no
+	// appends until Replay has rewritten it as v2.
+	legacy bool
 }
 
 // OpenWAL opens (or creates) the log at path.
@@ -109,10 +503,11 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		}
 	} else {
 		hdr := make([]byte, len(walMagic))
-		if _, err := io.ReadFull(f, hdr); err != nil || string(hdr) != walMagic {
+		if _, err := io.ReadFull(f, hdr); err != nil || (string(hdr) != walMagic && string(hdr) != walMagicV1) {
 			f.Close()
 			return nil, fmt.Errorf("merge: %s is not a manager log", path)
 		}
+		w.legacy = string(hdr) == walMagicV1
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
@@ -140,21 +535,27 @@ func (w *WAL) Path() string { return w.path }
 // append writes one record and reports whether the delta tail crossed
 // the compaction threshold.
 func (w *WAL) append(rec *walRecord) (compact bool, err error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	// Encode outside the log mutex, leaving room in front for the length
+	// prefix so the whole record goes out in one write.
+	bp := walBufPool.Get().(*[]byte)
+	buf := append((*bp)[:0], make([]byte, binary.MaxVarintLen64)...)
+	buf, err = appendRecord(buf, rec)
+	defer func() { putWALBuf(bp, buf) }()
+	if err != nil {
 		return false, err
 	}
+	size := uint64(len(buf) - binary.MaxVarintLen64)
+	start := binary.MaxVarintLen64 - uvarintLen(size)
+	binary.PutUvarint(buf[start:], size)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed || w.f == nil {
 		return false, nil
 	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(buf.Len()))
-	if _, err := w.f.Write(lenb[:n]); err != nil {
-		return false, err
+	if w.legacy {
+		return false, fmt.Errorf("merge: %s is an ipawal1 log; replay it before appending", w.path)
 	}
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
+	if _, err := w.f.Write(buf[start:]); err != nil {
 		return false, err
 	}
 	w.unsynced++
@@ -217,7 +618,14 @@ func (w *WAL) rotate() error {
 	}
 	w.f = f
 	w.unsynced = 0
+	w.legacy = false
 	return nil
+}
+
+func (w *WAL) isClosed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.closed
 }
 
 // dropOld removes a completed compaction's rotation file.
@@ -234,7 +642,8 @@ func (w *WAL) dropOld() error {
 // byte-identical to what the log covered. Reads the rotation file
 // first if a compaction was interrupted. Returns the record count
 // applied. A torn tail on the live log is truncated so later appends
-// follow the last complete record.
+// follow the last complete record, and a live log in the ipawal1
+// format is then compacted into m, which rewrites it as v2.
 func (w *WAL) Replay(m *Manager) (int, error) {
 	total := 0
 	if old, err := os.Open(w.path + ".old"); err == nil {
@@ -245,27 +654,36 @@ func (w *WAL) Replay(m *Manager) (int, error) {
 			return total, fmt.Errorf("merge: replaying %s.old: %w", w.path, rerr)
 		}
 	}
+	n, legacy, err := w.replayLive(m)
+	total += n
+	if err != nil || !legacy {
+		return total, err
+	}
+	return total, m.compact(w)
+}
+
+// replayLive replays the live log into m, cuts any torn tail and
+// positions the file for appends; legacy reports an ipawal1 log.
+func (w *WAL) replayLive(m *Manager) (n int, legacy bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		return total, nil
+		return 0, false, nil
 	}
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return total, err
+		return 0, false, err
 	}
 	n, good, err := replayFile(w.f, m)
-	total += n
 	if err != nil {
-		return total, err
+		return n, false, err
 	}
-	// Cut any torn tail, then position for appends.
 	if err := w.f.Truncate(good); err != nil {
-		return total, err
+		return n, false, err
 	}
 	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return total, err
+		return n, false, err
 	}
-	return total, nil
+	return n, w.legacy, nil
 }
 
 // replayFile applies every complete record in r and returns how many
@@ -280,39 +698,85 @@ func replayFile(f io.Reader, m *Manager) (n int, good int64, err error) {
 // returning how many were handed over plus the offset just past the
 // last complete record. A torn or corrupt tail ends the scan without
 // error; an apply error stops it.
+// The file's magic selects the record decoder: ipawal2 or ipawal1.
 func scanFile(f io.Reader, apply func(*walRecord) error) (n int, good int64, err error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	hdr := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != walMagic {
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return 0, 0, fmt.Errorf("merge: log header mismatch")
+	}
+	decode := decodeRecord
+	switch string(hdr) {
+	case walMagic:
+	case walMagicV1:
+		decode = decodeRecordV1
+	default:
 		return 0, 0, fmt.Errorf("merge: log header mismatch")
 	}
 	good = int64(len(walMagic))
-	buf := make([]byte, 0, 1<<12)
+	cr := &countingByteReader{r: br}
 	for {
-		size, err := binary.ReadUvarint(br)
+		cr.n = 0
+		size, err := binary.ReadUvarint(cr)
 		if err != nil {
 			return n, good, nil // clean EOF or torn length prefix
 		}
-		if size > 1<<31 {
+		if size > maxWALRecord {
 			return n, good, nil // garbage length: treat as torn tail
 		}
-		if uint64(cap(buf)) < size {
-			buf = make([]byte, size)
-		}
-		buf = buf[:size]
-		if _, err := io.ReadFull(br, buf); err != nil {
+		body, err := readRecord(br, size)
+		if err != nil {
 			return n, good, nil // torn payload
 		}
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&rec); err != nil {
+		rec, err := decode(body)
+		if err != nil {
 			return n, good, nil // corrupt tail record
 		}
-		if err := apply(&rec); err != nil {
+		if err := apply(rec); err != nil {
 			return n, good, err
 		}
-		good += int64(uvarintLen(size)) + int64(size)
+		// The prefix's own byte count, not its canonical length: an
+		// overlong varint must not shift the truncation point.
+		good += int64(cr.n) + int64(size)
 		n++
 	}
+}
+
+// countingByteReader counts the bytes a varint read consumed.
+type countingByteReader struct {
+	r *bufio.Reader
+	n int
+}
+
+func (c *countingByteReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
+	}
+	return b, err
+}
+
+// readRecord reads exactly size bytes into a fresh slice. Small records
+// are read in one allocation; larger ones grow with the bytes that
+// actually arrive, so a corrupt length prefix cannot allocate far past
+// the end of the input.
+func readRecord(r io.Reader, size uint64) ([]byte, error) {
+	const direct = 4 << 10
+	if size <= direct {
+		b := make([]byte, size)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	got, err := buf.ReadFrom(io.LimitReader(r, int64(size)))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(got) != size {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := buf.Bytes()
+	return b[:len(b):len(b)], nil
 }
 
 func uvarintLen(v uint64) int {
@@ -396,13 +860,11 @@ func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 			// correct here, because the copy adopted the dead primary's
 			// epoch from the mirror stream and the promotion that follows
 			// re-stamps it anyway.
+			// A v2 record's frame rides along, so m logs the same bytes.
 			margs := MirrorArgs{
 				SessionID: p.SessionID, WorkerID: p.WorkerID, Seq: p.Seq,
-				Delta: p.Delta, EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
-				Log: p.Log,
-			}
-			if margs.Delta == nil {
-				margs.Delta = &aida.DeltaState{Full: true, Entries: p.Tree.Entries}
+				Delta: publishDeltaOf(p), EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
+				Log: p.Log, frame: p.frame,
 			}
 			var mr MirrorReply
 			if err := m.Mirror(margs, &mr); err != nil && err != ErrFenced {
@@ -480,10 +942,15 @@ func (m *Manager) walAppend(rec *walRecord) error {
 // to the fresh log before a session's snapshot landed are simply
 // superseded by it.
 func (m *Manager) CompactWAL() error {
-	w := m.wal
-	if w == nil {
+	if m.wal == nil {
 		return nil
 	}
+	return m.compact(m.wal)
+}
+
+// compact is CompactWAL against w, which need not be attached yet (the
+// ipawal1 rewrite at the end of Replay).
+func (m *Manager) compact(w *WAL) error {
 	if !m.walCompacting.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -502,6 +969,11 @@ func (m *Manager) CompactWAL() error {
 	if firstErr != nil {
 		// Keep the rotation: replay still covers everything.
 		return firstErr
+	}
+	if w.isClosed() {
+		// A Close raced the re-seed and appends after it were dropped:
+		// the rotation file is still the only complete history.
+		return nil
 	}
 	return w.dropOld()
 }

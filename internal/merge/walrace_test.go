@@ -88,6 +88,11 @@ func TestWALCompactionRacesPromoteAndFence(t *testing.T) {
 	publishRounds(t, m1, nil, "flip", 4)
 
 	stop := make(chan struct{})
+	// churned closes after the first Promote/Fence round, so the steady
+	// load below cannot finish before the churn has raced anything.
+	churned := make(chan struct{})
+	var churnOnce sync.Once
+	markChurned := func() { churnOnce.Do(func() { close(churned) }) }
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -103,6 +108,7 @@ func TestWALCompactionRacesPromoteAndFence(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
+		defer markChurned() // an erroring churn must not hang the wait below
 		for {
 			select {
 			case <-stop:
@@ -119,6 +125,7 @@ func TestWALCompactionRacesPromoteAndFence(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			markChurned()
 		}
 	}()
 	// Steady publish load on other sessions keeps walAppend's own
@@ -126,6 +133,7 @@ func TestWALCompactionRacesPromoteAndFence(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		publishRounds(t, m1, nil, fmt.Sprintf("steady-%d", i), 8)
 	}
+	<-churned
 	close(stop)
 	wg.Wait()
 	// One final quiesced compaction so the replay exercises a log that

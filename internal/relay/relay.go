@@ -108,6 +108,9 @@ type subscription struct {
 	// the total across transport replacements (guarded by syncMu).
 	rebaselines atomic.Int64
 	rebaseBase  int64
+	// primed is set once a sync has completed: until then the local
+	// copy is empty, and auto-subscribing polls sync before serving.
+	primed atomic.Bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -208,6 +211,7 @@ func (r *Relay) syncOnce(s *subscription) error {
 		err := r.syncLocked(s)
 		switch {
 		case err == nil || errors.Is(err, errUnchanged):
+			s.primed.Store(true)
 			return nil
 		case errors.Is(err, errEpochFlip) && attempt == 0:
 			// The upstream state was rebuilt under us (failover
@@ -381,12 +385,18 @@ func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 	r.downPolls.Add(1)
 	obsDownPolls.Inc()
 	if r.AutoSubscribe {
-		if _, ok := r.subs.Load(args.SessionID); !ok {
+		v, ok := r.subs.Load(args.SessionID)
+		if !ok {
 			if err := r.Subscribe(args.SessionID); err != nil {
 				return err
 			}
-			// Serve the first poll fresh rather than empty.
-			if err := r.SyncNow(args.SessionID); err != nil {
+			v, _ = r.subs.Load(args.SessionID)
+		}
+		// Serve the first polls fresh rather than empty — including one
+		// that finds the subscription another poll just opened, whose
+		// first sync is still in flight.
+		if s, ok := v.(*subscription); ok && !s.primed.Load() {
+			if err := r.syncOnce(s); err != nil {
 				return err
 			}
 		}

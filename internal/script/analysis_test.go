@@ -235,6 +235,7 @@ func TestDecoderRegistry(t *testing.T) {
 	RegisterDecoder("test-upper", func(rec []byte) (Value, error) {
 		return strings.ToUpper(string(rec)), nil
 	})
+	t.Cleanup(func() { unregisterDecoder("test-upper") })
 	d, ok := LookupDecoder("test-upper")
 	if !ok {
 		t.Fatal("registered decoder not found")

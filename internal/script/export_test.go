@@ -14,3 +14,11 @@ type OracleAnalysis interface {
 func NewOracleAnalysis(source, decoderName string) (OracleAnalysis, error) {
 	return newOracleAnalysis(source, decoderName)
 }
+
+// unregisterDecoder removes a decoder a test registered, so the test
+// can run again in the same process (go test -count=N).
+func unregisterDecoder(name string) {
+	decoderMu.Lock()
+	defer decoderMu.Unlock()
+	delete(decoders, name)
+}

@@ -50,8 +50,12 @@ const mirrorQueueDepth = 256
 // session's replicas have every accepted delta by the time one is asked
 // to take over. A full queue blocks the publish (backpressure) and is
 // no longer invisible: the occurrence counts, and the episode emits one
-// fabric event.
+// fabric event. The frame the primary logged rides along, so every hop
+// logs those bytes instead of encoding its own.
 func (r *Router) enqueueMirror(primary string, args merge.PublishArgs, reply *merge.PublishReply) {
+	if args.Frame() == nil {
+		args.SetFrame(reply.Frame())
+	}
 	job := mirrorJob{
 		primary: primary, args: args, epoch: reply.Epoch, version: reply.Version,
 	}
@@ -200,6 +204,7 @@ func (r *Router) mirror(primary string, args merge.PublishArgs, epoch, version i
 			// same trace the engine started.
 			Trace: trace,
 		}
+		margs.SetFrame(args.Frame())
 		var mr merge.MirrorReply
 		if err := hb.Mirror(margs, &mr); err != nil || mr.NeedFull {
 			r.rebaseline(args.SessionID, lastGood, hop)

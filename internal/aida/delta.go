@@ -50,7 +50,7 @@ type DeltaState struct {
 	// TreeState.SetWireCompression), never part of the content.
 	compressWire bool
 	// policy makes the choice adaptively per frame when compressWire is
-	// not forcing (see TreeState.SetCompressionPolicy).
+	// not forcing (see SetCompressionPolicy).
 	policy *CompressionPolicy
 }
 

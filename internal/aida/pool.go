@@ -72,30 +72,10 @@ func (l *frameFreeList) put(b []byte) {
 
 var frameBufs frameFreeList
 
-// framePooling selects the decode allocation strategy for ObjectFrame:
-// recycled buffers with explicit Release (default), or a fresh heap
-// allocation per frame — the retained ablation baseline (the A13
-// "unpooled" rows). Set before traffic flows; it is a process-wide
-// experiment switch, not a per-connection knob.
-var framePooling = true
-
-// SetFramePooling toggles pooled frame decode (the unpooled ablation
-// baseline when off).
-func SetFramePooling(on bool) { framePooling = on }
-
-// FramePooling reports whether decoded frames use the recycled-buffer
-// path.
-func FramePooling() bool { return framePooling }
-
 // Release returns the frame's buffer to the decode free list. Call it
 // only on frames decoded from the wire (a poll reply's entries, after
 // Restore) and never use the frame afterward; releasing a frame that
 // shares the manager's encode cache would corrupt later polls, so
 // in-process consumers must not call it. merge.PollReply.Release walks
 // a reply for exactly this purpose.
-func (f ObjectFrame) Release() {
-	if !framePooling {
-		return
-	}
-	frameBufs.put(f)
-}
+func (f ObjectFrame) Release() { frameBufs.put(f) }

@@ -364,21 +364,12 @@ type TreeState struct {
 	// content: decoders accept either frame version, and the flag does
 	// not itself cross the wire.
 	compressWire bool
-	// policy, when set (and compressWire is not forcing), makes the
-	// frame-version choice adaptively per frame from payload size and
-	// the connection's observed compression ratio.
-	policy *CompressionPolicy
 }
 
 // SetWireCompression selects the compressed (version 2) wire frame for
 // this state's gob encoding — the forced per-connection override (WAN
-// workers dialed with compression on). SetCompressionPolicy is the
-// adaptive alternative.
+// workers dialed with compression on).
 func (st *TreeState) SetWireCompression(on bool) { st.compressWire = on }
-
-// SetCompressionPolicy hands the frame-version choice to an adaptive
-// per-connection policy (no-op while SetWireCompression forces).
-func (st *TreeState) SetCompressionPolicy(p *CompressionPolicy) { st.policy = p }
 
 // TreeEntry is one object with its full path.
 type TreeEntry struct {
@@ -1106,13 +1097,6 @@ func (st TreeState) GobEncode() ([]byte, error) {
 	if st.compressWire {
 		return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeStateFlate(b, &st) })
 	}
-	if st.policy != nil {
-		return encodePooled(func(b []byte) ([]byte, error) {
-			return appendPolicyFrame(b, st.policy, func(b []byte) ([]byte, error) {
-				return appendEntries(b, st.Entries)
-			})
-		})
-	}
 	return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeState(b, &st) })
 }
 
@@ -1214,17 +1198,10 @@ func (f ObjectFrame) Restore() (Object, error) {
 // encoded, which is the whole point of caching it.
 func (f ObjectFrame) GobEncode() ([]byte, error) { return f, nil }
 
-// GobDecode copies the received frame. With frame pooling on (the
-// default) the copy lands in a recycled buffer from the decode free
-// list — the receiver owns it and hands it back via Release once the
-// frame is restored, making warm poll decodes allocation-free. The
-// unpooled ablation baseline (SetFramePooling(false)) allocates per
-// frame, as before.
+// GobDecode copies the received frame into a recycled buffer from the
+// decode free list — the receiver owns it and hands it back via Release
+// once the frame is restored, making warm poll decodes allocation-free.
 func (f *ObjectFrame) GobDecode(b []byte) error {
-	if !framePooling {
-		*f = append(ObjectFrame(nil), b...)
-		return nil
-	}
 	buf := frameBufs.get(len(b))
 	copy(buf, b)
 	*f = ObjectFrame(buf)

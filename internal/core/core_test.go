@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path"
 	"strings"
 	"testing"
 	"time"
@@ -361,4 +362,42 @@ func TestSessionCloseFreesNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.CloseSession()
+}
+
+// TestSessionCloseDeletesStagedParts: closing a session removes the parts
+// AttachDataset staged on the workers' scratch disks, not only the
+// session's area on the shared disk.
+func TestSessionCloseDeletesStagedParts(t *testing.T) {
+	g := newGrid(t, 500)
+	c, err := g.ClientFor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateSession(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AttachDataset("ds-zh"); err != nil {
+		t.Fatal(err)
+	}
+	dir := path.Join("/scratch", c.SessionID())
+	holding := func() []string {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		var nodes []string
+		for node, el := range g.scratch {
+			if el.Exists(dir) {
+				nodes = append(nodes, node)
+			}
+		}
+		return nodes
+	}
+	if nodes := holding(); len(nodes) == 0 {
+		t.Fatalf("no worker scratch holds %s after staging", dir)
+	}
+	if err := c.CloseSession(); err != nil {
+		t.Fatal(err)
+	}
+	if nodes := holding(); len(nodes) != 0 {
+		t.Fatalf("closed session's parts still staged under %s on %v", dir, nodes)
+	}
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// SnapshotInterval also publishes when this much time passed since
 	// the last snapshot (default 1s) — the paper's sub-minute feedback.
 	SnapshotInterval time.Duration
-	// FullSnapshots publishes the whole tree on every snapshot (the
-	// legacy path, kept selectable for the delta-vs-full ablation).
-	// Default false: publish incremental deltas with a full baseline on
-	// first publish, after rewind, and when the manager asks (NeedFull).
-	FullSnapshots bool
 	// CompressSnapshots ships compressed wire frames — the choice for
 	// WAN-deployed workers where snapshot bytes dominate the link.
 	CompressSnapshots bool
@@ -448,8 +443,8 @@ func (e *Engine) processBatch() {
 }
 
 // publish sends the current tree snapshot through the transport — a
-// delta of what changed since the last snapshot by default, the whole
-// tree in FullSnapshots mode or when a baseline is needed. Failures
+// delta of what changed since the last snapshot, or a full baseline on
+// first publish, after rewind, and when the manager asks. Failures
 // (snapshot construction or the upstream call) surface through lastErr
 // so State() reports them; the transport re-baselines after a failed
 // send, because the delta's dirty bits are already consumed.
@@ -483,14 +478,6 @@ func (e *Engine) publish(procErr error) {
 			return merge.Snapshot{}, fmt.Errorf("engine: tree gone before snapshot")
 		}
 		snap := merge.Snapshot{Done: e.events, Total: e.total, Log: log}
-		if e.cfg.FullSnapshots {
-			st, err := e.tree.State()
-			if err != nil {
-				return merge.Snapshot{}, err
-			}
-			snap.Tree = st
-			return snap, nil
-		}
 		var d *aida.DeltaState
 		var err error
 		if full {

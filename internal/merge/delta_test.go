@@ -1,17 +1,18 @@
 package merge
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/ipa-grid/ipa/internal/aida"
 )
 
-// simWorker models one engine publishing to two managers at once: deltas
-// to the manager under test and full snapshots to the reference manager
-// running the legacy rebuild path.
+// simWorker models one engine publishing deltas to the manager under
+// test while keeping, for the reference, a copy of its tree as of each
+// publish.
 type simWorker struct {
 	id       string
 	tree     *aida.Tree
@@ -19,9 +20,11 @@ type simWorker struct {
 	needFull bool
 	// replay holds a previously sent delta for out-of-order retries.
 	replay *PublishArgs
+	// published is the worker's tree as of its last publish.
+	published *aida.Tree
 }
 
-func (w *simWorker) publishBoth(t *testing.T, delta, full *Manager) {
+func (w *simWorker) publish(t *testing.T, delta *Manager) {
 	t.Helper()
 	w.seq++
 	var d *aida.DeltaState
@@ -43,13 +46,63 @@ func (w *simWorker) publishBoth(t *testing.T, delta, full *Manager) {
 	if rep.Accepted {
 		w.replay = &args
 	}
+	if w.published, err = w.tree.Clone(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	st, err := w.tree.State()
+// referenceEntries merges every worker's last-published tree with
+// aida.Tree.MergeFrom in sorted worker-ID order — the order the manager
+// merges in — and returns each merged object's state bytes by path.
+func referenceEntries(t *testing.T, workers []*simWorker) map[string][]byte {
+	t.Helper()
+	sorted := append([]*simWorker(nil), workers...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
+	ref := aida.NewTree()
+	for _, w := range sorted {
+		if w.published == nil {
+			continue
+		}
+		if err := ref.MergeFrom(w.published); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make(map[string][]byte)
+	ref.Walk(func(path string, obj aida.Object) {
+		st, err := aida.StateOf(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[path] = stateBytes(t, st)
+	})
+	return out
+}
+
+func stateBytes(t *testing.T, st aida.ObjectState) []byte {
+	t.Helper()
+	b, err := aida.AppendObjectState(nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Publish(PublishArgs{SessionID: "s", WorkerID: w.id, Seq: w.seq, Tree: *st}, &rep); err != nil {
-		t.Fatal(err)
+	return b
+}
+
+// sameAsReference fails unless the manager's full poll holds exactly
+// the reference's paths, each bit for bit.
+func sameAsReference(t *testing.T, m *Manager, workers []*simWorker, when string) {
+	t.Helper()
+	got, want := pollEntries(t, m), referenceEntries(t, workers)
+	if len(got) != len(want) {
+		t.Fatalf("%s: merged paths %v, reference has %d", when, keys(got), len(want))
+	}
+	for path, wb := range want {
+		st, ok := got[path]
+		if !ok {
+			t.Fatalf("%s: merged state lacks %s (has %v)", when, path, keys(got))
+		}
+		if !bytes.Equal(stateBytes(t, st), wb) {
+			t.Fatalf("%s: %s differs from the reference merge", when, path)
+		}
 	}
 }
 
@@ -72,16 +125,15 @@ func pollEntries(t *testing.T, m *Manager) map[string]aida.ObjectState {
 }
 
 // TestDeltaMergeMatchesFullRemerge drives randomized publish / rewind /
-// out-of-order sequences through a delta-fed manager and a reference
-// manager fed full snapshots, asserting the merged state stays
-// bin-for-bin identical throughout.
+// out-of-order sequences through a delta-fed manager, asserting its
+// merged state stays bit-for-bit identical to a full re-merge of every
+// worker's published tree throughout.
 func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			deltaMgr := NewManager()
-			fullMgr := NewManager()
 			workers := make([]*simWorker, 3)
 			for i := range workers {
 				workers[i] = &simWorker{id: fmt.Sprintf("w%d", i), tree: aida.NewTree()}
@@ -119,13 +171,13 @@ func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 6: // fill + publish
 					fill(w)
-					w.publishBoth(t, deltaMgr, fullMgr)
+					w.publish(t, deltaMgr)
 				case op < 8: // fill without publishing (accumulate)
 					fill(w)
 				case op == 8: // rewind: fresh tree, full baseline next
 					w.tree = aida.NewTree()
 					fill(w)
-					w.publishBoth(t, deltaMgr, fullMgr)
+					w.publish(t, deltaMgr)
 				default: // out-of-order retry of an already-applied publish
 					if w.replay != nil {
 						var rep PublishReply
@@ -141,16 +193,10 @@ func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 					}
 				}
 				if step%20 == 19 {
-					got, want := pollEntries(t, deltaMgr), pollEntries(t, fullMgr)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d: delta-merged state diverged\n got: %v\nwant: %v", step, keys(got), keys(want))
-					}
+					sameAsReference(t, deltaMgr, workers, fmt.Sprintf("step %d", step))
 				}
 			}
-			got, want := pollEntries(t, deltaMgr), pollEntries(t, fullMgr)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("final state diverged:\n got %v\nwant %v", keys(got), keys(want))
-			}
+			sameAsReference(t, deltaMgr, workers, "final state")
 		})
 	}
 }

@@ -63,20 +63,6 @@ func TestChangeIndexServesIncrementalPolls(t *testing.T) {
 	if idx, walk := m.PollIndexStats("s"); idx != 1 || walk != 1 {
 		t.Fatalf("after incremental poll: %d indexed / %d walked, want 1/1", idx, walk)
 	}
-
-	// The ablation switch restores the walking behavior.
-	m.DisableChangeIndex = true
-	var inc2 PollReply
-	if err := m.Poll(PollArgs{SessionID: "s", SinceVersion: first.Version}, &inc2); err != nil {
-		t.Fatal(err)
-	}
-	m.DisableChangeIndex = false
-	if !reflect.DeepEqual(inc.Entries, inc2.Entries) {
-		t.Fatal("indexed and walked incremental polls disagree")
-	}
-	if idx, walk := m.PollIndexStats("s"); idx != 1 || walk != 2 {
-		t.Fatalf("after ablation poll: %d indexed / %d walked, want 1/2", idx, walk)
-	}
 }
 
 // TestChangeIndexCapFallsBackToWalk drives enough single-path publishes

@@ -369,21 +369,4 @@ func TestPollEncodeCache(t *testing.T) {
 	if _, ok := m.lookup("s").frames.Load("/a/h2"); ok {
 		t.Fatal("removed path still cached")
 	}
-
-	// Ablation baseline: with the cache disabled every poll re-encodes.
-	m2 := NewManager()
-	m2.DisableEncodeCache = true
-	tree2 := aida.NewTree()
-	g, _ := tree2.H1D("/a", "g", "", 10, 0, 10)
-	g.Fill(1)
-	d2, _ := tree2.Delta()
-	if err := m2.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1, Delta: d2}, &rep); err != nil {
-		t.Fatal(err)
-	}
-	var r1, r2 PollReply
-	m2.Poll(PollArgs{SessionID: "s", Full: true}, &r1)
-	m2.Poll(PollArgs{SessionID: "s", Full: true}, &r2)
-	if hits, misses := m2.CacheStats("s"); hits != 0 || misses != 2 {
-		t.Fatalf("disabled cache: hits=%d misses=%d", hits, misses)
-	}
 }

@@ -6,12 +6,12 @@ import (
 	"github.com/ipa-grid/ipa/internal/aida"
 )
 
-func snapshot(t *testing.T, fills map[string][]float64) aida.TreeState {
+// snapshot returns a full delta of one histogram per path, filled with
+// the given values.
+func snapshot(t *testing.T, fills map[string][]float64) *aida.DeltaState {
 	t.Helper()
 	tree := aida.NewTree()
 	for path, xs := range fills {
-		segs := []byte(path) // paths like "/h/mass"
-		_ = segs
 		h := aida.NewHistogram1D(leafName(path), "", 10, 0, 10)
 		for _, x := range xs {
 			h.Fill(x)
@@ -20,11 +20,11 @@ func snapshot(t *testing.T, fills map[string][]float64) aida.TreeState {
 			t.Fatal(err)
 		}
 	}
-	st, err := tree.State()
+	d, err := tree.FullDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *st
+	return d
 }
 
 func leafName(path string) string {
@@ -41,14 +41,14 @@ func TestPublishAndPollMerges(t *testing.T) {
 	var rep PublishReply
 	err := m.Publish(PublishArgs{
 		SessionID: "s1", WorkerID: "w0", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h/mass": {1, 2}}), EventsDone: 2, EventsTotal: 10,
+		Delta: snapshot(t, map[string][]float64{"/h/mass": {1, 2}}), EventsDone: 2, EventsTotal: 10,
 	}, &rep)
 	if err != nil || !rep.Accepted {
 		t.Fatalf("publish: %v %+v", err, rep)
 	}
 	err = m.Publish(PublishArgs{
 		SessionID: "s1", WorkerID: "w1", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h/mass": {3}}), EventsDone: 1, EventsTotal: 10,
+		Delta: snapshot(t, map[string][]float64{"/h/mass": {3}}), EventsDone: 1, EventsTotal: 10,
 	}, &rep)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestIncrementalPoll(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/a/h1": {1}, "/a/h2": {2}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/a/h1": {1}, "/a/h2": {2}})}, &rep)
 	var first PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &first)
 	if len(first.Entries) != 2 {
@@ -89,8 +89,9 @@ func TestIncrementalPoll(t *testing.T) {
 		t.Fatalf("idle poll = %+v", idle)
 	}
 	// Second snapshot touches only h1.
-	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2,
-		Tree: snapshot(t, map[string][]float64{"/a/h1": {1, 5}, "/a/h2": {2}})}, &rep)
+	d := snapshot(t, map[string][]float64{"/a/h1": {1, 5}})
+	d.Full = false
+	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2, Delta: d}, &rep)
 	var inc PollReply
 	m.Poll(PollArgs{SessionID: "s", SinceVersion: first.Version}, &inc)
 	if !inc.Changed || len(inc.Entries) != 1 || inc.Entries[0].Path != "/a/h1" {
@@ -102,9 +103,9 @@ func TestStaleSnapshotDropped(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 5,
-		Tree: snapshot(t, map[string][]float64{"/h": {1, 2, 3}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1, 2, 3}})}, &rep)
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 3,
-		Tree: snapshot(t, map[string][]float64{"/h": {9}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {9}})}, &rep)
 	if rep.Accepted {
 		t.Fatal("stale snapshot accepted")
 	}
@@ -120,7 +121,7 @@ func TestResetRemovesObjects(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	var before PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &before)
 	var rr ResetReply
@@ -147,7 +148,7 @@ func TestLogsDeliveredOnce(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}}), Log: "found peak"}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}}), Log: "found peak"}, &rep)
 	var p1 PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &p1)
 	if len(p1.Logs) != 1 || p1.Logs[0] != "found peak" {
@@ -169,7 +170,7 @@ func TestSubMergerAggregates(t *testing.T) {
 	} {
 		err := sub.Publish(PublishArgs{
 			SessionID: "s", WorkerID: string(rune('a' + i)), Seq: 1,
-			Tree: snapshot(t, fills), EventsDone: 1, EventsTotal: 1,
+			Delta: snapshot(t, fills), EventsDone: 1, EventsTotal: 1,
 		}, &rep)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +197,7 @@ func TestSubMergerBatchedFlush(t *testing.T) {
 	sub := NewSubMerger("g", "s", root, 10) // only flush every 10 publishes
 	var rep PublishReply
 	sub.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	var poll PollReply
 	root.Poll(PollArgs{SessionID: "s"}, &poll)
 	if len(poll.Entries) != 0 {
@@ -223,7 +224,7 @@ func TestMergedTreeCopyIsIndependent(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	tree, ver, err := m.MergedTree("s")
 	if err != nil || ver == 0 {
 		t.Fatal(err)

@@ -73,11 +73,10 @@ const (
 	walPromote
 )
 
-// Record header flags.
-const (
-	walFlagTombstone = 1 << iota // drop: leave a sealed shell
-	walFlagTree                  // publish: legacy whole-tree snapshot
-)
+// Record header flags. Bit 1 marked a publish that was once a legacy
+// whole-tree snapshot; its payload is a full delta frame like any other
+// baseline, so the writer no longer sets it and replay ignores it.
+const walFlagTombstone = 1 << 0 // drop: leave a sealed shell
 
 // maxWALRecord bounds a record's declared length; anything larger is a
 // corrupt prefix and ends the scan like a torn tail.
@@ -127,15 +126,6 @@ func encodeFrame(d *aida.DeltaState) ([]byte, error) {
 	return out, err
 }
 
-// publishDeltaOf is the delta a publish record logs: the publish's own
-// delta, or a legacy whole-tree snapshot as the full baseline it is.
-func publishDeltaOf(p *PublishArgs) *aida.DeltaState {
-	if p.Delta != nil {
-		return p.Delta
-	}
-	return &aida.DeltaState{Full: true, Entries: p.Tree.Entries}
-}
-
 func appendWALString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -157,10 +147,7 @@ func appendRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	case walPublish:
 		p := rec.Publish
 		session, worker, seq, done, total, log, trace = p.SessionID, p.WorkerID, p.Seq, p.EventsDone, p.EventsTotal, p.Log, p.Trace
-		if p.Delta == nil {
-			flags |= walFlagTree
-		}
-		frame, delta = p.frame, publishDeltaOf(p)
+		frame, delta = p.frame, p.Delta
 	case walMirror:
 		a := rec.Mirror
 		session, worker, seq, epoch, version = a.SessionID, a.WorkerID, a.Seq, a.Epoch, a.Version
@@ -380,16 +367,10 @@ func decodeRecord(body []byte) (*walRecord, error) {
 			}
 			break
 		}
-		p := &PublishArgs{
-			SessionID: session, WorkerID: worker, Seq: seq,
+		rec.Publish = &PublishArgs{
+			SessionID: session, WorkerID: worker, Seq: seq, Delta: d,
 			EventsDone: done, EventsTotal: total, Log: log, Trace: trace, frame: payload,
 		}
-		if flags&walFlagTree != 0 {
-			p.Tree = aida.TreeState{Entries: d.Entries}
-		} else {
-			p.Delta = d
-		}
-		rec.Publish = p
 	case walImport, walSnapshot:
 		rec.Import = &ImportArgs{SessionID: session, Version: version, Epoch: epoch, LastTraceID: trace.TraceID}
 		if r.importPayload(rec.Import); r.err != nil {
@@ -401,22 +382,65 @@ func decodeRecord(body []byte) (*walRecord, error) {
 	return rec, nil
 }
 
+// walRecordV1 is an ipawal1 record as its gob writer laid it out. Its
+// publish keeps the legacy Tree field: gob drops fields the target type
+// lacks, so decoding a whole-tree publish into PublishArgs would replay
+// it as an empty one.
+type walRecordV1 struct {
+	Kind      uint8
+	Publish   *publishArgsV1
+	Mirror    *MirrorArgs
+	Import    *ImportArgs
+	Session   string
+	Tombstone bool
+	Epoch     int64
+}
+
+// publishArgsV1 is PublishArgs as ipawal1 logged it: a delta, or a
+// legacy whole-tree snapshot when Delta is nil.
+type publishArgsV1 struct {
+	SessionID   string
+	WorkerID    string
+	Seq         int64
+	Delta       *aida.DeltaState
+	Tree        aida.TreeState
+	EventsDone  int64
+	EventsTotal int64
+	Log         string
+	Trace       obs.TraceContext
+}
+
 // decodeRecordV1 parses one ipawal1 record: a self-contained gob value
 // (fresh encoder per record, so a torn tail never corrupted its
-// predecessors). A record missing its kind's payload is corrupt.
+// predecessors). A record missing its kind's payload is corrupt. A
+// whole-tree publish becomes the full delta baseline it amounts to.
 func decodeRecordV1(body []byte) (*walRecord, error) {
 	if !gobFramesFit(body) {
 		return nil, errWALShort
 	}
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
+	var v1 walRecordV1
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v1); err != nil {
 		return nil, err
 	}
-	if (rec.Kind == walPublish && rec.Publish == nil) || (rec.Kind == walMirror && rec.Mirror == nil) ||
-		((rec.Kind == walImport || rec.Kind == walSnapshot) && rec.Import == nil) {
+	if (v1.Kind == walPublish && v1.Publish == nil) || (v1.Kind == walMirror && v1.Mirror == nil) ||
+		((v1.Kind == walImport || v1.Kind == walSnapshot) && v1.Import == nil) {
 		return nil, errWALShort
 	}
-	return &rec, nil
+	rec := &walRecord{
+		Kind: v1.Kind, Mirror: v1.Mirror, Import: v1.Import,
+		Session: v1.Session, Tombstone: v1.Tombstone, Epoch: v1.Epoch,
+	}
+	if p := v1.Publish; p != nil {
+		d := p.Delta
+		if d == nil {
+			d = &aida.DeltaState{Full: true, Entries: p.Tree.Entries}
+		}
+		rec.Publish = &PublishArgs{
+			SessionID: p.SessionID, WorkerID: p.WorkerID, Seq: p.Seq, Delta: d,
+			EventsDone: p.EventsDone, EventsTotal: p.EventsTotal, Log: p.Log, Trace: p.Trace,
+		}
+	}
+	return rec, nil
 }
 
 // gobFramesFit reports whether body splits exactly into gob messages,
@@ -863,7 +887,7 @@ func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 			// A v2 record's frame rides along, so m logs the same bytes.
 			margs := MirrorArgs{
 				SessionID: p.SessionID, WorkerID: p.WorkerID, Seq: p.Seq,
-				Delta: publishDeltaOf(p), EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
+				Delta: p.Delta, EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
 				Log: p.Log, frame: p.frame,
 			}
 			var mr MirrorReply

@@ -12,12 +12,14 @@ import (
 var walFixtureSessions = []string{"pub", "mir", "imp", "rst", "drp"}
 
 // walFixtureOps drives one manager through every record kind the log
-// knows: delta and legacy whole-tree publishes (with a removal, a log
-// line and a trace), a mirrored stream promoted under an explicit
-// epoch, an import with removed paths and logs, a fence, a reset and a
+// knows: delta and full-baseline publishes (with a removal, a log line
+// and a trace), a mirrored stream promoted under an explicit epoch, an
+// import with removed paths and logs, a fence, a reset and a
 // tombstoning drop. testdata/wal_v1.log is this sequence as the ipawal1
-// (gob) writer logged it; the same calls against a manager without a
-// log are the reference its replay must reproduce.
+// (gob) writer logged it, except that w2's baseline there is a legacy
+// whole-tree publish of the same tree — which replays as this full
+// delta. The same calls against a manager without a log are the
+// reference its replay must reproduce.
 func walFixtureOps(t testing.TB, m *Manager) {
 	t.Helper()
 	must := func(err error) {
@@ -71,9 +73,9 @@ func walFixtureOps(t testing.TB, m *Manager) {
 	p, err := t2.P1D("/legacy", "p", "prof", 5, 0, 5)
 	must(err)
 	p.Fill(2, 4)
-	st, err := t2.State()
+	d, err = t2.FullDelta()
 	must(err)
-	publish(PublishArgs{SessionID: "pub", WorkerID: "w2", Seq: 1, Tree: *st, EventsDone: 1, EventsTotal: 2})
+	publish(PublishArgs{SessionID: "pub", WorkerID: "w2", Seq: 1, Delta: d, EventsDone: 1, EventsTotal: 2})
 
 	// "mir": a mirrored stream, then promotion under an explicit epoch.
 	t3 := aida.NewTree()
@@ -100,7 +102,7 @@ func walFixtureOps(t testing.TB, m *Manager) {
 	hi, err := t4.H1D("/imp", "h", "x", 3, 0, 3)
 	must(err)
 	hi.Fill(1)
-	st, err = t4.State()
+	st, err := t4.State()
 	must(err)
 	var ir ImportReply
 	must(m.Import(ImportArgs{

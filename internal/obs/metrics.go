@@ -198,10 +198,6 @@ var DefBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// SizeBuckets are power-of-two buckets for count distributions (batch
-// sizes, fan-outs).
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // sumScale is the fixed-point scale of Histogram.sum: 1e-9 units keep
 // the sum an atomic int64 (nanoseconds when observing seconds) so
 // Observe never takes a lock.
@@ -285,7 +281,7 @@ func GetHistogram(name, help string, buckets []float64, labels ...string) *Histo
 
 // RegisterFunc registers (or replaces) a callback-backed family: the
 // value is computed at exposition time, so counters a subsystem already
-// keeps (router handoffs, batcher flushes) can be exported without
+// keeps (router handoffs, promotions) can be exported without
 // double bookkeeping. kind is "counter" or "gauge".
 func RegisterFunc(name, help, kind string, fn func() float64) {
 	families.Store(name, &family{name: name, help: help, kind: kind, fn: fn})

@@ -6,8 +6,9 @@
 // Every constant derives from the paper's own measurements (see Params).
 // The experiments reproduce Table 1 (local vs Grid), Table 2 (staging and
 // analysis vs node count), Figure 5 (time surfaces over dataset size ×
-// nodes), and the §4 fitted equations, plus the ablations DESIGN.md calls
-// out. EXPERIMENTS.md records paper-vs-measured for each.
+// nodes), and the §4 fitted equations, plus four ablations of the
+// paper's own design choices (ablations.go: A1 dedicated queue, A2
+// hierarchical merging, A3 parallel streams, A4 incremental polling).
 package perf
 
 import (

@@ -463,3 +463,112 @@ func TestRelayBackpressurePropagation(t *testing.T) {
 		t.Fatalf("depth hint never decayed: %+v", fs)
 	}
 }
+
+// TestRelayFanOutOneUpstreamSyncPerRound: with RelayReads on, N
+// incremental pollers per session cost the owning shards one
+// subscription sync per session per publish round — during the serve
+// phase the owners' per-session Polls counters grow by exactly
+// sessions × rounds, however many downstream reads there are — while
+// every session's relayed frames stay identical to the owner's full
+// poll and to a flat single-manager reference.
+func TestRelayFanOutOneUpstreamSyncPerRound(t *testing.T) {
+	const shards, sessions, rounds, pollers = 3, 3, 4, 16
+	router := shard.NewRouter(0)
+	for i := 0; i < shards; i++ {
+		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interval 0: no background loop; the relay syncs once per round via
+	// SyncNow, so the upstream count is deterministic.
+	rel := relay.New("relay00", router.OriginPoller())
+	rel.AutoSubscribe = true
+	defer rel.Close()
+	if err := router.AddRelay("relay00", rel); err != nil {
+		t.Fatal(err)
+	}
+	router.RelayReads = true
+
+	flat := merge.NewManager()
+	type sess struct {
+		sid       string
+		tree, ref *aida.Tree
+		h, refH   *aida.Histogram1D
+		tr, refTr *merge.Transport
+	}
+	var ss []*sess
+	for i := 0; i < sessions; i++ {
+		s := &sess{sid: fmt.Sprintf("fan-%02d", i), tree: aida.NewTree(), ref: aida.NewTree()}
+		var err error
+		if s.h, err = s.tree.H1D("/h", "x", "", 10, 0, 10); err != nil {
+			t.Fatal(err)
+		}
+		if s.refH, err = s.ref.H1D("/h", "x", "", 10, 0, 10); err != nil {
+			t.Fatal(err)
+		}
+		s.tr = merge.NewTransport(s.sid, "w0", router)
+		s.refTr = merge.NewTransport(s.sid, "w0", flat)
+		ss = append(ss, s)
+	}
+	publish := func(s *sess, x float64) {
+		s.h.Fill(x)
+		s.refH.Fill(x)
+		sendSnap(t, s.tr, s.tree)
+		sendSnap(t, s.refTr, s.ref)
+	}
+	// Round 0 places the sessions; the relay subscribes to placed ones.
+	for _, s := range ss {
+		publish(s, 0)
+		if err := rel.Subscribe(s.sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ownerPolls := func() int64 {
+		var sum int64
+		for _, s := range ss {
+			var sr merge.StatsReply
+			if err := router.Stats(merge.StatsArgs{SessionID: s.sid}, &sr); err != nil {
+				t.Fatal(err)
+			}
+			sum += sr.Polls
+		}
+		return sum
+	}
+	before := ownerPolls()
+	since := make([]map[string]int64, pollers)
+	for p := range since {
+		since[p] = map[string]int64{}
+	}
+	var downstream int64
+	for r := 0; r < rounds; r++ {
+		for _, s := range ss {
+			publish(s, float64(r%10))
+			if err := rel.SyncNow(s.sid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := 0; p < pollers; p++ {
+			for _, s := range ss {
+				var reply merge.PollReply
+				if err := router.Poll(merge.PollArgs{SessionID: s.sid, SinceVersion: since[p][s.sid]}, &reply); err != nil {
+					t.Fatal(err)
+				}
+				since[p][s.sid] = reply.Version
+				downstream++
+			}
+		}
+	}
+	if up := ownerPolls() - before; up != sessions*rounds {
+		t.Fatalf("owners served %d polls for %d downstream reads, want one sync per session per round (%d)",
+			up, downstream, sessions*rounds)
+	}
+	for _, s := range ss {
+		owner := frames(t, router.OriginPoller(), s.sid)
+		if !sameFrames(frames(t, router, s.sid), owner) {
+			t.Fatalf("%s: relayed frames differ from the owner's full poll", s.sid)
+		}
+		if !sameFrames(frames(t, flat, s.sid), owner) {
+			t.Fatalf("%s: owner's frames differ from the flat reference", s.sid)
+		}
+	}
+}

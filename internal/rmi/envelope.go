@@ -1,21 +1,17 @@
-// Envelope v2: a hand-rolled length-prefixed binary header replacing
-// the reflection-gob request/response framing. The payloads (args and
-// replies) still ride a persistent per-connection gob stream — the big
-// states inside them already use the aida binary codec via their
-// GobEncode hooks — but the per-call header shrinks from a reflected
-// struct encode to a dozen appended bytes, and every payload is length
-// prefixed, so error responses need no placeholder body and a receiver
-// can skip a frame without decoding it.
+// The envelope: a hand-rolled length-prefixed binary header around each
+// call. The payloads (args and replies) ride a persistent per-connection
+// gob stream — the big states inside them already use the aida binary
+// codec via their GobEncode hooks — while the per-call header is a
+// dozen appended bytes, and every payload is length prefixed, so error
+// responses need no body and a receiver can skip a frame without
+// decoding it.
 //
 // Negotiation: a dialing client sends the 4-byte magic "IPA2" before
-// anything else; a v2-capable server peeks it, echoes it back, and
-// both sides switch to binary framing. An old peer chokes on the magic
-// (its gob decoder kills the connection) or never acks, so the client
-// falls back: it redials speaking plain gob and remembers the
-// downgrade for later reconnects. WithGobEnvelope skips negotiation
-// entirely — the retained ablation baseline (A13).
+// anything else and the server echoes it back. A server disconnects a
+// peer that does not lead with the magic; a client whose ack does not
+// arrive fails the dial (WithRetry retries it like any other).
 //
-// v2 frame layout (uvarint = unsigned varint, str = uvarint len + bytes):
+// Frame layout (uvarint = unsigned varint, str = uvarint len + bytes):
 //
 //	request:  'Q' seq(uvarint) object(str) method(str) token(str)
 //	          tflag(1B; 0=untraced 1=traced)
@@ -25,10 +21,8 @@
 //	          status 1: msg(str)          — no payload
 //	          status 0: n(uvarint) payload(n)
 //
-// The trace block is this repo's only v2 revision so far; both ends of
-// a v2 connection ship together, so no flag negotiation is needed (gob
-// peers never see v2 frames — they carry the trace as an optional gob
-// struct field instead).
+// Both ends of a connection ship together, so the trace block needs no
+// flag negotiation.
 package rmi
 
 import (
@@ -46,7 +40,7 @@ import (
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-var v2Magic = [4]byte{'I', 'P', 'A', '2'}
+var envMagic = [4]byte{'I', 'P', 'A', '2'}
 
 const (
 	frameRequest = 'Q'
@@ -63,25 +57,23 @@ const (
 	maxPooledWire = 1 << 20
 )
 
-// v2AckTimeout bounds the wait for the server's negotiation ack. An
-// old gob peer usually kills the connection instead (instant error);
-// the deadline covers peers that merely go silent.
-var v2AckTimeout = 3 * time.Second
+// ackTimeout bounds the wait for the server's negotiation ack; a peer
+// that goes silent fails the dial instead of hanging it.
+const ackTimeout = 3 * time.Second
 
-// clientNegotiateV2 runs the dial-time handshake on a fresh
-// connection. Any failure means "old peer" to the caller.
-func clientNegotiateV2(conn net.Conn) error {
-	if _, err := conn.Write(v2Magic[:]); err != nil {
+// negotiate runs the dial-time handshake on a fresh connection.
+func negotiate(conn net.Conn) error {
+	if _, err := conn.Write(envMagic[:]); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(v2AckTimeout))
+	conn.SetReadDeadline(time.Now().Add(ackTimeout))
 	var ack [4]byte
 	_, err := io.ReadFull(conn, ack[:])
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return err
 	}
-	if ack != v2Magic {
+	if ack != envMagic {
 		return errors.New("rmi: bad envelope ack")
 	}
 	return nil
@@ -161,11 +153,10 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 
 // --- server side ---
 
-// serveV2 is the binary-envelope read loop: the v2 counterpart of the
-// gob loop in serveConn. Argument decode stays inline (the loop owns
-// the payload gob stream); handlers run in their own goroutines
-// exactly like the gob path.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup) {
+// serveLoop reads request frames off one connection. Argument decode
+// stays inline (the loop owns the payload gob stream); handlers run in
+// their own goroutines.
+func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup) {
 	slots := make(chan struct{}, maxInFlightPerConn)
 	feed := &byteFeeder{}
 	pdec := gob.NewDecoder(feed)
@@ -199,24 +190,24 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, w *connWriter, handler
 		if err != nil {
 			return
 		}
-		if !s.dispatchV2(seq, object, method, token, tc, body, feed, pdec, w, handlers, slots) {
+		if !s.dispatch(seq, object, method, token, tc, body, feed, pdec, w, handlers, slots) {
 			return
 		}
 	}
 }
 
-// dispatchV2 resolves and launches one v2 request. The payload is
-// already consumed off the wire, so unlike the gob path a rejected
-// call needs no drain and cannot desynchronize the stream. Returns
-// false when the connection must drop (payload gob state poisoned, or
-// an injected crash).
-func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.TraceContext, payload []byte,
+// dispatch resolves and launches one request. The payload is already
+// consumed off the wire, so a rejected call cannot desynchronize the
+// stream. The handler runs in its own goroutine so a slow method never
+// blocks the next request on the same connection. Returns false when
+// the connection must drop (payload gob state poisoned, or an injected
+// crash).
+func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.TraceContext, payload []byte,
 	feed *byteFeeder, pdec *gob.Decoder, w *connWriter, handlers *sync.WaitGroup, slots chan struct{}) bool {
 	fail := func(msg string) bool {
 		// The payload still carries this call's share of the persistent
 		// gob stream's type definitions; run it through the decoder (into
-		// a throwaway, like the gob path's drain) so later calls reusing
-		// those types still decode.
+		// a throwaway) so later calls reusing those types still decode.
 		feed.set(payload)
 		var discard any
 		pdec.Decode(&discard)
@@ -246,6 +237,8 @@ func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.
 			faultErrors.Inc()
 			return fail(ErrInjected)
 		case faultDrop:
+			// Sever without answering: the caller sees a broken
+			// transport, like a crash mid-call.
 			faultDrops.Inc()
 			return false
 		case faultDelay:
@@ -257,8 +250,7 @@ func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.
 	argp := reflect.New(m.argType)
 	if err := pdec.DecodeValue(argp); err != nil || feed.remaining() != 0 {
 		// The persistent payload gob stream may hold partial type state;
-		// drop the connection rather than trust it (same rule as gob
-		// envelope desync).
+		// drop the connection rather than trust it.
 		w.writeError(seq, "rmi: decoding argument")
 		return false
 	}
@@ -317,8 +309,10 @@ func readTraceBlock(br *bufio.Reader) (obs.TraceContext, error) {
 	return tc, nil
 }
 
-// writeErrorV2 emits an error response frame. Caller holds w.mu.
-func (w *connWriter) writeErrorV2(seq uint64, msg string) {
+// writeError emits an error response frame.
+func (w *connWriter) writeError(seq uint64, msg string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	hdr := w.scratch[:0]
 	hdr = append(hdr, frameReply)
 	hdr = binary.AppendUvarint(hdr, seq)
@@ -334,11 +328,12 @@ func (w *connWriter) writeErrorV2(seq uint64, msg string) {
 	}
 }
 
-// writeReplyV2 emits a success response frame: the reply value is gob
+// writeReply emits a success response frame: the reply value is gob
 // encoded into the connection's persistent payload stream (scratch
 // buffer), then shipped behind a binary header with its length.
-// Caller holds w.mu.
-func (w *connWriter) writeReplyV2(seq uint64, reply reflect.Value) {
+func (w *connWriter) writeReply(seq uint64, reply reflect.Value) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.pbuf.Reset()
 	if w.penc.EncodeValue(reply) != nil {
 		w.fail()
@@ -365,10 +360,10 @@ func (w *connWriter) writeReplyV2(seq uint64, reply reflect.Value) {
 
 // --- client side ---
 
-// writeRequestV2 encodes args into the connection's persistent payload
+// writeRequest encodes args into the connection's persistent payload
 // gob stream and ships them behind a binary request header. Caller
 // holds cc.wmu.
-func (cc *clientConn) writeRequestV2(seq uint64, object, method, token string, trace obs.TraceContext, args any) error {
+func (cc *clientConn) writeRequest(seq uint64, object, method, token string, trace obs.TraceContext, args any) error {
 	cc.pbuf.Reset()
 	if err := cc.penc.Encode(args); err != nil {
 		return err
@@ -398,11 +393,12 @@ func (cc *clientConn) writeRequestV2(seq uint64, object, method, token string, t
 	return cc.bw.Flush()
 }
 
-// readLoopV2 is the binary-envelope response loop: headers are
-// hand-parsed, reply payloads decode through the connection's
-// persistent gob stream straight into the caller's reply value — same
-// matching and poisoning discipline as the gob read loop.
-func (c *Client) readLoopV2(cc *clientConn) {
+// readLoop owns cc's read side: it parses response headers, matches
+// them to pending calls by sequence number, and decodes each reply
+// payload through the connection's persistent gob stream straight into
+// the caller's reply value. Any decode failure poisons the connection —
+// the payload gob stream cannot be resynchronized.
+func (c *Client) readLoop(cc *clientConn) {
 	feed := &byteFeeder{}
 	pdec := gob.NewDecoder(feed)
 	var payload []byte

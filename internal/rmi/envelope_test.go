@@ -1,12 +1,13 @@
-// Envelope v2 coverage: the binary header negotiated at dial must be
+// Envelope coverage: the binary header negotiated at dial must be
 // transparent to callers — same results, same error surface, same
-// pipelining — and the gob fallback must keep a v2 client talking to a
-// v1-only server (and vice versa via WithGobEnvelope).
+// pipelining — and a peer that does not negotiate is turned away.
 package rmi
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -15,102 +16,111 @@ import (
 
 func TestV2IsTheNegotiatedDefault(t *testing.T) {
 	_, addr := startServer(t, nil)
+	// The server acks the magic a dialing client leads with.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := negotiate(raw); err != nil {
+		t.Fatalf("server did not ack the envelope magic: %v", err)
+	}
 	c, err := Dial(addr, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.BinaryEnvelope() {
-		t.Fatal("fresh dial against a current server should negotiate the v2 envelope")
-	}
 	var sum float64
 	if err := c.Call("Calc.Add", addArgs{A: 2, B: 3}, &sum); err != nil || sum != 5 {
 		t.Fatalf("Add over v2 = %v, %v", sum, err)
 	}
 }
 
-func TestWithGobEnvelopePinsV1(t *testing.T) {
-	srv, addr := startServer(t, nil)
-	defer srv.Close()
-	c, err := Dial(addr, "tok", WithGobEnvelope())
+// TestPeerWithoutMagicIsDisconnected: a peer that does not lead with the
+// magic (an old gob client, or anything else) is dropped unanswered.
+func TestPeerWithoutMagicIsDisconnected(t *testing.T) {
+	_, addr := startServer(t, nil)
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.BinaryEnvelope() {
-		t.Fatal("WithGobEnvelope client reports the binary envelope")
+	defer raw.Close()
+	if _, err := raw.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+		t.Fatal(err)
 	}
-	var sum float64
-	if err := c.Call("Calc.Add", addArgs{A: 2, B: 3}, &sum); err != nil || sum != 5 {
-		t.Fatalf("Add over pinned gob = %v, %v", sum, err)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := raw.Read(make([]byte, 16))
+	if n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("server answered a peer without the magic: %d bytes, err %v", n, err)
 	}
 }
 
-func TestGobFallbackAgainstOldServer(t *testing.T) {
-	// A v1-only peer never acks the magic; after the negotiation timeout
-	// the client must redial in gob mode and work normally.
-	s := NewServer(nil)
-	s.gobOnly = true
-	if err := s.Register("Calc", &calcService{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := s.ListenAndServe("127.0.0.1:0")
+// TestFailedNegotiationIsDialError: a listener that never acks the magic
+// fails the dial — after every WithRetry attempt — instead of yielding
+// a client.
+func TestFailedNegotiationIsDialError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	prev := v2AckTimeout
-	v2AckTimeout = 200 * time.Millisecond
-	defer func() { v2AckTimeout = prev }()
-
-	c, err := Dial(addr.String(), "tok")
-	if err != nil {
-		t.Fatalf("dial against v1-only server: %v", err)
-	}
-	defer c.Close()
-	if c.BinaryEnvelope() {
-		t.Fatal("client claims v2 against a server that never acked it")
-	}
-	for i := 0; i < 5; i++ {
-		var sum float64
-		if err := c.Call("Calc.Add", addArgs{A: float64(i), B: 1}, &sum); err != nil || sum != float64(i)+1 {
-			t.Fatalf("call %d over fallback = %v, %v", i, sum, err)
+	defer ln.Close()
+	var accepted sync.WaitGroup
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				defer accepted.Done()
+				// Read the magic, answer with something else, hang up.
+				io.ReadFull(conn, make([]byte, len(envMagic)))
+				conn.Write([]byte("NOPE"))
+				conn.Close()
+			}()
 		}
-	}
-}
-
-func TestV2ErrorSurfaceMatchesGob(t *testing.T) {
-	for _, gob := range []bool{false, true} {
-		_, addr := startServer(t, nil)
-		var opts []Option
-		if gob {
-			opts = append(opts, WithGobEnvelope())
-		}
-		c, err := Dial(addr, "tok", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var out string
-		err = c.Call("Calc.Fail", struct{}{}, &out)
-		var re RemoteError
-		if !errors.As(err, &re) || !strings.Contains(err.Error(), "deliberate failure") {
-			t.Fatalf("gob=%v: Fail error = %v, want RemoteError with message", gob, err)
-		}
-		if err := c.Call("NoSuch.Method", struct{}{}, &out); err == nil || !strings.Contains(err.Error(), "no object") {
-			t.Fatalf("gob=%v: unknown object error = %v", gob, err)
-		}
-		if err := c.Call("Calc.NoSuch", struct{}{}, &out); err == nil || !strings.Contains(err.Error(), "no method") {
-			t.Fatalf("gob=%v: unknown method error = %v", gob, err)
-		}
-		// The connection must stay usable after every rejection — the
-		// persistent payload codec may not desync.
-		var sum float64
-		if err := c.Call("Calc.Add", addArgs{A: 1, B: 2}, &sum); err != nil || sum != 3 {
-			t.Fatalf("gob=%v: Add after rejections = %v, %v", gob, sum, err)
-		}
+	}()
+	c, err := Dial(ln.Addr().String(), "tok", WithRetry(RetryPolicy{Attempts: 2, Base: time.Millisecond}))
+	if err == nil {
 		c.Close()
+		t.Fatal("dial against a peer that never acks the magic succeeded")
+	}
+	if !strings.Contains(err.Error(), "negotiation") {
+		t.Fatalf("dial error %v does not name the negotiation", err)
+	}
+	ln.Close()
+	accepted.Wait()
+}
+
+// TestV2ErrorSurfaceMatchesGob: remote failures surface exactly as the
+// original gob envelope surfaced them — a RemoteError carrying the
+// message — and leave the connection usable.
+func TestV2ErrorSurfaceMatchesGob(t *testing.T) {
+	_, addr := startServer(t, nil)
+	c, err := Dial(addr, "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var out string
+	err = c.Call("Calc.Fail", struct{}{}, &out)
+	var re RemoteError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "deliberate failure") {
+		t.Fatalf("Fail error = %v, want RemoteError with message", err)
+	}
+	if err := c.Call("NoSuch.Method", struct{}{}, &out); err == nil || !strings.Contains(err.Error(), "no object") {
+		t.Fatalf("unknown object error = %v", err)
+	}
+	if err := c.Call("Calc.NoSuch", struct{}{}, &out); err == nil || !strings.Contains(err.Error(), "no method") {
+		t.Fatalf("unknown method error = %v", err)
+	}
+	// The connection must stay usable after every rejection — the
+	// persistent payload codec may not desync.
+	var sum float64
+	if err := c.Call("Calc.Add", addArgs{A: 1, B: 2}, &sum); err != nil || sum != 3 {
+		t.Fatalf("Add after rejections = %v, %v", sum, err)
 	}
 }
 
@@ -121,9 +131,6 @@ func TestV2ConcurrentPipelinedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.BinaryEnvelope() {
-		t.Fatal("expected v2")
-	}
 	const callers, calls = 8, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)

@@ -12,14 +12,10 @@ import (
 )
 
 var (
-	clientConnsV2 = obs.GetCounter("ipa_rmi_client_connects_total",
+	clientConns = obs.GetCounter("ipa_rmi_client_connects_total",
 		"RMI client connections established, by negotiated envelope.", "envelope", "v2")
-	clientConnsGob = obs.GetCounter("ipa_rmi_client_connects_total",
-		"RMI client connections established, by negotiated envelope.", "envelope", "gob")
-	serverConnsV2 = obs.GetCounter("ipa_rmi_server_connects_total",
+	serverConns = obs.GetCounter("ipa_rmi_server_connects_total",
 		"RMI server connections accepted, by negotiated envelope.", "envelope", "v2")
-	serverConnsGob = obs.GetCounter("ipa_rmi_server_connects_total",
-		"RMI server connections accepted, by negotiated envelope.", "envelope", "gob")
 	dialRetries = obs.GetCounter("ipa_rmi_client_dial_retries_total",
 		"RMI dial attempts beyond the first (WithRetry backoff redials).")
 	faultErrors = obs.GetCounter("ipa_rmi_faults_injected_total",

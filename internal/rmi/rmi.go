@@ -2,8 +2,9 @@
 // implementation (the "thin black arrows" of the paper's Figure 2).
 //
 // The JAS client polls the AIDA manager over RMI, and engines push result
-// snapshots the same way. The wire protocol is gob-encoded request/response
-// frames over TCP. Like the original — "all of the RMI connections are
+// snapshots the same way. The wire protocol is a binary request/response
+// envelope over TCP carrying gob-encoded payloads (envelope.go). Like the
+// original — "all of the RMI connections are
 // insecure, but ... none of the RMI objects could be instantiated without
 // first creating a secure session with the Web Service" (§3.7) — every call
 // carries a session token that the server validates before dispatch.
@@ -14,9 +15,7 @@
 // responses as they complete (possibly out of order), and a per-client
 // reader goroutine matches each response back to its caller. A slow call
 // therefore never head-of-line-blocks a fast one on the same connection
-// — the property that lets N polling clients share one socket (ablation
-// A10). WithSerializedCalls restores the old one-call-at-a-time behavior
-// as the ablation baseline.
+// — the property that lets N polling clients share one socket.
 //
 // Objects are plain Go values; any exported method with the signature
 //
@@ -36,14 +35,12 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-// writerPool recycles per-connection write buffers: gob emits several
-// small messages per call (header, body) and buffering coalesces them
-// into one syscall per request/response instead of one per message.
+// writerPool recycles per-connection write buffers: buffering coalesces
+// a response's header and payload into one syscall.
 var writerPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 8192) },
 }
@@ -57,24 +54,6 @@ var ErrBadToken = errors.New("rmi: invalid or expired session token")
 
 // ErrClientClosed rejects calls on a closed client.
 var ErrClientClosed = errors.New("rmi: client closed")
-
-// request is the wire header preceding the gob-encoded argument.
-// Trace is optional: a zero context encodes to nothing extra, and old
-// gob decoders silently drop the field (gob struct evolution), so
-// traced clients interoperate with pre-trace servers.
-type request struct {
-	Seq    uint64
-	Object string
-	Method string
-	Token  string
-	Trace  obs.TraceContext
-}
-
-// response is the wire header preceding the gob-encoded reply.
-type response struct {
-	Seq uint64
-	Err string
-}
 
 type methodInfo struct {
 	fn        reflect.Value
@@ -95,10 +74,6 @@ type Server struct {
 
 	// faults, when set, injects failures into dispatch (see SetFaults).
 	faults atomic.Pointer[faultState]
-
-	// gobOnly disables envelope v2 negotiation, simulating an old peer
-	// so tests can exercise the client's gob fallback.
-	gobOnly bool
 
 	lnMu     sync.Mutex
 	listener net.Listener
@@ -210,65 +185,18 @@ func (s *Server) Close() {
 }
 
 // connWriter serializes response writes on one server connection: each
-// response (header + body) is encoded and flushed as one atomic unit,
-// so concurrently-completing handlers interleave at response, not gob
-// message, granularity.
+// response (header + payload) is encoded and flushed as one atomic unit,
+// so concurrently-completing handlers interleave at response
+// granularity. It holds reusable header scratch plus the connection's
+// persistent payload gob stream (penc writes into pbuf, which ships
+// length-prefixed behind the binary header).
 type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
-	enc  *gob.Encoder // gob envelope
-
-	// v2 envelope state: reusable header scratch plus the connection's
-	// persistent payload gob stream (penc writes into pbuf, which ships
-	// length-prefixed behind the binary header).
-	v2      bool
+	mu      sync.Mutex
+	conn    net.Conn
+	bw      *bufio.Writer
 	scratch []byte
 	pbuf    bytes.Buffer
 	penc    *gob.Encoder
-}
-
-// writeError sends an error response (with the placeholder body the
-// gob envelope requires; the v2 envelope sends none).
-func (w *connWriter) writeError(seq uint64, msg string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.v2 {
-		w.writeErrorV2(seq, msg)
-		return
-	}
-	if w.enc.Encode(&response{Seq: seq, Err: msg}) != nil {
-		w.fail()
-		return
-	}
-	if w.enc.Encode(struct{}{}) != nil {
-		w.fail()
-		return
-	}
-	if w.bw.Flush() != nil {
-		w.fail()
-	}
-}
-
-// writeReply sends a success response carrying reply's value.
-func (w *connWriter) writeReply(seq uint64, reply reflect.Value) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.v2 {
-		w.writeReplyV2(seq, reply)
-		return
-	}
-	if w.enc.Encode(&response{Seq: seq}) != nil {
-		w.fail()
-		return
-	}
-	if w.enc.EncodeValue(reply) != nil {
-		w.fail()
-		return
-	}
-	if w.bw.Flush() != nil {
-		w.fail()
-	}
 }
 
 // fail closes the connection so the read loop (and the client) notice a
@@ -299,111 +227,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.lnMu.Unlock()
 	}()
-	// Envelope negotiation: a v2 client leads with the magic before any
-	// gob bytes; a gob client's first request header never matches it
-	// (and is always ≥4 bytes, so the peek cannot stall a legacy peer).
+	// Envelope negotiation: the client leads with the magic before
+	// anything else; a peer that does not is disconnected.
 	br := bufio.NewReaderSize(conn, 8192)
-	if first, err := br.Peek(4); err == nil && !s.gobOnly && bytes.Equal(first, v2Magic[:]) {
-		br.Discard(4)
-		if _, err := conn.Write(v2Magic[:]); err != nil {
-			return
-		}
-		w.v2 = true
-		w.penc = gob.NewEncoder(&w.pbuf)
-		serverConnsV2.Inc()
-		s.serveV2(conn, br, w, &handlers)
+	var magic [len(envMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != envMagic {
 		return
 	}
-	serverConnsGob.Inc()
-	w.enc = gob.NewEncoder(bw)
-	dec := gob.NewDecoder(br)
-	slots := make(chan struct{}, maxInFlightPerConn)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken connection
-		}
-		if !s.dispatch(&req, dec, w, &handlers, slots) {
-			return
-		}
+	if _, err := conn.Write(envMagic[:]); err != nil {
+		return
 	}
-}
-
-// dispatch resolves and launches one request. The argument is decoded
-// inline — the read loop owns the stream — and the handler then runs in
-// its own goroutine so a slow method never blocks the next request on
-// the same connection. Returns false when the stream is broken.
-func (s *Server) dispatch(req *request, dec *gob.Decoder, w *connWriter, handlers *sync.WaitGroup, slots chan struct{}) bool {
-	fail := func(msg string) bool {
-		// The argument still needs draining to keep the stream aligned;
-		// decode into a throwaway interface.
-		var discard any
-		dec.Decode(&discard)
-		w.writeError(req.Seq, msg)
-		return true
-	}
-	s.mu.RLock()
-	obj := s.objects[req.Object]
-	s.mu.RUnlock()
-	if obj == nil {
-		return fail(fmt.Sprintf("rmi: no object %q", req.Object))
-	}
-	m := obj.methods[req.Method]
-	if m == nil {
-		return fail(fmt.Sprintf("rmi: %s has no method %q", req.Object, req.Method))
-	}
-	if s.validate != nil {
-		if err := s.validate(req.Token, req.Object, req.Method); err != nil {
-			return fail(err.Error())
-		}
-	}
-	if fs := s.faults.Load(); fs != nil {
-		switch fs.decide() {
-		case faultError:
-			faultErrors.Inc()
-			return fail(ErrInjected)
-		case faultDrop:
-			// Sever without answering: the caller sees a broken
-			// transport, like a crash mid-call.
-			faultDrops.Inc()
-			return false
-		case faultDelay:
-			faultDelays.Inc()
-			time.Sleep(fs.f.Delay)
-		}
-	}
-	argp := reflect.New(m.argType)
-	if err := dec.DecodeValue(argp); err != nil {
-		w.writeError(req.Seq, "rmi: decoding argument: "+err.Error())
-		// The stream is desynchronized; drop the connection.
-		return false
-	}
-	tc := req.Trace.NextHop()
-	recoverTrace(argp.Interface(), tc)
-	seq := req.Seq
-	target := req.Object + "." + req.Method
-	slots <- struct{}{} // blocks past maxInFlightPerConn
-	handlers.Add(1)
-	go func() {
-		defer func() {
-			<-slots
-			handlers.Done()
-		}()
-		t0 := obs.Now()
-		reply := reflect.New(m.replyType)
-		out := m.fn.Call([]reflect.Value{argp.Elem(), reply})
-		if !t0.IsZero() {
-			d := time.Since(t0)
-			m.hist.Observe(d.Seconds())
-			obs.RecordSpan(tc, target, d)
-		}
-		if errv := out[0].Interface(); errv != nil {
-			w.writeError(seq, errv.(error).Error())
-			return
-		}
-		w.writeReply(seq, reply)
-	}()
-	return true
+	w.penc = gob.NewEncoder(&w.pbuf)
+	serverConns.Inc()
+	s.serveLoop(br, w, &handlers)
 }
 
 // RemoteError is an error string that crossed the wire.
@@ -423,19 +259,15 @@ type pendingCall struct {
 type clientConn struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes request writes (header+args+flush)
-	bw  *bufio.Writer
-	enc *gob.Encoder // gob envelope
-
-	// v2 envelope write state (guarded by wmu): reusable header scratch
-	// and the persistent payload gob stream.
-	v2   bool
+	// Request write state, guarded by wmu: the buffered writer, reusable
+	// header scratch and the persistent payload gob stream.
+	wmu  sync.Mutex
+	bw   *bufio.Writer
 	hdr  []byte
 	pbuf bytes.Buffer
 	penc *gob.Encoder
 
-	br  *bufio.Reader // owned by the read loop (v2 envelope)
-	dec *gob.Decoder  // owned by the read loop (gob envelope)
+	br *bufio.Reader // owned by the read loop
 
 	pmu     sync.Mutex
 	seq     uint64
@@ -496,15 +328,6 @@ type Client struct {
 	compressed bool
 	closed     bool
 
-	// serialized is the ablation baseline: one in-flight call at a time.
-	serialized bool
-	callMu     sync.Mutex // held per-call in serialized mode
-
-	// gobEnv pins the gob envelope (ablation); v2Fallback records a
-	// failed v2 negotiation so reconnects stop re-probing an old peer.
-	gobEnv     bool
-	v2Fallback bool
-
 	// retry bounds dial attempts (see WithRetry); jrand is the jitter
 	// stream, lazily seeded from the address.
 	retry RetryPolicy
@@ -523,30 +346,8 @@ func WithCompressedFrames() Option {
 	return func(c *Client) { c.compressed = true }
 }
 
-// WithSerializedCalls restores the pre-pipelining behavior — at most
-// one in-flight call per connection — retained as the A10 ablation
-// baseline.
-func WithSerializedCalls() Option {
-	return func(c *Client) { c.serialized = true }
-}
-
-// WithGobEnvelope pins the connection to the original reflection-gob
-// request/response framing instead of negotiating the binary v2
-// envelope — the retained A13 ablation baseline.
-func WithGobEnvelope() Option {
-	return func(c *Client) { c.gobEnv = true }
-}
-
 // Compressed reports whether this connection prefers compressed frames.
 func (c *Client) Compressed() bool { return c.compressed }
-
-// BinaryEnvelope reports whether the live connection speaks the binary
-// v2 envelope (false after a gob fallback or under WithGobEnvelope).
-func (c *Client) BinaryEnvelope() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cc != nil && c.cc.v2
-}
 
 // Dial connects to an RMI server. token rides along on every call.
 func Dial(addr, token string, opts ...Option) (*Client, error) {
@@ -568,48 +369,25 @@ func (c *Client) connLocked() (*clientConn, error) {
 	return c.connRetryLocked(nil)
 }
 
-// adoptConnLocked wraps a freshly dialed conn as the client's live
-// connection — negotiating the v2 envelope unless pinned to gob, and
-// redialing in gob mode when the peer turns out to be old — and starts
-// its read loop. Caller holds c.mu.
+// adoptConnLocked negotiates the envelope on a freshly dialed conn,
+// makes it the client's live connection and starts its read loop. A
+// failed negotiation closes the conn and fails like a dial. Caller holds
+// c.mu.
 func (c *Client) adoptConnLocked(conn net.Conn) (*clientConn, error) {
-	useV2 := !c.gobEnv && !c.v2Fallback
-	if useV2 {
-		if err := clientNegotiateV2(conn); err != nil {
-			// Old peer (or it died mid-handshake): remember the
-			// downgrade — later reconnects skip the probe — and redial
-			// speaking plain gob.
-			conn.Close()
-			c.v2Fallback = true
-			conn2, derr := net.Dial("tcp", c.addr)
-			if derr != nil {
-				return nil, fmt.Errorf("rmi: gob fallback redial: %w", derr)
-			}
-			conn = conn2
-			useV2 = false
-		}
+	if err := negotiate(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("rmi: envelope negotiation: %w", err)
 	}
-	bw := bufio.NewWriterSize(conn, 8192)
 	cc := &clientConn{
-		conn: conn, bw: bw,
+		conn:    conn,
+		bw:      bufio.NewWriterSize(conn, 8192),
+		br:      bufio.NewReaderSize(conn, 8192),
 		pending: make(map[uint64]*pendingCall),
 	}
-	if useV2 {
-		cc.v2 = true
-		cc.penc = gob.NewEncoder(&cc.pbuf)
-		cc.br = bufio.NewReaderSize(conn, 8192)
-	} else {
-		cc.enc = gob.NewEncoder(bw)
-		cc.dec = gob.NewDecoder(conn)
-	}
+	cc.penc = gob.NewEncoder(&cc.pbuf)
 	c.cc = cc
-	if cc.v2 {
-		clientConnsV2.Inc()
-		go c.readLoopV2(cc)
-	} else {
-		clientConnsGob.Inc()
-		go c.readLoop(cc)
-	}
+	clientConns.Inc()
+	go c.readLoop(cc)
 	return cc, nil
 }
 
@@ -621,49 +399,6 @@ func (c *Client) drop(cc *clientConn) {
 		c.cc = nil
 	}
 	c.mu.Unlock()
-}
-
-// readLoop owns cc's decoder: it reads response headers, matches them
-// to pending calls by sequence number, and decodes each reply body
-// directly into the caller's reply value (stream order: body always
-// directly follows its header). Any decode failure poisons the
-// connection — a gob stream cannot be resynchronized.
-func (c *Client) readLoop(cc *clientConn) {
-	for {
-		var resp response
-		if err := cc.dec.Decode(&resp); err != nil {
-			c.drop(cc)
-			cc.fail(fmt.Errorf("rmi: reading response: %w", err))
-			return
-		}
-		pc := cc.take(resp.Seq)
-		if pc == nil {
-			// A response nobody asked for: the stream is untrustworthy.
-			c.drop(cc)
-			cc.fail(fmt.Errorf("rmi: unmatched response seq %d", resp.Seq))
-			return
-		}
-		if resp.Err != "" {
-			// Drain the placeholder body.
-			var discard struct{}
-			if err := cc.dec.Decode(&discard); err != nil {
-				pc.done <- RemoteError(resp.Err)
-				c.drop(cc)
-				cc.fail(fmt.Errorf("rmi: reading response: %w", err))
-				return
-			}
-			pc.done <- RemoteError(resp.Err)
-			continue
-		}
-		if err := cc.dec.Decode(pc.reply); err != nil {
-			err = fmt.Errorf("rmi: reading reply: %w", err)
-			pc.done <- err
-			c.drop(cc)
-			cc.fail(err)
-			return
-		}
-		pc.done <- nil
-	}
 }
 
 // Close shuts the connection; in-flight calls fail with ErrClientClosed.
@@ -694,10 +429,6 @@ func (c *Client) Call(objectDotMethod string, args any, reply any) error {
 	if !ok {
 		return fmt.Errorf("rmi: bad call target %q (want Object.Method)", objectDotMethod)
 	}
-	if c.serialized {
-		c.callMu.Lock()
-		defer c.callMu.Unlock()
-	}
 	c.mu.Lock()
 	cc, err := c.connLocked()
 	token := c.token
@@ -713,18 +444,7 @@ func (c *Client) Call(objectDotMethod string, args any, reply any) error {
 		return err
 	}
 	cc.wmu.Lock()
-	if cc.v2 {
-		err = cc.writeRequestV2(seq, obj, method, token, tc, args)
-	} else {
-		req := request{Seq: seq, Object: obj, Method: method, Token: token, Trace: tc}
-		err = cc.enc.Encode(&req)
-		if err == nil {
-			err = cc.enc.Encode(args)
-		}
-		if err == nil {
-			err = cc.bw.Flush()
-		}
-	}
+	err = cc.writeRequest(seq, obj, method, token, tc, args)
 	cc.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("rmi: sending request: %w", err)

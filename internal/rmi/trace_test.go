@@ -88,8 +88,6 @@ func testTracePropagation(t *testing.T, opts ...Option) {
 
 func TestTracePropagationV2(t *testing.T) { testTracePropagation(t) }
 
-func TestTracePropagationGob(t *testing.T) { testTracePropagation(t, WithGobEnvelope()) }
-
 // TestTraceDisabledCostsNothing: with recording ablated, the client
 // must send the untraced (zero) context.
 func TestTraceDisabledCostsNothing(t *testing.T) {

@@ -640,7 +640,7 @@ func (s *Service) teardown(sess *Session) {
 		return
 	}
 	sess.state = StateClosed
-	job := sess.job
+	job, nodes := sess.job, sess.nodes
 	sess.mu.Unlock()
 	if job != nil {
 		job.Cancel()
@@ -648,6 +648,15 @@ func (s *Service) teardown(sess *Session) {
 	s.cfg.Registry.RemoveSession(sess.ID)
 	s.cfg.Merge.Drop(sess.ID)
 	s.cfg.SharedDisk.DeleteTree(path.Join("/sessions", sess.ID))
+	// The staged parts on every worker's scratch disk add up to the whole
+	// dataset; they go with the session.
+	if s.cfg.WorkerScratch != nil {
+		for _, node := range nodes {
+			if scratch, err := s.cfg.WorkerScratch(node); err == nil {
+				scratch.DeleteTree(path.Join("/scratch", sess.ID))
+			}
+		}
+	}
 	s.mu.Lock()
 	delete(s.sessions, sess.ID)
 	delete(s.byToken, sess.Token)

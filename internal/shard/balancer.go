@@ -25,9 +25,7 @@ import (
 // only "overloaded" when its load exceeds the fabric mean by more than
 // the hysteresis Band, so the balancer converges instead of
 // ping-ponging sessions between near-equal shards. A move is only made
-// when it strictly narrows the hot/cold gap. DisableRebalance keeps
-// the probes (rates stay warm) but never moves — the A11 ablation
-// baseline.
+// when it strictly narrows the hot/cold gap.
 type Balancer struct {
 	// Interval between probe rounds for Start (default 5s).
 	Interval time.Duration
@@ -38,9 +36,6 @@ type Balancer struct {
 	// load exceeds the fabric mean by more than this fraction
 	// (default 0.25).
 	Band float64
-	// DisableRebalance probes without ever moving a session — the
-	// ablation baseline.
-	DisableRebalance bool
 
 	router *Router
 
@@ -166,7 +161,7 @@ func (b *Balancer) RunOnce() (int, error) {
 		}
 	}
 	b.mu.Unlock()
-	if b.DisableRebalance || len(probed) < 2 {
+	if len(probed) < 2 {
 		return 0, nil
 	}
 	var total int64

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/obs"
 	"github.com/ipa-grid/ipa/internal/shard/placement"
@@ -179,12 +178,6 @@ func (r *Router) mirror(primary string, args merge.PublishArgs, epoch, version i
 	if len(chain) == 0 {
 		return
 	}
-	delta := args.Delta
-	if delta == nil {
-		// Legacy whole-tree publish (the ablation baseline): forward it
-		// as the full baseline it is.
-		delta = &aida.DeltaState{Full: true, Entries: args.Tree.Entries}
-	}
 	// Walk the chain: each hop is one trace hop deeper than the last,
 	// and a failed hop re-baselines from the nearest healthy predecessor
 	// (the primary for hop 0) without stopping the walk.
@@ -198,7 +191,7 @@ func (r *Router) mirror(primary string, args merge.PublishArgs, epoch, version i
 		}
 		margs := merge.MirrorArgs{
 			SessionID: args.SessionID, WorkerID: args.WorkerID, Seq: args.Seq,
-			Epoch: epoch, Version: version, Delta: delta,
+			Epoch: epoch, Version: version, Delta: args.Delta,
 			EventsDone: args.EventsDone, EventsTotal: args.EventsTotal, Log: args.Log,
 			// Forward the publish's trace so each replica hop joins the
 			// same trace the engine started.

@@ -15,9 +15,8 @@
 // routing flips, and any publish that raced the move is answered
 // NeedFull so its producer re-baselines on the new shard.
 //
-// Placement is a subsystem of its own (ablation A11): routing reads are
-// lock-free RCU loads of the placement table (LockedRouting retains the
-// old mutex-per-call baseline), a Balancer migrates the hottest
+// Placement is a subsystem of its own: routing reads are lock-free RCU
+// loads of the placement table, a Balancer migrates the hottest
 // sessions off overloaded shards by observed publish+poll rates, and a
 // Health prober marks unreachable shards dead so their sessions re-home
 // lazily from their engines' next re-baseline.
@@ -43,7 +42,6 @@ import (
 // over an rmi.Client for shards on other nodes.
 type Backend interface {
 	Publish(args merge.PublishArgs, reply *merge.PublishReply) error
-	PublishBatch(args merge.PublishBatchArgs, reply *merge.PublishBatchReply) error
 	Poll(args merge.PollArgs, reply *merge.PollReply) error
 	Reset(args merge.ResetArgs, reply *merge.ResetReply) error
 	Flush(args merge.FlushArgs, reply *merge.FlushReply) error
@@ -95,12 +93,6 @@ var ErrNoShards = errors.New("shard: router has no shards")
 // re-baselines on the new owner — nothing is lost and nothing is
 // double-merged.
 type Router struct {
-	// LockedRouting serializes every owner resolution behind one mutex —
-	// the pre-A11 behavior, retained as the ablation baseline. Set
-	// before first use.
-	LockedRouting bool
-	lockedMu      sync.Mutex
-
 	// Replicate mirrors every accepted publish to a per-session replica
 	// chain and turns shard-death handling from lossy eviction into
 	// epoch-fenced promotion of the deepest caught-up replica. Off by
@@ -178,10 +170,6 @@ func (r *Router) Generation() uint64 { return r.table.Load().Gen() }
 // reads route by ring position, which is exactly where a later publish
 // would place it.
 func (r *Router) owner(sessionID string, place bool) (string, Backend, error) {
-	if r.LockedRouting {
-		r.lockedMu.Lock()
-		defer r.lockedMu.Unlock()
-	}
 	t := r.table.Load()
 	if e, ok := t.Lookup(sessionID); ok {
 		return backendOf(t, sessionID, e.Shard)

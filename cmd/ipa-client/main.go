@@ -40,9 +40,9 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9443", "manager WSRF address")
+	addr := flag.String("addr", "127.0.0.1:9443", "manager control endpoint (the \"Control endpoint\" ipa-manager prints)")
 	credDir := flag.String("creddir", "ipa-creds", "CA + user credential directory")
-	insecure := flag.Bool("insecure", false, "plain HTTP manager")
+	insecure := flag.Bool("insecure", false, "manager started with -insecure (plain TCP, no GSI)")
 	query := flag.String("query", "", "catalog query to run")
 	datasetID := flag.String("dataset", "", "dataset ID to attach")
 	scriptPath := flag.String("script", "", "analysis script file")

@@ -1,6 +1,9 @@
 // ipa-manager runs a standalone IPA Grid site: the manager node services
-// plus an in-process compute element, listening on fixed ports so
-// ipa-client (or any WSRF/RMI client) can connect from other processes.
+// plus an in-process compute element, listening on loopback ports so
+// ipa-client (or any RMI client) can connect from other processes. The
+// control endpoint (sessions, catalog, run control) is GSI mutual TLS;
+// the RMI endpoint carries result polls and publishes, each call gated by
+// a live session token.
 //
 // Usage:
 //
@@ -56,7 +59,7 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 8, "worker node count")
 	events := flag.Int("events", 20000, "events in the demo dataset (0 = none)")
-	insecure := flag.Bool("insecure", false, "serve plain HTTP (no GSI)")
+	insecure := flag.Bool("insecure", false, "serve the control endpoint over plain TCP (no GSI)")
 	credDir := flag.String("creddir", "ipa-creds", "where to write CA + user credentials")
 	shards := flag.Int("shards", 1, "merge-fabric shard count (>1 = consistent-hash session sharding)")
 	rebalance := flag.Duration("rebalance", 0, "shard rebalance probe interval (0 = off; needs -shards > 1)")
@@ -143,8 +146,8 @@ func main() {
 		}
 		fmt.Printf("published dataset ds-zh (%d events)\n", *events)
 	}
-	fmt.Printf("WSRF endpoint: %s (secure=%v)\n", grid.Manager.Addr(), !*insecure)
-	fmt.Printf("RMI endpoint:  %s\n", grid.Manager.RMIAddr())
+	fmt.Printf("Control endpoint: %s (secure=%v)\n", grid.Manager.Addr(), !*insecure)
+	fmt.Printf("RMI endpoint:     %s\n", grid.Manager.RMIAddr())
 	fmt.Printf("nodes: %d, interactive queue ready\n", *nodes)
 	if *shards > 1 {
 		fmt.Printf("merge fabric: %d shards (consistent-hash session routing)\n", *shards)

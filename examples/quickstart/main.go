@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Step 1-2: obtain a proxy, connect, create the session (engines
-	// start on the interactive queue via GRAM).
+	// start as jobs on the interactive queue).
 	client, err := grid.ClientFor("alice")
 	if err != nil {
 		log.Fatal(err)

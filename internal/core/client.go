@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/tls"
 	"crypto/x509"
 	"fmt"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"github.com/ipa-grid/ipa/internal/rmi"
 	"github.com/ipa-grid/ipa/internal/session"
 	"github.com/ipa-grid/ipa/internal/shard"
-	"github.com/ipa-grid/ipa/internal/wsrf"
 )
 
 // Client is the scientist's tool — the JAS3-with-plug-ins analogue. It
@@ -23,8 +21,8 @@ import (
 // session; select a dataset and submit it for analysis; initiate runs
 // with custom code; collect and display merged results.
 type Client struct {
-	ws  *wsrf.Client
-	rmi *rmi.Client
+	ctl *rmi.Client // the manager's control object (GSI TLS when secure)
+	rmi *rmi.Client // the result channel (token-gated plain TCP)
 
 	sessionID string
 	token     string
@@ -47,11 +45,11 @@ type Client struct {
 	directTarget string
 }
 
-// Connect authenticates to a manager. proxy may be nil only for
-// plain-HTTP (test) managers; ca supplies the trust anchors.
+// Connect authenticates to a manager's control endpoint. proxy may be nil
+// only for insecure (test) managers; ca supplies the trust anchors.
 func Connect(addr string, proxy *gsi.Proxy, ca *gsi.CA) (*Client, error) {
 	if proxy == nil {
-		return &Client{ws: wsrf.NewClient(addr, nil), tree: aida.NewTree()}, nil
+		return ConnectWithPool(addr, nil, nil)
 	}
 	if ca == nil {
 		return nil, fmt.Errorf("core: proxy given without CA pool")
@@ -62,19 +60,32 @@ func Connect(addr string, proxy *gsi.Proxy, ca *gsi.CA) (*Client, error) {
 // ConnectWithPool is Connect with an explicit trust-anchor pool (used by
 // external clients that load the CA certificate from disk).
 func ConnectWithPool(addr string, proxy *gsi.Proxy, roots *x509.CertPool) (*Client, error) {
-	var cfg *tls.Config
+	var opts []rmi.Option
 	if proxy != nil {
-		cfg = gsi.ClientTLSConfig(proxy, roots)
+		cfg := gsi.ClientTLSConfig(proxy, roots)
 		cfg.ServerName = "localhost"
+		opts = append(opts, rmi.WithTLS(cfg))
 	}
-	return &Client{ws: wsrf.NewClient(addr, cfg), tree: aida.NewTree()}, nil
+	ctl, err := rmi.Dial(addr, "", opts...)
+	if err != nil {
+		return nil, fmt.Errorf("core: connecting to manager: %w", err)
+	}
+	return &Client{ctl: ctl, tree: aida.NewTree()}, nil
 }
+
+// call invokes one operation of the manager's control object.
+func (c *Client) call(method string, args, reply any) error {
+	return c.ctl.Call(ControlObject+"."+method, args, reply)
+}
+
+// sessionArgs addresses the client's session in a control request.
+func (c *Client) sessionArgs() SessionRequest { return SessionRequest{SessionID: c.sessionID} }
 
 // CreateSession performs step 2 of Figure 2: create the session resource
 // and connect the result-polling plug-in to the RMI endpoint.
 func (c *Client) CreateSession() error {
 	var resp CreateSessionResponse
-	if err := c.ws.Call("Control.CreateSession", "", &CreateSessionRequest{}, &resp); err != nil {
+	if err := c.call("CreateSession", CreateSessionRequest{}, &resp); err != nil {
 		return err
 	}
 	c.sessionID = resp.SessionID
@@ -107,7 +118,7 @@ func (c *Client) Engines() int { return c.engines }
 // ListCatalog browses a catalog directory (the Figure 3 dialog).
 func (c *Client) ListCatalog(path string) ([]CatalogEntry, error) {
 	var resp CatalogListResponse
-	if err := c.ws.Call("Catalog.List", "", &CatalogListRequest{Path: path}, &resp); err != nil {
+	if err := c.call("ListCatalog", CatalogListRequest{Path: path}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Entries, nil
@@ -116,7 +127,7 @@ func (c *Client) ListCatalog(path string) ([]CatalogEntry, error) {
 // QueryCatalog searches datasets by metadata.
 func (c *Client) QueryCatalog(q string) ([]CatalogEntry, error) {
 	var resp CatalogListResponse
-	if err := c.ws.Call("Catalog.Query", "", &CatalogQueryRequest{Query: q}, &resp); err != nil {
+	if err := c.call("QueryCatalog", CatalogQueryRequest{Query: q}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Entries, nil
@@ -135,7 +146,7 @@ type StagingTimes struct {
 // AttachDataset selects and stages a dataset (steps 4–5 of Figure 2).
 func (c *Client) AttachDataset(datasetID string) (StagingTimes, error) {
 	var resp AttachResponse
-	if err := c.ws.Call("Session.AttachDataset", c.sessionID, &AttachRequest{DatasetID: datasetID}, &resp); err != nil {
+	if err := c.call("AttachDataset", AttachRequest{SessionRequest: c.sessionArgs(), DatasetID: datasetID}, &resp); err != nil {
 		return StagingTimes{}, err
 	}
 	return StagingTimes{
@@ -173,8 +184,9 @@ func kvs(params map[string]string) []KV {
 }
 
 func (c *Client) loadCode(req LoadCodeRequest) (int, error) {
+	req.SessionRequest = c.sessionArgs()
 	var resp LoadCodeResponse
-	if err := c.ws.Call("Session.LoadCode", c.sessionID, &req, &resp); err != nil {
+	if err := c.call("LoadCode", req, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Version, nil
@@ -197,13 +209,13 @@ func (c *Client) Rewind() error { return c.control(session.ActionRewind, 0) }
 func (c *Client) Step(n int64) error { return c.control(session.ActionStep, n) }
 
 func (c *Client) control(a session.Action, n int64) error {
-	return c.ws.Call("Session.Control", c.sessionID, &ControlRequest{Action: string(a), N: n}, &OK{})
+	return c.call("Control", ControlRequest{SessionRequest: c.sessionArgs(), Action: string(a), N: n}, &OK{})
 }
 
 // Status fetches the session status.
 func (c *Client) Status() (StatusResponse, error) {
 	var resp StatusResponse
-	err := c.ws.Call("Session.Status", c.sessionID, &StatusRequest{}, &resp)
+	err := c.call("Status", c.sessionArgs(), &resp)
 	return resp, err
 }
 
@@ -451,12 +463,14 @@ func (c *Client) Histogram1D(path string) *aida.Histogram1D {
 	return h
 }
 
-// CloseSession tears down the remote session and the result channel.
+// CloseSession tears down the remote session and the client's
+// connections; the client is done afterwards.
 func (c *Client) CloseSession() error {
 	if c.sessionID == "" {
 		return nil
 	}
-	err := c.ws.Call("Session.Close", c.sessionID, &CloseRequest{}, &OK{})
+	err := c.call("CloseSession", c.sessionArgs(), &OK{})
+	c.ctl.Close()
 	if c.rmi != nil {
 		c.rmi.Close()
 		c.rmi = nil

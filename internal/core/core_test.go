@@ -9,6 +9,8 @@ import (
 	"github.com/ipa-grid/ipa/internal/engine"
 	"github.com/ipa-grid/ipa/internal/events"
 	"github.com/ipa-grid/ipa/internal/gsi"
+	"github.com/ipa-grid/ipa/internal/merge"
+	"github.com/ipa-grid/ipa/internal/rmi"
 )
 
 // newGrid stands up a 4-node secure grid with one published dataset.
@@ -59,14 +61,14 @@ func waitFinished(t *testing.T, c *Client, timeout time.Duration) {
 }
 
 // TestFullWorkflow exercises the paper's four client steps end to end over
-// real TLS + XML + RMI on loopback.
+// real GSI TLS + RMI on loopback.
 func TestFullWorkflow(t *testing.T) {
 	g := newGrid(t, 2000)
 	c, err := g.ClientFor("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Step 1-2: secure connect + session (engines start via GRAM).
+	// Step 1-2: secure connect + session (engines start as scheduler jobs).
 	if err := c.CreateSession(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +271,10 @@ func TestBadScriptUploadRejected(t *testing.T) {
 	if _, err := c.LoadScript("bad", "function process( {", events.EventDecoderName, nil); err == nil {
 		t.Fatal("syntax error accepted at upload")
 	}
-	if !strings.Contains(strings.ToLower(errString(t, c)), "") {
-		// reached: just ensure session still usable
-	}
 	if _, err := c.AttachDataset("ds-zh"); err != nil {
 		t.Fatalf("session unusable after rejected upload: %v", err)
 	}
 }
-
-func errString(t *testing.T, c *Client) string { return "" }
 
 func TestMonitorRoleDeniedSessionCreation(t *testing.T) {
 	g := newGrid(t, 100)
@@ -322,9 +319,19 @@ func TestRMIRequiresLiveToken(t *testing.T) {
 	if err := c.CreateSession(); err != nil {
 		t.Fatal(err)
 	}
-	// Closing the session invalidates the token; polling must fail.
+	sid, token := c.SessionID(), c.Token()
+	// Closing the session invalidates the token; polling with it must fail.
 	if err := c.CloseSession(); err != nil {
 		t.Fatal(err)
+	}
+	rc, err := rmi.Dial(g.Manager.RMIAddr(), token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	var reply merge.PollReply
+	if err := rc.Call("AIDAManager.Poll", merge.PollArgs{SessionID: sid, Full: true}, &reply); err == nil {
+		t.Fatal("poll with a closed session's token accepted")
 	}
 	c2, _ := g.ClientFor("alice")
 	if err := c2.CreateSession(); err != nil {
@@ -399,5 +406,86 @@ func TestSessionCloseDeletesStagedParts(t *testing.T) {
 	}
 	if nodes := holding(); len(nodes) != 0 {
 		t.Fatalf("closed session's parts still staged under %s on %v", dir, nodes)
+	}
+}
+
+// TestSessionOpsRequireOwner: a VO member holding another user's session
+// ID cannot drive that session; its owner still can.
+func TestSessionOpsRequireOwner(t *testing.T) {
+	g := newGrid(t, 400)
+	if _, err := g.AddUser("bob", gsi.RoleAnalyst); err != nil {
+		t.Fatal(err)
+	}
+	alice, err := g.ClientFor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.CreateSession(); err != nil {
+		t.Fatal(err)
+	}
+	defer alice.CloseSession()
+	bob, err := g.ClientFor("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob.sessionID = alice.SessionID()
+	if _, err := bob.AttachDataset("ds-zh"); err == nil {
+		t.Error("bob attached a dataset to alice's session")
+	}
+	if _, err := bob.LoadNative("higgs", events.HiggsAnalysisName, nil); err == nil {
+		t.Error("bob loaded code into alice's session")
+	}
+	if err := bob.Run(); err == nil {
+		t.Error("bob ran alice's session")
+	}
+	if _, err := bob.Status(); err == nil {
+		t.Error("bob read alice's session status")
+	}
+	if err := bob.CloseSession(); err == nil {
+		t.Error("bob closed alice's session")
+	}
+	if _, err := alice.AttachDataset("ds-zh"); err != nil {
+		t.Fatalf("owner refused: %v", err)
+	}
+	if _, err := alice.LoadNative("higgs", events.HiggsAnalysisName, nil); err != nil {
+		t.Fatalf("owner refused: %v", err)
+	}
+	if err := alice.Step(10); err != nil {
+		t.Fatalf("owner refused: %v", err)
+	}
+}
+
+// TestSecureControlRefusesPlainTCP: the control object is also reachable
+// on the plain data listener, but a secure manager refuses every control
+// call there — there is no verified identity, and a DN the client writes
+// into the request is overwritten.
+func TestSecureControlRefusesPlainTCP(t *testing.T) {
+	g := newGrid(t, 100)
+	c, err := g.ClientFor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateSession(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseSession()
+	rc, err := rmi.Dial(g.Manager.RMIAddr(), c.Token())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	g.mu.Lock()
+	dn := g.users["alice"].DN()
+	g.mu.Unlock()
+	var created CreateSessionResponse
+	if err := rc.Call(ControlObject+".CreateSession", CreateSessionRequest{Caller{DN: dn}}, &created); err == nil {
+		t.Fatal("plain-TCP CreateSession accepted by a secure manager")
+	}
+	var st StatusResponse
+	if err := rc.Call(ControlObject+".Status", SessionRequest{Caller{DN: dn}, c.SessionID()}, &st); err == nil {
+		t.Fatal("plain-TCP Status accepted by a secure manager")
+	}
+	if _, err := c.Status(); err != nil {
+		t.Fatalf("GSI control connection refused: %v", err)
 	}
 }

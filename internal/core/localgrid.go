@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,11 +11,9 @@ import (
 	"github.com/ipa-grid/ipa/internal/codeloader"
 	"github.com/ipa-grid/ipa/internal/engine"
 	"github.com/ipa-grid/ipa/internal/events"
-	"github.com/ipa-grid/ipa/internal/gram"
 	"github.com/ipa-grid/ipa/internal/gsi"
 	"github.com/ipa-grid/ipa/internal/locator"
 	"github.com/ipa-grid/ipa/internal/merge"
-	"github.com/ipa-grid/ipa/internal/registry"
 	"github.com/ipa-grid/ipa/internal/relay"
 	"github.com/ipa-grid/ipa/internal/scheduler"
 	"github.com/ipa-grid/ipa/internal/session"
@@ -32,8 +29,9 @@ type GridOptions struct {
 	EnginesPerSession int
 	// BaseDir hosts storage elements (default: a temp dir).
 	BaseDir string
-	// Secure enables mutual-TLS WSRF (default true). Plain HTTP skips
-	// authentication — only for focused tests.
+	// Insecure serves the manager's control object over plain TCP
+	// instead of GSI mutual TLS, skipping authentication — only for
+	// focused tests.
 	Insecure bool
 	// SnapshotEvery tunes engine snapshot frequency (default 500).
 	SnapshotEvery int
@@ -85,15 +83,14 @@ type GridOptions struct {
 }
 
 // LocalGrid is a complete single-process Grid site on loopback TCP:
-// CA + VO, an N-node scheduler with interactive and batch queues, GRAM,
+// CA + VO, an N-node scheduler with interactive and batch queues,
 // shared-disk and per-node scratch storage elements, the merge manager,
-// and a manager node serving WSRF + RMI — everything the paper's Figure 2
-// shows, with real protocols end to end.
+// and a manager node serving RMI (control over GSI mutual TLS) —
+// everything the paper's Figure 2 shows, with real protocols end to end.
 type LocalGrid struct {
 	CA      *gsi.CA
 	VO      *gsi.VO
 	Cluster *scheduler.Cluster
-	Gram    *gram.JobManager
 	Catalog *catalog.Catalog
 	Locator *locator.Service
 	// Merge is the result fabric engines publish into: a bare manager,
@@ -112,7 +109,6 @@ type LocalGrid struct {
 	// Relays are the read fan-out tier's mirrors by relay name,
 	// non-empty when GridOptions.Relays asked for them.
 	Relays  map[string]*relay.Relay
-	Reg     *registry.Registry
 	Loader  *codeloader.Loader
 	Shared  *storage.Element
 	Manager *Manager
@@ -124,7 +120,6 @@ type LocalGrid struct {
 
 	mu      sync.Mutex
 	scratch map[string]*storage.Element
-	engines []*engine.Engine
 	users   map[string]*gsi.Credential
 	stop    chan struct{}
 }
@@ -175,7 +170,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 		return nil, err
 	}
 	g.Cluster = cluster
-	g.Gram = gram.NewJobManager(cluster)
 
 	// Storage: shared disk + per-node scratch.
 	g.Shared, err = storage.New("shared", filepath.Join(opts.BaseDir, "shared"))
@@ -193,7 +187,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 
 	// Services.
 	g.Catalog = catalog.New()
-	g.Locator = locator.New("local")
+	g.Locator = locator.New()
 	if opts.Shards > 1 {
 		// Sharded merge fabric: sessions spread across managers by
 		// consistent hashing; everything publishes/polls via the router.
@@ -280,37 +274,19 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 		}
 		g.Merge = mgr
 	}
-	g.Reg = registry.New()
 	g.Loader = codeloader.New()
 
-	// The engine launcher: what GRAM "executes" on a worker node.
-	g.Gram.RegisterLauncher(session.EngineExecutable, func(ctx context.Context, node string, index int, jd gram.JobDescription) error {
-		sessionID := jd.Environment["IPA_SESSION"]
-		workerID := fmt.Sprintf("engine-%02d", index)
-		eng := engine.New(engine.Config{
-			SessionID:     sessionID,
-			WorkerID:      workerID,
-			Publisher:     g.Merge,
-			SnapshotEvery: opts.SnapshotEvery,
-		})
-		g.mu.Lock()
-		g.engines = append(g.engines, eng)
-		g.mu.Unlock()
-		if err := g.Reg.Register(registry.Worker{
-			SessionID: sessionID, WorkerID: workerID, Node: node, Handle: eng,
-		}); err != nil {
-			return err
-		}
-		go func() {
-			<-ctx.Done()
-			eng.Shutdown()
-		}()
-		eng.Serve() // blocks until Shutdown
-		return nil
-	})
-
 	sessions, err := session.New(session.Config{
-		Gram: g.Gram, Registry: g.Reg, Locator: g.Locator, Catalog: g.Catalog,
+		Cluster: cluster,
+		NewEngine: func(sessionID, workerID string) *engine.Engine {
+			return engine.New(engine.Config{
+				SessionID:     sessionID,
+				WorkerID:      workerID,
+				Publisher:     g.Merge,
+				SnapshotEvery: opts.SnapshotEvery,
+			})
+		},
+		Locator: g.Locator, Catalog: g.Catalog,
 		Merge: g.Merge, Loader: g.Loader, SharedDisk: g.Shared,
 		WorkerScratch: func(node string) (*storage.Element, error) {
 			g.mu.Lock()
@@ -438,13 +414,6 @@ func (g *LocalGrid) Close() {
 	}
 	g.Manager.Close()
 	g.Cluster.Close()
-	g.mu.Lock()
-	engines := g.engines
-	g.engines = nil
-	g.mu.Unlock()
-	for _, e := range engines {
-		e.Shutdown()
-	}
 	for _, w := range g.wals {
 		w.Close()
 	}

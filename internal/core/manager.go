@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/tls"
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,7 +15,6 @@ import (
 	"github.com/ipa-grid/ipa/internal/rmi"
 	"github.com/ipa-grid/ipa/internal/session"
 	"github.com/ipa-grid/ipa/internal/shard"
-	"github.com/ipa-grid/ipa/internal/wsrf"
 )
 
 // ManagerConfig wires a manager node.
@@ -34,101 +35,90 @@ type ManagerConfig struct {
 	// directly for reads. Empty when the fabric has no relay tier.
 	Relays map[string]*relay.Relay
 	// VO authorizes operations (nil = allow all authenticated users;
-	// plain-HTTP containers then allow everyone — test mode only).
+	// an insecure manager then allows everyone — test mode only).
 	VO *gsi.VO
-	// Host credential + CA pool enable mutual-TLS service endpoints.
+	// Host credential + CA pool put the control object on a GSI
+	// mutual-TLS listener.
 	Host  *gsi.Credential
 	Roots *gsi.CA
 	// EngineCount reported to clients.
 	EngineCount int
 }
 
-// Manager is the running manager node: the WSRF container with the
-// control/session/catalog services plus the RMI endpoint for the AIDA
-// manager — the "IPA Service Element" box of Figure 2.
+// ControlObject is the RMI name of the manager's control object: session
+// creation, catalog browsing and every per-session operation (§3.2–3.6).
+const ControlObject = "Manager"
+
+// unauthenticated is the identity an insecure manager serves callers as.
+const unauthenticated = "(unauthenticated)"
+
+// Manager is the running manager node — the "IPA Service Element" box of
+// Figure 2. One RMI server carries the control object and the AIDA result
+// fabric. It listens twice: on Addr() for the control plane — GSI mutual
+// TLS when Host/Roots are set, the peer verified once per connection — and
+// on RMIAddr() for the data plane, plain TCP where every call must carry a
+// live session token (§3.7).
 type Manager struct {
-	cfg       ManagerConfig
-	Container *wsrf.Container
-	RMI       *rmi.Server
-	rmiAddr   string
+	cfg     ManagerConfig
+	RMI     *rmi.Server
+	secure  bool
+	addr    string
+	rmiAddr string
 }
 
-// opsRequiring maps WSRF actions to VO operations.
-var opsRequiring = map[string]gsi.Operation{
-	"Control.CreateSession": gsi.OpCreateSession,
-	"Session.AttachDataset": gsi.OpStageData,
-	"Session.LoadCode":      gsi.OpControlRun,
-	"Session.Control":       gsi.OpControlRun,
-	"Session.Status":        gsi.OpPollResults,
-	"Session.Close":         gsi.OpControlRun,
-	"Catalog.List":          gsi.OpReadCatalog,
-	"Catalog.Query":         gsi.OpReadCatalog,
-}
-
-// NewManager assembles the services and starts listeners on loopback.
-// Pass ":0" style addresses to pick free ports.
-func NewManager(cfg ManagerConfig, wsrfAddr, rmiAddr string) (*Manager, error) {
+// NewManager assembles the services and starts the control listener on
+// controlAddr and the data listener on rmiAddr. Pass ":0" style addresses
+// to pick free ports.
+func NewManager(cfg ManagerConfig, controlAddr, rmiAddr string) (*Manager, error) {
 	if cfg.Sessions == nil || cfg.Catalog == nil || cfg.Merge == nil {
 		return nil, fmt.Errorf("core: incomplete manager configuration")
 	}
-	m := &Manager{cfg: cfg}
-
-	authz := func(id *gsi.Identity, action string) error {
-		if cfg.VO == nil {
-			return nil
-		}
-		op, guarded := opsRequiring[action]
-		if !guarded {
-			return nil
-		}
-		return cfg.VO.Authorize(id, op)
-	}
-	m.Container = wsrf.NewContainer(authz)
-	m.register()
-
-	if cfg.Host != nil && cfg.Roots != nil {
-		if err := m.Container.ListenTLS(wsrfAddr, cfg.Host, cfg.Roots.Pool()); err != nil {
-			return nil, fmt.Errorf("core: wsrf listener: %w", err)
-		}
-	} else {
-		if err := m.Container.ListenHTTP(wsrfAddr); err != nil {
-			return nil, fmt.Errorf("core: wsrf listener: %w", err)
-		}
-	}
-
-	// RMI endpoint: insecure transport, but every call must carry a live
-	// session token (§3.7).
+	m := &Manager{cfg: cfg, secure: cfg.Host != nil && cfg.Roots != nil}
 	m.RMI = rmi.NewServer(func(token, object, method string) error {
+		if object == ControlObject {
+			return nil // authenticated by grid identity, authorized per operation
+		}
 		return cfg.Sessions.ValidateToken(token)
 	})
-	if err := m.RMI.Register("AIDAManager", cfg.Merge); err != nil {
-		m.Container.Close()
-		return nil, err
-	}
-	// Telemetry: the global span/fabric-event ring, readable over RMI
-	// with any live session token.
-	if err := m.RMI.Register(obs.RMIObjectName, obs.NewService()); err != nil {
-		m.Container.Close()
-		return nil, err
+	objects := map[string]any{
+		ControlObject:     &control{m},
+		"AIDAManager":     cfg.Merge,
+		obs.RMIObjectName: obs.NewService(), // the telemetry event ring
 	}
 	for name, mgr := range cfg.ShardManagers {
-		if err := m.RMI.Register(shard.ObjectName(name), mgr); err != nil {
-			m.Container.Close()
-			return nil, err
-		}
+		objects[shard.ObjectName(name)] = mgr
 	}
 	for name, rel := range cfg.Relays {
-		if err := m.RMI.Register(relay.ObjectName(name), rel); err != nil {
-			m.Container.Close()
+		objects[relay.ObjectName(name)] = rel
+	}
+	for name, obj := range objects {
+		if err := m.RMI.Register(name, obj); err != nil {
 			return nil, err
 		}
 	}
 	addr, err := m.RMI.ListenAndServe(rmiAddr)
 	if err != nil {
-		m.Container.Close()
 		return nil, fmt.Errorf("core: rmi listener: %w", err)
 	}
 	m.rmiAddr = addr.String()
+	if m.secure {
+		roots := cfg.Roots.Pool()
+		addr, err = m.RMI.ListenAndServeTLS(controlAddr, gsi.ServerTLSConfig(cfg.Host, roots),
+			func(cs tls.ConnectionState) (string, time.Time, error) {
+				id, err := gsi.PeerIdentity(cs, roots)
+				if err != nil {
+					return "", time.Time{}, err
+				}
+				return id.DN, id.Expires, nil
+			})
+	} else {
+		addr, err = m.RMI.ListenAndServe(controlAddr)
+	}
+	if err != nil {
+		m.RMI.Close()
+		return nil, fmt.Errorf("core: control listener: %w", err)
+	}
+	m.addr = addr.String()
 	// Advertise the locally-hosted shards' endpoint so clients can learn
 	// it from Placement and poll the owning shard directly. Shards
 	// served by other nodes are advertised by the operator through
@@ -144,153 +134,195 @@ func NewManager(cfg ManagerConfig, wsrfAddr, rmiAddr string) (*Manager, error) {
 	return m, nil
 }
 
-// Addr returns the WSRF endpoint address.
-func (m *Manager) Addr() string { return m.Container.Addr() }
+// Addr returns the control endpoint address.
+func (m *Manager) Addr() string { return m.addr }
 
 // RMIAddr returns the AIDA manager RMI address.
 func (m *Manager) RMIAddr() string { return m.rmiAddr }
 
 // Close stops both listeners.
-func (m *Manager) Close() {
-	m.Container.Close()
-	m.RMI.Close()
-}
+func (m *Manager) Close() { m.RMI.Close() }
 
-func identityDN(ctx *wsrf.OpContext) string {
-	if ctx.Identity != nil {
-		return ctx.Identity.DN
+// control is the manager's control object. Every operation runs the VO
+// check for its gsi.Operation against the caller's verified identity;
+// session operations also require the caller to own the session.
+type control struct{ m *Manager }
+
+// caller authorizes op for the identity an RMI call carried and returns
+// the DN to act as. A secure manager refuses a call without a verified
+// identity (one that arrived over plain TCP); an insecure one serves
+// everyone as "(unauthenticated)".
+func (c *control) caller(dn string, op gsi.Operation) (string, error) {
+	if c.m.secure && dn == "" {
+		return "", errors.New("core: control call without a verified grid identity")
 	}
-	return "(unauthenticated)"
+	if vo := c.m.cfg.VO; vo != nil {
+		var id *gsi.Identity
+		if dn != "" {
+			id = &gsi.Identity{DN: dn}
+		}
+		if err := vo.Authorize(id, op); err != nil {
+			return "", err
+		}
+	}
+	if dn == "" {
+		dn = unauthenticated
+	}
+	return dn, nil
 }
 
-func (m *Manager) register() {
-	c := m.Container
-	svc := m.cfg.Sessions
-
-	c.Register("Control.CreateSession", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		sess, err := svc.Create(identityDN(ctx))
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultInternal, "%v", err)
-		}
-		return &CreateSessionResponse{
-			SessionID: sess.ID, Token: sess.Token,
-			Engines: m.cfg.EngineCount, RMIAddr: m.rmiAddr,
-		}, nil
-	})
-
-	c.Register("Catalog.List", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		var req CatalogListRequest
-		if err := decode(&req); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		if req.Path == "" {
-			req.Path = "/"
-		}
-		infos, err := m.cfg.Catalog.List(req.Path)
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		return catalogEntries(infos), nil
-	})
-
-	c.Register("Catalog.Query", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		var req CatalogQueryRequest
-		if err := decode(&req); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		infos, err := m.cfg.Catalog.Query(req.Query)
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		return catalogEntries(infos), nil
-	})
-
-	c.Register("Session.AttachDataset", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		var req AttachRequest
-		if err := decode(&req); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		rep, err := svc.AttachDataset(ctx.ResourceKey, req.DatasetID)
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultInternal, "%v", err)
-		}
-		return &AttachResponse{
-			SizeMB: rep.SizeMB, Parts: rep.Parts,
-			MoveWholeMS: rep.MoveWhole.Milliseconds(),
-			SplitMS:     rep.Split.Milliseconds(),
-			MovePartsMS: rep.MoveParts.Milliseconds(),
-			Imbalance:   rep.Imbalance,
-			Replica:     rep.ReplicaURL,
-		}, nil
-	})
-
-	c.Register("Session.LoadCode", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		var req LoadCodeRequest
-		if err := decode(&req); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		params := map[string]string{}
-		for _, kv := range req.Params {
-			params[kv.Key] = kv.Value
-		}
-		bundle := codeloader.Bundle{
-			Name:     req.Name,
-			Language: codeloader.Language(req.Language),
-			Source:   req.Source,
-			Analysis: req.Analysis,
-			Decoder:  req.Decoder,
-			Params:   params,
-		}
-		stored, err := svc.LoadCode(ctx.ResourceKey, bundle)
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		return &LoadCodeResponse{Version: stored.Version, Hash: stored.Hash, Bytes: stored.SizeBytes()}, nil
-	})
-
-	c.Register("Session.Control", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		var req ControlRequest
-		if err := decode(&req); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		if err := svc.Control(ctx.ResourceKey, session.Action(req.Action), req.N); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultBadInput, "%v", err)
-		}
-		return &OK{}, nil
-	})
-
-	c.Register("Session.Status", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		st, err := svc.Status(ctx.ResourceKey)
-		if err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultNoSuchRes, "%v", err)
-		}
-		resp := &StatusResponse{
-			State: string(st.State), Dataset: st.Dataset, Bundle: st.Bundle,
-			Shard: st.Shard, ShardAddr: st.ShardAddr,
-			RelayName: st.RelayName, RelayAddr: st.RelayAddr,
-			PlacementGen: st.PlacementGen, DeadShards: st.DeadShards,
-			ResultEpoch: st.ResultEpoch, Replica: st.Replica, ReplicaChain: st.ReplicaChain,
-			Publishes: st.Publishes, Polls: st.Polls, FastPolls: st.FastPolls,
-			ReplicaLag: st.ReplicaLag,
-		}
-		for _, e := range st.Engines {
-			resp.Engines = append(resp.Engines, EngineStatusXML{
-				Node: e.Node, State: string(e.State), Err: e.Err, Done: e.Done, Total: e.Total,
-			})
-		}
-		return resp, nil
-	})
-
-	c.Register("Session.Close", func(ctx *wsrf.OpContext, decode func(any) error) (any, error) {
-		if err := svc.Close(ctx.ResourceKey); err != nil {
-			return nil, wsrf.Faultf(wsrf.FaultNoSuchRes, "%v", err)
-		}
-		return &OK{}, nil
-	})
+// owner authorizes op like caller, then requires the caller to own the
+// session the request addresses.
+func (c *control) owner(r SessionRequest, op gsi.Operation) error {
+	dn, err := c.caller(r.DN, op)
+	if err != nil {
+		return err
+	}
+	sess, err := c.m.cfg.Sessions.Get(r.SessionID)
+	if err != nil {
+		return err
+	}
+	if sess.OwnerDN != dn {
+		return fmt.Errorf("core: %s does not own session %s", dn, r.SessionID)
+	}
+	return nil
 }
 
-func catalogEntries(infos []catalog.Info) *CatalogListResponse {
-	resp := &CatalogListResponse{}
+// CreateSession starts a session owned by the caller.
+func (c *control) CreateSession(args CreateSessionRequest, reply *CreateSessionResponse) error {
+	dn, err := c.caller(args.DN, gsi.OpCreateSession)
+	if err != nil {
+		return err
+	}
+	sess, err := c.m.cfg.Sessions.Create(dn)
+	if err != nil {
+		return err
+	}
+	*reply = CreateSessionResponse{
+		SessionID: sess.ID, Token: sess.Token,
+		Engines: c.m.cfg.EngineCount, RMIAddr: c.m.rmiAddr,
+	}
+	return nil
+}
+
+// ListCatalog browses one catalog directory.
+func (c *control) ListCatalog(args CatalogListRequest, reply *CatalogListResponse) error {
+	if _, err := c.caller(args.DN, gsi.OpReadCatalog); err != nil {
+		return err
+	}
+	if args.Path == "" {
+		args.Path = "/"
+	}
+	infos, err := c.m.cfg.Catalog.List(args.Path)
+	if err != nil {
+		return err
+	}
+	*reply = catalogEntries(infos)
+	return nil
+}
+
+// QueryCatalog searches datasets by metadata.
+func (c *control) QueryCatalog(args CatalogQueryRequest, reply *CatalogListResponse) error {
+	if _, err := c.caller(args.DN, gsi.OpReadCatalog); err != nil {
+		return err
+	}
+	infos, err := c.m.cfg.Catalog.Query(args.Query)
+	if err != nil {
+		return err
+	}
+	*reply = catalogEntries(infos)
+	return nil
+}
+
+// AttachDataset stages a dataset into the session.
+func (c *control) AttachDataset(args AttachRequest, reply *AttachResponse) error {
+	if err := c.owner(args.SessionRequest, gsi.OpStageData); err != nil {
+		return err
+	}
+	rep, err := c.m.cfg.Sessions.AttachDataset(args.SessionID, args.DatasetID)
+	if err != nil {
+		return err
+	}
+	*reply = AttachResponse{
+		SizeMB: rep.SizeMB, Parts: rep.Parts,
+		MoveWholeMS: rep.MoveWhole.Milliseconds(),
+		SplitMS:     rep.Split.Milliseconds(),
+		MovePartsMS: rep.MoveParts.Milliseconds(),
+		Imbalance:   rep.Imbalance,
+		Replica:     rep.ReplicaURL,
+	}
+	return nil
+}
+
+// LoadCode ships an analysis bundle to every engine of the session.
+func (c *control) LoadCode(args LoadCodeRequest, reply *LoadCodeResponse) error {
+	if err := c.owner(args.SessionRequest, gsi.OpControlRun); err != nil {
+		return err
+	}
+	params := map[string]string{}
+	for _, kv := range args.Params {
+		params[kv.Key] = kv.Value
+	}
+	stored, err := c.m.cfg.Sessions.LoadCode(args.SessionID, codeloader.Bundle{
+		Name:     args.Name,
+		Language: codeloader.Language(args.Language),
+		Source:   args.Source,
+		Analysis: args.Analysis,
+		Decoder:  args.Decoder,
+		Params:   params,
+	})
+	if err != nil {
+		return err
+	}
+	*reply = LoadCodeResponse{Version: stored.Version, Hash: stored.Hash, Bytes: stored.SizeBytes()}
+	return nil
+}
+
+// Control applies a run-control verb to every engine of the session.
+func (c *control) Control(args ControlRequest, reply *OK) error {
+	if err := c.owner(args.SessionRequest, gsi.OpControlRun); err != nil {
+		return err
+	}
+	return c.m.cfg.Sessions.Control(args.SessionID, session.Action(args.Action), args.N)
+}
+
+// Status reports the session and its engines.
+func (c *control) Status(args SessionRequest, reply *StatusResponse) error {
+	if err := c.owner(args, gsi.OpPollResults); err != nil {
+		return err
+	}
+	st, err := c.m.cfg.Sessions.Status(args.SessionID)
+	if err != nil {
+		return err
+	}
+	*reply = StatusResponse{
+		State: string(st.State), Dataset: st.Dataset, Bundle: st.Bundle,
+		Shard: st.Shard, ShardAddr: st.ShardAddr,
+		RelayName: st.RelayName, RelayAddr: st.RelayAddr,
+		PlacementGen: st.PlacementGen, DeadShards: st.DeadShards,
+		ResultEpoch: st.ResultEpoch, Replica: st.Replica, ReplicaChain: st.ReplicaChain,
+		Publishes: st.Publishes, Polls: st.Polls, FastPolls: st.FastPolls,
+		ReplicaLag: st.ReplicaLag,
+	}
+	for _, e := range st.Engines {
+		reply.Engines = append(reply.Engines, EngineStatusRow{
+			Node: e.Node, State: string(e.State), Err: e.Err, Done: e.Done, Total: e.Total,
+		})
+	}
+	return nil
+}
+
+// CloseSession tears the session down.
+func (c *control) CloseSession(args SessionRequest, reply *OK) error {
+	if err := c.owner(args, gsi.OpControlRun); err != nil {
+		return err
+	}
+	c.m.cfg.Sessions.Close(args.SessionID)
+	return nil
+}
+
+func catalogEntries(infos []catalog.Info) CatalogListResponse {
+	var resp CatalogListResponse
 	for _, info := range infos {
 		e := CatalogEntry{Path: info.Path, IsDir: info.IsDir}
 		for k, v := range info.Attrs {
@@ -315,7 +347,7 @@ func (m *Manager) sweepLoop(interval time.Duration, stop <-chan struct{}) {
 	for {
 		select {
 		case <-t.C:
-			m.cfg.Sessions.Sweep()
+			m.cfg.Sessions.Sweep(time.Now())
 		case <-stop:
 			return
 		}

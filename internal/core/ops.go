@@ -1,179 +1,174 @@
 // Package core assembles the IPA framework: the manager node that hosts
-// every Web Service of Figure 2, the client the scientist drives (the JAS3
+// every service of Figure 2, the client the scientist drives (the JAS3
 // analogue), and an in-process LocalGrid that stands up a complete Grid
-// site — CA, VO, scheduler, GRAM, storage elements, GridFTP, manager —
-// on loopback TCP with real protocols.
+// site — CA, VO, scheduler, storage elements, GridFTP, manager — on
+// loopback TCP with real protocols.
 package core
 
-import "encoding/xml"
+// Wire payloads for the operations of the manager's control object
+// (ControlObject), carried over RMI. One request/response struct pair per
+// operation.
 
-// Wire payloads for the manager's WSRF operations. One request/response
-// struct pair per operation, XML-tagged for the envelope body.
+// Caller carries the caller's verified grid identity into a control
+// operation. The RMI server overwrites it on every call with the DN its
+// TLS connection verified ("" on plain TCP), so a client cannot forge it.
+type Caller struct{ DN string }
 
-// CreateSessionRequest starts a session (Control.CreateSession).
-type CreateSessionRequest struct {
-	XMLName xml.Name `xml:"createSession"`
-}
+// SetPeer implements rmi.PeerSetter.
+func (c *Caller) SetPeer(dn string) { c.DN = dn }
+
+// CreateSessionRequest starts a session (CreateSession).
+type CreateSessionRequest struct{ Caller }
 
 // CreateSessionResponse returns the session "pointer" (§3.2) and the
 // token guarding RMI and GridFTP access.
 type CreateSessionResponse struct {
-	XMLName   xml.Name `xml:"session"`
-	SessionID string   `xml:"id"`
-	Token     string   `xml:"token"`
-	Engines   int      `xml:"engines"`
-	RMIAddr   string   `xml:"rmiAddr"`
+	SessionID string
+	Token     string
+	Engines   int
+	RMIAddr   string
 }
 
-// CatalogListRequest browses one catalog directory (Catalog.List).
+// CatalogListRequest browses one catalog directory (ListCatalog).
 type CatalogListRequest struct {
-	XMLName xml.Name `xml:"list"`
-	Path    string   `xml:"path"`
+	Caller
+	Path string
 }
 
-// CatalogQueryRequest searches the catalog (Catalog.Query).
+// CatalogQueryRequest searches the catalog (QueryCatalog).
 type CatalogQueryRequest struct {
-	XMLName xml.Name `xml:"query"`
-	Query   string   `xml:"q"`
+	Caller
+	Query string
 }
 
 // CatalogEntry is one browse/search row.
 type CatalogEntry struct {
-	Path    string  `xml:"path"`
-	IsDir   bool    `xml:"dir,attr"`
-	ID      string  `xml:"id,omitempty"`
-	Name    string  `xml:"name,omitempty"`
-	SizeMB  float64 `xml:"sizeMB,omitempty"`
-	Records int64   `xml:"records,omitempty"`
-	Format  string  `xml:"format,omitempty"`
-	Attrs   []KV    `xml:"attr"`
+	Path    string
+	IsDir   bool
+	ID      string
+	Name    string
+	SizeMB  float64
+	Records int64
+	Format  string
+	Attrs   []KV
 }
 
 // KV is one metadata pair on the wire.
 type KV struct {
-	Key   string `xml:"key,attr"`
-	Value string `xml:"value,attr"`
+	Key   string
+	Value string
 }
 
 // CatalogListResponse returns browse rows.
 type CatalogListResponse struct {
-	XMLName xml.Name       `xml:"entries"`
-	Entries []CatalogEntry `xml:"entry"`
+	Entries []CatalogEntry
 }
 
-// AttachRequest stages a dataset into the session (Session.AttachDataset).
+// SessionRequest addresses one session (Status, CloseSession); the
+// other session operations embed it.
+type SessionRequest struct {
+	Caller
+	SessionID string
+}
+
+// AttachRequest stages a dataset into the session (AttachDataset).
 type AttachRequest struct {
-	XMLName   xml.Name `xml:"attach"`
-	DatasetID string   `xml:"dataset"`
+	SessionRequest
+	DatasetID string
 }
 
 // AttachResponse reports staging phase timings (Table 2's columns).
 type AttachResponse struct {
-	XMLName     xml.Name `xml:"staged"`
-	SizeMB      float64  `xml:"sizeMB"`
-	Parts       int      `xml:"parts"`
-	MoveWholeMS int64    `xml:"moveWholeMS"`
-	SplitMS     int64    `xml:"splitMS"`
-	MovePartsMS int64    `xml:"movePartsMS"`
-	Imbalance   float64  `xml:"imbalance"`
-	Replica     string   `xml:"replica"`
+	SizeMB      float64
+	Parts       int
+	MoveWholeMS int64
+	SplitMS     int64
+	MovePartsMS int64
+	Imbalance   float64
+	Replica     string
 }
 
-// LoadCodeRequest ships an analysis bundle (Session.LoadCode).
+// LoadCodeRequest ships an analysis bundle (LoadCode).
 type LoadCodeRequest struct {
-	XMLName  xml.Name `xml:"loadCode"`
-	Name     string   `xml:"name"`
-	Language string   `xml:"language"`
-	Source   string   `xml:"source,omitempty"`
-	Analysis string   `xml:"analysis,omitempty"`
-	Decoder  string   `xml:"decoder,omitempty"`
-	Params   []KV     `xml:"param"`
+	SessionRequest
+	Name     string
+	Language string
+	Source   string
+	Analysis string
+	Decoder  string
+	Params   []KV
 }
 
 // LoadCodeResponse acknowledges with the assigned version.
 type LoadCodeResponse struct {
-	XMLName xml.Name `xml:"loaded"`
-	Version int      `xml:"version"`
-	Hash    string   `xml:"hash"`
-	Bytes   int      `xml:"bytes"`
+	Version int
+	Hash    string
+	Bytes   int
 }
 
-// ControlRequest drives the run (Session.Control).
+// ControlRequest drives the run (Control).
 type ControlRequest struct {
-	XMLName xml.Name `xml:"control"`
-	Action  string   `xml:"action"`
-	N       int64    `xml:"n,omitempty"`
+	SessionRequest
+	Action string
+	N      int64
 }
 
-// StatusRequest asks for session status (Session.Status).
-type StatusRequest struct {
-	XMLName xml.Name `xml:"status"`
-}
-
-// EngineStatusXML is one engine row in a status report.
-type EngineStatusXML struct {
-	Node  string `xml:"node,attr"`
-	State string `xml:"state,attr"`
-	Err   string `xml:"err,omitempty"`
-	Done  int64  `xml:"done,attr"`
-	Total int64  `xml:"total,attr"`
+// EngineStatusRow is one engine row in a status report.
+type EngineStatusRow struct {
+	Node  string
+	State string
+	Err   string
+	Done  int64
+	Total int64
 }
 
 // StatusResponse summarizes the session.
 type StatusResponse struct {
-	XMLName xml.Name `xml:"sessionStatus"`
-	State   string   `xml:"state"`
-	Dataset string   `xml:"dataset,omitempty"`
-	Bundle  string   `xml:"bundle,omitempty"`
+	State   string
+	Dataset string
+	Bundle  string
 	// Shard names the merge-fabric shard serving this session's results
 	// (empty on an unsharded deployment).
-	Shard string `xml:"shard,omitempty"`
+	Shard string
 	// ShardAddr is the RMI endpoint serving that shard directly (empty
 	// when unadvertised); polling clients may dial it to skip the
 	// router hop.
-	ShardAddr string `xml:"shardAddr,omitempty"`
+	ShardAddr string
 	// RelayName names the read relay assigned to this session's polls
 	// (empty when the fabric has no relay tier or relay reads are off).
-	RelayName string `xml:"relayName,omitempty"`
+	RelayName string
 	// RelayAddr is the RMI endpoint serving that relay (empty when
 	// unadvertised); polling clients should prefer it for reads and keep
 	// writes on the owning shard.
-	RelayAddr string `xml:"relayAddr,omitempty"`
+	RelayAddr string
 	// PlacementGen is the fabric's placement-table generation — it bumps
 	// on every topology edit, rebalance move, or fault eviction (0 when
 	// unsharded).
-	PlacementGen uint64 `xml:"placementGen,omitempty"`
+	PlacementGen uint64
 	// DeadShards lists fabric shards currently marked unreachable by the
 	// health prober.
-	DeadShards []string `xml:"deadShard,omitempty"`
+	DeadShards []string
 	// ResultEpoch stamps the session's merge-state incarnation: it
 	// changes when the state is rebuilt (failover promotion or
 	// post-fault re-baseline), telling incremental pollers to discard
 	// their mirror and full-resync.
-	ResultEpoch int64 `xml:"resultEpoch,omitempty"`
+	ResultEpoch int64
 	// Replica names the shard holding the session's first standby copy
 	// (empty when replication is off); ReplicaChain lists the whole
 	// replica chain in order for depth-K fabrics.
-	Replica      string   `xml:"replica,omitempty"`
-	ReplicaChain []string `xml:"replicaChain>shard,omitempty"`
+	Replica      string
+	ReplicaChain []string
 	// Publishes / Polls are the session's cumulative merge-traffic
 	// counters; FastPolls is the subset of polls served on the lock-free
-	// quiescent path (fast-path poll ratio = fastPolls/polls).
-	Publishes int64 `xml:"publishes,omitempty"`
-	Polls     int64 `xml:"polls,omitempty"`
-	FastPolls int64 `xml:"fastPolls,omitempty"`
+	// quiescent path (fast-path poll ratio = FastPolls/Polls).
+	Publishes int64
+	Polls     int64
+	FastPolls int64
 	// ReplicaLag is how many merged-result versions the standby trails
 	// the owner (0 when unreplicated or caught up).
-	ReplicaLag int64             `xml:"replicaLag,omitempty"`
-	Engines    []EngineStatusXML `xml:"engine"`
-}
-
-// CloseRequest tears the session down (Session.Close).
-type CloseRequest struct {
-	XMLName xml.Name `xml:"close"`
+	ReplicaLag int64
+	Engines    []EngineStatusRow
 }
 
 // OK is the empty acknowledgement.
-type OK struct {
-	XMLName xml.Name `xml:"ok"`
-}
+type OK struct{}

@@ -1,7 +1,7 @@
 // Package engine implements the analysis engine of §2.3/§3.5–3.6:
 // "processes that accept a dataset and an analysis script and analyze the
 // dataset using the script to produce a result." Engines run on worker
-// nodes (as GRAM jobs), read their staged dataset part, feed records to
+// nodes (as scheduler jobs), read their staged dataset part, feed records to
 // the analysis code, publish intermediate AIDA snapshots to the manager,
 // and obey the interactive controls of Figure 4: run, pause, resume, stop,
 // rewind, step, and dynamic code reload.
@@ -95,7 +95,7 @@ type Engine struct {
 	done     chan struct{}
 }
 
-// New creates an engine; call Serve (usually via the GRAM launcher) to
+// New creates an engine; call Serve (usually from its scheduler job) to
 // start its loop.
 func New(cfg Config) *Engine {
 	if cfg.SnapshotEvery <= 0 {
@@ -285,7 +285,7 @@ func (e *Engine) Shutdown() {
 	<-e.done
 }
 
-// Serve runs the engine loop until Shutdown. It is the GRAM launcher
+// Serve runs the engine loop until Shutdown. It is the scheduler job
 // payload; cancellation arrives as Shutdown from the job context.
 func (e *Engine) Serve() {
 	e.loopOnce.Do(func() {

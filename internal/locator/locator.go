@@ -3,7 +3,8 @@
 // dataset identifier. The location could be a URL to an FTP server or a
 // set of contiguous records in a database server. In addition to the
 // location of the dataset, the locator service returns the location of
-// the splitter service."
+// the splitter service." Here the manager node runs the one splitter
+// (internal/splitter) itself, so a lookup returns replicas only.
 //
 // Datasets have replicas at sites; resolution prefers replicas co-located
 // with the requesting site (the paper's observation that LAN staging beats
@@ -28,30 +29,20 @@ type Replica struct {
 	Priority int
 }
 
-// Resolution answers a lookup: ordered replicas plus the splitter
-// endpoint that should cut this dataset.
+// Resolution answers a lookup.
 type Resolution struct {
-	DatasetID string
-	Replicas  []Replica // best first
-	// SplitterEndpoint addresses the splitter service to use (§3.4).
-	SplitterEndpoint string
+	Replicas []Replica // best first
 }
 
 // Service is the locator registry. Safe for concurrent use.
 type Service struct {
 	mu       sync.RWMutex
 	replicas map[string][]Replica
-	splitter map[string]string // dataset ID → splitter endpoint
-	defSplit string
 }
 
-// New creates a locator with a default splitter endpoint.
-func New(defaultSplitter string) *Service {
-	return &Service{
-		replicas: make(map[string][]Replica),
-		splitter: make(map[string]string),
-		defSplit: defaultSplitter,
-	}
+// New creates an empty locator.
+func New() *Service {
+	return &Service{replicas: make(map[string][]Replica)}
 }
 
 // Register adds a replica for a dataset.
@@ -68,27 +59,6 @@ func (s *Service) Register(datasetID string, r Replica) error {
 	}
 	s.replicas[datasetID] = append(s.replicas[datasetID], r)
 	return nil
-}
-
-// Unregister drops a replica by URL; it reports whether it existed.
-func (s *Service) Unregister(datasetID, url string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reps := s.replicas[datasetID]
-	for i, r := range reps {
-		if r.URL == url {
-			s.replicas[datasetID] = append(reps[:i], reps[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// SetSplitter overrides the splitter endpoint for one dataset.
-func (s *Service) SetSplitter(datasetID, endpoint string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.splitter[datasetID] = endpoint
 }
 
 // Resolve returns replicas ordered best-first for a requesting site:
@@ -111,16 +81,5 @@ func (s *Service) Resolve(datasetID, requestingSite string) (Resolution, error) 
 		}
 		return ordered[i].URL < ordered[j].URL
 	})
-	split := s.splitter[datasetID]
-	if split == "" {
-		split = s.defSplit
-	}
-	return Resolution{DatasetID: datasetID, Replicas: ordered, SplitterEndpoint: split}, nil
-}
-
-// Known reports whether any replica exists for the dataset.
-func (s *Service) Known(datasetID string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.replicas[datasetID]) > 0
+	return Resolution{Replicas: ordered}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/des"
-	"github.com/ipa-grid/ipa/internal/gram"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/netsim"
 	"github.com/ipa-grid/ipa/internal/scheduler"
@@ -47,35 +46,41 @@ func QueueAblation(nodes int, probeTimeout time.Duration) (QueueAblationResult, 
 			return 0, false, err
 		}
 		defer cluster.Close()
-		jm := gram.NewJobManager(cluster)
 		block := make(chan struct{})
 		defer close(block)
-		jm.RegisterLauncher("batch-work", func(ctx context.Context, node string, idx int, jd gram.JobDescription) error {
+		hold := func(ctx context.Context, node string) error {
 			select {
 			case <-block:
 			case <-ctx.Done():
 			}
 			return nil
-		})
-		jm.RegisterLauncher("ipa-engine", func(ctx context.Context, node string, idx int, jd gram.JobDescription) error {
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
-			return nil
-		})
+		}
 		// Saturate the farm with long batch work (plus a backlog).
-		if _, err := jm.Submit(gram.JobDescription{Executable: "batch-work", Count: nodes * 2, Queue: "batch"}); err != nil {
-			return 0, false, err
+		for i := 0; i < nodes*2; i++ {
+			if _, err := cluster.Submit(scheduler.Spec{Name: "batch-work", Queue: "batch", Run: hold}); err != nil {
+				return 0, false, err
+			}
 		}
-		job, err := jm.Submit(gram.JobDescription{Executable: "ipa-engine", Count: nodes, Queue: "interactive"})
-		if err != nil {
-			return 0, false, err
+		started := make(chan struct{}, nodes) // one send per engine
+		t0 := time.Now()
+		for i := 0; i < nodes; i++ {
+			if _, err := cluster.Submit(scheduler.Spec{Name: "ipa-engine", Queue: "interactive",
+				Run: func(ctx context.Context, node string) error {
+					started <- struct{}{}
+					return hold(ctx, node)
+				}}); err != nil {
+				return 0, false, err
+			}
 		}
-		lat, err := job.WaitActive(probeTimeout)
-		timedOut := err != nil
-		job.Cancel()
-		return lat, timedOut, nil
+		timeout := time.After(probeTimeout)
+		for i := 0; i < nodes; i++ {
+			select {
+			case <-started:
+			case <-timeout:
+				return time.Since(t0), true, nil
+			}
+		}
+		return time.Since(t0), false, nil
 	}
 	ded, dTimeout, err := run(true)
 	if err != nil {

@@ -57,20 +57,22 @@ const (
 	maxPooledWire = 1 << 20
 )
 
-// ackTimeout bounds the wait for the server's negotiation ack; a peer
-// that goes silent fails the dial instead of hanging it.
+// ackTimeout bounds the client's TLS handshake and the wait for the
+// server's negotiation ack; a peer that goes silent fails the dial
+// instead of hanging it.
 const ackTimeout = 3 * time.Second
 
-// negotiate runs the dial-time handshake on a fresh connection.
+// negotiate runs the dial-time handshake on a fresh connection. On a TLS
+// connection the first write runs the TLS handshake, and a server that
+// refuses the client's certificate fails the ack read.
 func negotiate(conn net.Conn) error {
+	conn.SetDeadline(time.Now().Add(ackTimeout))
+	defer conn.SetDeadline(time.Time{})
 	if _, err := conn.Write(envMagic[:]); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(ackTimeout))
 	var ack [4]byte
-	_, err := io.ReadFull(conn, ack[:])
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		return err
 	}
 	if ack != envMagic {
@@ -156,7 +158,7 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 // serveLoop reads request frames off one connection. Argument decode
 // stays inline (the loop owns the payload gob stream); handlers run in
 // their own goroutines.
-func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup) {
+func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup, p peer) {
 	slots := make(chan struct{}, maxInFlightPerConn)
 	feed := &byteFeeder{}
 	pdec := gob.NewDecoder(feed)
@@ -190,7 +192,7 @@ func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitG
 		if err != nil {
 			return
 		}
-		if !s.dispatch(seq, object, method, token, tc, body, feed, pdec, w, handlers, slots) {
+		if !s.dispatch(seq, object, method, token, p, tc, body, feed, pdec, w, handlers, slots) {
 			return
 		}
 	}
@@ -200,9 +202,9 @@ func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitG
 // consumed off the wire, so a rejected call cannot desynchronize the
 // stream. The handler runs in its own goroutine so a slow method never
 // blocks the next request on the same connection. Returns false when
-// the connection must drop (payload gob state poisoned, or an injected
-// crash).
-func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.TraceContext, payload []byte,
+// the connection must drop (payload gob state poisoned, the peer's
+// credential expired, or an injected crash).
+func (s *Server) dispatch(seq uint64, object, method, token string, p peer, trace obs.TraceContext, payload []byte,
 	feed *byteFeeder, pdec *gob.Decoder, w *connWriter, handlers *sync.WaitGroup, slots chan struct{}) bool {
 	fail := func(msg string) bool {
 		// The payload still carries this call's share of the persistent
@@ -215,6 +217,12 @@ func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.Tr
 		feed.set(nil)
 		w.writeError(seq, msg)
 		return ok
+	}
+	if !p.expires.IsZero() && time.Now().After(p.expires) {
+		// Verified once per connection, so the validity window is
+		// re-checked per call: a connection outliving its proxy drops.
+		fail("rmi: peer credential expired")
+		return false
 	}
 	s.mu.RLock()
 	obj := s.objects[object]
@@ -255,7 +263,11 @@ func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.Tr
 		return false
 	}
 	tc := trace.NextHop()
-	recoverTrace(argp.Interface(), tc)
+	arg := argp.Interface()
+	recoverTrace(arg, tc)
+	if ps, ok := arg.(PeerSetter); ok {
+		ps.SetPeer(p.dn)
+	}
 	target := object + "." + method
 	slots <- struct{}{} // blocks past maxInFlightPerConn
 	handlers.Add(1)

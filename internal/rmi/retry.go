@@ -8,6 +8,7 @@ package rmi
 
 import (
 	"context"
+	"crypto/tls"
 	"fmt"
 	"net"
 	"time"
@@ -104,11 +105,14 @@ func (c *Client) connRetryLocked(ctx context.Context) (*clientConn, error) {
 			conn, err = net.Dial("tcp", c.addr)
 		}
 		if err == nil {
+			if c.tls != nil {
+				conn = tls.Client(conn, c.tls)
+			}
 			cc, aerr := c.adoptConnLocked(conn)
 			if aerr == nil {
 				return cc, nil
 			}
-			// Adoption only fails on the gob-fallback redial; retry it
+			// A failed TLS handshake or envelope negotiation is retried
 			// like any other dial failure.
 			err = aerr
 		}

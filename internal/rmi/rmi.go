@@ -27,6 +27,7 @@ package rmi
 import (
 	"bufio"
 	"bytes"
+	"crypto/tls"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -35,6 +36,7 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/ipa-grid/ipa/internal/obs"
 )
@@ -48,6 +50,24 @@ var writerPool = sync.Pool{
 // TokenValidator authorizes a session token for an object/method pair.
 // A nil validator on the server accepts everything (for tests only).
 type TokenValidator func(token, object, method string) error
+
+// PeerVerifier authenticates the far end of a TLS connection once, right
+// after its handshake. It returns the identity handed to every call on
+// the connection and the time that identity stops being valid (zero =
+// never); an error closes the connection.
+type PeerVerifier func(tls.ConnectionState) (dn string, expires time.Time, err error)
+
+// PeerSetter is implemented by argument types that want the caller's
+// verified identity. The server sets it on every call, overwriting
+// whatever the client sent: the DN its PeerVerifier returned for the
+// connection, or "" on a plain-TCP connection.
+type PeerSetter interface{ SetPeer(dn string) }
+
+// peer is the identity a connection's verifier established.
+type peer struct {
+	dn      string
+	expires time.Time
+}
 
 // ErrBadToken is the canonical rejection returned by validators.
 var ErrBadToken = errors.New("rmi: invalid or expired session token")
@@ -75,10 +95,10 @@ type Server struct {
 	// faults, when set, injects failures into dispatch (see SetFaults).
 	faults atomic.Pointer[faultState]
 
-	lnMu     sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
+	lnMu      sync.Mutex
+	listeners []net.Listener
+	conns     map[net.Conn]struct{}
+	closed    bool
 }
 
 // NewServer creates a server; validate may be nil to accept all tokens.
@@ -139,11 +159,9 @@ func (s *Server) Unregister(name string) {
 	delete(s.objects, name)
 }
 
-// Serve accepts connections until the listener closes.
-func (s *Server) Serve(ln net.Listener) {
-	s.lnMu.Lock()
-	s.listener = ln
-	s.lnMu.Unlock()
+// serve accepts connections until the listener closes; verify (nil on a
+// plain listener) vets each TLS peer.
+func (s *Server) serve(ln net.Listener, verify PeerVerifier) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -157,8 +175,21 @@ func (s *Server) Serve(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		s.lnMu.Unlock()
-		go s.serveConn(conn)
+		go s.serveConn(conn, verify)
 	}
+}
+
+// listen tracks ln for Close and starts accepting on it.
+func (s *Server) listen(ln net.Listener, verify PeerVerifier) (net.Addr, error) {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	if s.closed {
+		ln.Close()
+		return nil, errors.New("rmi: server closed")
+	}
+	s.listeners = append(s.listeners, ln)
+	go s.serve(ln, verify)
+	return ln.Addr(), nil
 }
 
 // ListenAndServe starts serving on addr and returns the bound address.
@@ -167,17 +198,27 @@ func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	go s.Serve(ln)
-	return ln.Addr(), nil
+	return s.listen(ln, nil)
 }
 
-// Close stops the listener and all connections.
+// ListenAndServeTLS serves on addr over TLS with cfg. Each connection
+// completes its handshake and passes verify once before any call on it is
+// read; a server may listen on several addresses, plain and TLS, at once.
+func (s *Server) ListenAndServeTLS(addr string, cfg *tls.Config, verify PeerVerifier) (net.Addr, error) {
+	ln, err := tls.Listen("tcp", addr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.listen(ln, verify)
+}
+
+// Close stops the listeners and all connections.
 func (s *Server) Close() {
 	s.lnMu.Lock()
 	defer s.lnMu.Unlock()
 	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
+	for _, ln := range s.listeners {
+		ln.Close()
 	}
 	for c := range s.conns {
 		c.Close()
@@ -211,7 +252,11 @@ func (w *connWriter) fail() { w.conn.Close() }
 // and queued replies without bound.
 const maxInFlightPerConn = 256
 
-func (s *Server) serveConn(conn net.Conn) {
+// handshakeTimeout bounds a TLS peer's handshake, so a client that goes
+// silent mid-handshake cannot pin a server goroutine.
+const handshakeTimeout = 10 * time.Second
+
+func (s *Server) serveConn(conn net.Conn, verify PeerVerifier) {
 	bw := writerPool.Get().(*bufio.Writer)
 	bw.Reset(conn)
 	w := &connWriter{conn: conn, bw: bw}
@@ -227,6 +272,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.lnMu.Unlock()
 	}()
+	var p peer
+	if tc, ok := conn.(*tls.Conn); ok {
+		tc.SetDeadline(time.Now().Add(handshakeTimeout))
+		err := tc.Handshake()
+		tc.SetDeadline(time.Time{})
+		if err != nil {
+			return
+		}
+		if verify != nil {
+			if p.dn, p.expires, err = verify(tc.ConnectionState()); err != nil {
+				return
+			}
+		}
+	}
 	// Envelope negotiation: the client leads with the magic before
 	// anything else; a peer that does not is disconnected.
 	br := bufio.NewReaderSize(conn, 8192)
@@ -239,7 +298,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	w.penc = gob.NewEncoder(&w.pbuf)
 	serverConns.Inc()
-	s.serveLoop(br, w, &handlers)
+	s.serveLoop(br, w, &handlers, p)
 }
 
 // RemoteError is an error string that crossed the wire.
@@ -327,6 +386,7 @@ type Client struct {
 	addr       string
 	compressed bool
 	closed     bool
+	tls        *tls.Config
 
 	// retry bounds dial attempts (see WithRetry); jrand is the jitter
 	// stream, lazily seeded from the address.
@@ -344,6 +404,12 @@ type Option func(*Client)
 // wire version on the states they send (decoders accept either).
 func WithCompressedFrames() Option {
 	return func(c *Client) { c.compressed = true }
+}
+
+// WithTLS dials the server over TLS with cfg, for a server listening with
+// ListenAndServeTLS.
+func WithTLS(cfg *tls.Config) Option {
+	return func(c *Client) { c.tls = cfg }
 }
 
 // Compressed reports whether this connection prefers compressed frames.

@@ -2,56 +2,49 @@
 // Session Manager Service — "at the heart of the system design" (§3.2).
 //
 // A session is the unit of interactivity: creating one starts a set of
-// analysis engines on the Grid through GRAM, attaching a dataset runs the
-// locate → fetch → split → stage pipeline of §3.4, loading code ships the
-// user's analysis to every engine (§3.5), and the run controls of §3.6
-// fan out to all engines. Every client call happens "in the context of
-// this session", authenticated by an unguessable token.
+// analysis engines as jobs on the site's interactive scheduler queue,
+// attaching a dataset runs the locate → fetch → split → stage pipeline of
+// §3.4, loading code ships the user's analysis to every engine (§3.5),
+// and the run controls of §3.6 fan out to all engines. Every client call
+// happens "in the context of this session", authenticated by an
+// unguessable token, and a session idle past its lifetime is swept (the
+// WS-Resource lifetime of §3.2).
 package session
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ipa-grid/ipa/internal/catalog"
 	"github.com/ipa-grid/ipa/internal/codeloader"
-	"github.com/ipa-grid/ipa/internal/dataset"
 	"github.com/ipa-grid/ipa/internal/engine"
-	"github.com/ipa-grid/ipa/internal/gram"
 	"github.com/ipa-grid/ipa/internal/gridftp"
 	"github.com/ipa-grid/ipa/internal/locator"
 	"github.com/ipa-grid/ipa/internal/merge"
-	"github.com/ipa-grid/ipa/internal/registry"
+	"github.com/ipa-grid/ipa/internal/scheduler"
 	"github.com/ipa-grid/ipa/internal/splitter"
 	"github.com/ipa-grid/ipa/internal/storage"
-	"github.com/ipa-grid/ipa/internal/wsrf"
 )
-
-// EngineRef is the session service's handle on one analysis engine;
-// *engine.Engine satisfies it directly (the in-process fast path).
-type EngineRef interface {
-	SetPart(path string, globalOffset int64) error
-	LoadCode(b *codeloader.Bundle) error
-	Run() error
-	Step(n int64) error
-	Pause() error
-	Rewind() error
-	State() (engine.State, error)
-	Progress() (done, total int64)
-}
 
 // Config wires the session service into the manager node.
 type Config struct {
-	Gram     *gram.JobManager
-	Registry *registry.Registry
-	Locator  *locator.Service
-	Catalog  *catalog.Catalog
+	// Cluster is the compute element's scheduler: each engine of a
+	// session is one job on Queue.
+	Cluster *scheduler.Cluster
+	// NewEngine builds the analysis engine a job runs for one worker of
+	// a session.
+	NewEngine func(sessionID, workerID string) *engine.Engine
+	Locator   *locator.Service
+	Catalog   *catalog.Catalog
 	// Merge is the result fabric sessions publish into and clients poll
 	// from: a single merge.Manager, or a shard.Router fronting several
 	// manager shards — the service cannot tell the difference.
@@ -70,10 +63,11 @@ type Config struct {
 	Queue string
 	// Site names this Grid site for replica selection.
 	Site string
-	// ActivateTimeout bounds the wait for engine ready signals.
+	// ActivateTimeout bounds the wait for every engine to start.
 	ActivateTimeout time.Duration
-	// SessionLifetime is the WS-Resource termination window, renewed on
-	// activity (0 = 30 minutes).
+	// SessionLifetime is how long a session may sit idle before Sweep
+	// closes it; every Attach/LoadCode/Control/Status renews it (0 = 30
+	// minutes).
 	SessionLifetime time.Duration
 }
 
@@ -95,11 +89,14 @@ type Session struct {
 	Token   string
 	OwnerDN string
 
+	// expires is the UnixNano time after which Sweep closes the session.
+	expires atomic.Int64
+
 	mu      sync.Mutex
 	state   State
-	engines []EngineRef
+	engines []*engine.Engine
 	nodes   []string
-	job     *gram.Job
+	jobs    []int64 // scheduler job IDs, one per engine
 	ds      *catalog.DatasetRef
 	plan    splitter.Plan
 	bundle  *codeloader.Bundle
@@ -112,13 +109,12 @@ type Service struct {
 	mu       sync.Mutex
 	sessions map[string]*Session // by ID
 	byToken  map[string]*Session
-	home     *wsrf.ResourceHome
 }
 
 // New creates the session service.
 func New(cfg Config) (*Service, error) {
 	switch {
-	case cfg.Gram == nil, cfg.Registry == nil, cfg.Locator == nil,
+	case cfg.Cluster == nil, cfg.NewEngine == nil, cfg.Locator == nil,
 		cfg.Catalog == nil, cfg.Merge == nil, cfg.Loader == nil, cfg.SharedDisk == nil:
 		return nil, errors.New("session: incomplete configuration")
 	}
@@ -131,64 +127,84 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SessionLifetime == 0 {
 		cfg.SessionLifetime = 30 * time.Minute
 	}
-	s := &Service{cfg: cfg, sessions: make(map[string]*Session), byToken: make(map[string]*Session)}
-	s.home = wsrf.NewResourceHome(func(r *wsrf.Resource) {
-		if sess, ok := r.Value.(*Session); ok {
-			s.teardown(sess)
-		}
-	})
-	return s, nil
+	return &Service{cfg: cfg, sessions: make(map[string]*Session), byToken: make(map[string]*Session)}, nil
 }
 
-// EngineExecutable is the GRAM executable name session jobs request.
-const EngineExecutable = "ipa-engine"
+// newKey generates a fresh unguessable session ID or token.
+func newKey() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic("session: no entropy: " + err.Error())
+	}
+	return hex.EncodeToString(b[:])
+}
 
-// Create starts a session for ownerDN: submit the engine jobs, wait for
-// ready signals, and hand back the session with its token — steps 2–3 of
-// Figure 2. On engine-start failure everything is rolled back.
+// started is one engine job's ready signal: the engine it built and the
+// node the scheduler placed it on.
+type started struct {
+	index int
+	node  string
+	eng   *engine.Engine
+}
+
+// Create starts a session for ownerDN: submit one scheduler job per
+// engine, wait until every job has built its engine, and hand back the
+// session with its token — steps 2–3 of Figure 2. If any submission fails
+// or an engine is not up within ActivateTimeout, every job is cancelled.
 func (s *Service) Create(ownerDN string) (*Session, error) {
-	id := wsrf.NewKey()
-	token := wsrf.NewKey()
+	id, token := newKey(), newKey()
 	sess := &Session{ID: id, Token: token, OwnerDN: ownerDN, state: StateNew}
-
-	job, err := s.cfg.Gram.Submit(gram.JobDescription{
-		Executable: EngineExecutable,
-		Count:      s.cfg.Engines,
-		Queue:      s.cfg.Queue,
-		User:       ownerDN,
-		Environment: map[string]string{
-			"IPA_SESSION": id,
-			"IPA_TOKEN":   token,
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("session: starting engines: %w", err)
-	}
-	sess.job = job
-	workers, err := s.cfg.Registry.WaitReady(id, s.cfg.Engines, s.cfg.ActivateTimeout)
-	if err != nil {
-		job.Cancel()
-		s.cfg.Registry.RemoveSession(id)
-		return nil, fmt.Errorf("session: engines not ready: %w", err)
-	}
-	for _, w := range workers {
-		ref, ok := w.Handle.(EngineRef)
-		if !ok {
-			job.Cancel()
-			s.cfg.Registry.RemoveSession(id)
-			return nil, fmt.Errorf("session: worker %s registered no usable handle", w.WorkerID)
+	n := s.cfg.Engines
+	up := make(chan started, n) // one send per job
+	for i := 0; i < n; i++ {
+		job, err := s.cfg.Cluster.Submit(scheduler.Spec{
+			Name:  fmt.Sprintf("ipa-engine[%d]", i),
+			User:  ownerDN,
+			Queue: s.cfg.Queue,
+			Run: func(ctx context.Context, node string) error {
+				eng := s.cfg.NewEngine(id, fmt.Sprintf("engine-%02d", i))
+				up <- started{index: i, node: node, eng: eng}
+				stop := context.AfterFunc(ctx, eng.Shutdown)
+				defer stop()
+				eng.Serve() // until Shutdown
+				return nil
+			},
+		})
+		if err != nil {
+			s.cancelJobs(sess.jobs)
+			return nil, fmt.Errorf("session: starting engine %d: %w", i, err)
 		}
-		sess.engines = append(sess.engines, ref)
-		sess.nodes = append(sess.nodes, w.Node)
+		sess.jobs = append(sess.jobs, job.ID)
+	}
+	sess.engines = make([]*engine.Engine, n)
+	sess.nodes = make([]string, n)
+	timeout := time.NewTimer(s.cfg.ActivateTimeout)
+	defer timeout.Stop()
+	for ready := 0; ready < n; ready++ {
+		select {
+		case st := <-up:
+			sess.engines[st.index], sess.nodes[st.index] = st.eng, st.node
+		case <-timeout.C:
+			s.cancelJobs(sess.jobs)
+			return nil, fmt.Errorf("session: only %d/%d engines ready after %v", ready, n, s.cfg.ActivateTimeout)
+		}
 	}
 	sess.state = StateActive
+	s.touch(sess)
 
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.byToken[token] = sess
 	s.mu.Unlock()
-	s.home.Create(sess, s.cfg.SessionLifetime)
 	return sess, nil
+}
+
+// cancelJobs cancels engine jobs: a running engine shuts down through its
+// job context and frees its slot, a pending job leaves the queue.
+func (s *Service) cancelJobs(ids []int64) {
+	for _, id := range ids {
+		s.cfg.Cluster.Cancel(id)
+	}
 }
 
 // Get resolves a session by ID.
@@ -200,6 +216,15 @@ func (s *Service) Get(id string) (*Session, error) {
 		return nil, fmt.Errorf("session: no session %q", id)
 	}
 	return sess, nil
+}
+
+// use resolves a session for an operation on it and renews its lifetime.
+func (s *Service) use(id string) (*Session, error) {
+	sess, err := s.Get(id)
+	if err == nil {
+		s.touch(sess)
+	}
+	return sess, err
 }
 
 // ValidateToken authorizes an RMI/GridFTP token: it must belong to a live
@@ -237,7 +262,7 @@ type StagingReport struct {
 // split it into one part per engine, move parts to the workers' scratch
 // disks, and point every engine at its part.
 func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, error) {
-	sess, err := s.Get(sessionID)
+	sess, err := s.use(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +369,6 @@ func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, er
 	ref := *info.Dataset
 	sess.ds = &ref
 	sess.state = StateStaged
-	s.touch(sess)
 	return report, nil
 }
 
@@ -390,7 +414,7 @@ func (s *Service) fetchReplica(rep locator.Replica, dstPath string) error {
 // LoadCode stores the bundle and ships it to every engine (§3.5). The
 // engines pick it up immediately when idle, or at the next rewind.
 func (s *Service) LoadCode(sessionID string, b codeloader.Bundle) (*codeloader.Bundle, error) {
-	sess, err := s.Get(sessionID)
+	sess, err := s.use(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +430,6 @@ func (s *Service) LoadCode(sessionID string, b codeloader.Bundle) (*codeloader.B
 		}
 	}
 	sess.bundle = stored
-	s.touch(sess)
 	return stored, nil
 }
 
@@ -424,7 +447,7 @@ const (
 
 // Control fans a verb out to every engine. Step takes n events per engine.
 func (s *Service) Control(sessionID string, action Action, n int64) error {
-	sess, err := s.Get(sessionID)
+	sess, err := s.use(sessionID)
 	if err != nil {
 		return err
 	}
@@ -433,7 +456,7 @@ func (s *Service) Control(sessionID string, action Action, n int64) error {
 	if sess.state == StateClosed {
 		return errors.New("session: closed")
 	}
-	apply := func(f func(EngineRef) error) error {
+	apply := func(f func(*engine.Engine) error) error {
 		for i, eng := range sess.engines {
 			if err := f(eng); err != nil {
 				return fmt.Errorf("session: engine %d: %w", i, err)
@@ -444,16 +467,16 @@ func (s *Service) Control(sessionID string, action Action, n int64) error {
 	var actErr error
 	switch action {
 	case ActionRun:
-		actErr = apply(EngineRef.Run)
+		actErr = apply((*engine.Engine).Run)
 		if actErr == nil {
 			sess.state = StateAnalyzing
 		}
 	case ActionPause:
-		actErr = apply(EngineRef.Pause)
+		actErr = apply((*engine.Engine).Pause)
 	case ActionStep:
-		actErr = apply(func(e EngineRef) error { return e.Step(n) })
+		actErr = apply(func(e *engine.Engine) error { return e.Step(n) })
 	case ActionStop, ActionRewind:
-		actErr = apply(EngineRef.Rewind)
+		actErr = apply((*engine.Engine).Rewind)
 		if actErr == nil {
 			// Clear merged results so the client sees a fresh start.
 			var rr merge.ResetReply
@@ -467,7 +490,6 @@ func (s *Service) Control(sessionID string, action Action, n int64) error {
 	default:
 		return fmt.Errorf("session: unknown action %q", action)
 	}
-	s.touch(sess)
 	return actErr
 }
 
@@ -542,7 +564,7 @@ type Status struct {
 // Status reports the session and per-engine state — the client's "hosts
 // that has Analysis Engines running" panel.
 func (s *Service) Status(sessionID string) (Status, error) {
-	sess, err := s.Get(sessionID)
+	sess, err := s.use(sessionID)
 	if err != nil {
 		return Status{}, err
 	}
@@ -622,15 +644,12 @@ func (s *Service) Status(sessionID string) (Status, error) {
 	return st, nil
 }
 
-// Close tears the session down: engines, GRAM job, staged files, merge
-// state, registry entries.
-func (s *Service) Close(sessionID string) error {
-	sess, err := s.Get(sessionID)
-	if err != nil {
-		return err
+// Close tears the session down: engines and their jobs, staged files and
+// merge state. Closing a session that is already gone does nothing.
+func (s *Service) Close(sessionID string) {
+	if sess, err := s.Get(sessionID); err == nil {
+		s.teardown(sess)
 	}
-	s.teardown(sess)
-	return nil
 }
 
 func (s *Service) teardown(sess *Session) {
@@ -640,12 +659,14 @@ func (s *Service) teardown(sess *Session) {
 		return
 	}
 	sess.state = StateClosed
-	job, nodes := sess.job, sess.nodes
+	engines, jobs, nodes := sess.engines, sess.jobs, sess.nodes
 	sess.mu.Unlock()
-	if job != nil {
-		job.Cancel()
+	// Stop the engines before their jobs: Shutdown returns once an
+	// engine's loop has exited, so nothing publishes after Close.
+	for _, eng := range engines {
+		eng.Shutdown()
 	}
-	s.cfg.Registry.RemoveSession(sess.ID)
+	s.cancelJobs(jobs)
 	s.cfg.Merge.Drop(sess.ID)
 	s.cfg.SharedDisk.DeleteTree(path.Join("/sessions", sess.ID))
 	// The staged parts on every worker's scratch disk add up to the whole
@@ -663,14 +684,27 @@ func (s *Service) teardown(sess *Session) {
 	s.mu.Unlock()
 }
 
-// touch renews the session's WSRF lifetime on activity.
+// touch renews the session's lifetime on activity.
 func (s *Service) touch(sess *Session) {
-	// Lifetime renewal is best-effort: sweep timing is coarse anyway.
-	_ = sess
+	sess.expires.Store(time.Now().Add(s.cfg.SessionLifetime).UnixNano())
 }
 
-// Sweep destroys expired sessions; call periodically.
-func (s *Service) Sweep() int { return s.home.Sweep(time.Now()) }
+// Sweep closes every session idle past its lifetime at now and reports
+// how many it closed; call periodically.
+func (s *Service) Sweep(now time.Time) int {
+	s.mu.Lock()
+	var expired []*Session
+	for _, sess := range s.sessions {
+		if now.UnixNano() > sess.expires.Load() {
+			expired = append(expired, sess)
+		}
+	}
+	s.mu.Unlock()
+	for _, sess := range expired {
+		s.teardown(sess)
+	}
+	return len(expired)
+}
 
 // Sessions returns live session IDs.
 func (s *Service) Sessions() []string {
@@ -682,9 +716,3 @@ func (s *Service) Sessions() []string {
 	}
 	return out
 }
-
-var _ EngineRef = (*engine.Engine)(nil)
-
-// unused import guards (dataset used for typed doc references).
-var _ = dataset.DefaultIndexEvery
-var _ io.Reader = (*os.File)(nil)

@@ -231,7 +231,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 }
 
 func TestLocatorResolution(t *testing.T) {
-	s := locator.New("splitter://manager:9001")
+	s := locator.New()
 	if err := s.Register("ds-001", locator.Replica{URL: "gsiftp://remote:2811/d1", Site: "fnal", Priority: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +255,6 @@ func TestLocatorResolution(t *testing.T) {
 	if res.Replicas[2].Site != "fnal" {
 		t.Fatalf("third replica = %+v", res.Replicas[2])
 	}
-	if res.SplitterEndpoint != "splitter://manager:9001" {
-		t.Fatalf("splitter = %q", res.SplitterEndpoint)
-	}
-	// Per-dataset splitter override.
-	s.SetSplitter("ds-001", "splitter://special:9002")
-	res, _ = s.Resolve("ds-001", "slac")
-	if res.SplitterEndpoint != "splitter://special:9002" {
-		t.Fatal("splitter override ignored")
-	}
 	// From a different site, remote priority wins.
 	res, _ = s.Resolve("ds-001", "fnal")
 	if res.Replicas[0].Site != "fnal" {
@@ -272,16 +263,7 @@ func TestLocatorResolution(t *testing.T) {
 	if _, err := s.Resolve("ds-404", "slac"); err == nil {
 		t.Fatal("unknown dataset resolved")
 	}
-	if !s.Known("ds-001") || s.Known("ds-404") {
-		t.Fatal("Known() wrong")
-	}
 	if dup := s.Register("ds-001", locator.Replica{URL: "gsiftp://local:2811/d1", Site: "x"}); dup == nil {
 		t.Fatal("duplicate replica accepted")
-	}
-	if !s.Unregister("ds-001", "gsiftp://local:2811/d1") {
-		t.Fatal("unregister missed")
-	}
-	if s.Unregister("ds-001", "gsiftp://local:2811/d1") {
-		t.Fatal("double unregister")
 	}
 }

@@ -3,16 +3,13 @@ package aida
 import "sync"
 
 // CompressionPolicy makes the per-frame wire-compression choice for one
-// connection. The static per-connection switch (SetWireCompression)
-// forced every frame through DEFLATE or none of them; the policy instead
-// decides frame by frame from the payload size and the ratio recently
-// observed on this connection: tiny frames never amortize the flate
-// tables, and a stream whose content barely shrinks (already-compact
-// sparse histograms, pre-compressed blobs) is pure CPU loss.
+// connection, frame by frame from the payload size and the ratio
+// recently observed on this connection: tiny frames never amortize the
+// flate tables, and a stream whose content barely shrinks
+// (already-compact sparse histograms, pre-compressed blobs) is pure CPU
+// loss.
 //
 // Rules, in order:
-//   - Force on (the WithCompressedFrames / CompressSnapshots override):
-//     always compress.
 //   - Payload below MinSize: never compress.
 //   - Recent ratio at or above SkipRatio: skip — but re-probe with a real
 //     compression every probeEvery skipped-for-ratio frames, so a stream
@@ -23,9 +20,6 @@ import "sync"
 // Safe for concurrent use.
 type CompressionPolicy struct {
 	mu sync.Mutex
-	// force compresses every frame regardless of size or ratio — the
-	// retained per-connection override.
-	force bool
 	// minSize is the smallest payload worth compressing (bytes).
 	minSize int
 	// skipRatio is the compressed/raw ratio at which flate stops paying.
@@ -56,21 +50,6 @@ func NewCompressionPolicy() *CompressionPolicy {
 	return &CompressionPolicy{minSize: defaultCompressMinSize, skipRatio: defaultCompressSkipRatio}
 }
 
-// SetForce selects the always-compress override (the legacy static
-// per-connection choice). Turning it off returns to adaptive mode.
-func (p *CompressionPolicy) SetForce(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.force = on
-}
-
-// Forced reports whether the always-compress override is on.
-func (p *CompressionPolicy) Forced() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.force
-}
-
 // Stats reports how many frames the policy compressed and skipped.
 func (p *CompressionPolicy) Stats() (compressed, skipped int64) {
 	p.mu.Lock()
@@ -94,10 +73,6 @@ func (p *CompressionPolicy) Ratio() float64 {
 func (p *CompressionPolicy) shouldCompress(rawLen int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.force {
-		p.compressed++
-		return true
-	}
 	if rawLen < p.minSize {
 		p.skipped++
 		return false

@@ -359,17 +359,7 @@ func (s ObjectState) Restore() (Object, error) {
 // TreeState is a whole tree on the wire.
 type TreeState struct {
 	Entries []TreeEntry
-	// compressWire selects the compressed (version 2) frame for this
-	// state's gob encoding. It is a per-connection transport choice, not
-	// content: decoders accept either frame version, and the flag does
-	// not itself cross the wire.
-	compressWire bool
 }
-
-// SetWireCompression selects the compressed (version 2) wire frame for
-// this state's gob encoding — the forced per-connection override (WAN
-// workers dialed with compression on).
-func (st *TreeState) SetWireCompression(on bool) { st.compressWire = on }
 
 // TreeEntry is one object with its full path.
 type TreeEntry struct {
@@ -431,13 +421,13 @@ func (st *TreeState) Restore() (*Tree, error) {
 //
 //	flate frame: ver(1B)=2 rawLen(uvarint) deflate(body)
 //
-// Producers choose the version per connection (WAN workers compress,
-// LAN workers don't); decoders accept both transparently, so the two can
-// coexist mid-rollout.
+// A delta's adaptive CompressionPolicy chooses the version per frame;
+// decoders accept both transparently, which ipawal1 manager logs, whose
+// records carry v2 frames, also rely on.
 
 const (
 	wireVersion      = 1 // plain frame
-	wireVersionFlate = 2 // DEFLATE-compressed body (the WAN snapshot option)
+	wireVersionFlate = 2 // DEFLATE-compressed body
 )
 
 // Object tags in wire frames.
@@ -869,15 +859,7 @@ func AppendTreeState(dst []byte, st *TreeState) ([]byte, error) {
 	return appendEntries(append(dst, wireVersion), st.Entries)
 }
 
-// AppendTreeStateFlate appends st as a compressed (version 2) frame.
-func AppendTreeStateFlate(dst []byte, st *TreeState) ([]byte, error) {
-	return appendFlateFrame(dst, func(b []byte) ([]byte, error) {
-		return appendEntries(b, st.Entries)
-	})
-}
-
-// DecodeTreeState parses a frame produced by AppendTreeState or
-// AppendTreeStateFlate.
+// DecodeTreeState parses a tree frame of either version.
 func DecodeTreeState(b []byte) (*TreeState, error) {
 	body, err := openFrame(b, "tree")
 	if err != nil {
@@ -913,17 +895,7 @@ func AppendDeltaState(dst []byte, d *DeltaState) ([]byte, error) {
 	return appendDeltaBody(append(dst, wireVersion), d)
 }
 
-// AppendDeltaStateFlate appends d as a compressed (version 2) frame —
-// what a WAN-deployed worker's transport puts on the wire when snapshot
-// bytes dominate the link.
-func AppendDeltaStateFlate(dst []byte, d *DeltaState) ([]byte, error) {
-	return appendFlateFrame(dst, func(b []byte) ([]byte, error) {
-		return appendDeltaBody(b, d)
-	})
-}
-
-// DecodeDeltaState parses a frame produced by AppendDeltaState or
-// AppendDeltaStateFlate.
+// DecodeDeltaState parses a delta frame of either version.
 func DecodeDeltaState(b []byte) (*DeltaState, error) {
 	body, err := openFrame(b, "delta")
 	if err != nil {
@@ -981,22 +953,6 @@ func appendFlateRaw(dst, raw []byte) ([]byte, error) {
 		return sw.b, werr
 	}
 	return sw.b, cerr
-}
-
-// appendFlateFrame encodes body into pooled scratch, then appends a
-// version-2 frame of it to dst.
-func appendFlateFrame(dst []byte, body func([]byte) ([]byte, error)) ([]byte, error) {
-	bp := encPool.Get().(*[]byte)
-	raw, err := body((*bp)[:0])
-	if err != nil {
-		*bp = raw
-		putEncBuf(bp)
-		return dst, err
-	}
-	dst, err = appendFlateRaw(dst, raw)
-	*bp = raw
-	putEncBuf(bp)
-	return dst, err
 }
 
 // appendPolicyFrame appends either a plain version-1 frame or a
@@ -1094,9 +1050,6 @@ func encodePooled(fn func([]byte) ([]byte, error)) ([]byte, error) {
 // receiver: the RMI client encodes args boxed in an interface, which gob
 // cannot address, and gob rejects pointer-only GobEncoders there.
 func (st TreeState) GobEncode() ([]byte, error) {
-	if st.compressWire {
-		return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeStateFlate(b, &st) })
-	}
 	return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeState(b, &st) })
 }
 
@@ -1113,9 +1066,6 @@ func (st *TreeState) GobDecode(b []byte) error {
 // GobEncode implements gob.GobEncoder via the binary codec (value
 // receiver for the same addressability reason as TreeState).
 func (d DeltaState) GobEncode() ([]byte, error) {
-	if d.compressWire {
-		return encodePooled(func(b []byte) ([]byte, error) { return AppendDeltaStateFlate(b, &d) })
-	}
 	if d.policy != nil {
 		return encodePooled(func(b []byte) ([]byte, error) {
 			return appendPolicyFrame(b, d.policy, func(b []byte) ([]byte, error) {

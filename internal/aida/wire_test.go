@@ -167,15 +167,24 @@ func TestBinaryCodecTruncatedAndCorrupt(t *testing.T) {
 	}
 }
 
+// toFlate re-frames a plain (version 1) frame as a compressed (version
+// 2) one with the encoder the adaptive policy path uses.
+func toFlate(plain []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return appendFlateRaw(nil, plain[1:])
+}
+
 // TestFlateFrameRoundTrip: version-2 (compressed) frames decode to the
-// same states as version-1, through both the direct codec entry points
-// and transparently via DecodeTreeState/DecodeDeltaState.
+// same states as version-1, transparently via
+// DecodeTreeState/DecodeDeltaState.
 func TestFlateFrameRoundTrip(t *testing.T) {
 	st, err := fullTree(t).State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := AppendTreeStateFlate(nil, st)
+	buf, err := toFlate(AppendTreeState(nil, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestFlateFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbuf, err := AppendDeltaStateFlate(nil, d)
+	dbuf, err := toFlate(AppendDeltaState(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestFlateFrameShrinksSparseSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := AppendTreeStateFlate(nil, st)
+	packed, err := toFlate(AppendTreeState(nil, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,44 +250,13 @@ func TestFlateFrameShrinksSparseSnapshots(t *testing.T) {
 	t.Logf("plain %d B vs flate %d B (%.1fx)", len(plain), len(packed), float64(len(plain))/float64(len(packed)))
 }
 
-// TestGobHonorsWireCompression: states flagged for compression cross
-// the gob (RMI) path as version-2 frames and decode identically.
-func TestGobHonorsWireCompression(t *testing.T) {
-	st, err := fullTree(t).State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cst := *st
-	cst.SetWireCompression(true)
-	cd := &DeltaState{Full: true, Entries: st.Entries}
-	cd.SetWireCompression(true)
-	type frame struct {
-		Tree  TreeState
-		Delta *DeltaState
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(frame{Tree: cst, Delta: cd}); err != nil {
-		t.Fatal(err)
-	}
-	var out frame
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Entries, out.Tree.Entries) {
-		t.Fatal("compressed tree gob round trip mismatch")
-	}
-	if out.Delta == nil || !out.Delta.Full || !reflect.DeepEqual(st.Entries, out.Delta.Entries) {
-		t.Fatal("compressed delta gob round trip mismatch")
-	}
-}
-
 // TestFlateFrameCorrupt: malformed compressed frames fail cleanly.
 func TestFlateFrameCorrupt(t *testing.T) {
 	st, err := fullTree(t).State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := AppendTreeStateFlate(nil, st)
+	buf, err := toFlate(AppendTreeState(nil, st))
 	if err != nil {
 		t.Fatal(err)
 	}

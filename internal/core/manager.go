@@ -24,11 +24,12 @@ type ManagerConfig struct {
 	// Catalog backs the Dataset Catalog Service.
 	Catalog *catalog.Catalog
 	// Merge is the AIDA result fabric exposed over RMI as the front
-	// door ("AIDAManager"): a single merge.Manager or a shard.Router.
+	// door ("AIDAManager", Publish/Poll/Reset only): a single
+	// merge.Manager or a shard.Router.
 	Merge merge.Service
 	// ShardManagers are the fabric's member shards, each additionally
-	// registered under shard.ObjectName(name) so routers on other nodes
-	// can dial them directly. Empty for an unsharded deployment.
+	// registered under shard.ObjectName(name) (Poll only) so clients can
+	// poll the owning shard directly. Empty for an unsharded deployment.
 	ShardManagers map[string]*merge.Manager
 	// Relays are the locally-hosted read relays, each registered under
 	// relay.ObjectName(name) so clients can dial their assigned relay
@@ -80,13 +81,17 @@ func NewManager(cfg ManagerConfig, controlAddr, rmiAddr string) (*Manager, error
 		}
 		return cfg.Sessions.ValidateToken(token)
 	})
+	// The data plane checks only that a token is live, so it exposes just
+	// the calls engines and clients make: the wrappers below hide the
+	// fabric's admin calls (SessionList, Export, DropSession, ...), which
+	// rmi.Register would otherwise serve to any session's token.
 	objects := map[string]any{
-		ControlObject:     &control{m},
-		"AIDAManager":     cfg.Merge,
-		obs.RMIObjectName: obs.NewService(), // the telemetry event ring
+		ControlObject:       &control{m},
+		merge.RMIObjectName: struct{ merge.Service }{cfg.Merge},
+		obs.RMIObjectName:   obs.NewService(), // the telemetry event ring
 	}
 	for name, mgr := range cfg.ShardManagers {
-		objects[shard.ObjectName(name)] = mgr
+		objects[shard.ObjectName(name)] = struct{ relay.Poller }{mgr}
 	}
 	for name, rel := range cfg.Relays {
 		objects[relay.ObjectName(name)] = rel

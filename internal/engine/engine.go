@@ -40,18 +40,15 @@ const (
 type Config struct {
 	SessionID string
 	WorkerID  string
-	// Publisher receives snapshots: the AIDA manager, a sub-merger, or
-	// a shard router fronting several manager shards — the engine's
-	// uplink protocol is identical against all three.
+	// Publisher receives snapshots: the AIDA manager or a shard router
+	// fronting several manager shards. Any merge.Publisher works,
+	// including a SubMerger, since the uplink protocol is the same.
 	Publisher merge.Publisher
 	// SnapshotEvery publishes after this many events (default 500).
 	SnapshotEvery int
 	// SnapshotInterval also publishes when this much time passed since
 	// the last snapshot (default 1s) — the paper's sub-minute feedback.
 	SnapshotInterval time.Duration
-	// CompressSnapshots ships compressed wire frames — the choice for
-	// WAN-deployed workers where snapshot bytes dominate the link.
-	CompressSnapshots bool
 	// Registry resolves native analyses (nil = analysis.Default).
 	Registry *analysis.Registry
 	// GlobalOffset is the absolute index of the part's first record.
@@ -88,7 +85,7 @@ type Engine struct {
 	unsentLog string
 
 	// transport owns the snapshot uplink protocol: generation stamps,
-	// re-baselining after failures, and per-connection compression.
+	// re-baselining after failures, and adaptive per-frame compression.
 	transport *merge.Transport
 
 	loopOnce sync.Once
@@ -108,7 +105,6 @@ func New(cfg Config) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.Publisher != nil {
 		e.transport = merge.NewTransport(cfg.SessionID, cfg.WorkerID, cfg.Publisher)
-		e.transport.SetCompression(cfg.CompressSnapshots)
 	}
 	return e
 }

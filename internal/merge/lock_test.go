@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -256,146 +255,5 @@ func TestReadPathsNeverBlockBehindWriteLock(t *testing.T) {
 	}
 	if m.FastPolls("s") != 1 {
 		t.Fatalf("fast polls = %d, want 1", m.FastPolls("s"))
-	}
-}
-
-// countingPublisher counts upstream publishes before forwarding.
-type countingPublisher struct {
-	mu    sync.Mutex
-	n     int
-	inner *Manager
-}
-
-func (c *countingPublisher) Publish(args PublishArgs, reply *PublishReply) error {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-	return c.inner.Publish(args, reply)
-}
-
-func (c *countingPublisher) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// TestBackgroundFlushTimerPushesTail: with a batch size that would
-// never trip, the background timer alone must push the tail of a burst
-// upstream — and Close must stop it.
-func TestBackgroundFlushTimerPushesTail(t *testing.T) {
-	root := NewManager()
-	up := &countingPublisher{inner: root}
-	sub := NewSubMerger("g", "s", up, 1000) // count alone would never flush
-	sub.FlushInterval = 25 * time.Millisecond
-	defer sub.Close()
-
-	tree := aida.NewTree()
-	h, _ := tree.H1D("/a", "h", "", 10, 0, 10)
-	pub := func(seq int64) {
-		t.Helper()
-		h.Fill(1)
-		d, err := tree.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep PublishReply
-		if err := sub.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: seq, Delta: d}, &rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pub(1)
-	pub(2)
-	// No publish arrives past this point; only the timer can flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for up.count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background timer never flushed the burst tail")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if v := root.Version("s"); v == 0 {
-		t.Fatal("flush arrived but upstream version still 0")
-	}
-	var reply PollReply
-	if err := root.Poll(PollArgs{SessionID: "s", Full: true}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Entries) != 1 {
-		t.Fatalf("upstream entries = %d, want 1", len(reply.Entries))
-	}
-	obj, err := reply.Entries[0].Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := obj.(*aida.Histogram1D).Entries(); n != 2 {
-		t.Fatalf("upstream histogram entries = %d, want 2", n)
-	}
-
-	// After Close the timer must not fire again: a pending publish that
-	// didn't flush synchronously stays pending.
-	sub.Close()
-	pub(3)
-	after := up.count()
-	time.Sleep(150 * time.Millisecond)
-	if got := up.count(); got != after {
-		t.Fatalf("timer flushed after Close (%d → %d)", after, got)
-	}
-}
-
-// timerFlakyPublisher fails its first `failures` publishes, then forwards.
-type timerFlakyPublisher struct {
-	mu       sync.Mutex
-	failures int
-	attempts int
-	inner    *Manager
-}
-
-func (p *timerFlakyPublisher) Publish(args PublishArgs, reply *PublishReply) error {
-	p.mu.Lock()
-	p.attempts++
-	fail := p.failures > 0
-	if fail {
-		p.failures--
-	}
-	p.mu.Unlock()
-	if fail {
-		return errors.New("transient upstream failure")
-	}
-	return p.inner.Publish(args, reply)
-}
-
-// TestBackgroundFlushRetriesAfterFailure: a burst tail whose timer
-// flush fails transiently must be retried at a later deadline, not sit
-// on the SubMerger until a publish that never comes.
-func TestBackgroundFlushRetriesAfterFailure(t *testing.T) {
-	root := NewManager()
-	up := &timerFlakyPublisher{failures: 1, inner: root}
-	sub := NewSubMerger("g", "s", up, 1000)
-	sub.FlushInterval = 20 * time.Millisecond
-	defer sub.Close()
-
-	tree := aida.NewTree()
-	h, _ := tree.H1D("/a", "h", "", 10, 0, 10)
-	h.Fill(1)
-	d, err := tree.Delta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep PublishReply
-	if err := sub.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1, Delta: d}, &rep); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for root.Version("s") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never retried after the transient failure")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	up.mu.Lock()
-	attempts := up.attempts
-	up.mu.Unlock()
-	if attempts < 2 {
-		t.Fatalf("upstream attempts = %d, want the failure plus at least one retry", attempts)
 	}
 }

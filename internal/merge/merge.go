@@ -127,13 +127,6 @@ type PublishReply struct {
 	// the delta (unknown worker or a sequence gap) and needs a full
 	// snapshot next.
 	NeedFull bool
-	// QueueDepth / Busy are the upstream backpressure hint: how many
-	// other publishes were queued behind this one on the session's write
-	// section when it completed. SubMergers widen their flush interval
-	// while the parent tier reports pressure, trading freshness for
-	// larger batches instead of piling onto a contended session.
-	QueueDepth int
-	Busy       bool
 
 	// frame is the accepted delta's encoded frame as the manager logged
 	// it (nil without a log), handed back so a replicating router's
@@ -152,13 +145,6 @@ type PollArgs struct {
 	SinceVersion int64
 	// Full forces a complete tree regardless of SinceVersion.
 	Full bool
-	// DownstreamDepth is the accumulated queue-depth hint of the tier
-	// issuing this poll: a relay subscribing on behalf of N congested
-	// downstream consumers reports max(its own lag, what its children
-	// reported) here, so leaf congestion reaches the owning shard and
-	// widens flush intervals at the root — backpressure beyond one hop.
-	// 0 from ordinary clients.
-	DownstreamDepth int
 }
 
 // WorkerProgress summarizes one engine for the client status panel
@@ -291,15 +277,6 @@ type sessionState struct {
 	// an operator) confirm one traced publish reached the owner, its
 	// replica, and the post-failover promoted copy.
 	lastTrace atomic.Uint64
-	// pubWaiting counts publishes currently inside or queued for the
-	// write section; its excess over 1 is the backpressure hint carried
-	// on PublishReply/FlushReply.
-	pubWaiting atomic.Int32
-	// downDepth accumulates the max DownstreamDepth reported by polling
-	// tiers (relays) since a publisher last read it. Folded into the
-	// backpressure hint and decayed by one per read, so a tier that
-	// stops reporting fades out instead of pinning pressure forever.
-	downDepth atomic.Int64
 
 	version int64
 	workers map[string]*workerState
@@ -430,47 +407,6 @@ func (s *sessionState) clearFrames() {
 		s.frames.Delete(k)
 		return true
 	})
-}
-
-// reportPressure stamps the backpressure hint: publishes queued behind
-// this one right now. Runs (via defer) while the write lock and the
-// caller's own pubWaiting slot are still held, so the self-count is
-// excluded exactly once.
-func (s *sessionState) reportPressure(reply *PublishReply) {
-	d := int(s.pubWaiting.Load()) - 1
-	if dd := s.drainDownstream(); dd > d {
-		d = dd
-	}
-	if d > 0 {
-		reply.QueueDepth = d
-		reply.Busy = true
-	}
-}
-
-// noteDownstream folds a polling tier's accumulated queue-depth hint
-// into the session's pressure signal (max-accumulate; lock-free).
-func (s *sessionState) noteDownstream(d int) {
-	for {
-		cur := s.downDepth.Load()
-		if int64(d) <= cur || s.downDepth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// drainDownstream reads the accumulated downstream hint, decaying it by
-// one so stale reports fade across successive publisher reads rather
-// than holding flush intervals wide forever.
-func (s *sessionState) drainDownstream() int {
-	for {
-		cur := s.downDepth.Load()
-		if cur <= 0 {
-			return 0
-		}
-		if s.downDepth.CompareAndSwap(cur, cur-1) {
-			return int(cur)
-		}
-	}
 }
 
 // worker returns the state for workerID, creating (and index-inserting)
@@ -615,13 +551,10 @@ func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	s := m.session(args.SessionID)
 	s.publishes.Add(1)
 	obsPublishes.Inc()
-	s.pubWaiting.Add(1)
 	obsPubWaiting.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.pubWaiting.Add(-1)
 	defer obsPubWaiting.Add(-1)
-	defer s.reportPressure(reply)
 	reply.Version = s.version
 	reply.Epoch = s.epoch.Load()
 	if s.sealed.Load() || s.fenced() {
@@ -809,9 +742,6 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 	}
 	s.polls.Add(1)
 	obsPolls.Inc()
-	if args.DownstreamDepth > 0 {
-		s.noteDownstream(args.DownstreamDepth)
-	}
 	if s.fenced() {
 		// A deposed post-failover copy answers like an unknown session:
 		// version 0 sends a direct-polling straggler back to placement
@@ -1004,12 +934,6 @@ type FlushState struct {
 	Version     int64
 	Done, Total int64
 	Logs        []string
-	// Busy / QueueDepth are the backpressure hint: publishes queued for
-	// this session's write section while the flush was assembled. A
-	// SubMerger pulling from a contended tier widens its own flush
-	// interval in response.
-	Busy       bool
-	QueueDepth int
 }
 
 // FlushState assembles a forwardable delta of everything that changed
@@ -1023,17 +947,6 @@ func (m *Manager) FlushState(sessionID string, since, logSince int64) (FlushStat
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := int(s.pubWaiting.Load())
-	if dd := s.drainDownstream(); dd > d {
-		d = dd
-	}
-	if d > 0 {
-		// Publishes are queued behind this flush's write lock, or a
-		// downstream tier reported congestion: surface it to whoever
-		// forwards our state upstream.
-		fs.QueueDepth = d
-		fs.Busy = true
-	}
 	fs.Version = s.version
 	for _, id := range s.workerIDs {
 		w := s.workers[id]
@@ -1443,36 +1356,6 @@ func (m *Manager) SessionList(args SessionsArgs, reply *SessionsReply) error {
 	return nil
 }
 
-// FlushArgs / FlushReply are the RMI-shaped form of FlushState, so
-// upstream forwarding composes across shards on other nodes.
-type FlushArgs struct {
-	SessionID       string
-	Since, LogSince int64
-}
-
-// FlushReply mirrors FlushState, including the backpressure hint.
-type FlushReply struct {
-	Delta       *aida.DeltaState
-	Version     int64
-	Done, Total int64
-	Logs        []string
-	Busy        bool
-	QueueDepth  int
-}
-
-// Flush assembles a forwardable delta of everything that changed after
-// args.Since (RMI-compatible FlushState).
-func (m *Manager) Flush(args FlushArgs, reply *FlushReply) error {
-	fs, err := m.FlushState(args.SessionID, args.Since, args.LogSince)
-	if err != nil {
-		return err
-	}
-	reply.Delta, reply.Version = fs.Delta, fs.Version
-	reply.Done, reply.Total, reply.Logs = fs.Done, fs.Total, fs.Logs
-	reply.Busy, reply.QueueDepth = fs.Busy, fs.QueueDepth
-	return nil
-}
-
 // PollIndexStats reports how many polls were served off the change
 // index vs by a full merged-tree walk. Polls answered by the lock-free
 // quiescent path count in neither (see StatsReply.FastPolls).
@@ -1500,7 +1383,6 @@ func (m *Manager) FastPolls(sessionID string) int64 {
 // so multi-level hierarchies compose with the incremental pipeline
 // instead of re-shipping the group's whole state every hop.
 type SubMerger struct {
-	name    string
 	session string
 
 	mu        sync.Mutex
@@ -1513,52 +1395,24 @@ type SubMerger struct {
 	// (1 = every time; larger batches trade freshness for fan-in).
 	FlushEvery int
 	pending    int
-	// FlushInterval also forwards when this much time has passed since
-	// the last flush attempt, even if fewer than FlushEvery publishes
-	// accumulated — the freshness floor for deep hierarchies with large
-	// batches. Deadlines are enforced two ways: each incoming publish
-	// checks them, and a background timer goroutine (started lazily by
-	// the first publish, stopped by Close) fires them even when no
-	// publish arrives, so the tail of a burst is pushed upstream without
-	// waiting for the next publish. Each deadline carries ±20% jitter
-	// (deterministically seeded from the group name) so co-scheduled
-	// groups don't flush in lockstep and storm the upstream tier. 0
-	// disables both; an entirely idle group sends nothing (there is
-	// nothing new to send).
-	FlushInterval time.Duration
-	nextFlush     time.Time
-	jrand         uint64           // xorshift state for deadline jitter
-	clock         func() time.Time // test hook; nil = time.Now
-	// pressure is the upstream-backpressure level (0..maxFlushPressure):
-	// each flush whose reply reports Busy raises it one step, each clear
-	// reply lowers it, and the effective flush interval is the jittered
-	// base shifted left by it — a contended parent sees flushes at up to
-	// 1/8th the configured rate, each carrying a proportionally larger
-	// batch (deltas accumulate; nothing is dropped).
-	pressure int
-	// Background flush timer state (see FlushInterval).
-	timerOn bool
-	closed  bool
-	stop    chan struct{}
 }
 
-// NewSubMerger creates a group merger forwarding to upstream.
+// NewSubMerger creates a group merger forwarding to upstream as the
+// pseudo-worker name.
 func NewSubMerger(name, sessionID string, upstream Publisher, flushEvery int) *SubMerger {
 	if flushEvery <= 0 {
 		flushEvery = 1
 	}
 	return &SubMerger{
-		name: name, session: sessionID,
-		local: NewManager(), transport: NewTransport(sessionID, name, upstream),
+		session:    sessionID,
+		local:      NewManager(),
+		transport:  NewTransport(sessionID, name, upstream),
 		FlushEvery: flushEvery,
 	}
 }
 
-// SetCompression selects compressed wire frames for upstream flushes
-// (a WAN-deployed group).
-func (s *SubMerger) SetCompression(on bool) { s.transport.SetCompression(on) }
-
-// Publish implements Publisher: merge locally, forward the group total.
+// Publish implements Publisher: merge locally, forward the group total
+// every FlushEvery publishes.
 func (s *SubMerger) Publish(args PublishArgs, reply *PublishReply) error {
 	if err := s.local.Publish(args, reply); err != nil {
 		return err
@@ -1566,123 +1420,11 @@ func (s *SubMerger) Publish(args PublishArgs, reply *PublishReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pending++
-	s.ensureTimerLocked()
-	if s.pending < s.FlushEvery && !s.intervalDueLocked() {
+	if s.pending < s.FlushEvery {
 		return nil
 	}
 	s.pending = 0
 	return s.flushLocked()
-}
-
-// ensureTimerLocked lazily starts the background flush goroutine once
-// there is something it could ever flush. The fake-clock test hook
-// drives deadlines synchronously through publishes, so the timer only
-// runs on the real clock. Caller holds s.mu.
-func (s *SubMerger) ensureTimerLocked() {
-	if s.timerOn || s.closed || s.FlushInterval <= 0 || s.clock != nil {
-		return
-	}
-	s.timerOn = true
-	s.stop = make(chan struct{})
-	go s.timerLoop(s.stop)
-}
-
-// timerLoop fires FlushInterval deadlines even when no publish arrives.
-func (s *SubMerger) timerLoop(stop <-chan struct{}) {
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		wait := s.FlushInterval
-		// Chase the armed deadline only while something is pending; an
-		// idle group's stale past deadline would otherwise clamp every
-		// sleep to the 1ms floor and busy-spin until the next publish.
-		if s.pending > 0 && !s.nextFlush.IsZero() {
-			if until := time.Until(s.nextFlush); until < wait {
-				wait = until
-			}
-		}
-		s.mu.Unlock()
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(wait):
-		}
-		s.mu.Lock()
-		if !s.closed && s.pending > 0 && s.intervalDueLocked() {
-			pend := s.pending
-			s.pending = 0
-			if err := s.flushLocked(); err != nil {
-				// Keep the tail flagged so the next deadline retries
-				// (flushLocked already re-armed it); the transport has
-				// marked itself for a full re-baseline, so nothing is
-				// lost — without this a burst tail whose flush failed
-				// once would sit here until the next publish, which
-				// after the end of a run never comes.
-				s.pending = pend
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Close stops the background flush timer. It does not force a final
-// flush — call Flush first when the tail matters. Publishes after Close
-// still merge and flush on the publish-driven checks.
-func (s *SubMerger) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.stop != nil {
-		close(s.stop)
-	}
-}
-
-// intervalDueLocked reports whether the jittered flush deadline passed.
-// Caller holds s.mu.
-func (s *SubMerger) intervalDueLocked() bool {
-	if s.FlushInterval <= 0 {
-		return false
-	}
-	now := s.nowLocked()
-	if s.nextFlush.IsZero() {
-		s.nextFlush = now.Add(s.jitteredIntervalLocked())
-		return false
-	}
-	return !now.Before(s.nextFlush)
-}
-
-func (s *SubMerger) nowLocked() time.Time {
-	if s.clock != nil {
-		return s.clock()
-	}
-	return time.Now()
-}
-
-// jitteredIntervalLocked draws FlushInterval ±20% from a per-group
-// xorshift stream seeded by the group name, so deadlines are stable
-// across runs but decorrelated across groups. Caller holds s.mu.
-func (s *SubMerger) jitteredIntervalLocked() time.Duration {
-	if s.jrand == 0 {
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		for i := 0; i < len(s.name); i++ {
-			h = (h ^ uint64(s.name[i])) * 1099511628211
-		}
-		s.jrand = h | 1
-	}
-	s.jrand ^= s.jrand << 13
-	s.jrand ^= s.jrand >> 7
-	s.jrand ^= s.jrand << 17
-	frac := float64(s.jrand%1024)/1024*0.4 - 0.2
-	return time.Duration((1 + frac) * float64(s.FlushInterval))
 }
 
 // Flush forces the group snapshot upstream (end of run).
@@ -1692,20 +1434,7 @@ func (s *SubMerger) Flush() error {
 	return s.flushLocked()
 }
 
-// maxFlushPressure caps the backpressure widening at 2^3 = 8× the
-// configured flush interval.
-const maxFlushPressure = 3
-
 func (s *SubMerger) flushLocked() error {
-	if s.FlushInterval > 0 {
-		// Re-arm on every attempt (success or not) so a failing upstream
-		// doesn't turn each publish into a retry storm. Deferred so the
-		// deadline reflects the pressure level this flush's reply just
-		// taught us.
-		defer func() {
-			s.nextFlush = s.nowLocked().Add(s.jitteredIntervalLocked() << uint(s.pressure))
-		}()
-	}
 	var covered int64
 	reply, err := s.transport.Send(func(full bool) (Snapshot, error) {
 		since := s.lastFlushed
@@ -1725,22 +1454,8 @@ func (s *SubMerger) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case reply.Busy && s.pressure < maxFlushPressure:
-		s.pressure++
-	case !reply.Busy && s.pressure > 0:
-		s.pressure--
-	}
 	if reply.Accepted {
 		s.lastFlushed = covered
 	}
 	return nil
-}
-
-// Pressure reports the current upstream-backpressure level (0 = none;
-// each level doubles the effective flush interval).
-func (s *SubMerger) Pressure() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pressure
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // TestRemotePublisherCompressedFrames drives the whole WAN path: a
-// transport publishing deltas through an RMI connection dialed with
-// compressed frames, into a manager registered on a real RMI server,
-// then polls the merged result back over the same wire.
+// transport publishing deltas through an RMI connection, into a manager
+// registered on a real RMI server, then polls the merged result back
+// over the same wire. The baseline is large enough for the adaptive
+// policy to compress it, so a version-2 frame crosses RMI.
 func TestRemotePublisherCompressedFrames(t *testing.T) {
 	mgr := NewManager()
 	srv := rmi.NewServer(nil)
@@ -23,20 +24,17 @@ func TestRemotePublisherCompressedFrames(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := rmi.Dial(addr.String(), "tok", rmi.WithCompressedFrames())
+	client, err := rmi.Dial(addr.String(), "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if !client.Compressed() {
-		t.Fatal("dial option not recorded")
-	}
 	tr := NewTransport("s", "wan-worker", NewRemotePublisher(client, ""))
 
 	tree := aida.NewTree()
-	h, _ := tree.H1D("/a", "h", "", 100, 0, 100)
+	h, _ := tree.H1D("/a", "h", "", 400, 0, 400)
 	for i := 0; i < 500; i++ {
-		h.Fill(float64(i % 100))
+		h.Fill(float64(i % 400))
 	}
 	send := func() {
 		t.Helper()
@@ -60,6 +58,9 @@ func TestRemotePublisherCompressedFrames(t *testing.T) {
 	send() // baseline
 	h.Fill(7)
 	send() // incremental
+	if c, _ := tr.CompressionStats(); c < 1 {
+		t.Fatal("no frame crossed RMI compressed")
+	}
 
 	var poll PollReply
 	if err := client.Call(RMIObjectName+".Poll", PollArgs{SessionID: "s"}, &poll); err != nil {

@@ -201,10 +201,12 @@ func TestMergeAblationReducesRootLoad(t *testing.T) {
 	}
 	flat, tree := rows[0], rows[1]
 	if flat.RootPublishes != 32*3 {
-		t.Fatalf("flat root publishes = %d", flat.RootPublishes)
+		t.Fatalf("flat root publishes = %d, want %d", flat.RootPublishes, 32*3)
 	}
-	if tree.RootPublishes >= flat.RootPublishes/4 {
-		t.Fatalf("tree root publishes = %d, want < %d", tree.RootPublishes, flat.RootPublishes/4)
+	// 4 groups of 8 forward once per full group round (3 rounds) plus
+	// the final Flush each: 4 × (3 + 1).
+	if tree.RootPublishes != 16 {
+		t.Fatalf("tree root publishes = %d, want 16", tree.RootPublishes)
 	}
 }
 

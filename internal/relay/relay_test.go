@@ -393,77 +393,6 @@ func TestRelayReleaseContractOverRMI(t *testing.T) {
 	}
 }
 
-// TestRelayBackpressurePropagation walks a depth hint up a two-tier
-// relay chain: the leaf reports congested downstream consumers, the
-// hint rides the subscription polls hop by hop, and the owning
-// manager's flush state turns Busy — then decays back to quiet once
-// the congestion stops being reported.
-func TestRelayBackpressurePropagation(t *testing.T) {
-	mgr := merge.NewManager()
-	const sid = "bp-sess"
-	tree := aida.NewTree()
-	h, err := tree.H1D("/h", "x", "", 10, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := merge.NewTransport(sid, "w0", mgr)
-	h.Fill(1)
-	sendSnap(t, tr, tree)
-
-	parent := relay.New("parent", mgr)
-	parent.AutoSubscribe = true
-	defer parent.Close()
-	leaf := relay.New("leaf", parent)
-	leaf.AutoSubscribe = true
-	defer leaf.Close()
-	if err := leaf.Subscribe(sid); err != nil {
-		t.Fatal(err)
-	}
-	if err := leaf.SyncNow(sid); err != nil {
-		t.Fatal(err)
-	}
-
-	// Quiet baseline: no hint, the owner reports no queue.
-	fs, err := mgr.FlushState(sid, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Busy {
-		t.Fatalf("owner busy before any congestion was reported: %+v", fs)
-	}
-
-	// The leaf's consumers back up; its next subscription poll carries
-	// the hint to the parent, whose next poll carries it to the owner.
-	leaf.ReportDownstream(4)
-	if err := leaf.SyncNow(sid); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.SyncNow(sid); err != nil {
-		t.Fatal(err)
-	}
-	fs, err = mgr.FlushState(sid, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Busy || fs.QueueDepth == 0 {
-		t.Fatalf("depth hint did not reach the owner: %+v", fs)
-	}
-
-	// The hint decays as it is read instead of latching Busy forever.
-	for i := 0; i < 8; i++ {
-		if _, err := mgr.FlushState(sid, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs, err = mgr.FlushState(sid, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Busy {
-		t.Fatalf("depth hint never decayed: %+v", fs)
-	}
-}
-
 // TestRelayFanOutOneUpstreamSyncPerRound: with RelayReads on, N
 // incremental pollers per session cost the owning shards one
 // subscription sync per session per publish round — during the serve

@@ -380,13 +380,12 @@ func (cc *clientConn) fail(err error) {
 // order) back to their callers, so concurrent Calls never wait on each
 // other, only on their own replies.
 type Client struct {
-	mu         sync.Mutex // guards cc, token, closed
-	cc         *clientConn
-	token      string
-	addr       string
-	compressed bool
-	closed     bool
-	tls        *tls.Config
+	mu     sync.Mutex // guards cc, token, closed
+	cc     *clientConn
+	token  string
+	addr   string
+	closed bool
+	tls    *tls.Config
 
 	// retry bounds dial attempts (see WithRetry); jrand is the jitter
 	// stream, lazily seeded from the address.
@@ -397,23 +396,11 @@ type Client struct {
 // Option configures a client connection at Dial time.
 type Option func(*Client)
 
-// WithCompressedFrames marks the connection as preferring compressed
-// snapshot frames — the choice for WAN-deployed workers where snapshot
-// bytes dominate the link. The RMI layer itself stays payload-agnostic:
-// snapshot publishers consult Compressed() and select the compressed
-// wire version on the states they send (decoders accept either).
-func WithCompressedFrames() Option {
-	return func(c *Client) { c.compressed = true }
-}
-
 // WithTLS dials the server over TLS with cfg, for a server listening with
 // ListenAndServeTLS.
 func WithTLS(cfg *tls.Config) Option {
 	return func(c *Client) { c.tls = cfg }
 }
-
-// Compressed reports whether this connection prefers compressed frames.
-func (c *Client) Compressed() bool { return c.compressed }
 
 // Dial connects to an RMI server. token rides along on every call.
 func Dial(addr, token string, opts ...Option) (*Client, error) {

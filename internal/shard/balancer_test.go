@@ -290,9 +290,6 @@ func (f *flakyBackend) Poll(a merge.PollArgs, r *merge.PollReply) error {
 func (f *flakyBackend) Reset(a merge.ResetArgs, r *merge.ResetReply) error {
 	return f.call(func() error { return f.inner.Reset(a, r) })
 }
-func (f *flakyBackend) Flush(a merge.FlushArgs, r *merge.FlushReply) error {
-	return f.call(func() error { return f.inner.Flush(a, r) })
-}
 func (f *flakyBackend) Export(a merge.ExportArgs, r *merge.ExportReply) error {
 	return f.replCall(func() error { return f.inner.Export(a, r) })
 }

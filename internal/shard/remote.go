@@ -6,17 +6,15 @@ import (
 )
 
 // ObjectName is the RMI registration name of one shard's manager on its
-// node — "AIDAShard:" + the shard's fabric name. The router dials these
-// directly; ordinary engines and clients keep talking to the fabric's
-// front door (merge.RMIObjectName), never to individual shards.
+// node — "AIDAShard:" + the shard's fabric name. Shard-aware clients
+// poll the owning shard directly under it; engines keep publishing to
+// the fabric's front door (merge.RMIObjectName).
 func ObjectName(shard string) string { return "AIDAShard:" + shard }
 
 // Remote adapts an RMI connection into a Backend for shards hosted on
 // other nodes. All Backend calls are RMI-shaped Manager methods, so the
-// remote side needs nothing beyond a per-shard registration. Snapshot
-// publishes honor the connection's compression preference exactly like
-// a remote engine uplink (forced by rmi.WithCompressedFrames; adaptive
-// per-frame otherwise via the transports that built the snapshot).
+// remote side must register the whole *merge.Manager; a manager node's
+// token-gated data endpoint exposes only Poll under ObjectName.
 type Remote struct {
 	client *rmi.Client
 	object string
@@ -47,24 +45,13 @@ func (r *Remote) Reset(args merge.ResetArgs, reply *merge.ResetReply) error {
 	return r.client.Call(r.object+".Reset", args, reply)
 }
 
-// Flush implements Backend over the wire.
-func (r *Remote) Flush(args merge.FlushArgs, reply *merge.FlushReply) error {
-	return r.client.Call(r.object+".Flush", args, reply)
-}
-
 // Export implements Backend over the wire.
 func (r *Remote) Export(args merge.ExportArgs, reply *merge.ExportReply) error {
 	return r.client.Call(r.object+".Export", args, reply)
 }
 
-// Import implements Backend over the wire. Worker baselines are bulky,
-// so they ride compressed frames when the connection prefers them.
+// Import implements Backend over the wire.
 func (r *Remote) Import(args merge.ImportArgs, reply *merge.ImportReply) error {
-	if r.client.Compressed() {
-		for i := range args.Workers {
-			args.Workers[i].Tree.SetWireCompression(true)
-		}
-	}
 	return r.client.Call(r.object+".Import", args, reply)
 }
 
@@ -88,12 +75,8 @@ func (r *Remote) SessionList(args merge.SessionsArgs, reply *merge.SessionsReply
 	return r.client.Call(r.object+".SessionList", args, reply)
 }
 
-// Mirror implements Backend over the wire. The mirrored delta honors
-// the connection's compression preference exactly like a publish.
+// Mirror implements Backend over the wire.
 func (r *Remote) Mirror(args merge.MirrorArgs, reply *merge.MirrorReply) error {
-	if args.Delta != nil && r.client.Compressed() {
-		args.Delta.SetWireCompression(true)
-	}
 	return r.client.Call(r.object+".Mirror", args, reply)
 }
 

@@ -519,34 +519,6 @@ func (r *Router) reapRevived(name string) {
 	}
 }
 
-// Mirror routes a replication mirror to the session's owner — present
-// so a Router satisfies the Backend interface and fabrics can stack.
-func (r *Router) Mirror(args merge.MirrorArgs, reply *merge.MirrorReply) error {
-	_, b, err := r.owner(args.SessionID, true)
-	if err != nil {
-		return err
-	}
-	return b.Mirror(args, reply)
-}
-
-// Promote routes a promotion to the session's owner (Backend surface).
-func (r *Router) Promote(args merge.PromoteArgs, reply *merge.PromoteReply) error {
-	_, b, err := r.owner(args.SessionID, false)
-	if err != nil {
-		return err
-	}
-	return b.Promote(args, reply)
-}
-
-// Fence routes a fence to the session's owner (Backend surface).
-func (r *Router) Fence(args merge.FenceArgs, reply *merge.FenceReply) error {
-	_, b, err := r.owner(args.SessionID, false)
-	if err != nil {
-		return err
-	}
-	return b.Fence(args, reply)
-}
-
 // ReplicaOf names the shard holding a session's first standby copy (""
 // when none is assigned) — surfaced through session status.
 func (r *Router) ReplicaOf(sessionID string) string {

@@ -94,32 +94,37 @@ func (e *Element) resolve(path string) (string, error) {
 	return filepath.Join(e.root, clean), nil
 }
 
-// Put streams r into path, replacing any existing file.
+// Put streams r into path, replacing any existing file. The bytes land
+// in a sibling temporary file that is renamed over path only once the
+// copy succeeds, so a failed Put (quota, reader error) leaves the old
+// file and the accounted usage as they were.
 func (e *Element) Put(path string, r io.Reader) (int64, error) {
 	full, err := e.resolve(path)
 	if err != nil {
 		return 0, err
 	}
-	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+	dir := filepath.Dir(full)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
 	var old int64
 	if st, err := os.Stat(full); err == nil {
 		old = st.Size()
 	}
-	f, err := os.Create(full)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(full)+".put-*")
 	if err != nil {
 		return 0, err
 	}
 	n, err := io.Copy(f, &quotaReader{r: r, e: e, old: old})
-	cerr := f.Close()
-	if err != nil {
-		os.Remove(full)
-		e.account(-0) // usage recomputed below
-		return n, err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if cerr != nil {
-		return n, cerr
+	if err == nil {
+		err = os.Rename(f.Name(), full)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return n, err
 	}
 	e.account(n - old)
 	return n, nil

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 
 	"github.com/ipa-grid/ipa/internal/aida"
@@ -64,10 +65,17 @@ func printSpectrum(path string) error {
 	}
 	defer f.Close()
 	h := aida.NewHistogram1D("particle-energy", "Particle energy [GeV]", 60, 0, 300)
+	it, err := r.Iter(0, -1)
+	if err != nil {
+		return err
+	}
 	var ev events.Event
 	var energies []float64
-	for i := int64(0); i < r.NumRecords(); i++ {
-		rec, err := r.Record(i)
+	for {
+		rec, err := it.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return err
 		}

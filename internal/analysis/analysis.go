@@ -45,7 +45,10 @@ type Analysis interface {
 	// Init is called once before the first record (and again after a
 	// rewind); it should (re)book histograms.
 	Init(ctx *Context) error
-	// Process is called for every record.
+	// Process is called for every record. The record is valid only for
+	// the duration of the call: engines hand out slices of a reusable
+	// read block, so an analysis that keeps bytes past its return copies
+	// them (decoding into its own structures counts as a copy).
 	Process(record []byte, ctx *Context) error
 	// End is called after the last record of the staged part.
 	End(ctx *Context) error

@@ -17,6 +17,12 @@
 //
 // The trailer lives at the end so writers stream sequentially; readers need
 // io.ReaderAt (a file) and start from the last 48 bytes.
+//
+// Sequential reads go through an Iterator, which refills one reusable
+// block with a single ReadAt and hands out records as sub-slices of it. A
+// record from Iterator.Next is therefore valid only until the next call
+// to Next; a caller that keeps one copies it. Reader.Record returns bytes
+// the caller owns.
 package dataset
 
 import (
@@ -26,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -43,6 +50,10 @@ const (
 	// MaxRecordSize guards readers against corrupt length prefixes.
 	MaxRecordSize = 1 << 30
 )
+
+// blockSize is how many bytes one sequential refill reads: for ~1 KB
+// event records, one ReadAt per ~250 records.
+var blockSize = 256 << 10
 
 // ErrCorrupt is returned when magic numbers, sizes, or checksums disagree.
 var ErrCorrupt = errors.New("dataset: corrupt container")
@@ -149,7 +160,6 @@ func (w *Writer) Close() error {
 // Reader provides random and sequential access to a container.
 type Reader struct {
 	ra         io.ReaderAt
-	size       int64
 	count      int64
 	payload    int64
 	crc        uint32
@@ -177,31 +187,46 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if *(*[8]byte)(tr[40:48]) != trailerMagic {
 		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorrupt)
 	}
-	r := &Reader{
-		ra:         ra,
-		size:       size,
-		indexOff:   int64(binary.BigEndian.Uint64(tr[0:8])),
-		count:      int64(binary.BigEndian.Uint64(tr[20:28])),
-		payload:    int64(binary.BigEndian.Uint64(tr[28:36])),
-		crc:        binary.BigEndian.Uint32(tr[36:40]),
-		indexEvery: binary.BigEndian.Uint32(tr[16:20]),
-	}
-	indexCount := int64(binary.BigEndian.Uint64(tr[8:16]))
-	if r.indexEvery == 0 || indexCount < 0 || r.indexOff < int64(len(magic)) ||
-		r.indexOff+indexCount*8 != size-trailerSize {
+	indexOff := binary.BigEndian.Uint64(tr[0:8])
+	indexCount := binary.BigEndian.Uint64(tr[8:16])
+	indexEvery := binary.BigEndian.Uint32(tr[16:20])
+	count := binary.BigEndian.Uint64(tr[20:28])
+	// The index fills the bytes between indexOff and the trailer exactly.
+	// Every field is bounded by the file size before it is multiplied or
+	// used as an allocation size.
+	end := uint64(size - trailerSize)
+	if indexEvery == 0 || indexOff < uint64(len(magic)) || indexOff > end ||
+		(end-indexOff)%8 != 0 || indexCount != (end-indexOff)/8 || count > math.MaxInt64 {
 		return nil, fmt.Errorf("%w: inconsistent trailer", ErrCorrupt)
 	}
-	want := (r.count + int64(r.indexEvery) - 1) / int64(r.indexEvery)
+	want := count / uint64(indexEvery)
+	if count%uint64(indexEvery) != 0 {
+		want++
+	}
 	if indexCount != want {
 		return nil, fmt.Errorf("%w: index has %d entries, want %d", ErrCorrupt, indexCount, want)
+	}
+	r := &Reader{
+		ra:         ra,
+		indexOff:   int64(indexOff),
+		count:      int64(count),
+		payload:    int64(binary.BigEndian.Uint64(tr[28:36])),
+		crc:        binary.BigEndian.Uint32(tr[36:40]),
+		indexEvery: indexEvery,
 	}
 	raw := make([]byte, indexCount*8)
 	if _, err := ra.ReadAt(raw, r.indexOff); err != nil {
 		return nil, err
 	}
 	r.index = make([]uint64, indexCount)
+	prev := uint64(len(magic)) - 1
 	for i := range r.index {
-		r.index[i] = binary.BigEndian.Uint64(raw[i*8:])
+		// Entries are record starts: strictly increasing, before the index.
+		o := binary.BigEndian.Uint64(raw[i*8:])
+		if o <= prev || o >= indexOff {
+			return nil, fmt.Errorf("%w: index entry %d is offset %d", ErrCorrupt, i, o)
+		}
+		r.index[i], prev = o, o
 	}
 	return r, nil
 }
@@ -215,37 +240,29 @@ func (r *Reader) PayloadBytes() int64 { return r.payload }
 // CRC32 returns the stored IEEE checksum over all payloads.
 func (r *Reader) CRC32() uint32 { return r.crc }
 
-// OffsetOf returns the byte offset where record i begins.
+// OffsetOf returns the byte offset where record i begins; i == NumRecords
+// gives the end of the last record.
 func (r *Reader) OffsetOf(i int64) (int64, error) {
 	if i < 0 || i > r.count {
 		return 0, fmt.Errorf("dataset: record %d out of range [0,%d]", i, r.count)
 	}
-	if i == r.count {
-		return r.indexOff, nil // one past the last record
+	it, err := r.seek(i, binary.MaxVarintLen64)
+	if err != nil {
+		return 0, err
 	}
-	slot := i / int64(r.indexEvery)
-	off := int64(r.index[slot])
-	cur := slot * int64(r.indexEvery)
-	it := &Iterator{r: r, off: off, next: cur}
-	for cur < i {
-		if err := it.skip(); err != nil {
-			return 0, err
-		}
-		cur++
-	}
-	return it.off, nil
+	return it.offset(), nil
 }
 
-// Record reads record i.
+// Record reads record i into a slice the caller owns.
 func (r *Reader) Record(i int64) ([]byte, error) {
 	if i < 0 || i >= r.count {
 		return nil, fmt.Errorf("dataset: record %d out of range [0,%d)", i, r.count)
 	}
-	off, err := r.OffsetOf(i)
+	it, err := r.seek(i, binary.MaxVarintLen64)
 	if err != nil {
 		return nil, err
 	}
-	it := &Iterator{r: r, off: off, next: i}
+	// The iterator goes out of scope here, so its buffer is the caller's.
 	return it.Next()
 }
 
@@ -258,11 +275,30 @@ func (r *Reader) Iter(from, to int64) (*Iterator, error) {
 	if from < 0 || to > r.count || from > to {
 		return nil, fmt.Errorf("dataset: bad range [%d,%d) of %d", from, to, r.count)
 	}
-	off, err := r.OffsetOf(from)
+	it, err := r.seek(from, blockSize)
 	if err != nil {
 		return nil, err
 	}
-	return &Iterator{r: r, off: off, next: from, stop: to}, nil
+	it.stop = to
+	return it, nil
+}
+
+// seek returns an iterator at record i (0 ≤ i ≤ count) whose refills read
+// at least window bytes. It starts at the nearest index entry and skips
+// forward by length prefixes, so with a window of one varint a random
+// access reads only the prefixes it crosses.
+func (r *Reader) seek(i int64, window int) (*Iterator, error) {
+	it := &Iterator{r: r, next: r.count, stop: r.count, base: r.indexOff, window: window}
+	if i < r.count {
+		slot := i / int64(r.indexEvery)
+		it.next, it.base = slot*int64(r.indexEvery), int64(r.index[slot])
+	}
+	for it.next < i {
+		if err := it.skip(); err != nil {
+			return nil, err
+		}
+	}
+	return it, nil
 }
 
 // VerifyChecksum re-reads every record and compares the running CRC with the
@@ -289,72 +325,112 @@ func (r *Reader) VerifyChecksum() error {
 	return nil
 }
 
-// Iterator walks records sequentially.
+// Iterator walks records sequentially through one reusable block: a
+// refill is a single ReadAt of at least the block size, and records are
+// handed out as sub-slices of it. Records end at the index, never in it.
 type Iterator struct {
-	r    *Reader
-	off  int64
-	next int64
-	stop int64
+	r      *Reader
+	next   int64  // index of the record Next returns
+	stop   int64  // Next returns io.EOF from this index on
+	window int    // bytes one refill reads at least
+	block  []byte // the reusable refill buffer, window bytes
+	// buf holds the file bytes [base, base+len(buf)); pos is the read
+	// position within it and may run past its end after a skip.
 	buf  []byte
+	base int64
+	pos  int
 }
 
 // Index returns the index of the record that Next will return.
 func (it *Iterator) Index() int64 { return it.next }
 
-// Next returns the next record, or io.EOF past the end of the range.
-// The returned slice is owned by the caller (freshly allocated).
+// Next returns the next record, or io.EOF past the end of the range. The
+// slice aliases the iterator's block and is valid only until the next
+// call to Next; copy it to keep it.
 func (it *Iterator) Next() ([]byte, error) {
-	if it.stop != 0 && it.next >= it.stop {
+	if it.next >= it.stop {
 		return nil, io.EOF
 	}
-	if it.next >= it.r.count {
-		return nil, io.EOF
-	}
-	length, n, err := it.readUvarint()
+	hdr, length, err := it.header()
 	if err != nil {
 		return nil, err
 	}
-	if length > MaxRecordSize {
-		return nil, fmt.Errorf("%w: record length %d", ErrCorrupt, length)
+	if err := it.fill(hdr + length); err != nil {
+		return nil, err
 	}
-	rec := make([]byte, length)
-	if length > 0 {
-		if _, err := it.r.ra.ReadAt(rec, it.off+int64(n)); err != nil {
-			return nil, fmt.Errorf("dataset: reading record %d: %w", it.next, err)
-		}
-	}
-	it.off += int64(n) + int64(length)
+	start := it.pos + hdr
+	it.pos = start + length
 	it.next++
-	return rec, nil
+	return it.buf[start:it.pos:it.pos], nil
 }
 
-// skip advances past one record without materializing it.
+// skip advances past one record without reading its payload.
 func (it *Iterator) skip() error {
-	length, n, err := it.readUvarint()
+	hdr, length, err := it.header()
 	if err != nil {
 		return err
 	}
-	it.off += int64(n) + int64(length)
+	it.pos += hdr + length
 	it.next++
 	return nil
 }
 
-func (it *Iterator) readUvarint() (val uint64, n int, err error) {
-	if it.buf == nil {
-		it.buf = make([]byte, binary.MaxVarintLen64)
+func (it *Iterator) offset() int64 { return it.base + int64(it.pos) }
+
+// header decodes the length prefix at the read position and checks that
+// the record it announces ends before the index.
+func (it *Iterator) header() (hdr, length int, err error) {
+	off := it.offset()
+	rest := it.r.indexOff - off
+	if rest <= 0 {
+		return 0, 0, fmt.Errorf("%w: record %d starts at offset %d, past the records' end %d",
+			ErrCorrupt, it.next, off, it.r.indexOff)
 	}
-	m, err := it.r.ra.ReadAt(it.buf, it.off)
-	if err != nil && err != io.EOF {
+	if err := it.fill(int(min(rest, binary.MaxVarintLen64))); err != nil {
 		return 0, 0, err
 	}
-	if m == 0 {
-		return 0, 0, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, it.off)
+	v, hdr := binary.Uvarint(it.buf[it.pos:])
+	if hdr <= 0 {
+		return 0, 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, off)
 	}
-	val, n = binary.Uvarint(it.buf[:m])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, it.off)
+	if v > MaxRecordSize || int64(hdr)+int64(v) > rest {
+		return 0, 0, fmt.Errorf("%w: record %d at offset %d has length %d, past the records' end %d",
+			ErrCorrupt, it.next, off, v, it.r.indexOff)
 	}
-	return val, n, nil
+	return hdr, int(v), nil
+}
+
+// fill makes the n bytes at the read position resident, which the caller
+// has checked end by the index. A refill keeps the unread tail and reads
+// max(n, window) bytes, never past the index; a record larger than the
+// block gets a buffer of its own that the next refill drops.
+func (it *Iterator) fill(n int) error {
+	if it.pos+n <= len(it.buf) {
+		return nil
+	}
+	off := it.offset()
+	size := int(min(int64(max(n, it.window)), it.r.indexOff-off))
+	if it.block == nil {
+		it.block = make([]byte, it.window)
+	}
+	buf := it.block
+	if size > cap(buf) {
+		buf = make([]byte, size)
+	}
+	kept := 0
+	if it.pos < len(it.buf) {
+		kept = copy(buf, it.buf[it.pos:])
+	}
+	it.buf, it.base, it.pos = buf[:kept], off, 0
+	m, err := it.r.ra.ReadAt(buf[kept:size], off+int64(kept))
+	if m < size-kept {
+		if err == nil || err == io.EOF {
+			return fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, off+int64(kept+m))
+		}
+		return fmt.Errorf("dataset: reading at offset %d: %w", off+int64(kept), err)
+	}
+	it.buf = buf[:size]
+	return nil
 }
 
 // Create opens path for writing and returns a container writer plus a

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,7 +27,8 @@ func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func build(t testing.TB, records [][]byte, stride uint32) *Reader {
+// encode writes records into a container with the given index stride.
+func encode(t testing.TB, records [][]byte, stride uint32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriterStride(&buf, stride)
@@ -40,7 +43,13 @@ func build(t testing.TB, records [][]byte, stride uint32) *Reader {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&memFile{buf.Bytes()}, int64(buf.Len()))
+	return buf.Bytes()
+}
+
+func build(t testing.TB, records [][]byte, stride uint32) *Reader {
+	t.Helper()
+	b := encode(t, records, stride)
+	r, err := NewReader(&memFile{b}, int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +178,51 @@ func TestCorruptTrailer(t *testing.T) {
 	b[len(b)-1] ^= 0xff
 	if _, err := NewReader(&memFile{b}, int64(len(b))); err == nil {
 		t.Fatal("corrupt trailer accepted")
+	}
+}
+
+// A length prefix that points past the last record must not read the
+// index and trailer as payload.
+func TestLengthPastRecordsIsCorrupt(t *testing.T) {
+	b := encode(t, [][]byte{[]byte("aaaa"), []byte("bbbb"), []byte("cccc")}, 64)
+	last := len(magic) + 2*5 // magic, then two 1+4-byte records
+	if b[last] != 4 {
+		t.Fatalf("byte %d = %d, want the last record's length 4", last, b[last])
+	}
+	b[last] = 12
+	r, err := NewReader(&memFile{b}, int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := r.Iter(0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := it.Next(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if rec, err := it.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overlong last record: %q, %v; want ErrCorrupt", rec, err)
+	}
+	if rec, err := r.Record(2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Record(2) = %q, %v; want ErrCorrupt", rec, err)
+	}
+}
+
+// A trailer whose indexCount*8 wraps to the right size must be refused,
+// not turned into a huge allocation.
+func TestWrappingIndexCountIsCorrupt(t *testing.T) {
+	var tr [trailerSize]byte
+	binary.BigEndian.PutUint64(tr[0:8], uint64(len(magic))) // indexOff
+	binary.BigEndian.PutUint64(tr[8:16], 1<<61)             // indexCount: ×8 wraps to 0
+	binary.BigEndian.PutUint32(tr[16:20], 1)                // indexEvery
+	binary.BigEndian.PutUint64(tr[20:28], 1<<61)            // recordCount
+	copy(tr[40:48], trailerMagic[:])
+	b := append(magic[:], tr[:]...)
+	if _, err := NewReader(&memFile{b}, int64(len(b))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("NewReader = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -69,6 +69,10 @@ type Engine struct {
 	reader   *dataset.Reader
 	closer   io.Closer
 	total    int64
+	// gen counts SetPart and Rewind calls. A batch that began under an
+	// older gen commits no progress or state, and the iterator it read
+	// through is not reused.
+	gen uint64
 
 	bundle        *codeloader.Bundle
 	pendingBundle *codeloader.Bundle // swapped in at next rewind/run
@@ -152,6 +156,7 @@ func (e *Engine) SetPart(path string, globalOffset int64) error {
 	e.closer = f
 	e.total = r.NumRecords()
 	e.cfg.GlobalOffset = globalOffset
+	e.gen++
 	e.nextRec = 0
 	e.events = 0
 	if e.bundle != nil {
@@ -250,6 +255,7 @@ func (e *Engine) Rewind() error {
 		e.bundle = e.pendingBundle
 		e.pendingBundle = nil
 	}
+	e.gen++
 	e.nextRec = 0
 	e.events = 0
 	e.anal = nil
@@ -286,6 +292,7 @@ func (e *Engine) Shutdown() {
 func (e *Engine) Serve() {
 	e.loopOnce.Do(func() {
 		defer close(e.done)
+		var cur cursor
 		for {
 			e.mu.Lock()
 			for !e.stopped && e.state != StateRunning {
@@ -302,9 +309,17 @@ func (e *Engine) Serve() {
 				continue
 			}
 			e.mu.Unlock()
-			e.processBatch()
+			e.processBatch(&cur)
 		}
 	})
+}
+
+// cursor is the Serve goroutine's read position: one block iterator,
+// reused batch after batch while no SetPart or Rewind intervened and it
+// stands at nextRec.
+type cursor struct {
+	it  *dataset.Iterator
+	gen uint64 // Engine.gen when it was opened
 }
 
 // failLocked records an error and parks the engine. Caller holds mu.
@@ -344,20 +359,18 @@ func (e *Engine) ensureInitLocked() error {
 // far lower).
 const batchSize = 64
 
-func (e *Engine) processBatch() {
+func (e *Engine) processBatch(cur *cursor) {
 	e.mu.Lock()
 	if e.state != StateRunning || e.reader == nil {
 		e.mu.Unlock()
 		return
 	}
 	from := e.nextRec
-	to := from + batchSize
-	if e.stepLeft >= 0 && to-from > e.stepLeft {
-		to = from + e.stepLeft
+	n := min(batchSize, e.total-from)
+	if e.stepLeft >= 0 {
+		n = min(n, e.stepLeft)
 	}
-	if to > e.total {
-		to = e.total
-	}
+	gen := e.gen
 	reader := e.reader
 	anal := e.anal
 	ctx := e.ctx
@@ -366,31 +379,30 @@ func (e *Engine) processBatch() {
 
 	var processed int64
 	var procErr error
-	if to > from {
-		it, err := reader.Iter(from, to)
+	if n > 0 && (cur.it == nil || cur.gen != gen || cur.it.Index() != from) {
+		cur.it, procErr = reader.Iter(from, -1)
+		cur.gen = gen
+	}
+	for procErr == nil && processed < n {
+		rec, err := cur.it.Next()
 		if err != nil {
 			procErr = err
-		} else {
-			for {
-				rec, err := it.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					procErr = err
-					break
-				}
-				ctx.EventIndex = offset + from + processed
-				if err := anal.Process(rec, ctx); err != nil {
-					procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
-					break
-				}
-				processed++
-			}
+			break
 		}
+		ctx.EventIndex = offset + from + processed
+		if err := anal.Process(rec, ctx); err != nil {
+			procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
+			break
+		}
+		processed++
 	}
 
 	e.mu.Lock()
+	if e.gen != gen {
+		// A SetPart or Rewind during the batch owns the state now.
+		e.mu.Unlock()
+		return
+	}
 	e.nextRec = from + processed
 	e.events += processed
 	if e.stepLeft > 0 {
@@ -426,7 +438,7 @@ func (e *Engine) processBatch() {
 	// Error finds the run's last snapshot — or the failure to send it —
 	// already in place. A rewind during that publish keeps its own state.
 	e.mu.Lock()
-	if e.nextRec == from+processed {
+	if e.gen == gen {
 		if nextErr != nil {
 			e.lastErr = nextErr
 		}

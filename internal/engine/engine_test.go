@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -396,6 +399,231 @@ func TestScriptOutputRelayedOnce(t *testing.T) {
 			t.Errorf("%q relayed %d times, want once; logs:\n%s", line, n, joined)
 		}
 	}
+}
+
+// recording is a native analysis that logs every Init and a copy of
+// every record with the index the engine gave it, across instances.
+type recording struct {
+	mu  sync.Mutex
+	log []string
+}
+
+func (r *recording) add(s string) {
+	r.mu.Lock()
+	r.log = append(r.log, s)
+	r.mu.Unlock()
+}
+
+func (r *recording) lines() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.log...)
+}
+
+// recordingEngine starts an engine running the recording analysis on
+// part. A non-nil hook runs before each record is logged.
+func recordingEngine(t *testing.T, part string, hook func(i int64)) (*Engine, *recording) {
+	t.Helper()
+	rec := &recording{}
+	reg := analysis.NewRegistry()
+	reg.Register("record", func(map[string]string) (analysis.Analysis, error) {
+		return &analysis.Func{
+			InitFn: func(*analysis.Context) error { rec.add("init"); return nil },
+			ProcessFn: func(b []byte, ctx *analysis.Context) error {
+				if hook != nil {
+					hook(ctx.EventIndex)
+				}
+				rec.add(fmt.Sprintf("%d:%x", ctx.EventIndex, b))
+				return nil
+			},
+		}, nil
+	})
+	e := New(Config{
+		SessionID: "s1", WorkerID: "w0", Publisher: merge.NewManager(), Registry: reg,
+		SnapshotEvery: 100, SnapshotInterval: time.Hour,
+	})
+	go e.Serve()
+	t.Cleanup(e.Shutdown)
+	if err := e.SetPart(part, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadCode(&codeloader.Bundle{Name: "rec", Language: codeloader.LangNative, Analysis: "record"}); err != nil {
+		t.Fatal(err)
+	}
+	return e, rec
+}
+
+// want is what the recording analysis logs for records [from, to) of part.
+func want(t *testing.T, part string, from, to int64) []string {
+	t.Helper()
+	r, f, err := dataset.Open(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []string
+	for i := from; i < to; i++ {
+		b, err := r.Record(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%d:%x", i, b))
+	}
+	return out
+}
+
+func waitFor(t *testing.T, e *Engine, s State) {
+	t.Helper()
+	if st, err := e.WaitState(10*time.Second, s); err != nil || st != s {
+		_, lastErr := e.State()
+		t.Fatalf("state %v (%v), want %v; last error %v", st, err, s, lastErr)
+	}
+}
+
+func sameLog(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("analysis saw %d lines, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: got %.40s…, want %.40s…", i, got[i], want[i])
+		}
+	}
+}
+
+// Steps that end mid-batch, then a Run, feed the analysis exactly what
+// one Run does: the engine's iterator carries over between batches.
+func TestStepsThenRunMatchOneRun(t *testing.T) {
+	part := makePart(t, 500, 10)
+	one, oneRec := recordingEngine(t, part, nil)
+	if err := one.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, one, StateFinished)
+
+	stepped, steppedRec := recordingEngine(t, part, nil)
+	for i := 0; i < 5; i++ {
+		if err := stepped.Step(37); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, stepped, StatePaused)
+	}
+	if done, _ := stepped.Progress(); done != 5*37 {
+		t.Fatalf("five steps of 37 processed %d", done)
+	}
+	if err := stepped.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, stepped, StateFinished)
+
+	wantLog := append([]string{"init"}, want(t, part, 0, 500)...)
+	sameLog(t, oneRec.lines(), wantLog)
+	sameLog(t, steppedRec.lines(), wantLog)
+}
+
+// Rewind and SetPart in the middle of a run start over from record 0 of
+// the current part, never from where the previous iterator stood.
+func TestRewindAndSetPartDropTheIterator(t *testing.T) {
+	a, b := makePart(t, 200, 11), makePart(t, 150, 12)
+	t.Run("rewind", func(t *testing.T) {
+		e, rec := recordingEngine(t, a, nil)
+		if err := e.Step(100); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StatePaused)
+		if err := e.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		wantLog := append([]string{"init"}, want(t, a, 0, 100)...)
+		wantLog = append(append(wantLog, "init"), want(t, a, 0, 200)...)
+		sameLog(t, rec.lines(), wantLog)
+	})
+	t.Run("setpart", func(t *testing.T) {
+		e, rec := recordingEngine(t, a, nil)
+		if err := e.Step(100); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StatePaused)
+		if err := e.SetPart(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		wantLog := append([]string{"init"}, want(t, a, 0, 100)...)
+		sameLog(t, rec.lines(), append(wantLog, want(t, b, 0, 150)...))
+	})
+	// A read that fails at record 0 leaves the iterator at record 0; the
+	// re-staged part must still be read through a new one.
+	t.Run("setpart after a failed read", func(t *testing.T) {
+		raw, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw[8:], []byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // record 0's length: 4 GiB
+		bad := filepath.Join(t.TempDir(), "bad.ipa")
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, rec := recordingEngine(t, bad, nil)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateError)
+		if err := e.SetPart(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		sameLog(t, rec.lines(), append([]string{"init"}, want(t, b, 0, 150)...))
+	})
+}
+
+// A Rewind that lands while a batch is being processed wins: the rerun
+// starts at record 0, not where the interrupted batch stopped.
+func TestRewindDuringBatchRestartsFromZero(t *testing.T) {
+	part := makePart(t, 300, 13)
+	inBatch, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e, rec := recordingEngine(t, part, func(i int64) {
+		if i == 10 {
+			once.Do(func() {
+				close(inBatch)
+				<-release
+			})
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-inBatch
+	if err := e.Rewind(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, e, StateFinished)
+	lines := rec.lines()
+	wantLog := append([]string{"init"}, want(t, part, 0, 10)...)
+	wantLog = append(append(wantLog, "init"), want(t, part, 0, 300)...)
+	// The interrupted batch may log record 10 and the rest of its batch;
+	// everything after the second init is the rerun.
+	last := len(lines) - 301
+	if last < 0 || lines[last] != "init" {
+		t.Fatalf("no rerun of 300 records at the end of %d lines", len(lines))
+	}
+	sameLog(t, lines[:11], wantLog[:11])
+	sameLog(t, lines[last:], wantLog[11:])
 }
 
 func TestCapLogKeepsNewestBehindOneMark(t *testing.T) {

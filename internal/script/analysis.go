@@ -11,7 +11,8 @@ import (
 // RecordDecoder converts a raw dataset record into a script value, so
 // scripts see structured events rather than bytes. Decoders are registered
 // by data-format packages ("the analysis engines ... dynamically pickup new
-// data format readers", §2.3).
+// data format readers", §2.3). rec is valid only during the call (see
+// analysis.Analysis.Process), so the returned value must not alias it.
 type RecordDecoder func(rec []byte) (Value, error)
 
 var (

@@ -131,7 +131,7 @@ func TestWritePartsAreValidContainers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, rec)
+			all = append(all, append([]byte(nil), rec...))
 		}
 		pf.Close()
 	}

@@ -128,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for {
-		up, err := client.Poll()
+		up, err := client.PollWait(time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -138,11 +138,12 @@ func main() {
 		if up.EventsTotal > 0 {
 			fmt.Printf("\rprogress: %d/%d events", up.EventsDone, up.EventsTotal)
 		}
-		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal {
+		// Done once every part's engine has reported its whole part: an
+		// engine that has not published yet is missing from both counts.
+		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal && len(up.Progress) >= times.Parts {
 			fmt.Println()
 			break
 		}
-		time.Sleep(200 * time.Millisecond)
 	}
 	if st, err := client.Status(); err == nil && st.Polls > 0 {
 		fmt.Printf("merge traffic: %d publishes, %d polls (%.0f%% fast-path)",
@@ -164,15 +165,14 @@ func main() {
 		}
 	}
 	if *hold > 0 {
-		// Keep the session alive (polling occasionally so the merged
+		// Keep the session alive (a parked poll at a time, so the merged
 		// state stays warm) for gateway viewers watching
 		// /live/<session>; the deferred CloseSession fires at exit.
 		fmt.Printf("holding session %s open for %s (live viewers welcome)\n",
 			client.SessionID(), *hold)
 		deadline := time.Now().Add(*hold)
-		for time.Now().Before(deadline) {
-			time.Sleep(time.Second)
-			if _, err := client.Poll(); err != nil {
+		for wait := time.Until(deadline); wait > 0; wait = time.Until(deadline) {
+			if _, err := client.PollWait(wait); err != nil {
 				log.Fatal(err)
 			}
 		}

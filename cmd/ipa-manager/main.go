@@ -10,7 +10,7 @@
 //	ipa-manager [-nodes 8] [-events 20000] [-insecure] [-shards N]
 //	            [-rebalance 5s] [-rebalance-moves 2] [-rebalance-band 0.25]
 //	            [-health 2s] [-health-fails 3] [-http 127.0.0.1:6060]
-//	            [-relays N] [-relay-interval 25ms] [-gateway 127.0.0.1:7070]
+//	            [-relays N] [-gateway 127.0.0.1:7070]
 //
 // -http serves the operational plane on one listener: Prometheus-text
 // telemetry at /metrics, the live fabric snapshot (placements, epochs,
@@ -18,12 +18,13 @@
 // under /debug/pprof/. -pprof is a deprecated alias for -http.
 //
 // -relays starts a read fan-out tier on a sharded fabric (needs
-// -shards > 1): client polls route to delta-subscribing relay mirrors
-// while publishes stay on the owning shards. -gateway serves the
-// HTTP/SSE live-view plane — Server-Sent-Events update streams at
-// /events/{session}, an in-browser live view at /live/{session}, and
-// SVG/text/XML renderings at /view, /tree and /xml — off one relay
-// subscription per session, whatever the viewer count.
+// -shards > 1): client polls route to relay mirrors that wake on every
+// commit at the owning shard, while publishes stay on the owners.
+// -gateway serves the HTTP/SSE live-view plane — Server-Sent-Events
+// update streams at /events/{session}, an in-browser live view at
+// /live/{session}, and SVG/text/XML renderings at /view, /tree and
+// /xml — off one relay subscription per session, whatever the viewer
+// count.
 //
 // On startup it prints the endpoints and, with -events > 0, publishes a
 // generated LC dataset ("ds-zh") so a client can run immediately. In
@@ -48,7 +49,6 @@ import (
 	"sort"
 	"strconv"
 	"syscall"
-	"time"
 
 	"github.com/ipa-grid/ipa"
 	"github.com/ipa-grid/ipa/internal/gsi"
@@ -75,7 +75,6 @@ func main() {
 	httpAddr := flag.String("http", "", "serve /metrics, /fabric/status and /debug/pprof/ on this address (e.g. 127.0.0.1:6060; \"\" = off)")
 	pprofAddr := flag.String("pprof", "", "deprecated alias for -http")
 	relays := flag.Int("relays", 0, "read relay count: delta-subscribing mirrors that absorb client polls (0 = off; needs -shards > 1)")
-	relayInterval := flag.Duration("relay-interval", 0, "relay subscription sync cadence (0 = 25ms default)")
 	gateway := flag.String("gateway", "", "serve the HTTP/SSE live-view gateway on this address (e.g. 127.0.0.1:7070; \"\" = off)")
 	flag.Parse()
 	if *httpAddr == "" && *pprofAddr != "" {
@@ -89,7 +88,7 @@ func main() {
 		HealthInterval: *health, HealthFails: *healthFails,
 		Replicate: *replicate, ReplicaDepth: *replicas, AntiEntropyInterval: *antiEntropy,
 		WALDir: *wal, WALSyncEvery: *walSync,
-		Relays: *relays, RelayInterval: *relayInterval,
+		Relays: *relays,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -112,7 +111,7 @@ func main() {
 	}
 
 	if *gateway != "" {
-		gw, owned := gatewayRelay(grid, *relayInterval)
+		gw, owned := gatewayRelay(grid)
 		if owned {
 			defer gw.Close()
 		}
@@ -183,7 +182,7 @@ func main() {
 // share its subscriptions with polling clients), else a dedicated
 // gateway-owned relay mirroring the merge service directly. owned
 // reports whether the caller must Close it.
-func gatewayRelay(grid *ipa.LocalGrid, interval time.Duration) (gw *relay.Relay, owned bool) {
+func gatewayRelay(grid *ipa.LocalGrid) (gw *relay.Relay, owned bool) {
 	names := make([]string, 0, len(grid.Relays))
 	for name := range grid.Relays {
 		names = append(names, name)
@@ -193,10 +192,7 @@ func gatewayRelay(grid *ipa.LocalGrid, interval time.Duration) (gw *relay.Relay,
 		return grid.Relays[names[0]], false
 	}
 	rel := relay.New("gateway", grid.Merge)
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	rel.Interval = interval
+	rel.Interval = relay.ParkBound
 	rel.AutoSubscribe = true
 	return rel, true
 }

@@ -368,6 +368,8 @@ func (c *Client) pollReply(args merge.PollArgs, sinceEpoch int64) (merge.PollRep
 		// tombstone's regressed version becomes detectable.
 		reply.Release()
 		reply = merge.PollReply{}
+		// The direct poll already parked; the fallback answers at once.
+		args.Wait = 0
 	}
 	err := c.rmi.Call("AIDAManager.Poll", args, &reply)
 	return reply, err
@@ -375,8 +377,18 @@ func (c *Client) pollReply(args merge.PollArgs, sinceEpoch int64) (merge.PollRep
 
 // Poll fetches merged-histogram updates from the AIDA manager via RMI —
 // the "Start Polling for Data" plug-in of Figure 2. The client keeps a
-// local mirror tree; each poll applies only changed objects.
-func (c *Client) Poll() (Update, error) {
+// local mirror tree; each poll applies only changed objects. Poll never
+// blocks on the session: it answers at once, changed or not.
+func (c *Client) Poll() (Update, error) { return c.poll(0) }
+
+// PollWait is Poll, except that when nothing changed since the last poll
+// the read parks where it is served — the session's relay, or the merge
+// fabric without one — until a new version commits or d has passed (the
+// server caps d at merge.MaxPollWait). A viewer loop of PollWait calls
+// sees each change as it lands, with no sleep between polls.
+func (c *Client) PollWait(d time.Duration) (Update, error) { return c.poll(d) }
+
+func (c *Client) poll(wait time.Duration) (Update, error) {
 	if c.rmi == nil {
 		return Update{}, fmt.Errorf("core: no session (CreateSession first)")
 	}
@@ -384,7 +396,7 @@ func (c *Client) Poll() (Update, error) {
 	since, sinceEpoch := c.version, c.epoch
 	c.mu.Unlock()
 	reply, err := c.pollReply(merge.PollArgs{
-		SessionID: c.sessionID, SinceVersion: since,
+		SessionID: c.sessionID, SinceVersion: since, SinceEpoch: sinceEpoch, Wait: wait,
 	}, sinceEpoch)
 	if err != nil {
 		return Update{}, err

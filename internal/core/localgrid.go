@@ -74,12 +74,10 @@ type GridOptions struct {
 	WALDir       string
 	WALSyncEvery int
 	// Relays starts that many read relays on the sharded fabric: each
-	// subscribes once per session to the owning shard's delta stream
+	// follows the owning shard once per session, waking on every commit,
 	// and re-serves any number of client polls from its local mirrored
-	// copy (0 = none; needs Shards > 1). RelayInterval is the
-	// subscription poll cadence (0 = 25ms).
-	Relays        int
-	RelayInterval time.Duration
+	// copy (0 = none; needs Shards > 1).
+	Relays int
 }
 
 // LocalGrid is a complete single-process Grid site on loopback TCP:
@@ -246,15 +244,11 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			// Read fan-out tier: relays subscribe to the owners through
 			// the router's relay-bypassing origin poller and the router
 			// routes client reads to them.
-			interval := opts.RelayInterval
-			if interval <= 0 {
-				interval = 25 * time.Millisecond
-			}
 			g.Relays = make(map[string]*relay.Relay, opts.Relays)
 			for i := 0; i < opts.Relays; i++ {
 				name := fmt.Sprintf("relay%02d", i)
 				rel := relay.New(name, g.Router.OriginPoller())
-				rel.Interval = interval
+				rel.Interval = relay.ParkBound
 				rel.AutoSubscribe = true
 				g.Relays[name] = rel
 				if err := g.Router.AddRelay(name, rel); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func TestRelayGridFailoverConvergence(t *testing.T) {
 		Nodes: 2, BaseDir: t.TempDir(), SnapshotEvery: 100,
 		Shards: 3, Insecure: true,
 		Replicate: true, ReplicaDepth: 1,
-		Relays: 1, RelayInterval: 2 * time.Millisecond,
+		Relays: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +123,102 @@ func TestRelayGridFailoverConvergence(t *testing.T) {
 			t.Fatalf("client never converged after failover: %+v", h)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestClientPollWait: on a relay-fronted fabric, PollWait parks at the
+// relay and returns as soon as a publish lands — far sooner than its
+// wait — and with nothing new it returns unchanged once the wait has
+// passed, while Poll never blocks.
+func TestClientPollWait(t *testing.T) {
+	g, err := NewLocalGrid(GridOptions{
+		Nodes: 1, BaseDir: t.TempDir(), Shards: 2, Insecure: true, Relays: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	if _, err := g.AddUser("erin", gsi.RoleAnalyst); err != nil {
+		t.Fatal(err)
+	}
+	c, err := g.ClientFor("erin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateSession(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseSession()
+	c.SetDirectPoll(true)
+
+	tree := aida.NewTree()
+	h, err := tree.H1D("/w", "x", "", 10, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := merge.NewTransport(c.SessionID(), "w0", g.Merge)
+	publish := func(x float64) {
+		t.Helper()
+		h.Fill(x)
+		if _, err := tr.Send(func(full bool) (merge.Snapshot, error) {
+			if full {
+				d, err := tree.FullDelta()
+				return merge.Snapshot{Delta: d}, err
+			}
+			d, err := tree.Delta()
+			return merge.Snapshot{Delta: d}, err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(1)
+	if up, err := c.PollWait(time.Minute); err != nil || !up.Changed {
+		t.Fatalf("first PollWait = %+v, %v", up, err)
+	}
+	if got := c.DirectShard(); got != "relay:relay00" {
+		t.Fatalf("reads resolved onto %q, want the relay", got)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		up, err := c.PollWait(time.Minute)
+		if err == nil && !up.Changed {
+			err = fmt.Errorf("woke unchanged: %+v", up)
+		}
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let it park; either order must pass
+	t0 := time.Now()
+	publish(2)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a publish did not end a parked PollWait")
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("PollWait returned %v after the publish", d)
+	}
+	if h := c.Histogram1D("/w/x"); h == nil || h.AllEntries() != 2 {
+		t.Fatalf("mirror after PollWait = %+v", h)
+	}
+
+	const wait = 50 * time.Millisecond
+	t0 = time.Now()
+	if up, err := c.PollWait(wait); err != nil || up.Changed {
+		t.Fatalf("idle PollWait = %+v, %v", up, err)
+	}
+	if d := time.Since(t0); d < wait {
+		t.Fatalf("idle PollWait returned after %v, before its %v wait", d, wait)
+	}
+	t0 = time.Now()
+	if up, err := c.Poll(); err != nil || up.Changed {
+		t.Fatalf("idle Poll = %+v, %v", up, err)
+	}
+	if d := time.Since(t0); d > wait {
+		t.Fatalf("Poll blocked for %v", d)
 	}
 }
 

@@ -32,7 +32,10 @@
 // publishes take the write lock; and a quiescent poll — the client's
 // SinceVersion equals the current version, the overwhelmingly common
 // case for interactive clients — is answered from one atomic snapshot
-// without taking any lock at all.
+// without taking any lock at all. A quiescent poll may instead park
+// (PollArgs.Wait): it waits on a channel carried by that snapshot, which
+// the next commit closes, so a change wakes every parked reader at once
+// with no lock, waiter list or goroutine of the manager's own.
 //
 // The exported method signatures are RMI-compatible (args/reply structs),
 // so a Manager registers directly on an rmi.Server.
@@ -145,7 +148,21 @@ type PollArgs struct {
 	SinceVersion int64
 	// Full forces a complete tree regardless of SinceVersion.
 	Full bool
+	// Wait parks a non-Full poll that has nothing new — SinceVersion is
+	// the current version, or the session is unknown here — for up to
+	// Wait (capped at MaxPollWait), until the session commits a new
+	// version or is dropped, sealed or fenced. The poll then answers as
+	// an unparked one would. 0 answers at once.
+	Wait time.Duration
+	// SinceEpoch is the epoch SinceVersion was read at (0 = not known).
+	// A session at another epoch is a rebuilt state whose versions do
+	// not compare with SinceVersion, so a Wait poll of it is not parked.
+	SinceEpoch int64
 }
+
+// MaxPollWait caps PollArgs.Wait, so that a remote caller cannot pin a
+// handler goroutine for longer than this per call.
+const MaxPollWait = 5 * time.Second
 
 // WorkerProgress summarizes one engine for the client status panel
 // ("Information about the hosts that has Analysis Engines running",
@@ -235,7 +252,18 @@ type workerState struct {
 type polledState struct {
 	version  int64
 	progress []WorkerProgress // sorted by worker ID; immutable
+	// changed is closed when this snapshot is replaced, which wakes
+	// every poll parked on it (see Manager.park).
+	changed chan struct{}
 }
+
+// retired is the wake channel of a dropped session's snapshots: already
+// closed, so a poll that finds it returns at once.
+var retired = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 type sessionState struct {
 	// mu orders writers (publish/reset/import/export/flush) against
@@ -268,6 +296,8 @@ type sessionState struct {
 	cacheHits, cacheMisses atomic.Int64
 	indexPolls, walkPolls  atomic.Int64
 	fastPolls              atomic.Int64
+	// parked counts the polls parked on this session now.
+	parked atomic.Int64
 	// Cumulative traffic counters — what the shard balancer ranks
 	// session moves by. Publishes counts every snapshot upload routed
 	// here, polls every client read (fast path included).
@@ -329,6 +359,10 @@ const maxLogLines = 1000
 type Manager struct {
 	sessions sync.Map // sessionID → *sessionState
 
+	// born is closed and replaced whenever a session is created, waking
+	// polls parked on a session this manager did not hold yet.
+	born atomic.Pointer[chan struct{}]
+
 	// wal, when attached via SetWAL, logs every state-changing call for
 	// crash-restart replay; walCompacting single-flights compactions.
 	wal           *WAL
@@ -336,7 +370,12 @@ type Manager struct {
 }
 
 // NewManager creates an empty manager.
-func NewManager() *Manager { return &Manager{} }
+func NewManager() *Manager {
+	m := &Manager{}
+	born := make(chan struct{})
+	m.born.Store(&born)
+	return m
+}
 
 // sessionEpoch seeds session incarnation stamps: the process start
 // time in nanoseconds plus one per session created. Unique within a
@@ -355,7 +394,7 @@ func newSessionState() *sessionState {
 		gone:       make(map[string]int64),
 	}
 	s.epoch.Store(sessionEpoch.Add(1))
-	s.pub.Store(&polledState{})
+	s.pub.Store(&polledState{changed: make(chan struct{})})
 	return s
 }
 
@@ -370,6 +409,8 @@ func (m *Manager) session(id string) *sessionState {
 	if v, raced := m.sessions.LoadOrStore(id, s); raced {
 		return v.(*sessionState)
 	}
+	born := make(chan struct{})
+	close(*m.born.Swap(&born))
 	return s
 }
 
@@ -397,7 +438,45 @@ func (s *sessionState) commitLocked() {
 			})
 		}
 	}
+	s.storePubLocked(ps)
+}
+
+// storePubLocked installs ps as the read snapshot, then wakes every poll
+// parked on the one it replaces — in that order, so a woken poll reads
+// ps. A retired session's snapshots keep the retired channel, so
+// nothing parks on it again. Caller holds mu.
+func (s *sessionState) storePubLocked(ps *polledState) {
+	old := s.pub.Load()
+	switch {
+	case old.changed == retired:
+		ps.changed = retired
+	case ps.changed == nil:
+		ps.changed = make(chan struct{})
+	}
 	s.pub.Store(ps)
+	if old.changed != retired {
+		close(old.changed)
+	}
+}
+
+// wakeLocked wakes the parked polls of an event that changes how a poll
+// is answered but not the version — a seal, a fence — or, with retire,
+// that ends the session here. Caller holds mu.
+func (s *sessionState) wakeLocked(retire bool) {
+	ps := *s.pub.Load()
+	ps.changed = nil
+	if retire {
+		ps.changed = retired
+	}
+	s.storePubLocked(&ps)
+}
+
+// retire wakes, for good, every poll parked on a state the manager no
+// longer holds.
+func (s *sessionState) retire() {
+	s.mu.Lock()
+	s.wakeLocked(true)
+	s.mu.Unlock()
 }
 
 // clearFrames empties the encode cache (reset, import, tombstone).
@@ -732,8 +811,12 @@ func (s *sessionState) rebuild() error {
 // (RMI-compatible). Unknown sessions yield an empty reply rather than
 // allocating state. Quiescent polls (SinceVersion == current version)
 // return on one atomic load; other polls share the session read lock,
-// so any number of clients poll concurrently with each other.
+// so any number of clients poll concurrently with each other. With
+// args.Wait a poll that has nothing new parks first (see park).
 func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
+	if args.Wait > 0 && !args.Full {
+		m.park(args)
+	}
 	t0 := obs.Now()
 	defer obsPollSeconds.ObserveSince(t0)
 	s := m.lookup(args.SessionID)
@@ -841,6 +924,46 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 	return nil
 }
 
+// park holds a poll that has nothing new for its caller until that may
+// have changed, or until args.Wait (capped at MaxPollWait) has passed.
+// Nothing is new while the session is still at the caller's version and
+// epoch, is fenced (it answers like an unknown session until it
+// changes), or is unknown here. The poll waits on the snapshot's
+// changed channel and wakes once: a commit, seal, fence or drop may
+// change the answer, and the caller polls again to find out. A poll of
+// an unknown session waits on born instead, and then for the new
+// session's first commit, which its creator makes right after.
+func (m *Manager) park(args PollArgs) {
+	t := time.NewTimer(min(args.Wait, MaxPollWait))
+	defer t.Stop()
+	// Load born before the lookup, so a session created in between still
+	// wakes this poll.
+	born := m.born.Load()
+	s := m.lookup(args.SessionID)
+	if s == nil {
+		select {
+		case <-*born:
+		case <-t.C:
+			return
+		}
+		if s = m.lookup(args.SessionID); s == nil || s.fenced() {
+			return
+		}
+		args.SinceVersion, args.SinceEpoch = 0, 0
+	}
+	ps := s.pub.Load()
+	if !s.fenced() && (ps.version != args.SinceVersion ||
+		args.SinceEpoch != 0 && args.SinceEpoch != s.epoch.Load()) {
+		return
+	}
+	s.parked.Add(1)
+	defer s.parked.Add(-1)
+	select {
+	case <-ps.changed:
+	case <-t.C:
+	}
+}
+
 // ResetArgs clears a session's results (rewind).
 type ResetArgs struct {
 	SessionID string
@@ -904,10 +1027,33 @@ func (m *Manager) CacheStats(sessionID string) (hits, misses int64) {
 	return 0, 0
 }
 
-// Drop removes a session entirely (teardown).
+// Drop removes a session entirely (teardown). Polls parked on it return.
 func (m *Manager) Drop(sessionID string) {
-	if _, ok := m.sessions.LoadAndDelete(sessionID); ok {
+	if v, ok := m.sessions.LoadAndDelete(sessionID); ok {
+		v.(*sessionState).retire()
 		m.walAppend(&walRecord{Kind: walDrop, Session: sessionID})
+	}
+}
+
+// SeedFrames stores encoded frames that another manager made for this
+// session's objects in the poll frame cache, stamped at version: the
+// version at which the caller's own publish of those objects committed.
+// An entry whose path has changed since is skipped. A relay seeds the
+// upstream's frames after republishing them, so its readers are served
+// the owner's encoding instead of a second one; the codec is
+// deterministic, so the bytes are the same. The frames must not be
+// modified or released afterwards.
+func (m *Manager) SeedFrames(sessionID string, version int64, entries []PollEntry) {
+	s := m.lookup(sessionID)
+	if s == nil {
+		return
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range entries {
+		if s.objVersion[e.Path] == version {
+			s.frames.Store(e.Path, cachedFrame{version: version, frame: e.Frame})
+		}
 	}
 }
 
@@ -1087,6 +1233,7 @@ func (m *Manager) Export(args ExportArgs, reply *ExportReply) error {
 	}
 	if args.Seal {
 		s.sealed.Store(true)
+		s.wakeLocked(false)
 	}
 	return nil
 }
@@ -1211,6 +1358,9 @@ type StatsReply struct {
 	Fenced bool
 	// FastPolls counts polls answered by the lock-free quiescent path.
 	FastPolls int64
+	// Parked counts the polls parked on the session right now (see
+	// PollArgs.Wait). Behind a relay tier it is at most one per relay.
+	Parked int64
 	// Publishes / Polls are the session's cumulative traffic counters —
 	// the load signal the shard balancer ranks migration candidates by.
 	Publishes, Polls int64
@@ -1237,6 +1387,7 @@ func (m *Manager) Stats(args StatsArgs, reply *StatsReply) error {
 	reply.Epoch = s.epoch.Load()
 	reply.Fenced = s.fenced()
 	reply.FastPolls = s.fastPolls.Load()
+	reply.Parked = s.parked.Load()
 	reply.Publishes = s.publishes.Load()
 	reply.Polls = s.polls.Load()
 	reply.LastTraceID = s.lastTrace.Load()
@@ -1266,6 +1417,7 @@ func (m *Manager) Seal(args SealArgs, reply *SealReply) error {
 	}
 	s.mu.Lock()
 	s.sealed.Store(args.On)
+	s.wakeLocked(false)
 	s.mu.Unlock()
 	reply.Found = true
 	return nil
@@ -1308,6 +1460,7 @@ func (m *Manager) DropSession(args DropArgs, reply *DropReply) error {
 		// keep refusing the dead incarnation's stragglers and imports.
 		shell.fence.Store(v.(*sessionState).fence.Load())
 		if m.sessions.CompareAndSwap(args.SessionID, v, shell) {
+			v.(*sessionState).retire()
 			m.walAppend(&walRecord{Kind: walDrop, Session: args.SessionID, Tombstone: true})
 		}
 	}

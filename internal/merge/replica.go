@@ -331,6 +331,7 @@ func (m *Manager) Fence(args FenceArgs, reply *FenceReply) error {
 	if floor > s.fence.Load() {
 		s.fence.Store(floor)
 	}
+	s.wakeLocked(false)
 	reply.Found = true
 	reply.Epoch = s.fence.Load()
 	return m.walAppend(&walRecord{Kind: walFence, Session: args.SessionID, Epoch: floor})

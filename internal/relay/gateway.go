@@ -1,11 +1,11 @@
 // The HTTP/SSE live-view gateway: the browser-facing edge of the read
-// fan-out tier. Each SSE client gets one goroutine that polls the
-// gateway's relay once per tick — hitting the relay-local lock-free
-// fast path when nothing changed — and pushes at most one `update`
-// frame per tick, so a burst of upstream publishes coalesces into a
-// single event per client. Rendering reuses the aida SVG/XML/text
-// renderers over the relay's local merged copy; no new protocol, no
-// per-viewer load on the owning shard.
+// fan-out tier. Each SSE client gets one goroutine whose poll parks on
+// the gateway's relay until the relay's local copy commits a new
+// version, then pushes one `update` frame covering everything since the
+// client's last frame — publishes that land while a frame is being
+// written coalesce into the next one. Rendering reuses the aida
+// SVG/XML/text renderers over the relay's local merged copy; no new
+// protocol, no per-viewer load on the owning shard.
 //
 // Endpoint contract (all GET):
 //
@@ -35,8 +35,10 @@ import (
 // Gateway serves live session views from a relay over HTTP/SSE.
 type Gateway struct {
 	relay *Relay
-	// Tick is the per-client coalescing interval: each SSE client sees
-	// at most one update frame per Tick (default 200ms).
+	// Tick bounds one SSE client's parked poll (default 200ms): a client
+	// gets a frame as soon as the version moves, and at least every Tick
+	// the stream re-polls and notices a client that went away. It sets
+	// no frame rate.
 	Tick time.Duration
 	mux  *http.ServeMux
 }
@@ -91,15 +93,23 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 	if tick <= 0 {
 		tick = 200 * time.Millisecond
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
 	enc := json.NewEncoder(w)
 	var since, sinceEpoch int64
 	push := func() bool {
 		var reply merge.PollReply
-		args := merge.PollArgs{SessionID: sid, SinceVersion: since}
-		if err := g.relay.Poll(args, &reply); err != nil || reply.Version == 0 {
-			return true // session unknown yet; keep waiting
+		args := merge.PollArgs{SessionID: sid, SinceVersion: since, SinceEpoch: sinceEpoch, Wait: tick}
+		if err := g.relay.Poll(args, &reply); err != nil {
+			// A failing relay answers at once: retry after a tick.
+			t := time.NewTimer(tick)
+			defer t.Stop()
+			select {
+			case <-r.Context().Done():
+			case <-t.C:
+			}
+			return true
+		}
+		if reply.Version == 0 {
+			return true // session unknown yet (the poll parked); keep waiting
 		}
 		resync := since > 0 && (reply.Version < since ||
 			(reply.Epoch != 0 && sinceEpoch != 0 && reply.Epoch != sinceEpoch))
@@ -145,18 +155,7 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 		since, sinceEpoch = reply.Version, reply.Epoch
 		return true
 	}
-	if !push() {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.C:
-			if !push() {
-				return
-			}
-		}
+	for r.Context().Err() == nil && push() {
 	}
 }
 

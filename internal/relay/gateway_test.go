@@ -45,7 +45,7 @@ func readSSEFrame(t *testing.T, br *bufio.Reader) map[string]any {
 
 // TestGatewaySSE drives the browser-facing surface end to end: an SSE
 // client sees correctly framed update events, a burst of publishes
-// coalesces into one frame (version jumps, no intermediate frames),
+// reaches the stream (the next frame's version is past the first's),
 // and the render endpoints serve SVG/text/XML off the relay's local
 // copy.
 func TestGatewaySSE(t *testing.T) {
@@ -93,8 +93,7 @@ func TestGatewaySSE(t *testing.T) {
 		t.Fatal("first frame named no paths")
 	}
 
-	// Burst: several publishes inside one client tick must coalesce
-	// into a single frame whose version jumps past the intermediates.
+	// Burst: the next frame carries a version past the first.
 	for i := 0; i < 5; i++ {
 		h.Fill(float64(i % 10))
 		sendSnap(t, tr, tree)
@@ -137,6 +136,54 @@ func TestGatewaySSE(t *testing.T) {
 
 	if st := rel.Stats(); st.Clients != 1 {
 		t.Fatalf("relay clients = %d, want 1 (the SSE stream)", st.Clients)
+	}
+}
+
+// TestGatewayPushesOnCommit: with a relay loop and an SSE park bound of
+// a second, each publish reaches the browser in well under a tick — the
+// frame is written when the version moves, not on a timer.
+func TestGatewayPushesOnCommit(t *testing.T) {
+	mgr := merge.NewManager()
+	const sid = "push-sess"
+	tree := aida.NewTree()
+	h, err := tree.H1D("/h", "x", "", 10, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := merge.NewTransport(sid, "w0", mgr)
+	h.Fill(1)
+	sendSnap(t, tr, tree)
+
+	rel := relay.New("push", mgr)
+	rel.AutoSubscribe = true
+	rel.Interval = relay.ParkBound
+	defer rel.Close()
+	gw := relay.NewGateway(rel)
+	gw.Tick = time.Second
+	srv := httptest.NewServer(gw)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/events/" + sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	last, _ := readSSEFrame(t, br)["version"].(float64)
+
+	const bound = 250 * time.Millisecond
+	for i := 0; i < 5; i++ {
+		h.Fill(float64(i))
+		t0 := time.Now()
+		sendSnap(t, tr, tree)
+		f := readSSEFrame(t, br)
+		if d := time.Since(t0); d > bound {
+			t.Fatalf("publish %d reached the stream after %v; the park bound is %v", i, d, gw.Tick)
+		}
+		v, _ := f["version"].(float64)
+		if v <= last {
+			t.Fatalf("frame %d version %v did not advance past %v", i, v, last)
+		}
+		last = v
 	}
 }
 

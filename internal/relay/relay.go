@@ -1,13 +1,20 @@
-// Package relay is the fabric's read fan-out tier. A Relay subscribes
-// ONCE per session to the owning shard's delta stream — polling
-// incrementally and republishing each batch into a private
+// Package relay is the fabric's read fan-out tier. A Relay follows each
+// session through ONE upstream subscription: a loop of version-gated
+// long polls (merge.PollArgs.Wait) that return as soon as the upstream
+// commits a new version. Each change is republished into a private
 // merge.Manager through the same generation-stamped merge.Transport the
-// engines use, pointed downhill — and re-serves any number of
-// downstream pollers from that local merged copy. Downstream reads hit
-// the local manager's lock-free quiescent fast path and encoded-frame
-// cache, so N viewers cost the owning shard one subscription stream
-// instead of N poll round-trips, and because the codec is
-// deterministic, relay-served frames are byte-identical to the owner's.
+// engines use, pointed downhill, and the upstream's encoded frames are
+// seeded into that copy's frame cache. Downstream pollers, parked or
+// not, hit the local manager's lock-free fast path and frame cache, so
+// N viewers cost the owning shard one parked poll instead of N, and
+// because the codec is deterministic, relay-served frames are
+// byte-identical to the owner's.
+//
+// A subscription follows its upstream only while it has demand: a
+// downstream poll since its last sync, or one parked on it right now.
+// Without either it goes idle and polls upstream no more; the first
+// read of an idle subscription syncs inline before it is served, then
+// wakes the loop to follow again.
 //
 // Relays compose: a Relay's upstream may itself be a Relay (a
 // relay-of-relay tree for geographic tiers).
@@ -46,21 +53,33 @@ type Poller interface {
 // process can host several tiers).
 func ObjectName(name string) string { return "AIDARelay/" + name }
 
+// ParkBound is the Interval a fabric gives its relays: long enough that
+// a quiet session costs its owner about one poll a second, and well
+// under merge.MaxPollWait.
+const ParkBound = time.Second
+
+// retryPause spaces the upstream polls of a loop whose upstream fails,
+// which would otherwise answer as fast as the loop can ask.
+const retryPause = 25 * time.Millisecond
+
 // Relay mirrors sessions from an upstream Poller into a local
 // merge.Manager and re-serves downstream polls from it.
 type Relay struct {
 	name     string
 	upstream Poller
 	// releaseUp: upstream replies crossed the wire, so their decoded
-	// frames go back to the frame pool after the delta is built. Never
-	// set for in-process upstreams, whose replies share the owner's
-	// encode cache (releasing those would corrupt later polls).
+	// frames go back to the frame pool unless the local frame cache
+	// keeps them. Never set for in-process upstreams, whose replies
+	// share the owner's encode cache (releasing those would corrupt
+	// later polls).
 	releaseUp bool
 	local     *merge.Manager
 
-	// Interval is the subscription poll cadence (0 = no background
-	// loop; tests and embedders drive syncs via SyncNow). Set before
-	// Subscribe.
+	// Interval bounds one upstream long poll: the subscription loop
+	// parks upstream for up to Interval waiting for a new version, and
+	// polls again when it passes. A commit upstream wakes the loop at
+	// once, so Interval sets no cadence. 0 = no background loop; tests
+	// and embedders drive syncs via SyncNow. Set before Subscribe.
 	Interval time.Duration
 	// AutoSubscribe makes the first downstream poll of an unknown
 	// session open its subscription on demand. Set before use.
@@ -78,8 +97,9 @@ type Relay struct {
 type subscription struct {
 	sid string
 
-	// syncMu serializes syncOnce between the background loop and
-	// SyncNow; the fields below it are guarded by it.
+	// syncMu serializes applying upstream replies to the local copy
+	// (the loop, inline syncs and SyncNow); the fields below it are
+	// guarded by it. The loop does not hold it while parked upstream.
 	syncMu    sync.Mutex
 	tr        *merge.Transport
 	upVersion int64
@@ -98,12 +118,32 @@ type subscription struct {
 	// the total across transport replacements (guarded by syncMu).
 	rebaselines atomic.Int64
 	rebaseBase  int64
-	// primed is set once a sync has completed: until then the local
-	// copy is empty, and auto-subscribing polls sync before serving.
-	primed atomic.Bool
+
+	// Demand. read is set by a downstream poll and cleared when the loop
+	// starts an upstream exchange; parked counts downstream polls parked
+	// on the local copy now. idle means nothing keeps the local copy
+	// current — before the first sync, and while the loop waits for
+	// demand — so the next read syncs inline; kick then wakes the loop.
+	read   atomic.Bool
+	parked atomic.Int32
+	idle   atomic.Bool
+	kick   chan struct{}
 
 	stop chan struct{}
-	done chan struct{}
+}
+
+// demanded reports whether someone read the copy since the loop's last
+// upstream exchange began, or waits on it now.
+func (s *subscription) demanded() bool { return s.read.Load() || s.parked.Load() > 0 }
+
+// stopped reports whether the subscription was torn down.
+func (s *subscription) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // New creates a relay named name subscribing through upstream. The
@@ -135,9 +175,9 @@ var errUnchanged = errors.New("relay: upstream unchanged")
 // be dropped and re-baselined.
 var errEpochFlip = errors.New("relay: upstream epoch changed")
 
-// Subscribe opens the session's upstream subscription (idempotent).
-// With a positive Interval the background loop starts polling; either
-// way the first sync happens on the next SyncNow or tick.
+// Subscribe opens the session's upstream subscription (idempotent). It
+// starts idle: the first downstream read or SyncNow syncs it, and with
+// a positive Interval the read also starts the loop following upstream.
 func (r *Relay) Subscribe(sessionID string) error {
 	if _, ok := r.subs.Load(sessionID); ok {
 		return nil
@@ -153,38 +193,83 @@ func (r *Relay) Subscribe(sessionID string) error {
 	s := &subscription{
 		sid:  sessionID,
 		tr:   merge.NewTransport(sessionID, "relay:"+r.name, r.local),
+		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}
+	s.idle.Store(true)
 	r.subs.Store(sessionID, s)
 	obsSubscriptions.Add(1)
 	if r.Interval > 0 {
 		go r.loop(s)
-	} else {
-		close(s.done)
 	}
 	return nil
 }
 
+// loop follows upstream while the subscription has demand and waits
+// for a kick while it has none. It exits once the subscription stops
+// and its current upstream poll returns.
 func (r *Relay) loop(s *subscription) {
-	defer close(s.done)
-	t := time.NewTicker(r.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			// Errors are retried on the next tick; the transport's
-			// re-baseline state machine covers anything half-applied.
-			r.syncOnce(s)
+	for !s.stopped() {
+		if !s.demanded() {
+			s.idle.Store(true)
+			// Check again after publishing idle: a read that still saw
+			// the copy followed shows up here; any later one sees idle,
+			// syncs inline and kicks.
+			if !s.demanded() {
+				select {
+				case <-s.stop:
+					return
+				case <-s.kick:
+				}
+				continue
+			}
+		}
+		s.idle.Store(false)
+		s.read.Store(false)
+		if err := r.follow(s); err != nil {
+			// Errors are retried; the transport's re-baseline state
+			// machine covers anything half-applied.
+			t := time.NewTimer(retryPause)
+			select {
+			case <-s.stop:
+			case <-t.C:
+			}
+			t.Stop()
 		}
 	}
 }
 
+// follow runs one upstream exchange of the loop: a poll parked for up
+// to Interval until the upstream moves past the local copy's version,
+// then applied. The poll parks without syncMu, so SyncNow, inline syncs
+// and teardown never wait out a park.
+func (r *Relay) follow(s *subscription) error {
+	s.syncMu.Lock()
+	since, epoch := s.upVersion, s.upEpoch
+	s.syncMu.Unlock()
+	var pr merge.PollReply
+	err := r.upstream.Poll(merge.PollArgs{
+		SessionID: s.sid, SinceVersion: since, SinceEpoch: epoch, Wait: r.Interval,
+	}, &pr)
+	if err != nil {
+		return err
+	}
+	r.upPolls.Add(1)
+	obsUpPolls.Inc()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	if s.upVersion != since || s.upEpoch != epoch {
+		// Another sync moved the subscription while this poll was
+		// parked: the reply is a diff from a version the copy has left.
+		r.releaseReply(&pr)
+		return nil
+	}
+	return r.syncWith(s, &pr)
+}
+
 // SyncNow forces one synchronous subscription exchange for a session
 // (no-op for unsubscribed sessions). Tests use it for deterministic
-// sequencing; the gateway uses it for freshness on first attach.
+// sequencing.
 func (r *Relay) SyncNow(sessionID string) error {
 	v, ok := r.subs.Load(sessionID)
 	if !ok {
@@ -197,11 +282,29 @@ func (r *Relay) SyncNow(sessionID string) error {
 func (r *Relay) syncOnce(s *subscription) error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
+	return r.syncWith(s, nil)
+}
+
+// syncWith applies one upstream exchange, starting from pre when the
+// caller already polled (nil = poll now). Caller holds syncMu.
+func (r *Relay) syncWith(s *subscription, pre *merge.PollReply) error {
+	if s.stopped() {
+		// Torn down: the local copy is gone and must stay gone.
+		if pre != nil {
+			r.releaseReply(pre)
+		}
+		return nil
+	}
 	for attempt := 0; ; attempt++ {
-		err := r.syncLocked(s)
+		err := r.syncLocked(s, pre)
+		pre = nil
 		switch {
 		case err == nil || errors.Is(err, errUnchanged):
-			s.primed.Store(true)
+			if r.Interval <= 0 {
+				// Without a loop, whoever drives SyncNow keeps the copy
+				// current from here on.
+				s.idle.Store(false)
+			}
 			return nil
 		case errors.Is(err, errEpochFlip) && attempt == 0:
 			// The upstream state was rebuilt under us (failover
@@ -218,7 +321,7 @@ func (r *Relay) syncOnce(s *subscription) error {
 			s.progress.Store(nil)
 			continue
 		case errors.Is(err, errEpochFlip):
-			// Flipped twice in one sync: let the next tick retry.
+			// Flipped twice in one sync: let the next exchange retry.
 			return nil
 		default:
 			return err
@@ -226,7 +329,15 @@ func (r *Relay) syncOnce(s *subscription) error {
 	}
 }
 
-func (r *Relay) syncLocked(s *subscription) error {
+// syncLocked applies one upstream reply: pre when given and the
+// transport wants an increment, else a fresh poll. It consumes pre.
+// Caller holds syncMu.
+func (r *Relay) syncLocked(s *subscription, pre *merge.PollReply) error {
+	defer func() {
+		if pre != nil {
+			r.releaseReply(pre)
+		}
+	}()
 	if s.upVersion != 0 && r.local.Version(s.sid) == 0 {
 		// The local copy was wiped under the subscription (an injected
 		// NeedFull, an operator drop). An unchanged upstream would
@@ -234,22 +345,27 @@ func (r *Relay) syncLocked(s *subscription) error {
 		// baseline instead.
 		return errEpochFlip
 	}
-	var nextVersion, nextEpoch int64
-	var nextProgress []merge.WorkerProgress
+	// applied is the reply the send republished; its frames are seeded
+	// into the local frame cache once the publish commits.
+	var applied merge.PollReply
 	t0 := time.Now()
-	_, err := s.tr.Send(func(full bool) (merge.Snapshot, error) {
-		args := merge.PollArgs{SessionID: s.sid}
-		if full {
-			args.Full = true
-		} else {
-			args.SinceVersion = s.upVersion
-		}
+	reply, err := s.tr.Send(func(full bool) (merge.Snapshot, error) {
 		var pr merge.PollReply
-		if err := r.upstream.Poll(args, &pr); err != nil {
-			return merge.Snapshot{}, err
+		if pre != nil && !full {
+			pr, pre = *pre, nil
+		} else {
+			args := merge.PollArgs{SessionID: s.sid}
+			if full {
+				args.Full = true
+			} else {
+				args.SinceVersion = s.upVersion
+			}
+			if err := r.upstream.Poll(args, &pr); err != nil {
+				return merge.Snapshot{}, err
+			}
+			r.upPolls.Add(1)
+			obsUpPolls.Inc()
 		}
-		r.upPolls.Add(1)
-		obsUpPolls.Inc()
 		if pr.Version == 0 && pr.Epoch == 0 {
 			// Upstream doesn't know the session (dropped, fenced, or
 			// mid-failover): keep serving the local copy's final state.
@@ -273,6 +389,7 @@ func (r *Relay) syncLocked(s *subscription) error {
 		for _, e := range pr.Entries {
 			st, err := e.State()
 			if err != nil {
+				r.releaseReply(&pr)
 				return merge.Snapshot{}, err
 			}
 			d.Entries = append(d.Entries, aida.TreeEntry{Path: e.Path, Object: st})
@@ -285,17 +402,18 @@ func (r *Relay) syncLocked(s *subscription) error {
 			snap.Done += p.EventsDone
 			snap.Total += p.EventsTotal
 		}
-		nextVersion, nextEpoch, nextProgress = pr.Version, pr.Epoch, pr.Progress
-		// The decoded states above copied out of the frame buffers, so a
-		// wire-crossing reply's frames can go back to the pool now.
-		r.releaseReply(&pr)
+		applied = pr
 		return snap, nil
 	})
-	if err != nil {
+	if err != nil || !reply.Accepted {
+		r.releaseReply(&applied)
 		return err
 	}
-	s.upVersion, s.upEpoch = nextVersion, nextEpoch
-	s.progress.Store(&nextProgress)
+	// The frames now belong to the local frame cache: a wire reply's
+	// pooled buffers are never released back to the pool.
+	r.local.SeedFrames(s.sid, reply.Version, applied.Entries)
+	s.upVersion, s.upEpoch = applied.Version, applied.Epoch
+	s.progress.Store(&applied.Progress)
 	s.rebaselines.Store(s.rebaseBase + s.tr.Rebaselines())
 	now := time.Now()
 	s.lastSyncNS.Store(now.UnixNano())
@@ -318,47 +436,67 @@ func (r *Relay) DropClient() { r.clients.Add(-1) }
 
 // Poll re-serves a downstream read from the local merged copy
 // (RMI-compatible — the same wire surface as a Manager, so core.Client
-// needs no new protocol).
+// needs no new protocol). A poll with args.Wait parks on the local copy
+// and counts as demand while it does; a read of an idle subscription
+// syncs it first.
 func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 	r.downPolls.Add(1)
 	obsDownPolls.Inc()
-	if r.AutoSubscribe {
-		v, ok := r.subs.Load(args.SessionID)
-		if !ok {
-			if err := r.Subscribe(args.SessionID); err != nil {
-				return err
-			}
-			v, _ = r.subs.Load(args.SessionID)
+	v, ok := r.subs.Load(args.SessionID)
+	if !ok && r.AutoSubscribe {
+		if err := r.Subscribe(args.SessionID); err != nil {
+			return err
 		}
-		// Serve the first polls fresh rather than empty — including one
-		// that finds the subscription another poll just opened, whose
-		// first sync is still in flight.
-		if s, ok := v.(*subscription); ok && !s.primed.Load() {
+		v, ok = r.subs.Load(args.SessionID)
+	}
+	var s *subscription
+	if ok {
+		s = v.(*subscription)
+		if args.Wait > 0 && !args.Full {
+			s.parked.Add(1)
+			defer s.parked.Add(-1)
+		}
+		if !s.read.Load() {
+			s.read.Store(true)
+		}
+		if s.idle.Load() {
+			// Nothing keeps this copy current — it was never synced, or
+			// its loop went idle: catch up before serving (including a
+			// poll that finds a subscription another poll just opened),
+			// then wake the loop to follow on.
 			if err := r.syncOnce(s); err != nil {
 				return err
+			}
+			select {
+			case s.kick <- struct{}{}:
+			default:
 			}
 		}
 	}
 	if err := r.local.Poll(args, reply); err != nil {
 		return err
 	}
-	if v, ok := r.subs.Load(args.SessionID); ok {
-		if p := v.(*subscription).progress.Load(); p != nil && len(*p) > 0 {
+	if s != nil {
+		if p := s.progress.Load(); p != nil && len(*p) > 0 {
 			reply.Progress = *p
 		}
 	}
 	return nil
 }
 
-// Unsubscribe stops a session's subscription loop and forgets its
-// local copy.
+// Unsubscribe stops a session's subscription and forgets its local
+// copy; polls parked on the copy return. It does not wait for the loop
+// to return from a parked upstream poll: that poll's reply is dropped.
 func (r *Relay) Unsubscribe(sessionID string) {
 	if v, ok := r.subs.LoadAndDelete(sessionID); ok {
 		s := v.(*subscription)
 		close(s.stop)
-		<-s.done
 		obsSubscriptions.Add(-1)
+		// Under syncMu, a sync in flight lands before the drop, and none
+		// applies after it (syncs check stop).
+		s.syncMu.Lock()
 		r.local.Drop(sessionID)
+		s.syncMu.Unlock()
 	}
 }
 
@@ -366,18 +504,18 @@ func (r *Relay) Unsubscribe(sessionID string) {
 // here alongside the shards).
 func (r *Relay) Drop(sessionID string) { r.Unsubscribe(sessionID) }
 
-// Close stops every subscription loop. The local copies keep serving
-// whatever they last mirrored until the relay is dropped.
+// Close stops every subscription, without waiting out parked upstream
+// polls. The local copies keep serving whatever they last mirrored
+// until the relay is dropped.
 func (r *Relay) Close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
-	r.subs.Range(func(k, v any) bool {
-		s := v.(*subscription)
-		close(s.stop)
-		<-s.done
-		r.subs.Delete(k)
-		obsSubscriptions.Add(-1)
+	r.subs.Range(func(k, _ any) bool {
+		if v, ok := r.subs.LoadAndDelete(k); ok {
+			close(v.(*subscription).stop)
+			obsSubscriptions.Add(-1)
+		}
 		return true
 	})
 }
@@ -395,9 +533,9 @@ type Stats struct {
 	FanOut    float64
 	// Clients counts attached long-lived consumers (SSE).
 	Clients int64
-	// StalenessMS is the oldest subscription's time since its last
-	// successful upstream exchange — the staleness bound a reader of
-	// this relay observes.
+	// StalenessMS is the oldest followed subscription's time since its
+	// last successful upstream exchange. Idle subscriptions are left
+	// out: their next reader syncs before it is served.
 	StalenessMS float64
 	// Rebaselines counts forwarded full baselines after the first
 	// (upstream failovers, handoffs, injected NeedFulls).
@@ -416,7 +554,7 @@ func (r *Relay) Stats() Stats {
 	r.subs.Range(func(_, v any) bool {
 		s := v.(*subscription)
 		st.Sessions++
-		if last := s.lastSyncNS.Load(); last > 0 {
+		if last := s.lastSyncNS.Load(); last > 0 && !s.idle.Load() {
 			if ms := float64(now-last) / 1e6; ms > st.StalenessMS {
 				st.StalenessMS = ms
 			}
@@ -452,5 +590,5 @@ func (p *RemotePoller) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 }
 
 // WireReplies marks replies as wire-decoded: their frames are pool
-// buffers the relay must Release after re-publishing.
+// buffers the relay must Release unless it keeps them.
 func (p *RemotePoller) WireReplies() bool { return true }

@@ -94,30 +94,6 @@ func makeEvents(b *testing.B, n int) [][]byte {
 	return recs
 }
 
-// BenchmarkHiggsAnalysis measures the reference analysis per event.
-func BenchmarkHiggsAnalysis(b *testing.B) {
-	recs := makeEvents(b, 1000)
-	ha, _ := events.NewHiggsAnalysis(nil)
-	ctx := &analysis.Context{Tree: aida.NewTree()}
-	if err := ha.Init(ctx); err != nil {
-		b.Fatal(err)
-	}
-	// SetBytes takes the per-operation byte count and must be fixed before
-	// the loop; deriving it from a running total after the loop produced
-	// nonsense MB/s figures.
-	var total int64
-	for _, rec := range recs {
-		total += int64(len(rec))
-	}
-	b.SetBytes(total / int64(len(recs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ha.Process(recs[i%len(recs)], ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScriptAnalysis measures the interpreted path per event —
 // decode and evaluate — on the script the end-to-end script_rerun
 // workload runs (bench/session.go scriptVariant).
@@ -154,28 +130,6 @@ func BenchmarkScriptAnalysis(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkScriptEventDecode measures the decode half alone: a record to
-// the event object a script's process(ev) receives.
-func BenchmarkScriptEventDecode(b *testing.B) {
-	recs := makeEvents(b, 1000)
-	decode, ok := script.LookupDecoder(events.EventDecoderName)
-	if !ok {
-		b.Fatal("no lc-event decoder")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := decode(recs[i%len(recs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchEvent = ev
-	}
-}
-
-// benchEvent keeps BenchmarkScriptEventDecode's result alive.
-var benchEvent script.Value
 
 // BenchmarkSplitter measures record-aware splitting throughput.
 func BenchmarkSplitter(b *testing.B) {
@@ -338,22 +292,6 @@ func BenchmarkPollIncremental(b *testing.B) {
 		}
 		if len(poll.Entries) != 1 {
 			b.Fatalf("poll entries = %d, want 1", len(poll.Entries))
-		}
-	}
-}
-
-// BenchmarkEventCodec measures event marshal/unmarshal round trips.
-func BenchmarkEventCodec(b *testing.B) {
-	g := events.NewGenerator(events.GenConfig{Seed: 3})
-	ev := g.Next()
-	rec := events.Marshal(nil, ev)
-	b.SetBytes(int64(len(rec)))
-	var e events.Event
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec = events.Marshal(rec[:0], ev)
-		if err := events.UnmarshalInto(rec, &e); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -82,6 +82,12 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := Unmarshal(bad); err == nil {
 		t.Fatal("absurd count accepted")
 	}
+	// A signal byte other than 0 or 1 would not re-encode to itself.
+	bad = append(bad[:0], rec...)
+	bad[12] = 2
+	if _, err := Unmarshal(bad); err == nil {
+		t.Fatal("signal byte 2 accepted")
+	}
 }
 
 func TestQuickMarshalRoundTrip(t *testing.T) {

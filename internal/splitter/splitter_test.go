@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"github.com/ipa-grid/ipa/internal/dataset"
-	"github.com/ipa-grid/ipa/internal/locator"
 )
 
 // buildDataset writes count records of varying size and reopens it.
@@ -275,43 +274,5 @@ func TestQuickPlanInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLocatorResolution(t *testing.T) {
-	s := locator.New()
-	if err := s.Register("ds-001", locator.Replica{URL: "gsiftp://remote:2811/d1", Site: "fnal", Priority: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("ds-001", locator.Replica{URL: "gsiftp://local:2811/d1", Site: "slac", Priority: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("ds-001", locator.Replica{URL: "gsiftp://local2:2811/d1", Site: "slac", Priority: 9}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Resolve("ds-001", "slac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same-site first, then priority within site.
-	if res.Replicas[0].URL != "gsiftp://local2:2811/d1" {
-		t.Fatalf("best replica = %+v", res.Replicas[0])
-	}
-	if res.Replicas[1].URL != "gsiftp://local:2811/d1" {
-		t.Fatalf("second replica = %+v", res.Replicas[1])
-	}
-	if res.Replicas[2].Site != "fnal" {
-		t.Fatalf("third replica = %+v", res.Replicas[2])
-	}
-	// From a different site, remote priority wins.
-	res, _ = s.Resolve("ds-001", "fnal")
-	if res.Replicas[0].Site != "fnal" {
-		t.Fatal("site preference broken")
-	}
-	if _, err := s.Resolve("ds-404", "slac"); err == nil {
-		t.Fatal("unknown dataset resolved")
-	}
-	if dup := s.Register("ds-001", locator.Replica{URL: "gsiftp://local:2811/d1", Site: "x"}); dup == nil {
-		t.Fatal("duplicate replica accepted")
 	}
 }

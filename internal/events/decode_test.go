@@ -10,7 +10,6 @@ import (
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/analysis"
-	"github.com/ipa-grid/ipa/internal/script"
 )
 
 // oracleProcess is HiggsAnalysis.Process as it was before the scan read
@@ -267,29 +266,6 @@ func BenchmarkHiggsProcess(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEventViewDecode measures the lc-event script decoder: a record
-// to the event object a script's process(ev) receives.
-func BenchmarkEventViewDecode(b *testing.B) {
-	recs := genRecords(3, 1000)
-	decode, ok := script.LookupDecoder(EventDecoderName)
-	if !ok {
-		b.Fatal("no lc-event decoder")
-	}
-	b.SetBytes(avgSize(recs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := decode(recs[i%len(recs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchView = ev
-	}
-}
-
-// benchView keeps BenchmarkEventViewDecode's result alive.
-var benchView script.Value
 
 func avgSize(recs [][]byte) int64 {
 	var total int64

@@ -143,3 +143,26 @@ func TestEventViewsMayBeRetained(t *testing.T) {
 		t.Fatalf("retained views read %q, want 100 distinct energies summing to 5050", out)
 	}
 }
+
+// BenchmarkEventViewDecode measures the lc-event script decoder: a record
+// to the event object a script's process(ev) receives.
+func BenchmarkEventViewDecode(b *testing.B) {
+	recs := genRecords(3, 1000)
+	decode, ok := script.LookupDecoder(EventDecoderName)
+	if !ok {
+		b.Fatal("no lc-event decoder")
+	}
+	b.SetBytes(avgSize(recs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := decode(recs[i%len(recs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchView = ev
+	}
+}
+
+// benchView keeps BenchmarkEventViewDecode's result alive.
+var benchView script.Value

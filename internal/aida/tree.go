@@ -89,7 +89,9 @@ func (t *Tree) Put(dirPath string, obj Object) error {
 	if obj == nil {
 		return fmt.Errorf("aida: Put nil object at %q", dirPath)
 	}
-	if obj.Name() == "" || strings.Contains(obj.Name(), "/") {
+	// splitPath drops "." segments, so an object of that name could not
+	// be found again.
+	if obj.Name() == "" || obj.Name() == "." || strings.Contains(obj.Name(), "/") {
 		return fmt.Errorf("aida: invalid object name %q", obj.Name())
 	}
 	d, err := t.mkdirs(splitPath(dirPath))

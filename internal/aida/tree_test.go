@@ -68,6 +68,10 @@ func TestTreePathConflicts(t *testing.T) {
 	if err := tr.Put("/a", NewHistogram1D("bad/name", "", 10, 0, 1)); err == nil {
 		t.Fatal("slash in object name accepted")
 	}
+	// "." is no path segment: such an object could not be found again.
+	if err := tr.Put("/", NewHistogram1D(".", "", 10, 0, 1)); err == nil {
+		t.Fatal(`object named "." accepted`)
+	}
 }
 
 func TestTreeRm(t *testing.T) {

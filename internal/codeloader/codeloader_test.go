@@ -6,6 +6,7 @@ import (
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/analysis"
+	"github.com/ipa-grid/ipa/internal/events"
 )
 
 const okScript = `function process(r) {}`
@@ -111,7 +112,9 @@ func TestSizeBytesReflectsPayload(t *testing.T) {
 }
 
 // A stored bundle compiles once, and the one program runs on any number
-// of engines at once (run under -race).
+// of engines at once (run under -race): with fresh records, and with one
+// view per analysis refilled by every record (lc-event, a script that
+// keeps nothing).
 func TestStoredBundleCompilesOnceAndRunsConcurrently(t *testing.T) {
 	const src = `
 		h = tree.h1d("/c", "len", "", 10, 0, 10);
@@ -122,35 +125,49 @@ func TestStoredBundleCompilesOnceAndRunsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := make([]*aida.Tree, 2)
-	var wg sync.WaitGroup
-	for g := range trees {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a, err := stored.Instantiate(nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			trees[g] = aida.NewTree()
-			ctx := &analysis.Context{Tree: trees[g]}
-			if err := a.Init(ctx); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < 500; i++ {
-				if err := a.Process([]byte("abc"), ctx); err != nil {
+	borrowing, err := New().Store(Bundle{Name: "b", Language: LangScript, Decoder: events.EventDecoderName, Source: `
+		h = tree.h1d("/c", "len", "", 10, 0, 10);
+		function process(ev) { for (p : ev.particles) if (p.e > 0) { h.fill(ev.n); break; } }
+	`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := events.Marshal(nil, &events.Event{Particles: []events.Particle{{E: 1}, {E: 2}, {E: 3}}})
+	for _, run := range []struct {
+		b   *Bundle
+		rec []byte
+	}{{stored, []byte("abc")}, {borrowing, three}} {
+		b := run.b
+		trees := make([]*aida.Tree, 2)
+		var wg sync.WaitGroup
+		for g := range trees {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a, err := b.Instantiate(nil)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				trees[g] = aida.NewTree()
+				ctx := &analysis.Context{Tree: trees[g]}
+				if err := a.Init(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 500; i++ {
+					if err := a.Process(run.rec, ctx); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g, tree := range trees {
+			if h, _ := tree.Get("/c/len").(*aida.Histogram1D); h == nil || h.Entries() != 500 || h.Mean() != 3 {
+				t.Fatalf("%s: analysis %d did not fill its own 500 entries of 3", b.Name, g)
 			}
-		}()
-	}
-	wg.Wait()
-	for g, tree := range trees {
-		if h, _ := tree.Get("/c/len").(*aida.Histogram1D); h == nil || h.Entries() != 500 {
-			t.Fatalf("analysis %d did not fill its own 500 entries", g)
 		}
 	}
 	p1, _ := stored.program()

@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -398,6 +403,91 @@ func TestScriptOutputRelayedOnce(t *testing.T) {
 		if n := strings.Count(joined, line); n != 1 {
 			t.Errorf("%q relayed %d times, want once; logs:\n%s", line, n, joined)
 		}
+	}
+}
+
+// An engine computing flat out must leave the process's network running:
+// with one P, a loopback round trip while it runs takes well under the
+// 10 ms after which sysmon alone would poll the network.
+func TestBusyEngineLetsTheNetworkRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	echoed := make(chan struct{})
+	go func() {
+		defer close(echoed)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(c, c)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		conn.Close()
+		<-echoed
+	}()
+	roundTrip := func() time.Duration {
+		t.Helper()
+		start := time.Now()
+		var b [1]byte
+		if _, err := conn.Write(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	roundTrip()
+
+	// spin is CPU-bound and allocation-free: ≈15 µs of arithmetic a record,
+	// so 20 000 records outlast the round trips.
+	reg := analysis.NewRegistry()
+	reg.Register("spin", func(map[string]string) (analysis.Analysis, error) {
+		return &analysis.Func{ProcessFn: func(b []byte, _ *analysis.Context) error {
+			x := float64(len(b))
+			for i := 0; i < 4000; i++ {
+				x = x*1.0000001 + 1e-9
+			}
+			if x < 0 {
+				return errors.New("spin: negative")
+			}
+			return nil
+		}}, nil
+	})
+	e := New(Config{
+		SessionID: "s1", WorkerID: "w0", Publisher: merge.NewManager(), Registry: reg,
+		SnapshotEvery: 1 << 30, SnapshotInterval: time.Hour,
+	})
+	go e.Serve()
+	defer e.Shutdown()
+	if err := e.SetPart(makePart(t, 20000, 11), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadCode(&codeloader.Bundle{Name: "spin", Language: codeloader.LangNative, Analysis: "spin"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rtts := make([]time.Duration, 20)
+	for i := range rtts {
+		rtts[i] = roundTrip()
+	}
+	if st, _ := e.State(); st != StateRunning {
+		t.Fatalf("engine %s before %d round trips ended (%v)", st, len(rtts), rtts)
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if med := rtts[len(rtts)/2]; med >= 5*time.Millisecond {
+		t.Fatalf("median loopback round trip %v beside a busy engine, want < 5ms (all: %v)", med, rtts)
 	}
 }
 

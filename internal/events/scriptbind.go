@@ -10,9 +10,10 @@ const EventDecoderName = "lc-event"
 // eventView exposes a decoded event to scripts as an object with members
 // number, run, signal, n and particles (an array of particle objects). It
 // reads the decoded struct on access; nothing is copied out per member.
-// Every record gets a view of its own — one eventView, one particle slab,
-// one element slice — so a script may keep ev, ev.particles or a particle
-// past the event it came from.
+// A record decodes into a view of its own — one eventView, one particle
+// slab, one element slice — so a script may keep ev, ev.particles or a
+// particle past the event it came from. Only a process function that
+// cannot keep them gets one view refilled with every record (Refill).
 type eventView struct {
 	Event
 	parts script.Array
@@ -20,14 +21,35 @@ type eventView struct {
 
 func newEventView(rec []byte) (*eventView, error) {
 	v := new(eventView)
-	if err := UnmarshalInto(rec, &v.Event); err != nil {
+	if err := v.Refill(rec); err != nil {
 		return nil, err
 	}
-	v.parts.Elems = make([]script.Value, len(v.Particles))
-	for i := range v.Particles {
-		v.parts.Elems[i] = (*particleView)(&v.Particles[i])
-	}
 	return v, nil
+}
+
+// Refill implements script.Refiller: it decodes rec into v in place and
+// points the particle array at the particles it now holds. A record it
+// rejects leaves v as it was.
+func (v *eventView) Refill(rec []byte) error {
+	if err := UnmarshalInto(rec, &v.Event); err != nil {
+		return err
+	}
+	elems := v.parts.Elems[:0]
+	for i := range v.Particles {
+		elems = append(elems, (*particleView)(&v.Particles[i]))
+	}
+	v.parts.Elems = elems
+	return nil
+}
+
+// eventMembers are an event view's members, for Get and for compiled
+// reads (script.RegisterMembers).
+var eventMembers = map[string]script.Member[*eventView]{
+	"number":    {Get: func(v *eventView) script.Val { return script.NumVal(float64(v.Number)) }},
+	"run":       {Get: func(v *eventView) script.Val { return script.NumVal(float64(v.Run)) }},
+	"signal":    {Get: func(v *eventView) script.Val { return script.BoolVal(v.IsSignal) }},
+	"n":         {Get: func(v *eventView) script.Val { return script.NumVal(float64(len(v.Particles))) }},
+	"particles": {Get: func(v *eventView) script.Val { return script.ValOf(&v.parts) }, Ref: true},
 }
 
 // TypeName implements script.HostObject.
@@ -38,17 +60,8 @@ func (v *eventView) Member(name string) (script.Value, bool) { return script.Mem
 
 // Get implements script.Getter.
 func (v *eventView) Get(name string) (script.Val, bool) {
-	switch name {
-	case "number":
-		return script.NumVal(float64(v.Number)), true
-	case "run":
-		return script.NumVal(float64(v.Run)), true
-	case "signal":
-		return script.BoolVal(v.IsSignal), true
-	case "n":
-		return script.NumVal(float64(len(v.Particles))), true
-	case "particles":
-		return script.ValOf(&v.parts), true
+	if m, ok := eventMembers[name]; ok {
+		return m.Get(v), true
 	}
 	return script.Val{}, false
 }
@@ -58,6 +71,20 @@ func (v *eventView) Get(name string) (script.Val, bool) {
 // asked for.
 type particleView Particle
 
+// particleMembers are a particle view's members.
+var particleMembers = map[string]script.Member[*particleView]{
+	"id":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.ID)) }},
+	"charge": {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Charge)) }},
+	"px":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Px)) }},
+	"py":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Py)) }},
+	"pz":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Pz)) }},
+	"e":      {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.E)) }},
+	"pt":     {Get: func(p *particleView) script.Val { return script.NumVal(Particle(*p).Vec().Pt()) }},
+	"p":      {Get: func(p *particleView) script.Val { return script.NumVal(Particle(*p).Vec().P()) }},
+	"mass":   {Get: func(p *particleView) script.Val { return script.NumVal(Particle(*p).Vec().Mass()) }},
+	"cost":   {Get: func(p *particleView) script.Val { return script.NumVal(Particle(*p).Vec().CosTheta()) }},
+}
+
 // TypeName implements script.HostObject.
 func (*particleView) TypeName() string { return "particle" }
 
@@ -66,32 +93,10 @@ func (p *particleView) Member(name string) (script.Value, bool) { return script.
 
 // Get implements script.Getter.
 func (p *particleView) Get(name string) (script.Val, bool) {
-	var f float64
-	switch name {
-	case "id":
-		f = float64(p.ID)
-	case "charge":
-		f = float64(p.Charge)
-	case "px":
-		f = float64(p.Px)
-	case "py":
-		f = float64(p.Py)
-	case "pz":
-		f = float64(p.Pz)
-	case "e":
-		f = float64(p.E)
-	case "pt":
-		f = Particle(*p).Vec().Pt()
-	case "p":
-		f = Particle(*p).Vec().P()
-	case "mass":
-		f = Particle(*p).Vec().Mass()
-	case "cost":
-		f = Particle(*p).Vec().CosTheta()
-	default:
-		return script.Val{}, false
+	if m, ok := particleMembers[name]; ok {
+		return m.Get(p), true
 	}
-	return script.NumVal(f), true
+	return script.Val{}, false
 }
 
 // pairMass computes the invariant mass of two particle script objects —
@@ -130,4 +135,6 @@ func init() {
 		return v, nil
 	})
 	script.RegisterGlobal("pairMass", script.HostFunc(pairMass))
+	script.RegisterMembers(eventMembers)
+	script.RegisterMembers(particleMembers)
 }

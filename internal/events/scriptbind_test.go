@@ -3,6 +3,7 @@ package events
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ipa-grid/ipa/internal/aida"
@@ -166,3 +167,212 @@ func BenchmarkEventViewDecode(b *testing.B) {
 
 // benchView keeps BenchmarkEventViewDecode's result alive.
 var benchView script.Value
+
+// benchScript is the script the benchmark's script_rerun workload runs
+// (bench/session.go, scriptVariant(0)).
+const benchScript = `
+mult = tree.h1d("/anaA", "mult", "Particles per event", 50, 0, 200);
+evis = tree.h1d("/anaA", "evis", "Visible energy [GeV]", 50, 0, 600);
+esel = tree.h1d("/anaA", "esel", "Selected object energy [GeV]", 50, 0, 300);
+nsel = tree.h1d("/anaA", "nsel", "Selected objects per event", 40, 0, 40);
+function process(ev) {
+	mult.fill(ev.n);
+	tot = 0; n = 0;
+	for (p : ev.particles) {
+		tot += p.e;
+		if (p.e >= 20) { n += 1; esel.fill(p.e); }
+	}
+	evis.fill(tot);
+	nsel.fill(n);
+}
+`
+
+// BenchmarkScriptAnalysis measures a scripted analysis per event: the
+// benchmark's own script through Analysis.Process, decode included.
+func BenchmarkScriptAnalysis(b *testing.B) {
+	recs := genRecords(3, 1000)
+	a, err := script.NewAnalysis(benchScript, EventDecoderName)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := &analysis.Context{Tree: aida.NewTree()}
+	if err := a.Init(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(avgSize(recs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Process(recs[i%len(recs)], ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// decodes counts the records the "lc-event-counted" decoder decoded: a
+// script that borrows its view decodes one and refills it from then on.
+var decodes atomic.Int64
+
+func init() {
+	script.RegisterDecoder("lc-event-counted", func(rec []byte) (script.Value, error) {
+		decodes.Add(1)
+		v, err := newEventView(rec)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	})
+}
+
+// Every way a view can outlive its event, each caught at event 100 and
+// checked at end(), against what fresh views give. These are also seeds
+// of script's FuzzCompiledMatchesTreeWalker, whose tree-walker always
+// decodes afresh.
+var escapingScripts = map[string]string{
+	"global store through a for-each variable": `
+		q = nil; e0 = 0; n = 0;
+		function process(ev) {
+			n += 1;
+			if (n == 100) for (q : ev.particles) { e0 = q.e; break; }
+		}
+		function end() { println(q.e == e0); }`,
+	"for-each variable named like a builtin": `
+		e0 = 0; n = 0;
+		function process(ev) {
+			n += 1;
+			if (n == 100) for (len : ev.particles) { e0 = len.e; break; }
+		}
+		function end() { println(len.e == e0); }`,
+	"process defined inside another function": `
+		process = nil; peek = nil;
+		function setup() {
+			q = nil; e0 = 0; n = 0;
+			process = function(ev) {
+				n += 1;
+				if (n == 100) for (q : ev.particles) { e0 = q.e; break; }
+			};
+			peek = function() { return q.e == e0; };
+		}
+		setup();
+		function end() { println(peek()); }`,
+	"process rebinding itself": `
+		n = 0; kept = nil; e0 = 0;
+		function keeper(ev) { n += 1; if (n == 100) { kept = ev; e0 = ev.number; } }
+		function process(ev) { n += 1; process = keeper; }
+		function end() { println(kept.number == e0); }`,
+	"push of a member's element": `
+		kept = []; e0 = 0; n = 0;
+		function process(ev) {
+			n += 1;
+			if (n == 100) { push(kept, ev.particles[0]); e0 = ev.particles[0].e; }
+		}
+		function end() { println(kept[0].e == e0); }`,
+	"a view passed to a script function": `
+		kept = nil; e0 = 0; n = 0;
+		function keep(p) { kept = p; }
+		function process(ev) {
+			n += 1;
+			if (n == 100) for (p : ev.particles) { keep(p); e0 = p.e; break; }
+		}
+		function end() { println(kept.e == e0); }`,
+	"an array literal": `
+		kept = nil; e0 = 0; n = 0;
+		function process(ev) {
+			n += 1;
+			if (n == 100) for (p : ev.particles) { kept = [p]; e0 = p.e; break; }
+		}
+		function end() { println(kept[0].e == e0); }`,
+	"return p": `
+		kept = nil; e0 = 0; n = 0;
+		function first(ev) { for (p : ev.particles) return p; }
+		function process(ev) { n += 1; if (n == 100) { kept = first(ev); e0 = kept.e; } }
+		function end() { println(kept.e == e0); }`,
+	"a member stored whole": `
+		a = nil; e0 = 0; n = 0;
+		function process(ev) {
+			n += 1;
+			if (n == 100) { a = ev.particles; for (p : a) { e0 = p.e; break; } }
+		}
+		function end() { for (p : a) { println(p.e == e0); break; } }`,
+	"TestEventViewsMayBeRetained's script": `
+		kept = []; evs = [];
+		function process(ev) { push(kept, ev.particles[0]); push(evs, ev); }
+		function end() {
+			seen = {}; sum = 0; numbers = 0;
+			for (p : kept) { seen[str(p.e)] = true; sum += p.e; }
+			for (ev : evs) numbers += ev.number;
+			println(len(kept), len(seen), sum, numbers);
+		}`,
+}
+
+// countedRun runs src over recs with the counting decoder and returns
+// what it printed and how many records it decoded.
+func countedRun(t *testing.T, src string, recs [][]byte) (string, int64) {
+	t.Helper()
+	a, err := script.NewAnalysis(src, "lc-event-counted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &analysis.Context{Tree: aida.NewTree()}
+	decodes.Store(0)
+	err = a.Init(ctx)
+	for i := 0; err == nil && i < len(recs); i++ {
+		err = a.Process(recs[i], ctx)
+	}
+	if err == nil {
+		err = a.End(ctx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Output(), decodes.Load()
+}
+
+// A script whose views can outlive their event gets a fresh view for
+// every record and reads, at end(), what it kept.
+func TestEscapingViewsAreFresh(t *testing.T) {
+	recs := genRecords(7, 200)
+	for name, src := range escapingScripts {
+		out, n := countedRun(t, src, recs)
+		if n != int64(len(recs)) {
+			t.Errorf("%s: %d of %d records decoded afresh", name, n, len(recs))
+		}
+		if strings.HasPrefix(name, "TestEventViewsMayBeRetained") {
+			continue // what it prints depends on the records
+		}
+		if out != "true\n" {
+			t.Errorf("%s: printed %q, want true", name, out)
+		}
+	}
+}
+
+// The benchmark's script keeps nothing, so it reads every record through
+// one refilled view and a warmed Process allocates nothing.
+func TestBenchScriptBorrowsItsView(t *testing.T) {
+	recs := genRecords(3, 300)
+	if _, n := countedRun(t, benchScript, recs); n != 1 {
+		t.Fatalf("%d of %d records decoded afresh, want only the first", n, len(recs))
+	}
+	a, err := script.NewAnalysis(benchScript, EventDecoderName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &analysis.Context{Tree: aida.NewTree()}
+	if err := a.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := a.Process(rec, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		if err := a.Process(recs[i%len(recs)], ctx); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("Process allocates %v times per event, want 0", n)
+	}
+}

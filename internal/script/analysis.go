@@ -15,6 +15,15 @@ import (
 // analysis.Analysis.Process), so the returned value must not alias it.
 type RecordDecoder func(rec []byte) (Value, error)
 
+// Refiller is a decoded record that can take another record in place, as
+// Analysis refills the one value a borrowing process function reads every
+// record through (see the package comment). Like a RecordDecoder's
+// result, the value must not alias rec; a record Refill rejects leaves it
+// as it was.
+type Refiller interface {
+	Refill(rec []byte) error
+}
+
 var (
 	decoderMu sync.RWMutex
 	decoders  = map[string]RecordDecoder{
@@ -95,6 +104,15 @@ type Analysis struct {
 	decoder RecordDecoder
 	interp  *Interp
 	output  bytes.Buffer
+	// process is the global cell the script binds process to.
+	process *global
+	arg     [1]Value // process's argument, without a slice per call
+	// checked is set once the first record decided on borrowing. If it
+	// did, every record is refilled into view for borrower, the closure
+	// that was process then, while process still is.
+	checked  bool
+	borrower *Closure
+	view     Refiller
 }
 
 // NewAnalysis compiles source and binds the named record decoder.
@@ -137,7 +155,9 @@ func (a *Analysis) TakeOutput() string {
 // top level, and calls init() if defined.
 func (a *Analysis) Init(ctx *analysis.Context) error {
 	a.output.Reset()
+	a.checked, a.borrower, a.view = false, nil, nil
 	a.interp = New(Options{Output: &a.output, Fuel: perEventFuel})
+	a.process = a.interp.cell("process")
 	bindHost(a.interp, ctx)
 	if err := a.interp.Run(a.prog); err != nil {
 		return fmt.Errorf("script top-level: %w", err)
@@ -168,7 +188,8 @@ func bindHost(in *Interp, ctx *analysis.Context) {
 
 // Process implements analysis.Analysis.
 func (a *Analysis) Process(rec []byte, ctx *analysis.Context) error {
-	ev, err := a.decoder(rec)
+	fn, _ := a.process.v.r.(*Closure)
+	ev, err := a.event(rec, fn)
 	if err != nil {
 		return fmt.Errorf("script: decoding record %d: %w", ctx.EventIndex, err)
 	}
@@ -176,10 +197,44 @@ func (a *Analysis) Process(rec []byte, ctx *analysis.Context) error {
 	if rem := a.interp.RemainingFuel(); rem < perEventFuel {
 		a.interp.AddFuel(perEventFuel - rem)
 	}
-	if _, err := a.interp.Call("process", ev); err != nil {
+	if fn != nil {
+		a.arg[0] = ev
+		_, err = a.interp.CallValue(fn, a.arg[:])
+	} else {
+		_, err = a.interp.Call("process", ev)
+	}
+	if err != nil {
 		return fmt.Errorf("script process() at record %d: %w", ctx.EventIndex, err)
 	}
 	return nil
+}
+
+// event decodes rec for the process function fn. A function that cannot
+// keep what it is given (funcProto.borrows) borrows the first record's
+// value, if it can be refilled, and reads every later record through it —
+// unless one of its for-each variables names a bound global, which a
+// store would write. Globals are bound only by top-level code and the
+// host, both done before the first record.
+func (a *Analysis) event(rec []byte, fn *Closure) (Value, error) {
+	if a.view != nil && fn == a.borrower {
+		return a.view, a.view.Refill(rec)
+	}
+	ev, err := a.decoder(rec)
+	if err != nil || a.checked {
+		return ev, err
+	}
+	a.checked = true
+	view, ok := ev.(Refiller)
+	if !ok || fn == nil || !fn.fn.borrows {
+		return ev, nil
+	}
+	for _, name := range fn.fn.borrowed {
+		if _, bound := a.interp.Lookup(name); bound {
+			return ev, nil
+		}
+	}
+	a.borrower, a.view = fn, view
+	return ev, nil
 }
 
 // End implements analysis.Analysis.

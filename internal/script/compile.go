@@ -14,7 +14,11 @@ import "math"
 //     leave compiled code (arrays, maps, HostFunc arguments, Lookup);
 //   - obj.name(args...) on a Getter resolves the method and calls it with
 //     arguments left on the interpreter's stack: no method value, no
-//     argument slice.
+//     argument slice;
+//   - obj.name of a member declared with RegisterMembers calls its
+//     accessor, and a few hot shapes (a local's member, a compound
+//     assignment to a local, an operator with a literal operand) are one
+//     closure instead of several.
 //
 // The language binds dynamically: an assignment writes the innermost
 // scope that already has the name and otherwise defines it in the current
@@ -50,6 +54,15 @@ type funcProto struct {
 	// may then outlive the call and still reach the frame, which therefore
 	// cannot be reused by the next call.
 	captured bool
+	// borrows is set on a top-level function that cannot keep its first
+	// argument past the call. The parameter, and every for-each variable
+	// bound from a member of a borrowed variable, appear only as x.member
+	// reads; a member that shares the object's storage is only iterated;
+	// and no function literal can capture the frame. A store to one of the
+	// for-each variables, borrowed, still writes the global of that name
+	// when one is bound, which Analysis checks before it borrows.
+	borrows  bool
+	borrowed []string
 }
 
 // fnScope is a function being compiled: the names its activations can
@@ -125,37 +138,54 @@ func (c *compiler) resolve(name string) *varRef {
 	return r
 }
 
+// own returns the name's slot when only the function being compiled can
+// bind it: that slot and the global cell are then the only places to look.
+func (r *varRef) own() (slot int, ok bool) {
+	if len(r.locals) == 1 && r.locals[0].hops == 0 {
+		return r.locals[0].slot, true
+	}
+	return 0, false
+}
+
+// local is where a name with its own slot is bound: the slot, else the
+// global cell, else nil.
+func (fr *frame) local(slot, global int) *Val {
+	if s := &fr.slots[slot]; s.k != kUnbound {
+		return s
+	}
+	if g := &fr.g[global].v; g.k != kUnbound {
+		return g
+	}
+	return nil
+}
+
+func undefinedVar(pos Pos, name string) error { return rtErr(pos, "undefined variable %q", name) }
+
 // load compiles a read of name.
 func (c *compiler) load(pos Pos, name string) expr {
 	r := c.resolve(name)
 	gi := r.global
-	undefined := func() (Val, error) { return Val{}, rtErr(pos, "undefined variable %q", name) }
-	switch {
-	case len(r.locals) == 0:
+	if slot, own := r.own(); own {
 		return func(fr *frame) (Val, error) {
-			if v := fr.g[gi].v; v.k != kUnbound {
-				return v, nil
-			}
-			return undefined()
-		}
-	case len(r.locals) == 1 && r.locals[0].hops == 0:
-		slot := r.locals[0].slot
-		return func(fr *frame) (Val, error) {
-			if v := fr.slots[slot]; v.k != kUnbound {
-				return v, nil
-			}
-			if v := fr.g[gi].v; v.k != kUnbound {
-				return v, nil
-			}
-			return undefined()
-		}
-	default:
-		return func(fr *frame) (Val, error) {
-			if p := r.find(fr); p != nil {
+			if p := fr.local(slot, gi); p != nil {
 				return *p, nil
 			}
-			return undefined()
+			return Val{}, undefinedVar(pos, name)
 		}
+	}
+	if len(r.locals) == 0 {
+		return func(fr *frame) (Val, error) {
+			if v := fr.g[gi].v; v.k != kUnbound {
+				return v, nil
+			}
+			return Val{}, undefinedVar(pos, name)
+		}
+	}
+	return func(fr *frame) (Val, error) {
+		if p := r.find(fr); p != nil {
+			return *p, nil
+		}
+		return Val{}, undefinedVar(pos, name)
 	}
 }
 
@@ -167,17 +197,15 @@ func (c *compiler) store(name string) func(fr *frame, v Val) {
 	if c.fn == nil {
 		return func(fr *frame, v Val) { fr.g[gi].v = v }
 	}
-	// declare gave every name this function assigns a slot of its own.
+	// scan gave every name this function assigns a slot of its own.
 	here := r.locals[0].slot
 	if len(r.locals) == 1 {
 		return func(fr *frame, v Val) {
-			s := &fr.slots[here]
-			if s.k == kUnbound {
-				if g := fr.g[gi]; g.v.k != kUnbound {
-					s = &g.v
-				}
+			p := fr.local(here, gi)
+			if p == nil {
+				p = &fr.slots[here]
 			}
-			*s = v
+			*p = v
 		}
 	}
 	return func(fr *frame, v Val) {
@@ -189,19 +217,28 @@ func (c *compiler) store(name string) func(fr *frame, v Val) {
 	}
 }
 
-// declare gives a slot in s to every name n's code can define there:
-// targets of assignments and for-each variables, not looking inside
-// nested function literals (those define in their own activations).
-func declare(s *fnScope, n Node) {
+// scan walks a function body once, not entering nested function
+// literals. It gives a slot in s to every name the body can define there
+// (targets of assignments and for-each variables) and works out whether
+// the function borrows its first parameter, param, and through which
+// for-each variables (see funcProto.borrows).
+func scan(s *fnScope, body Node, param string) (borrows bool, vars []string) {
 	name := func(id string) {
 		if _, ok := s.slots[id]; !ok {
 			s.slots[id] = len(s.slots)
 		}
 	}
+	// keeps names a variable whose value the body may keep: one used
+	// other than as x.member, or whose shared member is read other than
+	// as a for-each iterable.
+	keeps := map[string]bool{}
+	bindings := map[string][]string{} // for (v : x.member) binds v from x
 	var walk func(n Node)
 	walk = func(n Node) {
 		switch n := n.(type) {
-		case nil, *numberLit, *stringLit, *boolLit, *nilLit, *identExpr, *breakStmt, *continueStmt:
+		case nil, *numberLit, *stringLit, *boolLit, *nilLit, *breakStmt, *continueStmt:
+		case *identExpr:
+			keeps[n.name] = true
 		case *funcLit:
 			s.captured = true
 		case *arrayLit:
@@ -231,12 +268,22 @@ func declare(s *fnScope, n Node) {
 			walk(n.target)
 			walk(n.index)
 		case *memberExpr:
-			walk(n.target)
-		case *assignExpr:
-			if id, ok := n.target.(*identExpr); ok {
-				name(id.name)
+			id, ok := n.target.(*identExpr)
+			if !ok {
+				walk(n.target)
+			} else if _, ref := memberAccess(n.name); ref {
+				keeps[id.name] = true
 			}
-			walk(n.target)
+		case *assignExpr:
+			switch t := n.target.(type) {
+			case *identExpr:
+				name(t.name)
+				walk(t)
+			case *memberExpr:
+				walk(t.target) // a member store uses its object as a value
+			default:
+				walk(t)
+			}
 			walk(n.value)
 		case *exprStmt:
 			walk(n.x)
@@ -247,30 +294,55 @@ func declare(s *fnScope, n Node) {
 		case *ifStmt:
 			walk(n.cond)
 			walk(n.then)
-			if n.alt != nil {
-				walk(n.alt)
-			}
+			walk(n.alt)
 		case *whileStmt:
 			walk(n.cond)
 			walk(n.body)
 		case *forStmt:
-			for _, part := range []Node{n.init, n.cond, n.post} {
-				if part != nil {
-					walk(part)
-				}
-			}
+			walk(n.init)
+			walk(n.cond)
+			walk(n.post)
 			walk(n.body)
 		case *forEachStmt:
 			name(n.ident)
-			walk(n.iterable)
+			if id, ok := memberOfVar(n.iterable); ok {
+				bindings[id] = append(bindings[id], n.ident)
+			} else {
+				walk(n.iterable)
+			}
 			walk(n.body)
 		case *returnStmt:
-			if n.val != nil {
-				walk(n.val)
+			walk(n.val)
+		}
+	}
+	walk(body)
+	if s.parent != nil || s.captured {
+		return false, nil
+	}
+	borrowed := map[string]bool{param: true}
+	for todo := []string{param}; len(todo) > 0; todo = todo[1:] {
+		if keeps[todo[0]] {
+			return false, nil
+		}
+		for _, v := range bindings[todo[0]] {
+			if !borrowed[v] {
+				borrowed[v] = true
+				vars = append(vars, v)
+				todo = append(todo, v)
 			}
 		}
 	}
-	walk(n)
+	return true, vars
+}
+
+// memberOfVar returns x when n is x.member.
+func memberOfVar(n Node) (string, bool) {
+	if m, ok := n.(*memberExpr); ok {
+		if id, ok := m.target.(*identExpr); ok {
+			return id.name, true
+		}
+	}
+	return "", false
 }
 
 func (c *compiler) funcLit(e *funcLit) expr {
@@ -278,7 +350,11 @@ func (c *compiler) funcLit(e *funcLit) expr {
 	for i, p := range e.params {
 		s.slots[p] = i
 	}
-	declare(s, e.body)
+	param := ""
+	if len(e.params) > 0 {
+		param = e.params[0]
+	}
+	borrows, borrowed := scan(s, e.body, param)
 	outer := c.fn
 	c.fn = s
 	body := c.block(e.body)
@@ -287,6 +363,7 @@ func (c *compiler) funcLit(e *funcLit) expr {
 		name: e.name, pos: e.pos,
 		nparams: len(e.params), nslots: len(s.slots),
 		body: body, captured: s.captured,
+		borrows: borrows, borrowed: borrowed,
 	}
 	return func(fr *frame) (Val, error) {
 		return Val{k: kRef, r: &Closure{fn: proto, parent: fr, g: fr.g}}, nil
@@ -307,10 +384,16 @@ func (c *compiler) stmt(n Node) stmt {
 		return c.block(s)
 	case *ifStmt:
 		cond, then := c.expr(s.cond), c.stmt(s.then)
-		alt := stmt(func(*frame) (ctrl, error) { return ctrlNone, nil })
-		if s.alt != nil {
-			alt = c.stmt(s.alt)
+		if s.alt == nil {
+			return func(fr *frame) (ctrl, error) {
+				v, err := cond(fr)
+				if err != nil || !v.truthy() {
+					return ctrlNone, err
+				}
+				return then(fr)
+			}
 		}
+		alt := c.stmt(s.alt)
 		return func(fr *frame) (ctrl, error) {
 			v, err := cond(fr)
 			if err != nil {
@@ -477,18 +560,26 @@ func (c *compiler) forEach(s *forEachStmt) stmt {
 
 // Expressions.
 
-func constant(v Val) expr { return func(*frame) (Val, error) { return v, nil } }
-
-func (c *compiler) expr(n Node) expr {
+// literal returns the value of a literal node.
+func literal(n Node) (Val, bool) {
 	switch e := n.(type) {
 	case *numberLit:
-		return constant(NumVal(e.val))
+		return NumVal(e.val), true
 	case *stringLit:
-		return constant(Val{k: kRef, r: e.val})
+		return Val{k: kRef, r: e.val}, true
 	case *boolLit:
-		return constant(BoolVal(e.val))
+		return BoolVal(e.val), true
 	case *nilLit:
-		return constant(Val{})
+		return Val{}, true
+	}
+	return Val{}, false
+}
+
+func (c *compiler) expr(n Node) expr {
+	if v, ok := literal(n); ok {
+		return func(*frame) (Val, error) { return v, nil }
+	}
+	switch e := n.(type) {
 	case *identExpr:
 		return c.load(e.pos, e.name)
 	case *arrayLit:
@@ -562,14 +653,7 @@ func (c *compiler) expr(n Node) expr {
 			return ValOf(v), err
 		}
 	case *memberExpr:
-		target, pos, name := c.expr(e.target), e.pos, e.name
-		return func(fr *frame) (Val, error) {
-			t, err := target(fr)
-			if err != nil {
-				return Val{}, err
-			}
-			return member(pos, t, name)
-		}
+		return c.member(e)
 	default:
 		pos := n.position()
 		return func(*frame) (Val, error) {
@@ -584,6 +668,41 @@ func (c *compiler) exprs(nodes []Node) []expr {
 		out[i] = c.expr(n)
 	}
 	return out
+}
+
+// member compiles a read of target.name: through the accessor registered
+// for name when target has its type, else through the generic member.
+func (c *compiler) member(e *memberExpr) expr {
+	pos, name := e.pos, e.name
+	get, _ := memberAccess(name)
+	if id, ok := e.target.(*identExpr); ok {
+		r := c.resolve(id.name)
+		if slot, own := r.own(); own {
+			// A local's member, in one closure.
+			gi, ipos, iname := r.global, id.pos, id.name
+			return func(fr *frame) (Val, error) {
+				t := fr.local(slot, gi)
+				if t == nil {
+					return Val{}, undefinedVar(ipos, iname)
+				}
+				if v, ok := get(t.r); ok {
+					return v, nil
+				}
+				return member(pos, *t, name)
+			}
+		}
+	}
+	target := c.expr(e.target)
+	return func(fr *frame) (Val, error) {
+		t, err := target(fr)
+		if err != nil {
+			return Val{}, err
+		}
+		if v, ok := get(t.r); ok {
+			return v, nil
+		}
+		return member(pos, t, name)
+	}
 }
 
 // lookupMember is target.name as compiled code wants it: from a Getter
@@ -688,6 +807,16 @@ func (c *compiler) binary(e *binaryExpr) expr {
 			return BoolVal(rv.truthy()), err
 		}
 	}
+	// A literal right operand is not evaluated: it has no effect to order.
+	if k, ok := literal(e.r); ok {
+		return func(fr *frame) (Val, error) {
+			lv, err := l(fr)
+			if err != nil {
+				return Val{}, err
+			}
+			return arith(pos, op, lv, k)
+		}
+	}
 	return func(fr *frame) (Val, error) {
 		lv, err := l(fr)
 		if err != nil {
@@ -707,6 +836,30 @@ func (c *compiler) binary(e *binaryExpr) expr {
 // for the store.
 func (c *compiler) assign(e *assignExpr) expr {
 	value, pos, op := c.expr(e.value), e.pos, compoundOp(e.op)
+	if id, ok := e.target.(*identExpr); ok && op != tokAssign {
+		r := c.resolve(id.name)
+		if slot, own := r.own(); own {
+			// A compound assignment to a local updates it where it is
+			// bound, which is where the store would write.
+			gi, ipos, iname := r.global, id.pos, id.name
+			return func(fr *frame) (Val, error) {
+				v, err := value(fr)
+				if err != nil {
+					return Val{}, err
+				}
+				p := fr.local(slot, gi)
+				if p == nil {
+					return Val{}, undefinedVar(ipos, iname)
+				}
+				nv, err := arith(pos, op, *p, v)
+				if err != nil {
+					return Val{}, err
+				}
+				*p = nv
+				return nv, nil
+			}
+		}
+	}
 	var old expr
 	if op != tokAssign {
 		old = c.expr(e.target)

@@ -213,3 +213,106 @@ func TestMethodCallPaths(t *testing.T) {
 		}
 	}
 }
+
+// testView is a host object with registered members, as a record
+// decoder's views have: val, a number, and items, an array of views that
+// shares the object's storage.
+type testView struct {
+	val   float64
+	items Array
+}
+
+var testViewMembers = map[string]Member[*testView]{
+	"val":   {Get: func(v *testView) Val { return NumVal(v.val) }},
+	"items": {Get: func(v *testView) Val { return ValOf(&v.items) }, Ref: true},
+}
+
+func init() { RegisterMembers(testViewMembers) }
+
+func (*testView) TypeName() string                   { return "view" }
+func (v *testView) Member(name string) (Value, bool) { return MemberOf(v, name) }
+
+func (v *testView) Get(name string) (Val, bool) {
+	m, ok := testViewMembers[name]
+	if !ok {
+		return Val{}, false
+	}
+	return m.Get(v), true
+}
+
+// A registered member is read through its accessor, from a local, a
+// global or any expression; another type with a member of that name, or
+// none, goes the generic way, with the same errors at the same positions.
+// The fused compound assignment to a local reports what the generic one
+// does.
+func TestRegisteredMembersAndFusedShapes(t *testing.T) {
+	host := func(in *Interp) {
+		in.Define("v", &testView{val: 2, items: Array{Elems: []Value{&testView{val: 3}}}})
+		in.Define("obj", &plainObject{})
+	}
+	_, out, err := runBoth(t, `
+		m = {"val": 5};
+		function f(x) { return x.val; }
+		function sum(x) { t = 0; for (p : x.items) t += p.val; t *= 2; return t; }
+		println(f(v), f(m), v.val + 1, v.items[0].val, sum(v), 10 - v.val, v.val > 1);
+	`, Options{}, host)
+	if err != nil || out != "2 5 3 3 6 8 true\n" {
+		t.Fatalf("output %q, err %v", out, err)
+	}
+	for src, want := range map[string]string{
+		`function f(x) { return x.val; } f(obj);`:                  `script:1:25: plain has no member "val"`,
+		`function f(x) { return x.val; } f(1);`:                    `script:1:25: number has no members`,
+		`function g() { if (false) y = 1; return y.val; } g();`:    `script:1:41: undefined variable "y"`,
+		`function g() { if (false) t = 1; t += v.val; } g();`:      `script:1:34: undefined variable "t"`,
+		`function g() { t = "s"; t -= v.val; } g();`:               `script:1:27: operator '-' not defined for string and number`,
+		`function g() { t = 1; t /= 0; } g();`:                     `script:1:25: division by zero`,
+		`function g() { t = 1; t /= v.val - 2; println(t); } g();`: `script:1:25: division by zero`,
+		`function g() { x = v; return x.nosuch; } g();`:            `script:1:31: view has no member "nosuch"`,
+	} {
+		_, out, err := runBoth(t, src, Options{}, host)
+		if err == nil || err.Error() != want || out != "" {
+			t.Errorf("%s\n got  %v (printed %q)\n want %s", src, err, out, want)
+		}
+	}
+}
+
+// compile marks the top-level functions that cannot keep their first
+// argument, and names the for-each variables that hold what they borrow.
+func TestBorrowMarking(t *testing.T) {
+	for src, want := range map[string]string{
+		`function process(ev) { x = ev.val; for (p : ev.items) x += p.val; }`:                  "p",
+		`function process(ev) { for (p : ev.items) for (q : p.items) x = q.val; }`:             "p q",
+		`function process(ev) { return ev.val; }`:                                              "",
+		`function process(ev) { for (i : ev.val) keep(i); }`:                                   "no", // bound from any member, i is borrowed
+		`function process(ev) { keep(ev); }`:                                                   "no",
+		`function process(ev) { a = ev.items; }`:                                               "no",
+		`function process(ev) { ev.items[0]; }`:                                                "no",
+		`function process(ev) { ev.nosuch; }`:                                                  "no",
+		`function process(ev) { ev.val = 1; }`:                                                 "no",
+		`function process(ev) { ev = 1; }`:                                                     "no",
+		`function process(ev) { for (p : ev.items) return p; }`:                                "no",
+		`function process(ev) { for (p : ev.items) x = [p]; }`:                                 "no",
+		`function process(ev) { for (p : ev.items) for (q : p.items) keep(q); }`:               "no",
+		`function process(ev) { for (p : ev.items) p.val += 1; }`:                              "no",
+		`function process(ev) { f = function() { return 1; }; }`:                               "no",
+		`process = nil; function outer() { process = function(ev) { x = ev.val; }; } outer();`: "no",
+	} {
+		prog, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := New(Options{})
+		if err := in.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		fn, _ := in.Lookup("process")
+		proto := fn.(*Closure).fn
+		got := "no"
+		if proto.borrows {
+			got = strings.Join(proto.borrowed, " ")
+		}
+		if got != want {
+			t.Errorf("%s: borrows %q, want %q", src, got, want)
+		}
+	}
+}

@@ -11,6 +11,18 @@
 //
 // The interpreter is deterministic and fuel-limited so a runaway user
 // script cannot wedge a worker node.
+//
+// Records reach process(ev) as values a RecordDecoder builds, and a
+// script may keep any of them, or anything reached through their members,
+// for as long as it likes. Analysis decodes each record afresh unless it
+// can tell that nothing will be kept: process is a top-level function
+// that uses its parameter, and the for-each variables bound from its
+// members, only to read members, iterates a member that shares the
+// object's storage (Member.Ref) instead of reading it, holds no function
+// literal, and none of those variables names a bound global. Then, while
+// process stays that function, Analysis decodes only the first record
+// and refills that value in place (Refiller) with every later one. A
+// member unknown to RegisterMembers counts as shared.
 package script
 
 import "fmt"

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Value is any script runtime value. The concrete types are:
@@ -110,6 +111,74 @@ func MemberOf(o Getter, name string) (Value, bool) {
 		return m.bind(o), true
 	}
 	return v.Value(), true
+}
+
+// Member is one property of host-object type T, declared so compiled
+// code reads it without a lookup by name (see RegisterMembers). Ref marks
+// a value that shares storage with the object, such as an array of its
+// parts.
+type Member[T HostObject] struct {
+	Get func(T) Val
+	Ref bool
+}
+
+// accessor reads one registered member from an object of one concrete
+// type; ok is false when obj has another type.
+type accessor struct {
+	get func(obj Value) (v Val, ok bool)
+	ref bool
+}
+
+var (
+	membersMu sync.RWMutex
+	members   = map[string][]accessor{}
+)
+
+// RegisterMembers declares the properties of host-object type T. A
+// compiled read x.name calls the accessor registered for name with x's
+// type, and asks Getter.Get only when x has another type, so T's Get must
+// agree with ms and methods stay out of it. Register from an init
+// function: programs compiled earlier do not see the members.
+func RegisterMembers[T HostObject](ms map[string]Member[T]) {
+	membersMu.Lock()
+	defer membersMu.Unlock()
+	for name, m := range ms {
+		get := m.Get
+		members[name] = append(members[name], accessor{ref: m.Ref, get: func(obj Value) (Val, bool) {
+			t, ok := obj.(T)
+			if !ok {
+				return Val{}, false
+			}
+			return get(t), true
+		}})
+	}
+}
+
+// memberAccess returns how compiled code reads member name: get tries
+// every accessor registered for it, and ref reports that some registered
+// type's member shares the object's storage, or that none is registered.
+func memberAccess(name string) (get func(Value) (Val, bool), ref bool) {
+	membersMu.RLock()
+	accs := members[name]
+	membersMu.RUnlock()
+	ref = len(accs) == 0
+	for _, a := range accs {
+		ref = ref || a.ref
+	}
+	switch len(accs) {
+	case 0:
+		return func(Value) (Val, bool) { return Val{}, false }, ref
+	case 1:
+		return accs[0].get, ref
+	}
+	return func(obj Value) (Val, bool) {
+		for _, a := range accs {
+			if v, ok := a.get(obj); ok {
+				return v, true
+			}
+		}
+		return Val{}, false
+	}, ref
 }
 
 // kind tags a Val.

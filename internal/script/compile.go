@@ -17,8 +17,8 @@ import "math"
 //     argument slice;
 //   - obj.name of a member declared with RegisterMembers calls its
 //     accessor, and a few hot shapes (a local's member, a compound
-//     assignment to a local, an operator with a literal operand) are one
-//     closure instead of several.
+//     assignment to a local, an operator with a literal right operand,
+//     if without else) are one closure instead of several.
 //
 // The language binds dynamically: an assignment writes the innermost
 // scope that already has the name and otherwise defines it in the current

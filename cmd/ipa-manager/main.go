@@ -70,7 +70,7 @@ func main() {
 	replicate := flag.Bool("replicate", false, "mirror each session to a replica chain; shard death promotes the deepest caught-up replica instead of losing the session (needs -shards > 1)")
 	replicas := flag.Int("replicas", 1, "replica chain depth K per session (needs -replicate; capped at shards-1)")
 	antiEntropy := flag.Duration("anti-entropy", 0, "replica chain repair sweep interval: drifted or stalled copies are re-baselined (0 = off; needs -replicate)")
-	wal := flag.String("wal", "", "directory for per-manager append-only session logs, replayed on restart (\"\" = no durability)")
+	wal := flag.String("wal", "", "directory for per-manager append-only merge logs, which a promoted replica's handoff replays; sessions do not survive a restart (\"\" = no logs)")
 	walSync := flag.Int("wal-sync", 64, "fsync the session log every N records (0 = every record)")
 	httpAddr := flag.String("http", "", "serve /metrics, /fabric/status and /debug/pprof/ on this address (e.g. 127.0.0.1:6060; \"\" = off)")
 	relays := flag.Int("relays", 0, "read relay count: delta-subscribing mirrors that absorb client polls (0 = off; needs -shards > 1)")
@@ -163,7 +163,7 @@ func main() {
 		}
 	}
 	if *wal != "" {
-		fmt.Printf("session log: %s/ (fsync every %d records, replayed on restart)\n", *wal, *walSync)
+		fmt.Printf("merge log: %s/ (fsync every %d records; sessions do not survive a restart)\n", *wal, *walSync)
 	}
 
 	sig := make(chan os.Signal, 1)

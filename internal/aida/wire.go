@@ -77,7 +77,7 @@ func (h *Histogram1D) State() *H1DState {
 
 // Restore rebuilds a histogram from state.
 func (s *H1DState) Restore() (*Histogram1D, error) {
-	if s.Bins <= 0 || len(s.Data) != s.Bins+2 {
+	if !validAxis(s.Bins, s.Lo, s.Hi) || len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad H1D state for %q: %d bins, %d data", s.Name, s.Bins, len(s.Data))
 	}
 	h := NewHistogram1D(s.Name, "", s.Bins, s.Lo, s.Hi)
@@ -88,6 +88,10 @@ func (s *H1DState) Restore() (*Histogram1D, error) {
 	h.sumW, h.sumWX, h.sumWX2 = s.SumW, s.SumWX, s.SumWX2
 	return h, nil
 }
+
+// validAxis reports whether NewAxis accepts the binning: a state off the
+// wire must fail to restore, not panic.
+func validAxis(bins int, lo, hi float64) bool { return bins > 0 && lo < hi }
 
 // Bin2State mirrors binStat2 with exported fields.
 type Bin2State struct {
@@ -130,7 +134,10 @@ func (h *Histogram2D) State() *H2DState {
 
 // Restore rebuilds a 2D histogram from state.
 func (s *H2DState) Restore() (*Histogram2D, error) {
-	if s.NX <= 0 || s.NY <= 0 || len(s.Cells) != (s.NX+2)*(s.NY+2) {
+	// Bounding each axis by the cells first keeps the product from
+	// overflowing into a match.
+	if !validAxis(s.NX, s.XLo, s.XHi) || !validAxis(s.NY, s.YLo, s.YHi) ||
+		s.NX > len(s.Cells) || s.NY > len(s.Cells) || len(s.Cells) != (s.NX+2)*(s.NY+2) {
 		return nil, fmt.Errorf("aida: bad H2D state for %q", s.Name)
 	}
 	h := NewHistogram2D(s.Name, "", s.NX, s.XLo, s.XHi, s.NY, s.YLo, s.YHi)
@@ -174,7 +181,7 @@ func (p *Profile1D) State() *P1DState {
 
 // Restore rebuilds a profile from state.
 func (s *P1DState) Restore() (*Profile1D, error) {
-	if s.Bins <= 0 || len(s.Data) != s.Bins+2 {
+	if !validAxis(s.Bins, s.Lo, s.Hi) || len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad P1D state for %q", s.Name)
 	}
 	p := NewProfile1D(s.Name, "", s.Bins, s.Lo, s.Hi)
@@ -504,12 +511,14 @@ func (r *wireReader) byte() byte {
 	return v
 }
 
+// uvarint reads a varint in its shortest form: a longer one, whose last
+// byte adds nothing, is corrupt, so every frame has one encoding.
 func (r *wireReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -535,16 +544,27 @@ func (r *wireReader) count(minElemSize int) int {
 }
 
 func (r *wireReader) i64() int64 {
-	if r.err != nil {
-		return 0
+	u := r.uvarint() // zigzag
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// flag reads a byte that must be 0 or 1.
+func (r *wireReader) flag() bool {
+	switch r.byte() {
+	case 0:
+		return false
+	case 1:
+		return true
 	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
+	r.fail()
+	return false
+}
+
+// end fails a frame with bytes left after its last field.
+func (r *wireReader) end() {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("aida: %d bytes after the end of a wire frame", len(r.b))
 	}
-	r.b = r.b[n:]
-	return v
 }
 
 func (r *wireReader) f64() float64 {
@@ -714,7 +734,7 @@ func (r *wireReader) c1d() *C1DState {
 	s.Xs, s.Ws = r.f64s(), r.f64s()
 	s.SumW, s.SumWX, s.SumWX2 = r.f64(), r.f64(), r.f64()
 	s.Lo, s.Hi = r.f64(), r.f64()
-	if r.byte() != 0 {
+	if r.flag() {
 		s.Converted = r.h1d()
 	}
 	return s
@@ -742,7 +762,7 @@ func (r *wireReader) c2d() *C2DState {
 	s := &C2DState{Name: r.str(), Ann: r.kvs(), Limit: int(r.i64())}
 	s.Xs, s.Ys, s.Ws = r.f64s(), r.f64s(), r.f64s()
 	s.XLo, s.XHi, s.YLo, s.YHi = r.f64(), r.f64(), r.f64(), r.f64()
-	if r.byte() != 0 {
+	if r.flag() {
 		s.Converted = r.h2d()
 	}
 	return s
@@ -867,7 +887,7 @@ func DecodeTreeState(b []byte) (*TreeState, error) {
 	}
 	r := &wireReader{b: body}
 	st := &TreeState{Entries: r.entries()}
-	if r.err != nil {
+	if r.end(); r.err != nil {
 		return nil, r.err
 	}
 	return st, nil
@@ -902,14 +922,14 @@ func DecodeDeltaState(b []byte) (*DeltaState, error) {
 		return nil, err
 	}
 	r := &wireReader{b: body}
-	d := &DeltaState{Full: r.byte()&1 != 0, Entries: r.entries()}
+	d := &DeltaState{Full: r.flag(), Entries: r.entries()}
 	if n := r.count(1); r.err == nil && n > 0 {
 		d.Removed = make([]string, n)
 		for i := range d.Removed {
 			d.Removed[i] = r.str()
 		}
 	}
-	if r.err != nil {
+	if r.end(); r.err != nil {
 		return nil, r.err
 	}
 	return d, nil
@@ -1109,7 +1129,7 @@ func (s *ObjectState) GobDecode(b []byte) error {
 func DecodeObjectFrame(b []byte) (ObjectState, error) {
 	r := &wireReader{b: b}
 	s := r.objectState()
-	if r.err != nil {
+	if r.end(); r.err != nil {
 		return ObjectState{}, r.err
 	}
 	return s, nil

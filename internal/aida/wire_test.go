@@ -10,7 +10,7 @@ import (
 
 // fullTree builds a tree holding one of every object kind, including a
 // converted cloud, so codec tests cover every wire tag.
-func fullTree(t *testing.T) *Tree {
+func fullTree(t testing.TB) *Tree {
 	t.Helper()
 	tr := NewTree()
 	h1, _ := tr.H1D("/a", "h1", "mass", 20, 0, 10)
@@ -164,6 +164,64 @@ func TestBinaryCodecTruncatedAndCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeTreeState([]byte{99}); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+}
+
+// The decoders accept only the bytes the encoder writes, so a frame that
+// decodes re-encodes to itself.
+func TestDecodersAcceptOnlyCanonicalFrames(t *testing.T) {
+	cloud, err := AppendObjectState(nil, &ObjectState{C1: NewCloud1D("c", "").State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cloud[len(cloud)-1] != 0 {
+		t.Fatal("a cloud frame does not end in its converted flag")
+	}
+	for name, frame := range map[string]func() error{
+		"a long varint":          func() error { _, err := DecodeTreeState([]byte{wireVersion, 0x80, 0x00}); return err },
+		"a byte after the frame": func() error { _, err := DecodeTreeState([]byte{wireVersion, 0, 0}); return err },
+		"a delta flag of 2":      func() error { _, err := DecodeDeltaState([]byte{wireVersion, 2, 0, 0}); return err },
+		"a converted flag of 2": func() error {
+			_, err := DecodeObjectFrame(append(cloud[:len(cloud)-1:len(cloud)-1], 2))
+			return err
+		},
+	} {
+		if frame() == nil {
+			t.Errorf("%s decoded", name)
+		}
+	}
+}
+
+// A frame that decodes can still describe an object no constructor
+// accepts; restoring it fails instead of panicking or building a
+// histogram whose bins do not match its axes.
+func TestRestoreRejectsInconsistentStates(t *testing.T) {
+	for i, s := range inconsistentStates() {
+		b, err := AppendObjectState(nil, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DecodeObjectFrame(b)
+		if err != nil {
+			t.Fatalf("%d: %v", i, err)
+		}
+		if obj, err := d.Restore(); err == nil {
+			t.Errorf("%d: restored %v", i, obj)
+		}
+	}
+}
+
+// inconsistentStates are well-formed object states that no object has:
+// empty, inverted or NaN axes, and 2D bin counts whose cell count
+// overflows to the number of cells given.
+func inconsistentStates() []ObjectState {
+	return []ObjectState{
+		{H1: &H1DState{Name: "h", Bins: 2, Lo: 1, Hi: 1, Data: make([]BinState, 4)}},
+		{H1: &H1DState{Name: "h", Bins: 2, Lo: math.NaN(), Hi: 1, Data: make([]BinState, 4)}},
+		{P1: &P1DState{Name: "p", Bins: 2, Lo: 1, Hi: 0, Data: make([]ProfBinState, 4)}},
+		{H2: &H2DState{Name: "h", NX: 1, NY: 1, XLo: 1, XHi: 0, YLo: 0, YHi: 1, Cells: make([]Bin2State, 9)}},
+		{H2: &H2DState{Name: "h", NX: 1<<32 - 2, NY: 1<<32 - 2, XLo: 0, XHi: 1, YLo: 0, YHi: 1}},
+		{C1: &C1DState{Name: "c", Converted: &H1DState{Name: "c", Bins: 1, Lo: 2, Hi: 2, Data: make([]BinState, 3)}}},
 	}
 }
 

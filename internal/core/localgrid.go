@@ -68,9 +68,12 @@ type GridOptions struct {
 	// (0 = no loop; ignored unless Replicate is on).
 	AntiEntropyInterval time.Duration
 	// WALDir, when set, gives every shard manager an append-only
-	// snapshot/delta log under this directory, replayed on startup — a
-	// restarted manager rejoins with its sessions intact. WALSyncEvery
-	// batches fsyncs (0 = every record).
+	// snapshot/delta log under this directory; a promoted replica
+	// inherits a dead shard's log tail (Replicate). Sessions do not
+	// survive a restart: their records live only in memory, so startup
+	// replays each log, then drops every merge session it brought back
+	// and compacts them out of the log. WALSyncEvery batches fsyncs (0 =
+	// every record).
 	WALDir       string
 	WALSyncEvery int
 	// Relays starts that many read relays on the sharded fabric: each
@@ -183,6 +186,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	// Services.
 	g.Catalog = catalog.New()
 	g.Locator = locator.New()
+	var logged []*merge.Manager // the managers that replayed a log
 	if opts.Shards > 1 {
 		// Sharded merge fabric: sessions spread across managers by
 		// consistent hashing; everything publishes/polls via the router.
@@ -199,6 +203,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 					return nil, err
 				}
 				g.wals = append(g.wals, w)
+				logged = append(logged, mgr)
 			}
 			g.ShardMgrs[name] = mgr
 			if err := g.Router.AddShard(name, mgr); err != nil {
@@ -262,6 +267,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 				return nil, err
 			}
 			g.wals = append(g.wals, w)
+			logged = append(logged, mgr)
 		}
 		g.Merge = mgr
 	}
@@ -296,6 +302,9 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 		return nil, err
 	}
 	g.Session = sessions
+	if err := dropOrphans(logged, sessions); err != nil {
+		return nil, err
+	}
 
 	mgrCfg := ManagerConfig{
 		Sessions: sessions, Catalog: g.Catalog, Merge: g.Merge,
@@ -411,9 +420,8 @@ func (g *LocalGrid) Close() {
 }
 
 // attachWAL opens (creating the directory if needed) a manager's
-// append-only log, replays whatever a previous incarnation left there —
-// a restarted manager rejoins with its sessions intact — and attaches
-// it for future appends.
+// append-only log, replays whatever a previous incarnation left there,
+// and attaches it for future appends.
 func attachWAL(mgr *merge.Manager, dir, name string, syncEvery int) (*merge.WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -428,4 +436,32 @@ func attachWAL(mgr *merge.Manager, dir, name string, syncEvery int) (*merge.WAL,
 	}
 	mgr.SetWAL(w)
 	return w, nil
+}
+
+// dropOrphans drops every merge session a replayed log brought back that
+// the session service has no record of, so nothing polls or publishes to
+// it again, and compacts each log it dropped from, so later compactions
+// stop re-snapshotting it.
+func dropOrphans(logged []*merge.Manager, sessions *session.Service) error {
+	live := make(map[string]bool)
+	for _, id := range sessions.Sessions() {
+		live[id] = true
+	}
+	for _, mgr := range logged {
+		var list merge.SessionsReply
+		mgr.SessionList(merge.SessionsArgs{}, &list)
+		orphans := 0
+		for _, id := range list.SessionIDs {
+			if !live[id] {
+				mgr.Drop(id)
+				orphans++
+			}
+		}
+		if orphans > 0 {
+			if err := mgr.CompactWAL(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -44,7 +44,7 @@ func (v *eventView) Refill(rec []byte) error {
 
 // eventMembers are an event view's members, for Get and for compiled
 // reads (script.RegisterMembers).
-var eventMembers = map[string]script.Member[*eventView]{
+var eventMembers = script.Members[*eventView]{
 	"number":    {Get: func(v *eventView) script.Val { return script.NumVal(float64(v.Number)) }},
 	"run":       {Get: func(v *eventView) script.Val { return script.NumVal(float64(v.Run)) }},
 	"signal":    {Get: func(v *eventView) script.Val { return script.BoolVal(v.IsSignal) }},
@@ -59,12 +59,7 @@ func (*eventView) TypeName() string { return "event" }
 func (v *eventView) Member(name string) (script.Value, bool) { return script.MemberOf(v, name) }
 
 // Get implements script.Getter.
-func (v *eventView) Get(name string) (script.Val, bool) {
-	if m, ok := eventMembers[name]; ok {
-		return m.Get(v), true
-	}
-	return script.Val{}, false
-}
+func (v *eventView) Get(name string) (script.Val, bool) { return eventMembers.Get(v, name) }
 
 // particleView is a Particle as scripts see it: id, charge, the
 // four-vector px, py, pz, e, and pt, p, mass, cost derived from it when
@@ -72,7 +67,7 @@ func (v *eventView) Get(name string) (script.Val, bool) {
 type particleView Particle
 
 // particleMembers are a particle view's members.
-var particleMembers = map[string]script.Member[*particleView]{
+var particleMembers = script.Members[*particleView]{
 	"id":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.ID)) }},
 	"charge": {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Charge)) }},
 	"px":     {Get: func(p *particleView) script.Val { return script.NumVal(float64(p.Px)) }},
@@ -92,12 +87,7 @@ func (*particleView) TypeName() string { return "particle" }
 func (p *particleView) Member(name string) (script.Value, bool) { return script.MemberOf(p, name) }
 
 // Get implements script.Getter.
-func (p *particleView) Get(name string) (script.Val, bool) {
-	if m, ok := particleMembers[name]; ok {
-		return m.Get(p), true
-	}
-	return script.Val{}, false
-}
+func (p *particleView) Get(name string) (script.Val, bool) { return particleMembers.Get(p, name) }
 
 // pairMass computes the invariant mass of two particle script objects —
 // provided natively because it is the hot inner loop of every dijet scan.

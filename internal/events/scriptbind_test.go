@@ -188,7 +188,8 @@ function process(ev) {
 `
 
 // BenchmarkScriptAnalysis measures a scripted analysis per event: the
-// benchmark's own script through Analysis.Process, decode included.
+// benchmark's own script through Analysis.Process, decode included. A
+// warmed step must not allocate.
 func BenchmarkScriptAnalysis(b *testing.B) {
 	recs := genRecords(3, 1000)
 	a, err := script.NewAnalysis(benchScript, EventDecoderName)
@@ -199,13 +200,23 @@ func BenchmarkScriptAnalysis(b *testing.B) {
 	if err := a.Init(ctx); err != nil {
 		b.Fatal(err)
 	}
+	step := func(i int) {
+		if err := a.Process(recs[i%len(recs)], ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range recs {
+		step(i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { step(i); i++ }); n != 0 {
+		b.Fatalf("a warmed step allocates %v times", n)
+	}
 	b.SetBytes(avgSize(recs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Process(recs[i%len(recs)], ctx); err != nil {
-			b.Fatal(err)
-		}
+		step(i)
 	}
 }
 

@@ -14,23 +14,16 @@ import (
 //	h = tree.h1d("/higgs", "mass", "Dijet mass", 125, 0, 250)
 //	function process(ev) { ... h.fill(m) ... }
 //
-// Every binding is a Getter whose members are all methods, so h.fill(x)
-// in a per-event loop neither builds a method value nor boxes x.
+// Every binding declares its methods in a Members table, registered
+// below, so h.fill(x) in a per-event loop finds fill at load time and
+// neither builds a method value nor boxes x.
 
-// methods is one host type's method table, filled at start-up. Entries are
-// written against the concrete receiver type; on adapts them to Method.
-type methods map[string]Method
-
-func (m methods) get(name string) (Val, bool) {
-	f, ok := m[name]
-	if !ok {
-		return Val{}, false
-	}
-	return MethodVal(f), true
-}
-
-func on[T HostObject](f func(recv T, args []Val) (Val, error)) Method {
-	return func(recv HostObject, args []Val) (Val, error) { return f(recv.(T), args) }
+func init() {
+	RegisterMembers(treeMembers)
+	RegisterMembers(h1dMembers)
+	RegisterMembers(h2dMembers)
+	RegisterMembers(p1dMembers)
+	RegisterMembers(c1dMembers)
 }
 
 // TreeObject wraps an aida.Tree for script access.
@@ -45,10 +38,10 @@ func (t *TreeObject) TypeName() string { return "tree" }
 func (t *TreeObject) Member(name string) (Value, bool) { return MemberOf(t, name) }
 
 // Get implements Getter.
-func (t *TreeObject) Get(name string) (Val, bool) { return treeMethods.get(name) }
+func (t *TreeObject) Get(name string) (Val, bool) { return treeMembers.Get(t, name) }
 
-var treeMethods = methods{
-	"h1d": on(func(t *TreeObject, args []Val) (Val, error) {
+var treeMembers = Members[*TreeObject]{
+	"h1d": {Call: func(t *TreeObject, args []Val) (Val, error) {
 		dir, nm, title, bins, lo, hi, err := histArgs(args)
 		if err != nil {
 			return Val{}, fmt.Errorf("tree.h1d: %v", err)
@@ -61,8 +54,8 @@ var treeMethods = methods{
 			return Val{}, err
 		}
 		return ValOf(&H1DObject{H: h}), nil
-	}),
-	"h2d": on(func(t *TreeObject, args []Val) (Val, error) {
+	}},
+	"h2d": {Call: func(t *TreeObject, args []Val) (Val, error) {
 		if len(args) != 9 {
 			return Val{}, fmt.Errorf("tree.h2d expects (dir, name, title, nx, xlo, xhi, ny, ylo, yhi)")
 		}
@@ -99,8 +92,8 @@ var treeMethods = methods{
 			return Val{}, err
 		}
 		return ValOf(&H2DObject{H: h}), nil
-	}),
-	"p1d": on(func(t *TreeObject, args []Val) (Val, error) {
+	}},
+	"p1d": {Call: func(t *TreeObject, args []Val) (Val, error) {
 		dir, nm, title, bins, lo, hi, err := histArgs(args)
 		if err != nil {
 			return Val{}, fmt.Errorf("tree.p1d: %v", err)
@@ -113,8 +106,8 @@ var treeMethods = methods{
 			return Val{}, err
 		}
 		return ValOf(&P1DObject{P: p}), nil
-	}),
-	"c1d": on(func(t *TreeObject, args []Val) (Val, error) {
+	}},
+	"c1d": {Call: func(t *TreeObject, args []Val) (Val, error) {
 		if len(args) != 3 {
 			return Val{}, fmt.Errorf("tree.c1d expects (dir, name, title)")
 		}
@@ -132,8 +125,8 @@ var treeMethods = methods{
 			return Val{}, err
 		}
 		return ValOf(&C1DObject{C: c}), nil
-	}),
-	"ls": on(func(t *TreeObject, args []Val) (Val, error) {
+	}},
+	"ls": {Call: func(t *TreeObject, args []Val) (Val, error) {
 		path := "/"
 		if len(args) == 1 {
 			p, err := args[0].Str()
@@ -151,7 +144,7 @@ var treeMethods = methods{
 			arr.Elems = append(arr.Elems, n)
 		}
 		return Val{k: kRef, r: arr}, nil
-	}),
+	}},
 }
 
 func histArgs(args []Val) (dir, name, title string, bins int, lo, hi float64, err error) {
@@ -220,10 +213,10 @@ func (h *H1DObject) TypeName() string { return "histogram1d" }
 func (h *H1DObject) Member(name string) (Value, bool) { return MemberOf(h, name) }
 
 // Get implements Getter.
-func (h *H1DObject) Get(name string) (Val, bool) { return h1dMethods.get(name) }
+func (h *H1DObject) Get(name string) (Val, bool) { return h1dMembers.Get(h, name) }
 
-var h1dMethods = methods{
-	"fill": on(func(h *H1DObject, args []Val) (Val, error) {
+var h1dMembers = Members[*H1DObject]{
+	"fill": {Call: func(h *H1DObject, args []Val) (Val, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return Val{}, fmt.Errorf("fill expects (x) or (x, weight)")
 		}
@@ -241,35 +234,35 @@ var h1dMethods = methods{
 		}
 		h.H.FillW(x, w)
 		return Val{}, nil
-	}),
-	"mean":    on(func(h *H1DObject, _ []Val) (Val, error) { return NumVal(h.H.Mean()), nil }),
-	"rms":     on(func(h *H1DObject, _ []Val) (Val, error) { return NumVal(h.H.Rms()), nil }),
-	"entries": on(func(h *H1DObject, _ []Val) (Val, error) { return NumVal(float64(h.H.Entries())), nil }),
-	"maxBinHeight": on(func(h *H1DObject, _ []Val) (Val, error) {
+	}},
+	"mean":    {Call: func(h *H1DObject, _ []Val) (Val, error) { return NumVal(h.H.Mean()), nil }},
+	"rms":     {Call: func(h *H1DObject, _ []Val) (Val, error) { return NumVal(h.H.Rms()), nil }},
+	"entries": {Call: func(h *H1DObject, _ []Val) (Val, error) { return NumVal(float64(h.H.Entries())), nil }},
+	"maxBinHeight": {Call: func(h *H1DObject, _ []Val) (Val, error) {
 		return NumVal(h.H.MaxBinHeight()), nil
-	}),
-	"binHeight": on(func(h *H1DObject, args []Val) (Val, error) {
+	}},
+	"binHeight": {Call: func(h *H1DObject, args []Val) (Val, error) {
 		i, err := binArg("binHeight", h.H, args)
 		if err != nil {
 			return Val{}, err
 		}
 		return NumVal(h.H.BinHeight(i)), nil
-	}),
-	"binCenter": on(func(h *H1DObject, args []Val) (Val, error) {
+	}},
+	"binCenter": {Call: func(h *H1DObject, args []Val) (Val, error) {
 		i, err := binArg("binCenter", h.H, args)
 		if err != nil {
 			return Val{}, err
 		}
 		return NumVal(h.H.Axis().BinCenter(i)), nil
-	}),
-	"bins": on(func(h *H1DObject, _ []Val) (Val, error) {
+	}},
+	"bins": {Call: func(h *H1DObject, _ []Val) (Val, error) {
 		return NumVal(float64(h.H.Axis().Bins())), nil
-	}),
-	"reset": on(func(h *H1DObject, _ []Val) (Val, error) {
+	}},
+	"reset": {Call: func(h *H1DObject, _ []Val) (Val, error) {
 		h.H.Reset()
 		return Val{}, nil
-	}),
-	"scale": on(func(h *H1DObject, args []Val) (Val, error) {
+	}},
+	"scale": {Call: func(h *H1DObject, args []Val) (Val, error) {
 		if len(args) != 1 {
 			return Val{}, fmt.Errorf("scale expects (factor)")
 		}
@@ -279,8 +272,8 @@ var h1dMethods = methods{
 		}
 		h.H.Scale(f)
 		return Val{}, nil
-	}),
-	"annotate": on(func(h *H1DObject, args []Val) (Val, error) {
+	}},
+	"annotate": {Call: func(h *H1DObject, args []Val) (Val, error) {
 		if len(args) != 2 {
 			return Val{}, fmt.Errorf("annotate expects (key, value)")
 		}
@@ -290,7 +283,7 @@ var h1dMethods = methods{
 		}
 		h.H.Annotations().Set(k, ToString(args[1].Value()))
 		return Val{}, nil
-	}),
+	}},
 }
 
 // H2DObject wraps a Histogram2D.
@@ -305,10 +298,10 @@ func (h *H2DObject) TypeName() string { return "histogram2d" }
 func (h *H2DObject) Member(name string) (Value, bool) { return MemberOf(h, name) }
 
 // Get implements Getter.
-func (h *H2DObject) Get(name string) (Val, bool) { return h2dMethods.get(name) }
+func (h *H2DObject) Get(name string) (Val, bool) { return h2dMembers.Get(h, name) }
 
-var h2dMethods = methods{
-	"fill": on(func(h *H2DObject, args []Val) (Val, error) {
+var h2dMembers = Members[*H2DObject]{
+	"fill": {Call: func(h *H2DObject, args []Val) (Val, error) {
 		if len(args) != 2 && len(args) != 3 {
 			return Val{}, fmt.Errorf("fill expects (x, y) or (x, y, weight)")
 		}
@@ -328,10 +321,10 @@ var h2dMethods = methods{
 		}
 		h.H.FillW(x, y, w)
 		return Val{}, nil
-	}),
-	"entries": on(func(h *H2DObject, _ []Val) (Val, error) { return NumVal(float64(h.H.Entries())), nil }),
-	"meanX":   on(func(h *H2DObject, _ []Val) (Val, error) { return NumVal(h.H.MeanX()), nil }),
-	"meanY":   on(func(h *H2DObject, _ []Val) (Val, error) { return NumVal(h.H.MeanY()), nil }),
+	}},
+	"entries": {Call: func(h *H2DObject, _ []Val) (Val, error) { return NumVal(float64(h.H.Entries())), nil }},
+	"meanX":   {Call: func(h *H2DObject, _ []Val) (Val, error) { return NumVal(h.H.MeanX()), nil }},
+	"meanY":   {Call: func(h *H2DObject, _ []Val) (Val, error) { return NumVal(h.H.MeanY()), nil }},
 }
 
 // P1DObject wraps a Profile1D.
@@ -346,10 +339,10 @@ func (p *P1DObject) TypeName() string { return "profile1d" }
 func (p *P1DObject) Member(name string) (Value, bool) { return MemberOf(p, name) }
 
 // Get implements Getter.
-func (p *P1DObject) Get(name string) (Val, bool) { return p1dMethods.get(name) }
+func (p *P1DObject) Get(name string) (Val, bool) { return p1dMembers.Get(p, name) }
 
-var p1dMethods = methods{
-	"fill": on(func(p *P1DObject, args []Val) (Val, error) {
+var p1dMembers = Members[*P1DObject]{
+	"fill": {Call: func(p *P1DObject, args []Val) (Val, error) {
 		if len(args) != 2 {
 			return Val{}, fmt.Errorf("fill expects (x, y)")
 		}
@@ -363,8 +356,8 @@ var p1dMethods = methods{
 		}
 		p.P.Fill(x, y)
 		return Val{}, nil
-	}),
-	"entries": on(func(p *P1DObject, _ []Val) (Val, error) { return NumVal(float64(p.P.Entries())), nil }),
+	}},
+	"entries": {Call: func(p *P1DObject, _ []Val) (Val, error) { return NumVal(float64(p.P.Entries())), nil }},
 }
 
 // C1DObject wraps a Cloud1D.
@@ -379,10 +372,10 @@ func (c *C1DObject) TypeName() string { return "cloud1d" }
 func (c *C1DObject) Member(name string) (Value, bool) { return MemberOf(c, name) }
 
 // Get implements Getter.
-func (c *C1DObject) Get(name string) (Val, bool) { return c1dMethods.get(name) }
+func (c *C1DObject) Get(name string) (Val, bool) { return c1dMembers.Get(c, name) }
 
-var c1dMethods = methods{
-	"fill": on(func(c *C1DObject, args []Val) (Val, error) {
+var c1dMembers = Members[*C1DObject]{
+	"fill": {Call: func(c *C1DObject, args []Val) (Val, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return Val{}, fmt.Errorf("fill expects (x) or (x, weight)")
 		}
@@ -398,8 +391,8 @@ var c1dMethods = methods{
 		}
 		c.C.FillW(x, w)
 		return Val{}, nil
-	}),
-	"mean":    on(func(c *C1DObject, _ []Val) (Val, error) { return NumVal(c.C.Mean()), nil }),
-	"rms":     on(func(c *C1DObject, _ []Val) (Val, error) { return NumVal(c.C.Rms()), nil }),
-	"entries": on(func(c *C1DObject, _ []Val) (Val, error) { return NumVal(float64(c.C.Entries())), nil }),
+	}},
+	"mean":    {Call: func(c *C1DObject, _ []Val) (Val, error) { return NumVal(c.C.Mean()), nil }},
+	"rms":     {Call: func(c *C1DObject, _ []Val) (Val, error) { return NumVal(c.C.Rms()), nil }},
+	"entries": {Call: func(c *C1DObject, _ []Val) (Val, error) { return NumVal(float64(c.C.Entries())), nil }},
 }

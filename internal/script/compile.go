@@ -3,8 +3,8 @@ package script
 import "math"
 
 // The evaluator. compile turns the parsed AST into Go closures once per
-// Program; running a script is calling them. Three things make that
-// cheaper than walking the tree:
+// Program; running a script is calling them. What makes that cheaper than
+// walking the tree:
 //
 //   - every identifier is resolved here, at compile time, to the places it
 //     can live at run time — a slot in the frame of each enclosing function
@@ -12,13 +12,16 @@ import "math"
 //     variable access is an index, not a map lookup;
 //   - values travel as Val, numbers inline, and are boxed only where they
 //     leave compiled code (arrays, maps, HostFunc arguments, Lookup);
-//   - obj.name(args...) on a Getter resolves the method and calls it with
-//     arguments left on the interpreter's stack: no method value, no
-//     argument slice;
-//   - obj.name of a member declared with RegisterMembers calls its
-//     accessor, and a few hot shapes (a local's member, a compound
-//     assignment to a local, an operator with a literal right operand,
-//     if without else) are one closure instead of several.
+//   - an expression compiles to one of three forms, chosen by where it
+//     stands: a value (expr); a condition (cond) where only its truth is
+//     wanted, so a comparison of two numbers is a Go bool; an effect (stmt)
+//     where its value is dropped, so an assignment or a call is the
+//     statement itself. A loop runs its body's statements itself, and a
+//     for-each writes its variable in place when it has a slot of its own;
+//   - members resolve at load time: x.name reads the property and
+//     x.name(args...) calls the method that RegisterMembers declared for
+//     x's type, after one type check, with the arguments left on the
+//     interpreter's stack; any other x goes through Getter.Get or Member.
 //
 // The language binds dynamically: an assignment writes the innermost
 // scope that already has the name and otherwise defines it in the current
@@ -32,6 +35,9 @@ type stmt func(fr *frame) (ctrl, error)
 
 // expr evaluates an expression; it never yields kUnbound.
 type expr func(fr *frame) (Val, error)
+
+// cond evaluates an expression for its truth.
+type cond func(fr *frame) (bool, error)
 
 // control-flow signals threaded through statements.
 type ctrl int
@@ -159,6 +165,16 @@ func (fr *frame) local(slot, global int) *Val {
 	return nil
 }
 
+// define stores v to a name with its own slot: where it is bound, else in
+// the slot.
+func (fr *frame) define(slot, global int, v Val) {
+	if p := fr.local(slot, global); p != nil {
+		*p = v
+	} else {
+		fr.slots[slot] = v
+	}
+}
+
 func undefinedVar(pos Pos, name string) error { return rtErr(pos, "undefined variable %q", name) }
 
 // load compiles a read of name.
@@ -200,13 +216,7 @@ func (c *compiler) store(name string) func(fr *frame, v Val) {
 	// scan gave every name this function assigns a slot of its own.
 	here := r.locals[0].slot
 	if len(r.locals) == 1 {
-		return func(fr *frame, v Val) {
-			p := fr.local(here, gi)
-			if p == nil {
-				p = &fr.slots[here]
-			}
-			*p = v
-		}
+		return func(fr *frame, v Val) { fr.define(here, gi, v) }
 	}
 	return func(fr *frame, v Val) {
 		p := r.find(fr)
@@ -271,7 +281,7 @@ func scan(s *fnScope, body Node, param string) (borrows bool, vars []string) {
 			id, ok := n.target.(*identExpr)
 			if !ok {
 				walk(n.target)
-			} else if _, ref := memberAccess(n.name); ref {
+			} else if memberAccess(n.name).ref {
 				keeps[id.name] = true
 			}
 		case *assignExpr:
@@ -375,49 +385,42 @@ func (c *compiler) funcLit(e *funcLit) expr {
 func (c *compiler) stmt(n Node) stmt {
 	switch s := n.(type) {
 	case *exprStmt:
-		x := c.expr(s.x)
-		return func(fr *frame) (ctrl, error) {
-			_, err := x(fr)
-			return ctrlNone, err
-		}
+		return c.effect(s.x)
 	case *blockStmt:
 		return c.block(s)
 	case *ifStmt:
-		cond, then := c.expr(s.cond), c.stmt(s.then)
-		if s.alt == nil {
-			return func(fr *frame) (ctrl, error) {
-				v, err := cond(fr)
-				if err != nil || !v.truthy() {
-					return ctrlNone, err
-				}
-				return then(fr)
-			}
+		test, then := c.cond(s.cond), c.stmt(s.then)
+		var alt stmt
+		if s.alt != nil {
+			alt = c.stmt(s.alt)
 		}
-		alt := c.stmt(s.alt)
 		return func(fr *frame) (ctrl, error) {
-			v, err := cond(fr)
-			if err != nil {
+			ok, err := test(fr)
+			switch {
+			case err != nil:
 				return ctrlNone, err
-			}
-			if v.truthy() {
+			case ok:
 				return then(fr)
+			case alt != nil:
+				return alt(fr)
 			}
-			return alt(fr)
+			return ctrlNone, nil
 		}
 	case *whileStmt:
-		return c.loop(s.pos, nil, c.expr(s.cond), nil, c.stmt(s.body))
+		return c.loop(s.pos, nil, c.cond(s.cond), nil, c.body(s.body))
 	case *forStmt:
-		var init, cond, post expr
+		var init, post stmt
+		var test cond
 		if s.init != nil {
-			init = c.expr(s.init)
+			init = c.effect(s.init)
 		}
 		if s.cond != nil {
-			cond = c.expr(s.cond)
+			test = c.cond(s.cond)
 		}
 		if s.post != nil {
-			post = c.expr(s.post)
+			post = c.effect(s.post)
 		}
-		return c.loop(s.pos, init, cond, post, c.stmt(s.body))
+		return c.loop(s.pos, init, test, post, c.body(s.body))
 	case *forEachStmt:
 		return c.forEach(s)
 	case *returnStmt:
@@ -449,25 +452,39 @@ func (c *compiler) stmt(n Node) stmt {
 }
 
 func (c *compiler) block(b *blockStmt) stmt {
+	stmts := c.body(b)
+	if len(stmts) == 1 {
+		return stmts[0]
+	}
+	return func(fr *frame) (ctrl, error) { return run(fr, stmts) }
+}
+
+// body compiles the statements a block, or a loop's body, runs in turn:
+// a loop runs them itself, with no block in between.
+func (c *compiler) body(n Node) []stmt {
+	b, ok := n.(*blockStmt)
+	if !ok {
+		return []stmt{c.stmt(n)}
+	}
 	stmts := make([]stmt, len(b.stmts))
 	for i, s := range b.stmts {
 		stmts[i] = c.stmt(s)
 	}
-	if len(stmts) == 1 {
-		return stmts[0]
-	}
-	return func(fr *frame) (ctrl, error) {
-		for _, s := range stmts {
-			if how, err := s(fr); err != nil || how != ctrlNone {
-				return how, err
-			}
+	return stmts
+}
+
+// run runs stmts until one fails or ends other than normally.
+func run(fr *frame, stmts []stmt) (ctrl, error) {
+	for _, s := range stmts {
+		if how, err := s(fr); err != nil || how != ctrlNone {
+			return how, err
 		}
-		return ctrlNone, nil
 	}
+	return ctrlNone, nil
 }
 
 // loop is while (init, post nil) and the C-style for (any part nil).
-func (c *compiler) loop(pos Pos, init, cond, post expr, body stmt) stmt {
+func (c *compiler) loop(pos Pos, init stmt, test cond, post stmt, body []stmt) stmt {
 	return func(fr *frame) (ctrl, error) {
 		if init != nil {
 			if _, err := init(fr); err != nil {
@@ -475,21 +492,15 @@ func (c *compiler) loop(pos Pos, init, cond, post expr, body stmt) stmt {
 			}
 		}
 		for {
-			if cond != nil {
-				v, err := cond(fr)
-				if err != nil {
+			if test != nil {
+				ok, err := test(fr)
+				if err != nil || !ok {
 					return ctrlNone, err
 				}
-				if !v.truthy() {
-					return ctrlNone, nil
-				}
 			}
-			how, err := body(fr)
-			if err != nil {
+			how, err := run(fr, body)
+			if err != nil || how == ctrlBreak {
 				return ctrlNone, err
-			}
-			if how == ctrlBreak {
-				return ctrlNone, nil
 			}
 			if how == ctrlReturn {
 				return how, nil
@@ -506,56 +517,200 @@ func (c *compiler) loop(pos Pos, init, cond, post expr, body stmt) stmt {
 	}
 }
 
+// forEach compiles for (x : seq). A variable with a slot of its own is
+// written in place, where store would write it.
 func (c *compiler) forEach(s *forEachStmt) stmt {
-	iterable, set, body, pos := c.expr(s.iterable), c.store(s.ident), c.stmt(s.body), s.pos
-	// step runs one iteration; done reports that the loop is over.
-	step := func(fr *frame, v Val) (done bool, how ctrl, err error) {
-		set(fr, v)
-		how, err = body(fr)
-		switch {
-		case err != nil:
-			return true, ctrlNone, err
-		case how == ctrlBreak:
-			return true, ctrlNone, nil
-		case how == ctrlReturn:
-			return true, how, nil
-		}
-		err = fr.in.burn(pos)
-		return err != nil, ctrlNone, err
+	iterable, body, pos := c.expr(s.iterable), c.body(s.body), s.pos
+	r := c.resolve(s.ident)
+	slot, own := r.own()
+	gi := r.global
+	var set func(*frame, Val)
+	if !own {
+		set = c.store(s.ident)
 	}
 	return func(fr *frame) (ctrl, error) {
 		it, err := iterable(fr)
 		if err != nil {
 			return ctrlNone, err
 		}
-		if it.k == kNum {
-			for i := 0.0; i < it.n; i++ {
-				if done, how, err := step(fr, NumVal(i)); done {
-					return how, err
-				}
-			}
-			return ctrlNone, nil
-		}
-		switch seq := it.r.(type) {
+		// A number n counts 0 … n-1; an array's bounds are taken once, so
+		// elements the body appends are not visited; a map gives its keys.
+		num, seq := it.k == kNum, []Value(nil)
+		switch x := it.r.(type) {
 		case *Array:
-			// The bounds are taken once: elements the body appends are
-			// not visited.
-			for _, v := range seq.Elems {
-				if done, how, err := step(fr, ValOf(v)); done {
-					return how, err
-				}
-			}
-			return ctrlNone, nil
+			seq = x.Elems
 		case *Map:
-			for _, k := range sortedMapKeys(seq) {
-				if done, how, err := step(fr, Val{k: kRef, r: k}); done {
-					return how, err
+			seq = sortedMapKeys(x)
+		default:
+			if !num {
+				return ctrlNone, rtErr(pos, "cannot iterate over %s", TypeName(it.Value()))
+			}
+		}
+		for i := 0; num && float64(i) < it.n || i < len(seq); i++ {
+			v := NumVal(float64(i))
+			if !num {
+				v = ValOf(seq[i])
+			}
+			if own {
+				fr.define(slot, gi, v)
+			} else {
+				set(fr, v)
+			}
+			how, err := run(fr, body)
+			if err != nil || how == ctrlBreak {
+				return ctrlNone, err
+			}
+			if how == ctrlReturn {
+				return how, nil
+			}
+			if err := fr.in.burn(pos); err != nil {
+				return ctrlNone, err
+			}
+		}
+		return ctrlNone, nil
+	}
+}
+
+// effect compiles an expression whose value is not used. An assignment to
+// a variable with a slot of its own, or a call, is then the statement
+// itself.
+func (c *compiler) effect(n Node) stmt {
+	switch e := n.(type) {
+	case *callExpr:
+		site := c.callSite(e)
+		return func(fr *frame) (ctrl, error) {
+			_, err := site.run(fr)
+			return ctrlNone, err
+		}
+	case *assignExpr:
+		id, ok := e.target.(*identExpr)
+		if !ok {
+			break
+		}
+		r := c.resolve(id.name)
+		slot, own := r.own()
+		if !own {
+			break
+		}
+		a := &localAssign{value: c.expr(e.value), slot: slot, global: r.global, op: compoundOp(e.op), pos: e.pos, id: id}
+		return func(fr *frame) (ctrl, error) {
+			v, err := a.value(fr)
+			if err != nil {
+				return ctrlNone, err
+			}
+			if a.op == tokAssign {
+				fr.define(a.slot, a.global, v)
+				return ctrlNone, nil
+			}
+			// A compound operator updates the variable where it is bound,
+			// which is where the store would write.
+			p := fr.local(a.slot, a.global)
+			if p == nil {
+				return ctrlNone, undefinedVar(a.id.pos, a.id.name)
+			}
+			if p.k == kNum && v.k == kNum {
+				if n, ok := numOp(a.op, p.n, v.n); ok {
+					p.n = n
+					return ctrlNone, nil
 				}
 			}
-			return ctrlNone, nil
+			if v, err = arith(a.pos, a.op, *p, v); err == nil {
+				*p = v
+			}
+			return ctrlNone, err
 		}
-		return ctrlNone, rtErr(pos, "cannot iterate over %s", TypeName(it.Value()))
 	}
+	x := c.expr(n)
+	return func(fr *frame) (ctrl, error) {
+		_, err := x(fr)
+		return ctrlNone, err
+	}
+}
+
+// cond compiles n where only its truth is wanted: the condition of if,
+// while, for and ?:, and the operands of &&, || and !. A comparison of two
+// numbers is a Go comparison, and a literal right operand is folded.
+func (c *compiler) cond(n Node) cond {
+	if v, ok := literal(n); ok {
+		b := v.truthy()
+		return func(*frame) (bool, error) { return b, nil }
+	}
+	switch e := n.(type) {
+	case *unaryExpr:
+		if e.op == tokNot {
+			x := c.cond(e.x)
+			return func(fr *frame) (bool, error) {
+				b, err := x(fr)
+				return !b, err
+			}
+		}
+	case *binaryExpr:
+		switch e.op {
+		case tokAnd, tokOr:
+			// The left side decides alone when it is false (&&) or true (||).
+			l, r, decides := c.cond(e.l), c.cond(e.r), e.op == tokOr
+			return func(fr *frame) (bool, error) {
+				b, err := l(fr)
+				if err != nil || b == decides {
+					return b, err
+				}
+				return r(fr)
+			}
+		case tokLt, tokLe, tokGt, tokGe, tokEq, tokNe:
+			return c.compare(e)
+		}
+	}
+	x := c.expr(n)
+	return func(fr *frame) (bool, error) {
+		v, err := x(fr)
+		return v.truthy(), err
+	}
+}
+
+// compare compiles a comparison as a condition.
+func (c *compiler) compare(e *binaryExpr) cond {
+	o := &operands{l: c.expr(e.l), r: c.expr(e.r), op: e.op, pos: e.pos}
+	o.k, o.folded = literal(e.r)
+	return func(fr *frame) (bool, error) {
+		lv, err := o.l(fr)
+		if err != nil {
+			return false, err
+		}
+		rv := o.k
+		if !o.folded {
+			if rv, err = o.r(fr); err != nil {
+				return false, err
+			}
+		}
+		if lv.k == kNum && rv.k == kNum {
+			return compare(o.op, lv.n, rv.n), nil
+		}
+		v, err := arith(o.pos, o.op, lv, rv)
+		return v.truthy(), err
+	}
+}
+
+// Closures that call out and then need several captured values hold them
+// through one pointer: Go keeps no register across a call, so each value
+// still live would be saved on every entry.
+
+// operands is a binary operator and its operands; k is the right one when
+// it is a literal, folded.
+type operands struct {
+	l, r   expr
+	op     tokKind
+	pos    Pos
+	k      Val
+	folded bool
+}
+
+// localAssign is an assignment to a variable with a slot of its own.
+type localAssign struct {
+	value        expr
+	slot, global int
+	op           tokKind
+	pos          Pos
+	id           *identExpr
 }
 
 // Expressions.
@@ -623,13 +778,13 @@ func (c *compiler) expr(n Node) expr {
 	case *binaryExpr:
 		return c.binary(e)
 	case *ternaryExpr:
-		cond, then, alt := c.expr(e.cond), c.expr(e.then), c.expr(e.alt)
+		test, then, alt := c.cond(e.cond), c.expr(e.then), c.expr(e.alt)
 		return func(fr *frame) (Val, error) {
-			v, err := cond(fr)
+			ok, err := test(fr)
 			if err != nil {
 				return Val{}, err
 			}
-			if v.truthy() {
+			if ok {
 				return then(fr)
 			}
 			return alt(fr)
@@ -637,7 +792,7 @@ func (c *compiler) expr(n Node) expr {
 	case *assignExpr:
 		return c.assign(e)
 	case *callExpr:
-		return c.call(e)
+		return c.callSite(e).run
 	case *indexExpr:
 		target, index, pos := c.expr(e.target), c.expr(e.index), e.pos
 		return func(fr *frame) (Val, error) {
@@ -670,26 +825,22 @@ func (c *compiler) exprs(nodes []Node) []expr {
 	return out
 }
 
-// member compiles a read of target.name: through the accessor registered
-// for name when target has its type, else through the generic member.
+// member compiles a read of target.name: through the property
+// registered for name when target has its type, else through the generic
+// member.
 func (c *compiler) member(e *memberExpr) expr {
 	pos, name := e.pos, e.name
-	get, _ := memberAccess(name)
-	if id, ok := e.target.(*identExpr); ok {
+	acc := memberAccess(name)
+	if id, ok := e.target.(*identExpr); ok && acc.local != nil {
 		r := c.resolve(id.name)
 		if slot, own := r.own(); own {
-			// A local's member, in one closure.
-			gi, ipos, iname := r.global, id.pos, id.name
-			return func(fr *frame) (Val, error) {
-				t := fr.local(slot, gi)
+			// A local's member, with the variable read in place.
+			return acc.local(slot, r.global, func(t *Val) (Val, error) {
 				if t == nil {
-					return Val{}, undefinedVar(ipos, iname)
-				}
-				if v, ok := get(t.r); ok {
-					return v, nil
+					return Val{}, undefinedVar(id.pos, id.name)
 				}
 				return member(pos, *t, name)
-			}
+			})
 		}
 	}
 	target := c.expr(e.target)
@@ -698,7 +849,7 @@ func (c *compiler) member(e *memberExpr) expr {
 		if err != nil {
 			return Val{}, err
 		}
-		if v, ok := get(t.r); ok {
+		if v, ok := acc.get(t.r); ok {
 			return v, nil
 		}
 		return member(pos, t, name)
@@ -707,7 +858,7 @@ func (c *compiler) member(e *memberExpr) expr {
 
 // lookupMember is target.name as compiled code wants it: from a Getter
 // (returned as recv) numbers come unboxed and methods unbound.
-func lookupMember(pos Pos, target Val, name string) (recv HostObject, v Val, err error) {
+func lookupMember(pos Pos, target Val, name string) (recv Value, v Val, err error) {
 	if g, ok := target.r.(Getter); ok {
 		v, ok := g.Get(name)
 		if !ok {
@@ -722,16 +873,17 @@ func lookupMember(pos Pos, target Val, name string) (recv HostObject, v Val, err
 // member is target.name as a value: a method gets bound to its object.
 func member(pos Pos, target Val, name string) (Val, error) {
 	recv, v, err := lookupMember(pos, target, name)
-	if m, isMethod := v.r.(Method); isMethod {
-		return Val{k: kRef, r: m.bind(recv)}, nil
+	if m, isMethod := v.r.(method); isMethod {
+		return Val{k: kRef, r: bind(m, recv)}, nil
 	}
 	return v, err
 }
 
 func (c *compiler) unary(e *unaryExpr) expr {
-	x, pos := c.expr(e.x), e.pos
+	pos := e.pos
 	switch e.op {
 	case tokMinus:
+		x := c.expr(e.x)
 		return func(fr *frame) (Val, error) {
 			v, err := x(fr)
 			if err != nil {
@@ -743,10 +895,7 @@ func (c *compiler) unary(e *unaryExpr) expr {
 			return NumVal(-v.n), nil
 		}
 	case tokNot:
-		return func(fr *frame) (Val, error) {
-			v, err := x(fr)
-			return BoolVal(!v.truthy()), err
-		}
+		return c.boolean(e)
 	}
 	return func(*frame) (Val, error) { return Val{}, rtErr(pos, "internal: bad unary op") }
 }
@@ -755,58 +904,72 @@ func (c *compiler) unary(e *unaryExpr) expr {
 // applyBinary.
 func arith(pos Pos, op tokKind, l, r Val) (Val, error) {
 	if l.k == kNum && r.k == kNum {
+		if n, ok := numOp(op, l.n, r.n); ok {
+			return NumVal(n), nil
+		}
 		switch op {
-		case tokPlus:
-			return NumVal(l.n + r.n), nil
-		case tokMinus:
-			return NumVal(l.n - r.n), nil
-		case tokStar:
-			return NumVal(l.n * r.n), nil
 		case tokSlash:
-			if r.n == 0 {
-				return Val{}, rtErr(pos, "division by zero")
-			}
-			return NumVal(l.n / r.n), nil
+			return Val{}, rtErr(pos, "division by zero")
 		case tokPercent:
 			if r.n == 0 {
 				return Val{}, rtErr(pos, "modulo by zero")
 			}
 			return NumVal(math.Mod(l.n, r.n)), nil
-		case tokLt:
-			return BoolVal(l.n < r.n), nil
-		case tokLe:
-			return BoolVal(l.n <= r.n), nil
-		case tokGt:
-			return BoolVal(l.n > r.n), nil
-		case tokGe:
-			return BoolVal(l.n >= r.n), nil
-		case tokEq:
-			return BoolVal(l.n == r.n), nil
-		case tokNe:
-			return BoolVal(l.n != r.n), nil
+		case tokLt, tokLe, tokGt, tokGe, tokEq, tokNe:
+			return BoolVal(compare(op, l.n, r.n)), nil
 		}
 	}
 	v, err := applyBinary(pos, op, l.Value(), r.Value())
 	return ValOf(v), err
 }
 
-func (c *compiler) binary(e *binaryExpr) expr {
-	l, r, pos, op := c.expr(e.l), c.expr(e.r), e.pos, e.op
-	if op == tokAnd || op == tokOr {
-		// The left side decides alone when it is false (&&) or true (||).
-		decides := op == tokOr
-		return func(fr *frame) (Val, error) {
-			lv, err := l(fr)
-			if err != nil {
-				return Val{}, err
-			}
-			if lv.truthy() == decides {
-				return BoolVal(decides), nil
-			}
-			rv, err := r(fr)
-			return BoolVal(rv.truthy()), err
-		}
+// numOp applies +, -, * or / to two numbers; ok is false for any other
+// operator and for a division by zero.
+func numOp(op tokKind, l, r float64) (n float64, ok bool) {
+	switch {
+	case op == tokPlus:
+		return l + r, true
+	case op == tokMinus:
+		return l - r, true
+	case op == tokStar:
+		return l * r, true
+	case op == tokSlash && r != 0:
+		return l / r, true
 	}
+	return 0, false
+}
+
+// compare applies a comparison operator to two numbers.
+func compare(op tokKind, l, r float64) bool {
+	switch op {
+	case tokLt:
+		return l < r
+	case tokLe:
+		return l <= r
+	case tokGt:
+		return l > r
+	case tokGe:
+		return l >= r
+	case tokEq:
+		return l == r
+	}
+	return l != r
+}
+
+// boolean compiles a logical operator's value from its condition form.
+func (c *compiler) boolean(n Node) expr {
+	test := c.cond(n)
+	return func(fr *frame) (Val, error) {
+		b, err := test(fr)
+		return BoolVal(b), err
+	}
+}
+
+func (c *compiler) binary(e *binaryExpr) expr {
+	if e.op == tokAnd || e.op == tokOr {
+		return c.boolean(e)
+	}
+	l, r, pos, op := c.expr(e.l), c.expr(e.r), e.pos, e.op
 	// A literal right operand is not evaluated: it has no effect to order.
 	if k, ok := literal(e.r); ok {
 		return func(fr *frame) (Val, error) {
@@ -836,30 +999,6 @@ func (c *compiler) binary(e *binaryExpr) expr {
 // for the store.
 func (c *compiler) assign(e *assignExpr) expr {
 	value, pos, op := c.expr(e.value), e.pos, compoundOp(e.op)
-	if id, ok := e.target.(*identExpr); ok && op != tokAssign {
-		r := c.resolve(id.name)
-		if slot, own := r.own(); own {
-			// A compound assignment to a local updates it where it is
-			// bound, which is where the store would write.
-			gi, ipos, iname := r.global, id.pos, id.name
-			return func(fr *frame) (Val, error) {
-				v, err := value(fr)
-				if err != nil {
-					return Val{}, err
-				}
-				p := fr.local(slot, gi)
-				if p == nil {
-					return Val{}, undefinedVar(ipos, iname)
-				}
-				nv, err := arith(pos, op, *p, v)
-				if err != nil {
-					return Val{}, err
-				}
-				*p = nv
-				return nv, nil
-			}
-		}
-	}
 	var old expr
 	if op != tokAssign {
 		old = c.expr(e.target)
@@ -922,19 +1061,12 @@ func (c *compiler) assign(e *assignExpr) expr {
 
 // apply calls callee — a closure, a host function, or recv's method — at
 // call site pos.
-func (in *Interp) apply(recv HostObject, callee Val, args []Val, pos Pos) (Val, error) {
+func (in *Interp) apply(recv Value, callee Val, args []Val, pos Pos) (Val, error) {
 	switch f := callee.r.(type) {
 	case *Closure:
 		return in.callClosure(f, args, pos)
-	case Method:
-		if err := in.burn(pos); err != nil {
-			return Val{}, err
-		}
-		v, err := f(recv, args)
-		if err != nil {
-			return Val{}, hostErr(pos, err)
-		}
-		return v, nil
+	case method:
+		return in.callMethod(f, recv, args, pos)
 	case HostFunc:
 		if err := in.burn(pos); err != nil {
 			return Val{}, err
@@ -953,47 +1085,76 @@ func (in *Interp) apply(recv HostObject, callee Val, args []Val, pos Pos) (Val, 
 	return Val{}, rtErr(pos, "cannot call %s", TypeName(callee.Value()))
 }
 
-// call compiles callee(args...). The callee is evaluated first, so a
-// missing member is reported before any argument runs.
-func (c *compiler) call(e *callExpr) expr {
-	args, pos := c.exprs(e.args), e.pos
-	// invoke calls callee (recv is the object when callee is its Method)
-	// on the arguments, which wait on the interpreter's stack meanwhile.
-	invoke := func(fr *frame, recv HostObject, callee Val) (Val, error) {
-		in := fr.in
-		base := len(in.stack)
-		for _, a := range args {
-			v, err := a(fr)
-			if err != nil {
-				in.stack = in.stack[:base]
-				return Val{}, err
-			}
-			in.stack = append(in.stack, v)
-		}
-		v, err := in.apply(recv, callee, in.stack[base:], pos)
-		in.stack = in.stack[:base]
-		return v, err
+func (in *Interp) callMethod(m method, recv Value, args []Val, pos Pos) (Val, error) {
+	if err := in.burn(pos); err != nil {
+		return Val{}, err
 	}
+	v, err := m.call(recv, args)
+	if err != nil {
+		return Val{}, hostErr(pos, err)
+	}
+	return v, nil
+}
+
+// callSite is a compiled call: callee(args...), or recv.name(args...)
+// when recv is set. Its value form is run and its statement form calls
+// run directly.
+type callSite struct {
+	callee, recv expr
+	name         string
+	method       func(Value) method // name's registered methods
+	args         []expr
+	pos, mpos    Pos
+}
+
+func (c *compiler) callSite(e *callExpr) *callSite {
+	s := &callSite{args: c.exprs(e.args), pos: e.pos}
 	if m, ok := e.callee.(*memberExpr); ok {
-		target, mpos, name := c.expr(m.target), m.pos, m.name
-		return func(fr *frame) (Val, error) {
-			t, err := target(fr)
-			if err != nil {
-				return Val{}, err
-			}
-			recv, callee, err := lookupMember(mpos, t, name)
-			if err != nil {
-				return Val{}, err
-			}
-			return invoke(fr, recv, callee)
+		s.recv, s.name, s.mpos = c.expr(m.target), m.name, m.pos
+		s.method = memberAccess(m.name).call
+	} else {
+		s.callee = c.expr(e.callee)
+	}
+	return s
+}
+
+// run makes the call. The callee is evaluated first, so a missing member
+// is reported before any argument runs; the arguments then wait on the
+// interpreter's stack. A method registered for the receiver's type needs
+// no lookup by name.
+func (s *callSite) run(fr *frame) (Val, error) {
+	var recv Value
+	var callee Val
+	var m method
+	var err error
+	if s.recv == nil {
+		callee, err = s.callee(fr)
+	} else if callee, err = s.recv(fr); err == nil {
+		if m = s.method(callee.r); m != nil {
+			recv = callee.r
+		} else {
+			recv, callee, err = lookupMember(s.mpos, callee, s.name)
 		}
 	}
-	callee := c.expr(e.callee)
-	return func(fr *frame) (Val, error) {
-		f, err := callee(fr)
+	if err != nil {
+		return Val{}, err
+	}
+	in := fr.in
+	base := len(in.stack)
+	for _, a := range s.args {
+		v, err := a(fr)
 		if err != nil {
+			in.stack = in.stack[:base]
 			return Val{}, err
 		}
-		return invoke(fr, nil, f)
+		in.stack = append(in.stack, v)
 	}
+	var v Val
+	if m != nil {
+		v, err = in.callMethod(m, recv, in.stack[base:], s.pos)
+	} else {
+		v, err = in.apply(recv, callee, in.stack[base:], s.pos)
+	}
+	in.stack = in.stack[:base]
+	return v, err
 }

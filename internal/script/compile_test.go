@@ -243,8 +243,8 @@ func (v *testView) Get(name string) (Val, bool) {
 // A registered member is read through its accessor, from a local, a
 // global or any expression; another type with a member of that name, or
 // none, goes the generic way, with the same errors at the same positions.
-// The fused compound assignment to a local reports what the generic one
-// does.
+// A compound assignment to a local, as a statement, reports what the
+// generic one does.
 func TestRegisteredMembersAndFusedShapes(t *testing.T) {
 	host := func(in *Interp) {
 		in.Define("v", &testView{val: 2, items: Array{Elems: []Value{&testView{val: 3}}}})
@@ -313,6 +313,140 @@ func TestBorrowMarking(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: borrows %q, want %q", src, got, want)
+		}
+	}
+}
+
+// A condition, an effect and an in-place for-each report what the
+// generic forms report: the same error at the same position when a
+// comparison's operands are not numbers, and truthiness for a condition
+// that is not a comparison.
+func TestConditionAndEffectForms(t *testing.T) {
+	host := func(in *Interp) { in.Define("v", &testView{val: 2}) }
+	for src, want := range map[string]string{
+		"function f(p) { if (p.val >= \"x\") return 1; }\nf(v);":           `script:1:27: operator '>=' not defined for number and string`,
+		"s = 1;\nwhile (s < nil) s += 1;":                                  `script:2:10: operator '<' not defined for number and nil`,
+		"function f() { t = \"s\"; for (i : 3) t -= i; }\nf();":            `script:1:39: operator '-' not defined for string and number`,
+		"function f() { for (i : 3) { if (false) u = 1; u += i; } }\nf();": `script:1:48: undefined variable "u"`,
+		"x = 1 ? v.nosuch : 0;":                                            `script:1:10: view has no member "nosuch"`,
+		"if (!(v.val > 1 && v.nosuch)) {}":                                 `script:1:21: view has no member "nosuch"`,
+	} {
+		_, out, err := runBoth(t, src, Options{}, host)
+		if err == nil || err.Error() != want || out != "" {
+			t.Errorf("%s\n got  %v (printed %q)\n want %s", src, err, out, want)
+		}
+	}
+	// A failed assignment stores nothing, not even to a global.
+	in, _, err := runBoth(t, "g = 1; h = 2;\nfunction f() { g = v.nosuch; }\nfunction k() { h += v.nosuch; }\nf();", Options{}, host)
+	if err == nil {
+		t.Fatal("assigning a missing member succeeded")
+	}
+	if _, err := in.Call("k"); err == nil {
+		t.Fatal("adding a missing member succeeded")
+	}
+	if g, _ := in.Lookup("g"); g != 1.0 {
+		t.Fatalf("a failed assignment stored %v", g)
+	}
+	if h, _ := in.Lookup("h"); h != 2.0 {
+		t.Fatalf("a failed compound assignment stored %v", h)
+	}
+	_, out, err := runBoth(t, `
+		n = 3; while (n) n -= 1;
+		k = 0; for (s = "ab"; s; s = "") k += 1;
+		for (; nil;) k += 100;
+		while ("") k += 1000;
+		m = 0; for (x = 0; x < 2.5; x += 1) m += 10;
+		println(n, k, m, 1 < 2 ? "yes" : "no", !(2 <= 1), 1 != 1 || nil == nil);
+	`, Options{}, host)
+	if err != nil || out != "0 1 30 yes true true\n" {
+		t.Fatalf("output %q, err %v", out, err)
+	}
+}
+
+// && and || leave their right side alone, uncharged, once the left side
+// decides.
+func TestShortCircuitChargesNothing(t *testing.T) {
+	run := func(src string) (int64, string) {
+		in, out, err := runBoth(t, src, Options{Fuel: 1000})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return in.RemainingFuel(), out
+	}
+	const bump = "calls = 0;\nfunction bump() { calls += 1; return true; }\n"
+	want, _ := run(bump + `if (false) {} if (true) {} x = false; y = true; println(calls);`)
+	got, out := run(bump + `if (false && bump()) {} if (true || bump()) {} x = false && bump(); y = true || bump(); println(calls);`)
+	if got != want || out != "0\n" {
+		t.Fatalf("short-circuited operands: %d fuel left against %d, printed %q", got, want, out)
+	}
+}
+
+// An in-place for-each is charged per iteration at its own position, as
+// the tree-walker charges it; and a loop variable named like a bound
+// global writes the global.
+func TestInPlaceForEach(t *testing.T) {
+	const src = "function f() {\n\tn = 0;\n\tfor (i : 1e9) n += i;\n}\nf();"
+	in := New(Options{Fuel: 50})
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = in.Run(prog)
+	if err == nil || err.Error() != "script:3:2: "+ErrFuelExhausted.Error() {
+		t.Fatalf("compiled: %v", err)
+	}
+	walker := map[string]bool{}
+	for fuel := int64(1); fuel < 60; fuel++ {
+		if err := newOracle(New(Options{Fuel: fuel})).run(src); err != nil {
+			walker[err.Error()] = true
+		}
+	}
+	if !walker[err.Error()] {
+		t.Fatalf("the tree-walker never runs out at %v: %v", err, walker)
+	}
+	_, out, err := runBoth(t, `
+		q = nil;
+		function f(a) { for (q : a) last = q; return last; }
+		function g(m) { for (len : m) {} }
+		function h() { s = 0; for (k : {"b": 2, "a": 1}) if (k == "a") s += 1; for (j : 3) { if (j == 1) continue; s += j; } return s; }
+		println(f([1, 2, 3]), q);
+		g({"x": 1});
+		println(len, h());
+	`, Options{})
+	if err != nil || out != "3 3\nx 3\n" {
+		t.Fatalf("output %q, err %v", out, err)
+	}
+}
+
+// One call site h.fill(x) calls an H1D's registered method directly,
+// falls back to the member of another receiver, and fails on a value
+// without members; a wrong number of arguments keeps the method's error.
+func TestMethodCallSite(t *testing.T) {
+	host := func(in *Interp) { in.Define("tree", &TreeObject{Tree: aida.NewTree()}) }
+	const src = `
+		h1 = tree.h1d("/t", "h", "", 10, 0, 10);
+		m = {"fill": function(x) { println("map", x); }};
+		function fill(h, x) { h.fill(x); }
+		fill(h1, 3); fill(m, 4); fill(h1, 5);
+		println(h1.entries(), h1.mean());
+		fill(5, 6);
+	`
+	_, out, err := runBoth(t, src, Options{}, host)
+	if err == nil || err.Error() != `script:4:26: number has no members` || out != "map 4\n2 4\n" {
+		t.Fatalf("output %q, err %v", out, err)
+	}
+	fill := memberAccess("fill").call
+	if fill(&H1DObject{}) == nil || fill(NewMap()) != nil || fill(1.0) != nil {
+		t.Fatal("fill resolves to a method on the wrong receivers")
+	}
+	for src, want := range map[string]string{
+		`h = tree.h1d("/t", "h", "", 10, 0, 10); h.fill();`:            `script:1:47: fill expects (x) or (x, weight)`,
+		`h = tree.h1d("/t", "h", "", 10, 0, 10); h.fill(1, 2, 3);`:     `script:1:47: fill expects (x) or (x, weight)`,
+		`h = tree.h1d("/t", "h", "", 10, 0, 10); x = h.fill(1, 2, 3);`: `script:1:51: fill expects (x) or (x, weight)`,
+	} {
+		_, out, err := runBoth(t, src, Options{}, host)
+		if err == nil || err.Error() != want || out != "" {
+			t.Errorf("%s\n got  %v (printed %q)\n want %s", src, err, out, want)
 		}
 	}
 }

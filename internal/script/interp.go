@@ -440,11 +440,11 @@ func setMember(pos Pos, target Value, name string, v Value) error {
 
 // sortedMapKeys is the order for-each visits a map in: deterministic, for
 // reproducible analyses.
-func sortedMapKeys(m *Map) []string {
-	keys := make([]string, 0, len(m.Items))
+func sortedMapKeys(m *Map) []Value {
+	keys := make([]Value, 0, len(m.Items))
 	for k := range m.Items {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].(string) < keys[j].(string) })
 	return keys
 }

@@ -70,32 +70,36 @@ type SettableHostObject interface {
 
 // Getter is the optional allocation-free form of Member. The evaluator
 // reads obj.name and dispatches obj.name(args...) through Get when a host
-// object has it, and through Member (and a call of what Member returned)
-// when it does not.
+// object has it and its type registered no member of that name, and
+// through Member (and a call of what Member returned) when it has no Get.
 type Getter interface {
 	HostObject
 	// Get returns the named member the way compiled code carries it:
-	// numbers and booleans inline, methods as their unbound Method.
+	// numbers and booleans inline, methods unbound (see Members.Get).
 	Get(name string) (v Val, ok bool)
 }
 
-// Method is a host-object method before it is bound to a receiver. It
-// captures nothing, so Get can hand one out without allocating; recv is
-// the object Get was called on and args is valid only during the call.
-type Method func(recv HostObject, args []Val) (Val, error)
+// method is a host-object method before it is bound to a receiver: a
+// Member's Call. Its values are funcs, so a Val holds one without
+// allocating; args is valid only during the call.
+type method interface {
+	call(recv Value, args []Val) (Val, error)
+}
 
-// MethodVal wraps a Method for return from Get.
-func MethodVal(m Method) Val { return Val{k: kRef, r: m} }
+// methodOf is the method of host-object type T that one Call implements.
+type methodOf[T HostObject] func(T, []Val) (Val, error)
+
+func (m methodOf[T]) call(recv Value, args []Val) (Val, error) { return m(recv.(T), args) }
 
 // bind turns a method into the HostFunc that Member promises, for a
 // script that takes obj.name as a value instead of calling it.
-func (m Method) bind(recv HostObject) HostFunc {
+func bind(m method, recv Value) HostFunc {
 	return func(args []Value) (Value, error) {
 		vals := make([]Val, len(args))
 		for i, a := range args {
 			vals[i] = ValOf(a)
 		}
-		v, err := m(recv, vals)
+		v, err := m.call(recv, vals)
 		return v.Value(), err
 	}
 }
@@ -107,26 +111,52 @@ func MemberOf(o Getter, name string) (Value, bool) {
 	if !ok {
 		return nil, false
 	}
-	if m, isMethod := v.r.(Method); isMethod {
-		return m.bind(o), true
+	if m, isMethod := v.r.(method); isMethod {
+		return bind(m, o), true
 	}
 	return v.Value(), true
 }
 
-// Member is one property of host-object type T, declared so compiled
-// code reads it without a lookup by name (see RegisterMembers). Ref marks
-// a value that shares storage with the object, such as an array of its
-// parts.
+// Member is one member of host-object type T, declared so compiled code
+// reaches it without a lookup by name (see RegisterMembers): a property,
+// which Get reads, or a method, which Call runs on the call's arguments
+// (valid only during the call). Ref marks a property that shares storage
+// with the object, such as an array of its parts.
 type Member[T HostObject] struct {
-	Get func(T) Val
-	Ref bool
+	Get  func(T) Val
+	Call func(T, []Val) (Val, error)
+	Ref  bool
 }
 
-// accessor reads one registered member from an object of one concrete
-// type; ok is false when obj has another type.
+// Members is the member table of host-object type T.
+type Members[T HostObject] map[string]Member[T]
+
+// Get implements Getter.Get for obj through its type's table: a
+// property's value or a method unbound, without allocating.
+func (ms Members[T]) Get(obj T, name string) (Val, bool) {
+	m, ok := ms[name]
+	switch {
+	case !ok:
+		return Val{}, false
+	case m.Call != nil:
+		return Val{k: kRef, r: methodOf[T](m.Call)}, true
+	}
+	return m.Get(obj), true
+}
+
+// accessor is how compiled code reaches the registered members of one
+// name, for one type or, from memberAccess, for all of them: get reads a
+// property and call finds a method, reporting false or nil for an object
+// of another type; local, from a type that alone registers the name,
+// compiles a read of the property from a variable with a slot of its own,
+// the type checked inline. ref reports that the name may keep its object:
+// a registered property shares the object's storage, a registered method
+// would be bound to it when read as a value, or nothing is registered.
 type accessor struct {
-	get func(obj Value) (v Val, ok bool)
-	ref bool
+	get   func(obj Value) (v Val, ok bool)
+	local func(slot, global int, miss func(*Val) (Val, error)) expr
+	call  func(obj Value) method
+	ref   bool
 }
 
 var (
@@ -134,51 +164,85 @@ var (
 	members   = map[string][]accessor{}
 )
 
-// RegisterMembers declares the properties of host-object type T. A
-// compiled read x.name calls the accessor registered for name with x's
-// type, and asks Getter.Get only when x has another type, so T's Get must
-// agree with ms and methods stay out of it. Register from an init
-// function: programs compiled earlier do not see the members.
-func RegisterMembers[T HostObject](ms map[string]Member[T]) {
+// RegisterMembers declares the properties and methods of host-object type
+// T. A compiled read x.name calls the property registered for name with
+// x's type, and a compiled call x.name(args...) the method, asking
+// Getter.Get only when x has another type, so T's Get must agree with ms
+// (Members.Get does). Register from an init function: programs compiled
+// earlier do not see the members.
+func RegisterMembers[T HostObject](ms Members[T]) {
 	membersMu.Lock()
 	defer membersMu.Unlock()
 	for name, m := range ms {
-		get := m.Get
-		members[name] = append(members[name], accessor{ref: m.Ref, get: func(obj Value) (Val, bool) {
-			t, ok := obj.(T)
-			if !ok {
-				return Val{}, false
+		a := accessor{ref: m.Ref || m.Call != nil}
+		if call := methodOf[T](m.Call); m.Call != nil {
+			a.call = func(obj Value) method {
+				if _, ok := obj.(T); ok {
+					return call
+				}
+				return nil
 			}
-			return get(t), true
-		}})
+		} else {
+			get := m.Get
+			a.get = func(obj Value) (Val, bool) {
+				t, ok := obj.(T)
+				if !ok {
+					return Val{}, false
+				}
+				return get(t), true
+			}
+			// miss gets the variable, or nil when it is unbound.
+			a.local = func(slot, global int, miss func(*Val) (Val, error)) expr {
+				return func(fr *frame) (Val, error) {
+					if x := fr.local(slot, global); x != nil {
+						if t, ok := x.r.(T); ok {
+							return get(t), nil
+						}
+						return miss(x)
+					}
+					return miss(nil)
+				}
+			}
+		}
+		members[name] = append(members[name], a)
 	}
 }
 
-// memberAccess returns how compiled code reads member name: get tries
-// every accessor registered for it, and ref reports that some registered
-// type's member shares the object's storage, or that none is registered.
-func memberAccess(name string) (get func(Value) (Val, bool), ref bool) {
+// memberAccess returns how compiled code reaches member name.
+func memberAccess(name string) accessor {
 	membersMu.RLock()
 	accs := members[name]
 	membersMu.RUnlock()
-	ref = len(accs) == 0
+	var gets, calls []accessor
+	acc := accessor{ref: len(accs) == 0}
 	for _, a := range accs {
-		ref = ref || a.ref
+		if a.get != nil {
+			gets = append(gets, a)
+		} else {
+			calls = append(calls, a)
+		}
+		acc.ref = acc.ref || a.ref
 	}
-	switch len(accs) {
-	case 0:
-		return func(Value) (Val, bool) { return Val{}, false }, ref
-	case 1:
-		return accs[0].get, ref
-	}
-	return func(obj Value) (Val, bool) {
-		for _, a := range accs {
+	acc.get = func(obj Value) (Val, bool) {
+		for _, a := range gets {
 			if v, ok := a.get(obj); ok {
 				return v, true
 			}
 		}
 		return Val{}, false
-	}, ref
+	}
+	if len(gets) == 1 {
+		acc.get, acc.local = gets[0].get, gets[0].local
+	}
+	acc.call = func(obj Value) method {
+		for _, a := range calls {
+			if m := a.call(obj); m != nil {
+				return m
+			}
+		}
+		return nil
+	}
+	return acc
 }
 
 // kind tags a Val.

@@ -34,8 +34,14 @@ func (v *eventView) Refill(rec []byte) error {
 	if err := UnmarshalInto(rec, &v.Event); err != nil {
 		return err
 	}
-	elems := v.parts.Elems[:0]
-	for i := range v.Particles {
+	// While the slab stays where it was, the elements already set still
+	// point at the right particles.
+	elems, n := v.parts.Elems, len(v.Particles)
+	if len(elems) > 0 && (n == 0 || elems[0] != script.Value((*particleView)(&v.Particles[0]))) {
+		elems = elems[:0]
+	}
+	elems = elems[:min(len(elems), n)]
+	for i := len(elems); i < n; i++ {
 		elems = append(elems, (*particleView)(&v.Particles[i]))
 	}
 	v.parts.Elems = elems

@@ -186,7 +186,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	// Services.
 	g.Catalog = catalog.New()
 	g.Locator = locator.New()
-	var logged []*merge.Manager // the managers that replayed a log
 	if opts.Shards > 1 {
 		// Sharded merge fabric: sessions spread across managers by
 		// consistent hashing; everything publishes/polls via the router.
@@ -203,7 +202,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 					return nil, err
 				}
 				g.wals = append(g.wals, w)
-				logged = append(logged, mgr)
 			}
 			g.ShardMgrs[name] = mgr
 			if err := g.Router.AddShard(name, mgr); err != nil {
@@ -267,7 +265,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 				return nil, err
 			}
 			g.wals = append(g.wals, w)
-			logged = append(logged, mgr)
 		}
 		g.Merge = mgr
 	}
@@ -302,9 +299,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 		return nil, err
 	}
 	g.Session = sessions
-	if err := dropOrphans(logged, sessions); err != nil {
-		return nil, err
-	}
 
 	mgrCfg := ManagerConfig{
 		Sessions: sessions, Catalog: g.Catalog, Merge: g.Merge,
@@ -421,7 +415,10 @@ func (g *LocalGrid) Close() {
 
 // attachWAL opens (creating the directory if needed) a manager's
 // append-only log, replays whatever a previous incarnation left there,
-// and attaches it for future appends.
+// and attaches it for future appends. Session records do not outlive the
+// process, so every merge session the replay brought back is an orphan:
+// it is dropped and compacted out of the log, so later compactions stop
+// re-snapshotting it.
 func attachWAL(mgr *merge.Manager, dir, name string, syncEvery int) (*merge.WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -435,33 +432,16 @@ func attachWAL(mgr *merge.Manager, dir, name string, syncEvery int) (*merge.WAL,
 		return nil, err
 	}
 	mgr.SetWAL(w)
+	var orphans merge.SessionsReply
+	mgr.SessionList(merge.SessionsArgs{}, &orphans)
+	for _, id := range orphans.SessionIDs {
+		mgr.Drop(id)
+	}
+	if len(orphans.SessionIDs) > 0 {
+		if err := mgr.CompactWAL(); err != nil {
+			w.Close()
+			return nil, err
+		}
+	}
 	return w, nil
-}
-
-// dropOrphans drops every merge session a replayed log brought back that
-// the session service has no record of, so nothing polls or publishes to
-// it again, and compacts each log it dropped from, so later compactions
-// stop re-snapshotting it.
-func dropOrphans(logged []*merge.Manager, sessions *session.Service) error {
-	live := make(map[string]bool)
-	for _, id := range sessions.Sessions() {
-		live[id] = true
-	}
-	for _, mgr := range logged {
-		var list merge.SessionsReply
-		mgr.SessionList(merge.SessionsArgs{}, &list)
-		orphans := 0
-		for _, id := range list.SessionIDs {
-			if !live[id] {
-				mgr.Drop(id)
-				orphans++
-			}
-		}
-		if orphans > 0 {
-			if err := mgr.CompactWAL(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

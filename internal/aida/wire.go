@@ -518,7 +518,7 @@ func (r *wireReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+	if n <= 0 || n > 1 && v < 1<<(7*(n-1)) {
 		r.fail()
 		return 0
 	}

@@ -16,7 +16,7 @@ import (
 // newGrid stands up a 4-node secure grid with one published dataset.
 func newGrid(t *testing.T, nEvents int) *LocalGrid {
 	t.Helper()
-	g, err := NewLocalGrid(GridOptions{Nodes: 4, BaseDir: t.TempDir(), SnapshotEvery: 100})
+	g, err := NewLocalGrid(GridOptions{Nodes: 4, BaseDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

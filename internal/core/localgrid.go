@@ -21,7 +21,9 @@ import (
 	"github.com/ipa-grid/ipa/internal/storage"
 )
 
-// GridOptions size a LocalGrid.
+// GridOptions size a LocalGrid. Engines publish on engine.Config's
+// default clock: a run's first batch, every 25 ms at a batch boundary,
+// and when the run stops.
 type GridOptions struct {
 	// Nodes is the worker-node count (default 4).
 	Nodes int
@@ -33,8 +35,6 @@ type GridOptions struct {
 	// instead of GSI mutual TLS, skipping authentication — only for
 	// focused tests.
 	Insecure bool
-	// SnapshotEvery tunes engine snapshot frequency (default 500).
-	SnapshotEvery int
 	// Shards selects the merge fabric width: 1 (default) serves results
 	// from a single manager, >1 spreads sessions across that many
 	// manager shards behind a consistent-hash router.
@@ -138,9 +138,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			return nil, err
 		}
 		opts.BaseDir = dir
-	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 500
 	}
 	g := &LocalGrid{
 		opts: opts, baseDir: opts.BaseDir,
@@ -273,12 +270,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	sessions, err := session.New(session.Config{
 		Cluster: cluster,
 		NewEngine: func(sessionID, workerID string) *engine.Engine {
-			return engine.New(engine.Config{
-				SessionID:     sessionID,
-				WorkerID:      workerID,
-				Publisher:     g.Merge,
-				SnapshotEvery: opts.SnapshotEvery,
-			})
+			return engine.New(engine.Config{SessionID: sessionID, WorkerID: workerID, Publisher: g.Merge})
 		},
 		Locator: g.Locator, Catalog: g.Catalog,
 		Merge: g.Merge, Loader: g.Loader,

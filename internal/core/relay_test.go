@@ -20,7 +20,7 @@ import (
 // byte-identically to the promoted owner.
 func TestRelayGridFailoverConvergence(t *testing.T) {
 	g, err := NewLocalGrid(GridOptions{
-		Nodes: 2, BaseDir: t.TempDir(), SnapshotEvery: 100,
+		Nodes: 2, BaseDir: t.TempDir(),
 		Shards: 3, Insecure: true,
 		Replicate: true, ReplicaDepth: 1,
 		Relays: 1,

@@ -19,7 +19,7 @@ func TestRestartDropsOrphanedMergeSessions(t *testing.T) {
 		dir := t.TempDir()
 		opts := GridOptions{
 			Nodes: 2, BaseDir: filepath.Join(dir, "site"), WALDir: filepath.Join(dir, "wal"),
-			Shards: shards, Insecure: true, SnapshotEvery: 100,
+			Shards: shards, Insecure: true,
 		}
 		g, err := NewLocalGrid(opts)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // and re-runs the analysis on its new owner.
 func TestShardedGridEndToEnd(t *testing.T) {
 	g, err := NewLocalGrid(GridOptions{
-		Nodes: 4, BaseDir: t.TempDir(), SnapshotEvery: 100,
+		Nodes: 4, BaseDir: t.TempDir(),
 		Shards: 3, Insecure: true,
 	})
 	if err != nil {
@@ -115,7 +115,7 @@ func TestShardedGridEndToEnd(t *testing.T) {
 // the router, and re-resolves onto the new owner.
 func TestDirectShardPolling(t *testing.T) {
 	g, err := NewLocalGrid(GridOptions{
-		Nodes: 2, BaseDir: t.TempDir(), SnapshotEvery: 100,
+		Nodes: 2, BaseDir: t.TempDir(),
 		Shards: 3, Insecure: true,
 	})
 	if err != nil {

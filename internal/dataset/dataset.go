@@ -16,17 +16,19 @@
 //	         recordCount, payloadBytes, crc32, magic (48 bytes)
 //
 // The trailer lives at the end so writers stream sequentially; readers need
-// io.ReaderAt (a file) and start from the last 48 bytes.
+// io.ReaderAt and start from the last 48 bytes.
 //
-// Sequential reads go through an Iterator, which refills one reusable
-// block with a single ReadAt and hands out records as sub-slices of it. A
-// record from Iterator.Next is therefore valid only until the next call
-// to Next; a caller that keeps one copies it. Reader.Record returns bytes
-// the caller owns.
+// Open maps a container file read-only, and its Iterators hand out
+// records as sub-slices of the mapping: nothing is copied. Over any other
+// io.ReaderAt (NewReader) an Iterator refills one reusable block with a
+// single ReadAt and hands out sub-slices of that. Either way a record from
+// Iterator.Next is valid only until the next call to Next; a caller that
+// keeps one copies it. Reader.Record returns bytes the caller owns.
 package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +36,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
+	"syscall"
 )
 
 var (
@@ -157,7 +161,10 @@ func appendTail(b []byte, index []uint64, indexOff int64, indexEvery uint32, cou
 
 // Reader provides random and sequential access to a container.
 type Reader struct {
-	ra         io.ReaderAt
+	ra io.ReaderAt
+	// mem is the whole container when it is resident (Open's mapping):
+	// iterators then read their records in place.
+	mem        []byte
 	count      int64
 	payload    int64
 	crc        uint32
@@ -260,8 +267,9 @@ func (r *Reader) Record(i int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The iterator goes out of scope here, so its buffer is the caller's.
-	return it.Next()
+	// Copied: the record may alias the file's mapping.
+	rec, err := it.Next()
+	return bytes.Clone(rec), err
 }
 
 // Iter returns an iterator positioned at record from (inclusive),
@@ -290,6 +298,10 @@ func (r *Reader) seek(i int64, window int) (*Iterator, error) {
 	if i < r.count {
 		slot := i / int64(r.indexEvery)
 		it.next, it.base = slot*int64(r.indexEvery), int64(r.index[slot])
+	}
+	if r.mem != nil {
+		// Every record byte is resident, so fill never reads.
+		it.buf, it.base, it.pos = r.mem[:r.indexOff], 0, int(it.base)
 	}
 	for it.next < i {
 		if err := it.skip(); err != nil {
@@ -323,7 +335,8 @@ func (r *Reader) VerifyChecksum() error {
 	return nil
 }
 
-// Iterator walks records sequentially through one reusable block: a
+// Iterator walks records sequentially. Over a resident container its
+// buffer is the mapping's records; otherwise it is one reusable block, a
 // refill is a single ReadAt of at least the block size, and records are
 // handed out as sub-slices of it. Records end at the index, never in it.
 type Iterator struct {
@@ -343,8 +356,8 @@ type Iterator struct {
 func (it *Iterator) Index() int64 { return it.next }
 
 // Next returns the next record, or io.EOF past the end of the range. The
-// slice aliases the iterator's block and is valid only until the next
-// call to Next; copy it to keep it.
+// slice aliases the iterator's block or the file's mapping and is valid
+// only until the next call to Next; copy it to keep it.
 func (it *Iterator) Next() ([]byte, error) {
 	if it.next >= it.stop {
 		return nil, io.EOF
@@ -463,21 +476,71 @@ func CreateRaw(path string) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-// Open opens a container file for reading. Close the returned file when done.
-func Open(path string) (*Reader, *os.File, error) {
+// Open maps a container file read-only and returns its reader and the
+// closer that unmaps it. Records read through the reader alias the
+// mapping until Close, and reading one after Close faults. A file that
+// shrinks while mapped faults its readers too: a goroutine that must
+// survive that sets debug.SetPanicOnFault and defers CatchFault. Mapping
+// needs a unix system.
+func Open(path string) (*Reader, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	// The mapping outlives the descriptor.
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	r, err := NewReader(f, st.Size())
+	var m mapping
+	if size := st.Size(); size > 0 {
+		if m, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED); err != nil {
+			return nil, nil, fmt.Errorf("dataset: mapping %s: %w", path, err)
+		}
+	}
+	r, err := newResident(m)
 	if err != nil {
-		f.Close()
+		m.Close()
 		return nil, nil, err
 	}
-	return r, f, nil
+	return r, &m, nil
+}
+
+// newResident opens the container that mem holds whole.
+func newResident(mem []byte) (r *Reader, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer CatchFault(&err)
+	if r, err = NewReader(bytes.NewReader(mem), int64(len(mem))); err == nil {
+		r.mem = mem
+	}
+	return r, err
+}
+
+// mapping is a file mapped read-only; Close unmaps it.
+type mapping []byte
+
+func (m *mapping) Close() error {
+	if *m == nil {
+		return nil
+	}
+	err := syscall.Munmap(*m)
+	*m = nil
+	return err
+}
+
+// CatchFault, deferred by a goroutine that runs with
+// debug.SetPanicOnFault(true), turns the fault a read of a mapping
+// raises when the file shrank under it into ErrCorrupt in *err. Any
+// other panic goes on.
+func CatchFault(err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if f, ok := p.(interface{ Addr() uintptr }); ok {
+		*err = fmt.Errorf("%w: fault at %#x reading a mapped file (truncated?)", ErrCorrupt, f.Addr())
+		return
+	}
+	panic(p)
 }

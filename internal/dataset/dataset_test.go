@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -301,6 +302,87 @@ func TestOpenNotAContainer(t *testing.T) {
 	if _, _, err := Open(path); err == nil {
 		t.Fatal("junk file accepted as container")
 	}
+}
+
+// writeFile writes records into a container file and returns its path.
+func writeFile(t *testing.T, recs [][]byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ds.ipa")
+	if err := os.WriteFile(path, encode(t, recs, DefaultIndexEvery), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Open reads records in place: Next hands out the mapping's bytes with no
+// allocation, Record copies them out, and both survive the other's reads.
+func TestOpenReadsInPlace(t *testing.T) {
+	recs := patterned(3000, 40, 900, 0)
+	r, m, err := Open(writeFile(t, recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := r.Record(2999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIter(t, r, recs, 0, 3000)
+	it, err := r.Iter(0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Next allocates %.1f times per record", allocs)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if !bytes.Equal(kept, recs[2999]) {
+		t.Fatal("a Record's bytes changed when the mapping closed")
+	}
+}
+
+// A file truncated under its mapping faults its reader; with
+// SetPanicOnFault and CatchFault the read fails as ErrCorrupt instead of
+// crashing the process.
+func TestMappingTruncatedFileIsCorrupt(t *testing.T) {
+	path := writeFile(t, patterned(3000, 1000))
+	r, m, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	err = func() (err error) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer CatchFault(&err)
+		return r.VerifyChecksum()
+	}()
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("reading a truncated mapping: %v, want ErrCorrupt", err)
+	}
+}
+
+// CatchFault recovers faults only; any other panic goes on.
+func TestCatchFaultPassesOtherPanics(t *testing.T) {
+	defer func() {
+		if p := recover(); p != "not a fault" {
+			t.Fatalf("recovered %v", p)
+		}
+	}()
+	func() (err error) {
+		defer CatchFault(&err)
+		panic("not a fault")
+	}()
 }
 
 // Property: any slice of random records survives a round trip with every

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -18,33 +20,53 @@ const fuzzBlock = 64
 // fixed overhead — never a corrupt length field's worth.
 func containerAllocBound(n int) uint64 { return 64<<10 + 2*fuzzBlock + 16*uint64(n) }
 
-// checkContainer holds the reader's contract on arbitrary bytes: no panic,
-// every failure is ErrCorrupt, and allocation is bounded by the input.
+// checkContainer holds the reader's contract on arbitrary bytes, read
+// through a plain io.ReaderAt (the block path) and resident (the path Open
+// takes over a mapping): no panic, every failure is ErrCorrupt, allocation
+// is bounded by the input, and both paths return the same records and the
+// same errors.
 func checkContainer(t *testing.T, data []byte) {
+	block := readContainer(t, "block", data, func() (*Reader, error) { return NewReader(&memFile{data}, int64(len(data))) })
+	resident := readContainer(t, "resident", data, func() (*Reader, error) { return newResident(data) })
+	if len(block) != len(resident) {
+		t.Fatalf("block path logged %d steps, resident %d", len(block), len(resident))
+	}
+	for i := range block {
+		if block[i] != resident[i] {
+			t.Fatalf("step %d: block path %.60q, resident %.60q", i, block[i], resident[i])
+		}
+	}
+}
+
+// readContainer opens data with open, reads everything the reader
+// offers, and returns a log of every record and every error it saw.
+func readContainer(t *testing.T, path string, data []byte, open func() (*Reader, error)) []string {
+	var log []string
 	corrupt := func(op string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: %v, want ErrCorrupt", op, err)
+			t.Fatalf("%s: %s: %v, want ErrCorrupt", path, op, err)
 		}
+		log = append(log, op+": "+err.Error())
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	r, err := NewReader(&memFile{data}, int64(len(data)))
+	r, err := open()
 	if err != nil {
-		corrupt("NewReader", err)
-		return
+		corrupt("open", err)
+		return log
 	}
 	it, err := r.Iter(0, -1)
 	if err != nil {
 		corrupt("Iter", err)
-		return
+		return log
 	}
 	for {
-		_, err := it.Next()
+		rec, err := it.Next()
 		if err == io.EOF {
 			if it.Index() != r.NumRecords() {
-				t.Fatalf("EOF after %d of %d records", it.Index(), r.NumRecords())
+				t.Fatalf("%s: EOF after %d of %d records", path, it.Index(), r.NumRecords())
 			}
 			break
 		}
@@ -52,10 +74,13 @@ func checkContainer(t *testing.T, data []byte) {
 			corrupt("Next", err)
 			break
 		}
+		log = append(log, string(rec))
 	}
 	for _, i := range []int64{0, it.Index(), r.NumRecords() / 2, r.NumRecords()} {
-		if _, err := r.OffsetOf(i); err != nil {
+		if off, err := r.OffsetOf(i); err != nil {
 			corrupt("OffsetOf", err)
+		} else {
+			log = append(log, fmt.Sprint("offset ", off))
 		}
 	}
 	if err := r.VerifyChecksum(); err != nil {
@@ -63,21 +88,39 @@ func checkContainer(t *testing.T, data []byte) {
 	}
 	// Re-framing all records either fails as corrupt or yields a container
 	// that reads back with the same record count and a matching checksum.
-	if rr, err := r.Range(0, r.NumRecords()); err != nil {
-		corrupt("Range", err)
-	} else if part, err := io.ReadAll(rr); err != nil {
+	part, err := reframe(r, func(rr *RangeReader) ([]byte, error) { return io.ReadAll(rr) })
+	if err != nil {
 		corrupt("RangeReader", err)
 	} else if pr, err := NewReader(&memFile{part}, int64(len(part))); err != nil {
-		t.Fatalf("re-framed container does not open: %v", err)
+		t.Fatalf("%s: re-framed container does not open: %v", path, err)
 	} else if pr.NumRecords() != r.NumRecords() {
-		t.Fatalf("re-framed container holds %d records, want %d", pr.NumRecords(), r.NumRecords())
+		t.Fatalf("%s: re-framed container holds %d records, want %d", path, pr.NumRecords(), r.NumRecords())
 	} else if err := pr.VerifyChecksum(); err != nil {
-		t.Fatalf("re-framed container: %v", err)
+		t.Fatalf("%s: re-framed container: %v", path, err)
 	}
 	runtime.ReadMemStats(&ms)
 	if alloc := ms.TotalAlloc - before; alloc > containerAllocBound(len(data)) {
-		t.Fatalf("reading %d bytes allocated %d", len(data), alloc)
+		t.Fatalf("%s: reading %d bytes allocated %d", path, len(data), alloc)
 	}
+	// WriteTo, resident or not, writes what the Read stream delivers.
+	written, werr := reframe(r, func(rr *RangeReader) ([]byte, error) {
+		var b bytes.Buffer
+		_, err := rr.WriteTo(&b)
+		return b.Bytes(), err
+	})
+	if fmt.Sprint(werr) != fmt.Sprint(err) || (err == nil && !bytes.Equal(written, part)) {
+		t.Fatalf("%s: WriteTo gave %d bytes, %v; Read gave %d bytes, %v", path, len(written), werr, len(part), err)
+	}
+	return log
+}
+
+// reframe re-frames all of r's records and reads the container with read.
+func reframe(r *Reader, read func(*RangeReader) ([]byte, error)) ([]byte, error) {
+	rr, err := r.Range(0, r.NumRecords())
+	if err != nil {
+		return nil, err
+	}
+	return read(rr)
 }
 
 // containerSeeds returns a valid container cut at every offset, the same

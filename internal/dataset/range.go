@@ -12,7 +12,8 @@ import (
 // arrive, then an index and a trailer rebuilt from the length prefixes
 // that passed through. Nothing is decoded or re-encoded, so re-framing a
 // range costs one read and one write of its bytes plus the CRC over its
-// payloads.
+// payloads. A range of a resident container (Open) is written by WriteTo
+// straight from the mapping, once its framing and CRC have been checked.
 //
 // The source must deliver exactly the announced byte count, and those
 // bytes must hold exactly the announced record count and end on a record
@@ -25,6 +26,9 @@ type RangeReader struct {
 	tailed  bool
 	err     error
 	scan    rangeScan
+	// mem is the range's record bytes when they are resident and no Read
+	// has started; WriteTo then writes them from where they lie.
+	mem []byte
 }
 
 // NewRangeReader re-frames the n record bytes src delivers, which must
@@ -49,12 +53,46 @@ func (r *Reader) Range(from, to int64) (*RangeReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewRangeReader(io.NewSectionReader(r.ra, start, end-start), end-start, to-from), nil
+	rr := NewRangeReader(io.NewSectionReader(r.ra, start, end-start), end-start, to-from)
+	if r.mem != nil {
+		rr.mem = r.mem[start:end]
+	}
+	return rr, nil
+}
+
+// WriteTo writes the container to w. A resident range is scanned whole
+// (framing checked, CRC computed) before any of it is written, and then
+// written from the mapping in one Write; any other range is copied
+// through Read.
+func (r *RangeReader) WriteTo(w io.Writer) (int64, error) {
+	body := r.mem
+	if body == nil {
+		return io.Copy(w, struct{ io.Reader }{r})
+	}
+	r.mem, r.left = nil, 0
+	if r.err = r.scan.feed(body); r.err == nil {
+		r.err = r.scan.finish(r.records)
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	var n int64
+	for _, b := range [][]byte{r.out, body, r.scan.tail()} {
+		m, err := w.Write(b)
+		n += int64(m)
+		if err != nil {
+			r.err = err
+			return n, err
+		}
+	}
+	r.out, r.tailed = nil, true
+	return n, nil
 }
 
 // Read reads record bytes straight from the source into p, noting their
 // framing on the way.
 func (r *RangeReader) Read(p []byte) (int, error) {
+	r.mem = nil
 	if len(p) == 0 {
 		return 0, nil
 	}

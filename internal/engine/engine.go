@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -46,10 +47,10 @@ type Config struct {
 	// fronting several manager shards. Any merge.Publisher works,
 	// including a SubMerger, since the uplink protocol is the same.
 	Publisher merge.Publisher
-	// SnapshotEvery publishes after this many events (default 500).
-	SnapshotEvery int
-	// SnapshotInterval also publishes when this much time passed since
-	// the last snapshot (default 1s) — the paper's sub-minute feedback.
+	// SnapshotInterval paces snapshots by time (default 25ms): a run
+	// publishes after its first batch, at the first batch boundary once
+	// this much time has passed since the last snapshot, when it stops
+	// (finished, paused, a step done) and on error.
 	SnapshotInterval time.Duration
 	// Registry resolves native analyses (nil = analysis.Default).
 	Registry *analysis.Registry
@@ -69,7 +70,8 @@ type Engine struct {
 
 	partPath string
 	reader   *dataset.Reader
-	closer   io.Closer
+	closer   io.Closer   // unmaps the part
+	retired  []io.Closer // parts SetPart replaced; the loop unmaps them
 	total    int64
 	// gen counts SetPart and Rewind calls. A batch that began under an
 	// older gen commits no progress or state, and the iterator it read
@@ -101,11 +103,8 @@ type Engine struct {
 // New creates an engine; call Serve (usually from its scheduler job) to
 // start its loop.
 func New(cfg Config) *Engine {
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 500
-	}
 	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = time.Second
+		cfg.SnapshotInterval = 25 * time.Millisecond
 	}
 	e := &Engine{cfg: cfg, state: StateIdle, done: make(chan struct{})}
 	e.cond = sync.NewCond(&e.mu)
@@ -142,20 +141,24 @@ func (e *Engine) Rebaselines() int64 {
 }
 
 // SetPart points the engine at its staged dataset part (a container file
-// on the worker's scratch disk).
+// on the worker's scratch disk, which the engine maps).
 func (e *Engine) SetPart(path string, globalOffset int64) error {
-	r, f, err := dataset.Open(path)
+	r, m, err := dataset.Open(path)
 	if err != nil {
 		return fmt.Errorf("engine %s: opening part: %w", e.cfg.WorkerID, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.stopped {
+		m.Close()
+		return errors.New("engine: shut down")
+	}
 	if e.closer != nil {
-		e.closer.Close()
+		e.retired = append(e.retired, e.closer)
 	}
 	e.partPath = path
 	e.reader = r
-	e.closer = f
+	e.closer = m
 	e.total = r.NumRecords()
 	e.cfg.GlobalOffset = globalOffset
 	e.gen++
@@ -225,17 +228,19 @@ func (e *Engine) start(limit int64) error {
 	}
 	e.stepLeft = limit
 	e.state = StateRunning
+	e.lastSnap = time.Time{} // the run's first batch publishes
 	e.cond.Broadcast()
 	return nil
 }
 
-// Pause suspends processing after the current record.
+// Pause suspends processing after the current batch. It ends the run as a
+// finished step does: the engine publishes what it has processed, then
+// turns Paused.
 func (e *Engine) Pause() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == StateRunning {
-		e.state = StatePaused
-		e.cond.Broadcast()
+		e.stepLeft = 0
 	}
 	return nil
 }
@@ -272,7 +277,8 @@ func (e *Engine) Rewind() error {
 	return nil
 }
 
-// Shutdown terminates the engine loop (session teardown / job cancel).
+// Shutdown terminates the engine loop (session teardown / job cancel);
+// the loop unmaps the part once its last batch is done.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
 	if e.stopped {
@@ -280,10 +286,6 @@ func (e *Engine) Shutdown() {
 		return
 	}
 	e.stopped = true
-	if e.closer != nil {
-		e.closer.Close()
-		e.closer = nil
-	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	<-e.done
@@ -294,6 +296,9 @@ func (e *Engine) Shutdown() {
 func (e *Engine) Serve() {
 	e.loopOnce.Do(func() {
 		defer close(e.done)
+		// A part truncated under its mapping faults the batch reading it,
+		// which fails with ErrCorrupt instead of crashing the process.
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 		var cur cursor
 		cur.yield = newNetYield()
 		defer cur.yield.close()
@@ -303,7 +308,17 @@ func (e *Engine) Serve() {
 				e.cond.Wait()
 				cur.parked = time.Now()
 			}
+			// Between batches no batch reads a part, so the loop unmaps
+			// the ones SetPart replaced, and the last one when it exits.
+			for _, c := range e.retired {
+				c.Close()
+				cur.it = nil
+			}
+			e.retired = nil
 			if e.stopped {
+				if e.closer != nil {
+					e.closer.Close()
+				}
 				e.mu.Unlock()
 				return
 			}
@@ -455,30 +470,7 @@ func (e *Engine) processBatch(cur *cursor) {
 	offset := e.cfg.GlobalOffset
 	e.mu.Unlock()
 
-	var processed int64
-	var procErr error
-	if n > 0 && (cur.it == nil || cur.gen != gen || cur.it.Index() != from) {
-		cur.it, procErr = reader.Iter(from, -1)
-		cur.gen = gen
-	}
-	for procErr == nil && processed < n {
-		rec, err := cur.it.Next()
-		if err != nil {
-			procErr = err
-			break
-		}
-		ctx.EventIndex = offset + from + processed
-		if err := anal.Process(rec, ctx); err != nil {
-			procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
-			break
-		}
-		processed++
-		// The clock is read every 8 records: often enough for records
-		// of a millisecond, rarely enough for a native analysis.
-		if processed%8 == 0 {
-			cur.park()
-		}
-	}
+	processed, procErr := cur.process(reader, gen, anal, ctx, offset+from, from, n)
 
 	e.mu.Lock()
 	if e.gen != gen {
@@ -507,7 +499,6 @@ func (e *Engine) processBatch(cur *cursor) {
 		next = StatePaused
 	}
 	needSnap := finished || stepDone || procErr != nil ||
-		e.events%int64(e.cfg.SnapshotEvery) < processed ||
 		time.Since(e.lastSnap) >= e.cfg.SnapshotInterval
 	e.mu.Unlock()
 
@@ -531,6 +522,37 @@ func (e *Engine) processBatch(cur *cursor) {
 		e.cond.Broadcast()
 	}
 	e.mu.Unlock()
+}
+
+// process feeds records [from, from+n) of the part gen to anal, whose
+// first has the absolute index first, and returns how many it processed.
+// A fault reading the part's mapping ends it with ErrCorrupt.
+func (c *cursor) process(reader *dataset.Reader, gen uint64, anal analysis.Analysis, ctx *analysis.Context,
+	first, from, n int64) (processed int64, err error) {
+	defer dataset.CatchFault(&err)
+	if n > 0 && (c.it == nil || c.gen != gen || c.it.Index() != from) {
+		c.it, c.gen = nil, gen
+		if c.it, err = reader.Iter(from, -1); err != nil {
+			return 0, err
+		}
+	}
+	for processed < n {
+		rec, err := c.it.Next()
+		if err != nil {
+			return processed, err
+		}
+		ctx.EventIndex = first + processed
+		if err := anal.Process(rec, ctx); err != nil {
+			return processed, fmt.Errorf("record %d: %w", ctx.EventIndex, err)
+		}
+		processed++
+		// The clock is read every 8 records: often enough for records
+		// of a millisecond, rarely enough for a native analysis.
+		if processed%8 == 0 {
+			c.park()
+		}
+	}
+	return processed, nil
 }
 
 // publish sends the current tree snapshot through the transport — a

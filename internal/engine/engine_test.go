@@ -54,7 +54,7 @@ func startEngine(t *testing.T, mgr *merge.Manager, part string, n int) *Engine {
 	t.Helper()
 	e := New(Config{
 		SessionID: "s1", WorkerID: "w0", Publisher: mgr,
-		SnapshotEvery: 100, SnapshotInterval: time.Hour, // deterministic snapshots
+		SnapshotInterval: time.Hour, // deterministic snapshots
 	})
 	go e.Serve()
 	t.Cleanup(e.Shutdown)
@@ -312,7 +312,7 @@ func TestSnapshotBuildErrorSurfaced(t *testing.T) {
 	part := makePart(t, 50, 8)
 	e := New(Config{
 		SessionID: "s1", WorkerID: "w0", Publisher: mgr, Registry: reg,
-		SnapshotEvery: 10, SnapshotInterval: time.Hour,
+		SnapshotInterval: time.Hour,
 	})
 	go e.Serve()
 	t.Cleanup(e.Shutdown)
@@ -348,7 +348,7 @@ func TestGlobalOffsetVisibleToContext(t *testing.T) {
 	}
 	closer()
 	mgr := merge.NewManager()
-	e := New(Config{SessionID: "s", WorkerID: "w", Publisher: mgr, SnapshotEvery: 1000, SnapshotInterval: time.Hour})
+	e := New(Config{SessionID: "s", WorkerID: "w", Publisher: mgr, SnapshotInterval: time.Hour})
 	go e.Serve()
 	defer e.Shutdown()
 	if err := e.SetPart(path, 500); err != nil {
@@ -465,7 +465,7 @@ func TestBusyEngineLetsTheNetworkRun(t *testing.T) {
 	})
 	e := New(Config{
 		SessionID: "s1", WorkerID: "w0", Publisher: merge.NewManager(), Registry: reg,
-		SnapshotEvery: 1 << 30, SnapshotInterval: time.Hour,
+		SnapshotInterval: time.Hour,
 	})
 	go e.Serve()
 	defer e.Shutdown()
@@ -530,7 +530,7 @@ func recordingEngine(t *testing.T, part string, hook func(i int64)) (*Engine, *r
 	})
 	e := New(Config{
 		SessionID: "s1", WorkerID: "w0", Publisher: merge.NewManager(), Registry: reg,
-		SnapshotEvery: 100, SnapshotInterval: time.Hour,
+		SnapshotInterval: time.Hour,
 	})
 	go e.Serve()
 	t.Cleanup(e.Shutdown)
@@ -731,5 +731,156 @@ func TestCapLogKeepsNewestBehindOneMark(t *testing.T) {
 	again := capLog(got + long)
 	if strings.Count(again, truncatedMark) != 1 || len(again) > maxSnapshotLog {
 		t.Fatalf("re-capped log has %d marks in %d bytes", strings.Count(again, truncatedMark), len(again))
+	}
+}
+
+// blockAt returns a recording hook that, the first time record i comes
+// up, closes inBatch and waits until release is closed.
+func blockAt(i int64) (hook func(int64), inBatch, release chan struct{}) {
+	inBatch, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return func(j int64) {
+		if j == i {
+			once.Do(func() {
+				close(inBatch)
+				<-release
+			})
+		}
+	}, inBatch, release
+}
+
+// An engine paused mid-run turns Paused only once it has published every
+// event it processed, so the merged progress equals its own.
+func TestPausePublishesWhatItProcessed(t *testing.T) {
+	part := makePart(t, 1000, 14)
+	hook, inBatch, release := blockAt(300)
+	e, _ := recordingEngine(t, part, hook)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	<-inBatch
+	if err := e.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitFor(t, e, StatePaused)
+	done, total := e.Progress()
+	if done <= 300 || done >= total {
+		t.Fatalf("paused at %d of %d records, want inside the run past record 300", done, total)
+	}
+	var poll merge.PollReply
+	if err := e.cfg.Publisher.(*merge.Manager).Poll(merge.PollArgs{SessionID: "s1"}, &poll); err != nil {
+		t.Fatal(err)
+	}
+	if len(poll.Progress) != 1 || poll.Progress[0].EventsDone != done {
+		t.Fatalf("merged progress %+v, engine processed %d", poll.Progress, done)
+	}
+}
+
+// mapped reports whether the process has path mapped.
+func mapped(t *testing.T, path string) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no mapping table: %v", err)
+	}
+	return strings.Contains(string(maps), path)
+}
+
+// SetPart, Rewind and Shutdown landing while a batch reads the part leave
+// its mapping in place until the batch is done: the batch reads every one
+// of its records intact. The loop then unmaps a part SetPart replaced, and
+// every part once it exits.
+func TestMappingOutlivesTheBatch(t *testing.T) {
+	a, b := makePart(t, 200, 15), makePart(t, 150, 16)
+	firstBatch := append([]string{"init"}, want(t, a, 0, batchSize)...)
+	t.Run("setpart", func(t *testing.T) {
+		hook, inBatch, release := blockAt(10)
+		e, rec := recordingEngine(t, a, hook)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		<-inBatch
+		if err := e.SetPart(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		sameLog(t, rec.lines(), append(firstBatch, want(t, b, 0, 150)...))
+		if mapped(t, a) {
+			t.Fatal("the replaced part is still mapped")
+		}
+	})
+	t.Run("rewind", func(t *testing.T) {
+		hook, inBatch, release := blockAt(10)
+		e, rec := recordingEngine(t, a, hook)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		<-inBatch
+		if err := e.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		sameLog(t, rec.lines(), append(append(firstBatch, "init"), want(t, a, 0, 200)...))
+		if !mapped(t, a) {
+			t.Fatal("Rewind unmapped the part")
+		}
+	})
+	t.Run("shutdown", func(t *testing.T) {
+		hook, inBatch, release := blockAt(10)
+		e, rec := recordingEngine(t, a, hook)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		<-inBatch
+		stopped := make(chan struct{})
+		go func() {
+			e.Shutdown()
+			close(stopped)
+		}()
+		for {
+			e.mu.Lock()
+			s := e.stopped
+			e.mu.Unlock()
+			if s {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		<-stopped
+		sameLog(t, rec.lines(), firstBatch)
+		if mapped(t, a) {
+			t.Fatal("the part is still mapped after Shutdown")
+		}
+	})
+}
+
+// A part truncated while the engine iterates it faults the batch reading
+// it; the engine ends in StateError wrapping ErrCorrupt, and the process
+// lives on.
+func TestMappingTruncatedPartEndsInError(t *testing.T) {
+	part := makePart(t, 2000, 17)
+	e, _ := recordingEngine(t, part, func(i int64) {
+		if i == 100 {
+			if err := os.Truncate(part, 0); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, e, StateError)
+	if _, err := e.State(); !errors.Is(err, dataset.ErrCorrupt) {
+		t.Fatalf("engine error %v, want ErrCorrupt", err)
 	}
 }

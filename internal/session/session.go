@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -321,8 +322,12 @@ func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, er
 // its worker's scratch (§3.4: "the transfers are done in parallel"). It
 // returns the plan and the staged files' local paths, and fills the
 // report's phase timings; MoveWhole counts from start, so it includes
-// replicas that failed before this one.
-func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *StagingReport) (splitter.Plan, []string, error) {
+// replicas that failed before this one. A file:// replica is read
+// through its mapping, so a file truncated under it faults; the fault
+// fails this replica's pass as ErrCorrupt, like a short read.
+func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *StagingReport) (_ splitter.Plan, _ []string, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer dataset.CatchFault(&err)
 	src, err := openReplica(url)
 	if err != nil {
 		return splitter.Plan{}, nil, err
@@ -363,46 +368,55 @@ func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *
 }
 
 // stagePart streams one part's record range from the replica into the
-// node's scratch disk and returns the staged file's local path.
-func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.Part) (string, error) {
+// node's scratch disk as a standalone container and returns the staged
+// file's local path.
+func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.Part) (_ string, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer dataset.CatchFault(&err)
 	scratch, err := s.cfg.WorkerScratch(node)
 	if err != nil {
 		return "", err
 	}
-	rc, err := src.open(part.Offset, part.Bytes)
+	rc, err := src.open(part)
 	if err != nil {
 		return "", fmt.Errorf("part %d: %w", part.Index, err)
 	}
 	// Put has read and checked every byte by the time it returns.
 	defer rc.Close()
 	dst := path.Join("/scratch", sessionID, fmt.Sprintf("part-%d.ipa", part.Index))
-	if _, err := scratch.Put(dst, dataset.NewRangeReader(rc, part.Bytes, part.Records())); err != nil {
+	if _, err := scratch.Put(dst, rc); err != nil {
 		return "", fmt.Errorf("part %d: %w", part.Index, err)
 	}
 	return scratch.LocalPath(dst)
 }
 
 // replica is an open dataset replica: its container index plans the
-// split, and byte ranges of it stream the parts.
+// split, and open streams one part of it as a standalone container.
 type replica struct {
 	index *dataset.Reader
-	open  func(off, n int64) (io.ReadCloser, error)
+	open  func(splitter.Part) (io.ReadCloser, error)
 	close func() error
 }
 
 // openReplica opens a replica for staging. Supported schemes: file://
-// (shared filesystem) and gsiftp://host:port/path (GridFTP: the index is
-// read through ranged retrieves, and each part streams over a control
+// (shared filesystem: the file is mapped, and each part is written from
+// the mapping) and gsiftp://host:port/path (GridFTP: the index is read
+// through ranged retrieves, and each part streams over a control
 // connection of its own).
 func openReplica(url string) (*replica, error) {
 	switch {
 	case strings.HasPrefix(url, "file://"):
-		r, f, err := dataset.Open(strings.TrimPrefix(url, "file://"))
+		r, m, err := dataset.Open(strings.TrimPrefix(url, "file://"))
 		if err != nil {
 			return nil, err
 		}
-		return &replica{index: r, close: f.Close, open: func(off, n int64) (io.ReadCloser, error) {
-			return io.NopCloser(io.NewSectionReader(f, off, n)), nil
+		return &replica{index: r, close: m.Close, open: func(p splitter.Part) (io.ReadCloser, error) {
+			rr, err := r.Range(p.FromRecord, p.ToRecord)
+			if err != nil {
+				return nil, err
+			}
+			// NopCloser keeps the range's WriteTo.
+			return io.NopCloser(rr), nil
 		}}, nil
 	case strings.HasPrefix(url, "gsiftp://"):
 		rest := strings.TrimPrefix(url, "gsiftp://")
@@ -424,31 +438,33 @@ func openReplica(url string) (*replica, error) {
 			c.Close()
 			return nil, err
 		}
-		return &replica{index: r, close: c.Close, open: func(off, n int64) (io.ReadCloser, error) {
+		return &replica{index: r, close: c.Close, open: func(p splitter.Part) (io.ReadCloser, error) {
 			pc, err := gridftp.Dial(addr, "")
 			if err != nil {
 				return nil, err
 			}
-			rc, err := pc.OpenRange(remote, off, n)
+			rc, err := pc.OpenRange(remote, p.Offset, p.Bytes)
 			if err != nil {
 				pc.Close()
 				return nil, err
 			}
-			return ownedRange{rc, pc}, nil
+			return ownedRange{dataset.NewRangeReader(rc, p.Bytes, p.Records()), rc, pc}, nil
 		}}, nil
 	default:
 		return nil, fmt.Errorf("session: unsupported replica scheme in %q", url)
 	}
 }
 
-// ownedRange is a ranged retrieve that owns its control connection.
+// ownedRange is a part re-framed from a ranged retrieve that owns its
+// control connection.
 type ownedRange struct {
-	io.ReadCloser
-	c *gridftp.Client
+	*dataset.RangeReader
+	body io.Closer
+	c    *gridftp.Client
 }
 
 func (r ownedRange) Close() error {
-	err := r.ReadCloser.Close()
+	err := r.body.Close()
 	r.c.Close()
 	return err
 }

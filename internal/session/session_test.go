@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,7 +148,7 @@ func TestAttachStreamsPartsStraightToScratch(t *testing.T) {
 	src, recs := writeDataset(t)
 	addr := serveDir(t, filepath.Dir(src))
 	for _, url := range []string{"file://" + src, "gsiftp://" + addr + "/ds.ipa"} {
-		stageAndCheck(t, recs, []string{url}, url)
+		stageAndCheck(t, recs, []string{url}, url, nil)
 	}
 }
 
@@ -158,7 +160,32 @@ func TestAttachFailsOverMidStream(t *testing.T) {
 	src, recs := writeDataset(t)
 	flaky := refuseERETAfter(t, serveDir(t, filepath.Dir(src)), 2)
 	file := "file://" + src
-	stageAndCheck(t, recs, []string{"gsiftp://" + flaky + "/ds.ipa", file}, file)
+	stageAndCheck(t, recs, []string{"gsiftp://" + flaky + "/ds.ipa", file}, file, nil)
+}
+
+// TestMappingTruncatedReplicaFailsOver: a file:// replica truncated once
+// its index is read and the split planned faults the part streams
+// reading its mapping; the pass falls over to the next replica as it
+// does on a short read, and the process lives on.
+func TestMappingTruncatedReplicaFailsOver(t *testing.T) {
+	src, recs := writeDataset(t)
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed := filepath.Join(t.TempDir(), "ds.ipa")
+	if err := os.WriteFile(doomed, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	file := "file://" + src
+	stageAndCheck(t, recs, []string{"file://" + doomed, file}, file, func() {
+		once.Do(func() {
+			if err := os.Truncate(doomed, 0); err != nil {
+				t.Error(err)
+			}
+		})
+	})
 }
 
 // writeDataset writes a container of 2000 records, about 0.7 MB per part
@@ -253,8 +280,9 @@ func refuseERETAfter(t *testing.T, addr string, n int) string {
 // replicas and tried in that order, to a three-engine session and checks that it
 // staged from wantURL: each engine's node holds exactly its part, byte
 // for byte the container a Writer builds from the part's records, and
-// the engine sees the part's record count.
-func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL string) {
+// the engine sees the part's record count. A non-nil beforePart runs as
+// each part's stream begins.
+func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL string, beforePart func()) {
 	t.Helper()
 	const nodes = 3
 	scratch := map[string]*storage.Element{}
@@ -267,6 +295,9 @@ func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL strin
 		scratch[name] = el
 	}
 	svc, _ := newService(t, nodes, Config{Engines: nodes, WorkerScratch: func(node string) (*storage.Element, error) {
+		if beforePart != nil {
+			beforePart()
+		}
 		return scratch[node], nil
 	}})
 	if err := svc.cfg.Catalog.AddDataset("/test", catalog.DatasetRef{ID: "ds", Name: "ds", Records: int64(len(recs))}, nil); err != nil {

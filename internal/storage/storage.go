@@ -115,10 +115,9 @@ func (e *Element) Put(path string, r io.Reader) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The copy moves 256 KiB per read and write, a staged part in an
-	// eighth of the syscalls of io.Copy's 32 KiB; struct{io.Writer} hides
-	// the file's ReadFrom, whose generic fallback would copy in 32 KiB.
-	n, err := io.CopyBuffer(struct{ io.Writer }{f}, &quotaReader{r: r, e: e, old: old}, make([]byte, 256<<10))
+	// A source that writes itself (io.WriterTo, like a resident dataset
+	// range) does; any other is read by quotaWriter.ReadFrom.
+	n, err := io.Copy(&quotaWriter{w: f, e: e, old: old}, r)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -133,24 +132,32 @@ func (e *Element) Put(path string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// quotaReader enforces the quota as bytes stream in.
-type quotaReader struct {
-	r    io.Reader
+// quotaWriter enforces the quota as bytes stream out: a write that would
+// exceed it writes nothing.
+type quotaWriter struct {
+	w    io.Writer
 	e    *Element
 	old  int64
 	seen int64
 }
 
-func (q *quotaReader) Read(p []byte) (int, error) {
-	n, err := q.r.Read(p)
-	q.seen += int64(n)
+func (q *quotaWriter) Write(p []byte) (int, error) {
 	q.e.mu.Lock()
-	over := q.e.quota > 0 && q.e.used-q.old+q.seen > q.e.quota
+	over := q.e.quota > 0 && q.e.used-q.old+q.seen+int64(len(p)) > q.e.quota
 	q.e.mu.Unlock()
 	if over {
-		return n, ErrQuota
+		return 0, ErrQuota
 	}
+	n, err := q.w.Write(p)
+	q.seen += int64(n)
 	return n, err
+}
+
+// ReadFrom copies r 256 KiB per read and write, a staged part in an
+// eighth of the syscalls of io.Copy's 32 KiB. Hiding q's ReadFrom keeps
+// io.CopyBuffer on the buffer.
+func (q *quotaWriter) ReadFrom(r io.Reader) (int64, error) {
+	return io.CopyBuffer(struct{ io.Writer }{q}, r, make([]byte, 256<<10))
 }
 
 func (e *Element) account(delta int64) {

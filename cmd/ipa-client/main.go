@@ -232,7 +232,8 @@ func watchFabric(addr string, every time.Duration, once bool) error {
 				continue
 			}
 			// Render the whole replica chain hop by hop; a "!" marks a
-			// copy the anti-entropy loop considers drifted or stale.
+			// copy on a foreign epoch or ahead of its owner, the states
+			// an anti-entropy sweep repairs.
 			hops := make([]string, 0, len(p.Chain))
 			for _, h := range p.Chain {
 				mark := ""

@@ -7,19 +7,25 @@
 //
 // Usage:
 //
-//	ipa-manager [-nodes 8] [-events 20000] [-insecure] [-shards N]
-//	            [-rebalance 5s] [-rebalance-moves 2] [-rebalance-band 0.25]
-//	            [-health 2s] [-health-fails 3] [-http 127.0.0.1:6060]
-//	            [-relays N] [-gateway 127.0.0.1:7070]
+//	ipa-manager [-nodes 8] [-events 20000] [-insecure] [-creddir ipa-creds]
+//	            [-shards N] [-replicate] [-replicas K] [-relays N]
+//	            [-wal DIR] [-wal-sync 64] [-http 127.0.0.1:6060]
+//	            [-gateway 127.0.0.1:7070]
+//
+// -replicate, -replicas and -relays need -shards > 1; the manager
+// refuses to start with them on an unsharded site. The site runs no
+// shard prober and moves no sessions on its own: its shards are
+// in-process managers that cannot fail apart from the process, and each
+// serves its sessions concurrently.
 //
 // -http serves the operational plane on one listener: Prometheus-text
 // telemetry at /metrics, the live fabric snapshot (placements, epochs,
 // replicas, recent events) as JSON at /fabric/status, and net/http/pprof
 // under /debug/pprof/.
 //
-// -relays starts a read fan-out tier on a sharded fabric (needs
-// -shards > 1): client polls route to relay mirrors that wake on every
-// commit at the owning shard, while publishes stay on the owners.
+// -relays starts a read fan-out tier on the sharded fabric: client
+// polls route to relay mirrors that wake on every commit at the owning
+// shard, while publishes stay on the owners.
 // -gateway serves the HTTP/SSE live-view plane — Server-Sent-Events
 // update streams at /events/{session}, an in-browser live view at
 // /live/{session}, and SVG/text/XML renderings at /view, /tree and
@@ -62,14 +68,8 @@ func main() {
 	insecure := flag.Bool("insecure", false, "serve the control endpoint over plain TCP (no GSI)")
 	credDir := flag.String("creddir", "ipa-creds", "where to write CA + user credentials")
 	shards := flag.Int("shards", 1, "merge-fabric shard count (>1 = consistent-hash session sharding)")
-	rebalance := flag.Duration("rebalance", 0, "shard rebalance probe interval (0 = off; needs -shards > 1)")
-	rebalanceMoves := flag.Int("rebalance-moves", 2, "max session migrations per rebalance round")
-	rebalanceBand := flag.Float64("rebalance-band", 0.25, "rebalance hysteresis band (fraction over the fabric-mean load)")
-	health := flag.Duration("health", 0, "shard health probe interval (0 = off; needs -shards > 1)")
-	healthFails := flag.Int("health-fails", 3, "consecutive failed probes before a shard is marked dead")
 	replicate := flag.Bool("replicate", false, "mirror each session to a replica chain; shard death promotes the deepest caught-up replica instead of losing the session (needs -shards > 1)")
-	replicas := flag.Int("replicas", 1, "replica chain depth K per session (needs -replicate; capped at shards-1)")
-	antiEntropy := flag.Duration("anti-entropy", 0, "replica chain repair sweep interval: drifted or stalled copies are re-baselined (0 = off; needs -replicate)")
+	replicas := flag.Int("replicas", 0, "replica chain depth K per session (0 = 1; needs -replicate; capped at shards-1)")
 	wal := flag.String("wal", "", "directory for per-manager append-only merge logs, which a promoted replica's handoff replays; sessions do not survive a restart (\"\" = no logs)")
 	walSync := flag.Int("wal-sync", 64, "fsync the session log every N records (0 = every record)")
 	httpAddr := flag.String("http", "", "serve /metrics, /fabric/status and /debug/pprof/ on this address (e.g. 127.0.0.1:6060; \"\" = off)")
@@ -79,9 +79,7 @@ func main() {
 
 	grid, err := ipa.NewLocalGrid(ipa.GridOptions{
 		Nodes: *nodes, Insecure: *insecure, Shards: *shards,
-		RebalanceInterval: *rebalance, RebalanceMaxMoves: *rebalanceMoves, RebalanceBand: *rebalanceBand,
-		HealthInterval: *health, HealthFails: *healthFails,
-		Replicate: *replicate, ReplicaDepth: *replicas, AntiEntropyInterval: *antiEntropy,
+		Replicate: *replicate, ReplicaDepth: *replicas,
 		WALDir: *wal, WALSyncEvery: *walSync,
 		Relays: *relays,
 	})
@@ -145,21 +143,11 @@ func main() {
 	fmt.Printf("nodes: %d, interactive queue ready\n", *nodes)
 	if *shards > 1 {
 		fmt.Printf("merge fabric: %d shards (consistent-hash session routing)\n", *shards)
-		if *rebalance > 0 {
-			fmt.Printf("rebalancer: every %s, ≤%d moves/round, band %.0f%%\n",
-				*rebalance, *rebalanceMoves, 100**rebalanceBand)
-		}
-		if *health > 0 {
-			fmt.Printf("health prober: every %s, dead after %d failed probes\n", *health, *healthFails)
-		}
 		if *relays > 0 && len(grid.Relays) > 0 {
 			fmt.Printf("read relays: %d delta-subscribing mirror(s) absorbing client polls (writes stay on the owning shards)\n", len(grid.Relays))
 		}
 		if *replicate {
-			fmt.Printf("replication: each session mirrored down a chain of %d standby shard(s) (epoch-fenced failover, deepest caught-up wins)\n", *replicas)
-			if *antiEntropy > 0 {
-				fmt.Printf("anti-entropy: chain repair sweep every %s\n", *antiEntropy)
-			}
+			fmt.Printf("replication: each session mirrored down a chain of %d standby shard(s) (epoch-fenced failover, deepest caught-up wins)\n", max(*replicas, 1))
 		}
 	}
 	if *wal != "" {

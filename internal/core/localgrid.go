@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,11 +25,16 @@ import (
 // GridOptions size a LocalGrid. Engines publish on engine.Config's
 // default clock: a run's first batch, every 25 ms at a batch boundary,
 // and when the run stops.
+//
+// A LocalGrid runs no shard prober and no placement loop: its shards
+// are in-process managers that cannot fail apart from the process, and
+// each already serves its sessions concurrently. shard.Health and
+// shard.AntiEntropy are for a fabric of shards on other nodes, whose
+// owner calls their RunOnce.
 type GridOptions struct {
-	// Nodes is the worker-node count (default 4).
+	// Nodes is the worker-node count (default 4); every session runs one
+	// engine per node.
 	Nodes int
-	// EnginesPerSession is the site policy (default = Nodes).
-	EnginesPerSession int
 	// BaseDir hosts storage elements (default: a temp dir).
 	BaseDir string
 	// Insecure serves the manager's control object over plain TCP
@@ -39,34 +45,16 @@ type GridOptions struct {
 	// from a single manager, >1 spreads sessions across that many
 	// manager shards behind a consistent-hash router.
 	Shards int
-	// RebalanceInterval starts a load balancer on the sharded fabric
-	// that probes per-session publish+poll rates and migrates the
-	// hottest sessions off overloaded shards (0 = no balancer; ignored
-	// when unsharded).
-	RebalanceInterval time.Duration
-	// RebalanceMaxMoves / RebalanceBand tune the balancer policy (0
-	// selects the defaults: 2 moves per round, 0.25 hysteresis band).
-	RebalanceMaxMoves int
-	RebalanceBand     float64
-	// HealthInterval starts a shard health prober (0 = none; ignored
-	// when unsharded); HealthFails is the consecutive-failure threshold
-	// before a shard is marked dead (0 = 3).
-	HealthInterval time.Duration
-	HealthFails    int
 	// Replicate mirrors every accepted publish to a per-session replica
 	// chain, so a shard death promotes the deepest caught-up replica
 	// (epoch-fenced) instead of evicting the sessions to empty. Needs
-	// Shards > 1; off by default (the DisableReplication ablation
-	// baseline).
+	// Shards > 1 (NewLocalGrid refuses it otherwise); off by default (the
+	// DisableReplication ablation baseline).
 	Replicate bool
 	// ReplicaDepth is the replica chain length K per session (0 = 1, the
-	// single-standby default). Ignored unless Replicate is on.
+	// single-standby default). Needs Shards > 1; ignored unless
+	// Replicate is on.
 	ReplicaDepth int
-	// AntiEntropyInterval starts the chain-repair loop: every interval
-	// each session's replica chain is compared against the owner by
-	// (epoch, version) and drifted or stalled copies are re-baselined
-	// (0 = no loop; ignored unless Replicate is on).
-	AntiEntropyInterval time.Duration
 	// WALDir, when set, gives every shard manager an append-only
 	// snapshot/delta log under this directory; a promoted replica
 	// inherits a dead shard's log tail (Replicate). Sessions do not
@@ -99,12 +87,6 @@ type LocalGrid struct {
 	Merge merge.Service
 	// Router is non-nil on a sharded grid (== Merge).
 	Router *shard.Router
-	// Balancer / Health / AntiEntropy are the placement policy loops,
-	// non-nil when the corresponding interval option enabled them on a
-	// sharded grid.
-	Balancer    *shard.Balancer
-	Health      *shard.Health
-	AntiEntropy *shard.AntiEntropy
 	// ShardMgrs are the fabric's member managers by shard name.
 	ShardMgrs map[string]*merge.Manager
 	// Relays are the read fan-out tier's mirrors by relay name,
@@ -129,8 +111,8 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 4
 	}
-	if opts.EnginesPerSession <= 0 {
-		opts.EnginesPerSession = opts.Nodes
+	if err := checkShardOnly(opts); err != nil {
+		return nil, err
 	}
 	if opts.BaseDir == "" {
 		dir, err := os.MkdirTemp("", "ipa-grid-*")
@@ -206,19 +188,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			}
 		}
 		g.Merge = g.Router
-		if opts.RebalanceInterval > 0 {
-			g.Balancer = shard.NewBalancer(g.Router)
-			g.Balancer.Interval = opts.RebalanceInterval
-			g.Balancer.MaxMoves = opts.RebalanceMaxMoves
-			g.Balancer.Band = opts.RebalanceBand
-			g.Balancer.Start()
-		}
-		if opts.HealthInterval > 0 {
-			g.Health = shard.NewHealth(g.Router)
-			g.Health.Interval = opts.HealthInterval
-			g.Health.Threshold = opts.HealthFails
-			g.Health.Start()
-		}
 		if opts.Replicate && opts.WALDir != "" {
 			// WAL-backed replica handoff: a promoted copy inherits the
 			// dead primary's durable log tail for its session before the
@@ -231,11 +200,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 				}
 				return merge.ReplaySessionInto(filepath.Join(walDir, deadShard+".wal"), sessionID, target)
 			}
-		}
-		if opts.Replicate && opts.AntiEntropyInterval > 0 {
-			g.AntiEntropy = shard.NewAntiEntropy(g.Router)
-			g.AntiEntropy.Interval = opts.AntiEntropyInterval
-			g.AntiEntropy.Start()
 		}
 		if opts.Relays > 0 {
 			// Read fan-out tier: relays subscribe to the owners through
@@ -283,7 +247,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			}
 			return el, nil
 		},
-		Engines: opts.EnginesPerSession,
+		Engines: opts.Nodes,
 		Queue:   "interactive",
 		Site:    "local",
 	})
@@ -295,7 +259,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	mgrCfg := ManagerConfig{
 		Sessions: sessions, Catalog: g.Catalog, Merge: g.Merge,
 		ShardManagers: g.ShardMgrs, Relays: g.Relays,
-		EngineCount: opts.EnginesPerSession,
+		EngineCount: opts.Nodes,
 	}
 	if !opts.Insecure {
 		host, err := ca.IssueHost("ipa-manager", []string{"localhost", "127.0.0.1"}, 24*time.Hour)
@@ -383,15 +347,6 @@ func (g *LocalGrid) Scratch(node string) *storage.Element {
 // Close tears the whole site down.
 func (g *LocalGrid) Close() {
 	close(g.stop)
-	if g.Balancer != nil {
-		g.Balancer.Stop()
-	}
-	if g.Health != nil {
-		g.Health.Stop()
-	}
-	if g.AntiEntropy != nil {
-		g.AntiEntropy.Stop()
-	}
 	for _, id := range g.Session.Sessions() {
 		g.Session.Close(id)
 	}
@@ -403,6 +358,24 @@ func (g *LocalGrid) Close() {
 	for _, w := range g.wals {
 		w.Close()
 	}
+}
+
+// checkShardOnly rejects, on an unsharded grid, the options only a
+// sharded fabric can honour, so a site asked for replicas or relays it
+// cannot run says so instead of starting without them.
+func checkShardOnly(opts GridOptions) error {
+	if opts.Shards > 1 {
+		return nil
+	}
+	switch {
+	case opts.Replicate:
+		return errors.New("core: Replicate needs Shards > 1")
+	case opts.ReplicaDepth > 0:
+		return fmt.Errorf("core: ReplicaDepth %d needs Shards > 1", opts.ReplicaDepth)
+	case opts.Relays > 0:
+		return fmt.Errorf("core: Relays %d needs Shards > 1", opts.Relays)
+	}
+	return nil
 }
 
 // attachWAL opens (creating the directory if needed) a manager's

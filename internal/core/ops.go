@@ -142,11 +142,11 @@ type StatusResponse struct {
 	// writes on the owning shard.
 	RelayAddr string
 	// PlacementGen is the fabric's placement-table generation — it bumps
-	// on every topology edit, rebalance move, or fault eviction (0 when
+	// on every topology edit, session move, or fault eviction (0 when
 	// unsharded).
 	PlacementGen uint64
-	// DeadShards lists fabric shards currently marked unreachable by the
-	// health prober.
+	// DeadShards lists fabric shards currently marked unreachable by a
+	// health prober (always empty on a LocalGrid, which runs none).
 	DeadShards []string
 	// ResultEpoch stamps the session's merge-state incarnation: it
 	// changes when the state is rebuilt (failover promotion or

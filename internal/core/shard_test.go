@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -223,5 +224,30 @@ func TestDirectPollUnshardedDisables(t *testing.T) {
 	c.mu.Unlock()
 	if stillOn {
 		t.Fatal("direct mode still on after resolving an unsharded fabric")
+	}
+}
+
+// TestUnshardedGridRejectsShardOnlyOptions: replicas and relays exist
+// only on a sharded fabric, so asking an unsharded site for them is an
+// error that names the option, not a site that starts without them.
+func TestUnshardedGridRejectsShardOnlyOptions(t *testing.T) {
+	for _, tc := range []struct {
+		option string
+		opts   GridOptions
+	}{
+		{"Replicate", GridOptions{Replicate: true}},
+		{"ReplicaDepth", GridOptions{ReplicaDepth: 2}},
+		{"Relays", GridOptions{Relays: 2}},
+		{"Relays", GridOptions{Shards: 1, Relays: 1}},
+	} {
+		tc.opts.Nodes, tc.opts.BaseDir, tc.opts.Insecure = 1, t.TempDir(), true
+		g, err := NewLocalGrid(tc.opts)
+		if err == nil {
+			g.Close()
+			t.Fatalf("unsharded grid accepted %s", tc.option)
+		}
+		if !strings.Contains(err.Error(), tc.option) {
+			t.Fatalf("error %q does not name %s", err, tc.option)
+		}
 	}
 }

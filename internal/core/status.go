@@ -1,7 +1,7 @@
 // Fabric status: the JSON document behind ipa-manager's /fabric/status
 // endpoint (and ipa-client -watch). It is a read-only snapshot stitched
-// from the same lock-free surfaces the fabric's own policy loops use —
-// the placement table, the per-shard Stats atomics, and the global
+// from the same lock-free surfaces the shard probers read — the
+// placement table, the per-shard Stats atomics, and the global
 // telemetry event ring — so serving it never blocks a publish.
 
 package core
@@ -23,8 +23,7 @@ type ShardStatus struct {
 	// Sessions counts the sessions the placement table routes here.
 	Sessions int `json:"sessions"`
 	// Publishes / Polls aggregate the cumulative traffic counters of the
-	// sessions placed on this shard — the same load signal the balancer
-	// ranks by.
+	// sessions placed on this shard.
 	Publishes int64 `json:"publishes"`
 	Polls     int64 `json:"polls"`
 }
@@ -88,8 +87,8 @@ type FabricStatus struct {
 	Relays     []RelayStatus      `json:"relays,omitempty"`
 	Placements []SessionPlacement `json:"placements"`
 	// Events are the most recent structured fabric events (handoffs,
-	// promotions, fences, rebalance moves, evictions, dead marks,
-	// revivals, spans) from the in-memory telemetry ring.
+	// promotions, fences, evictions, dead marks, revivals, spans) from
+	// the in-memory telemetry ring.
 	Events []obs.Event `json:"events"`
 	// NextEventSeq resumes the ring: pass it to the telemetry RPC (or
 	// compare across polls) to read only newer events.

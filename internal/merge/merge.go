@@ -298,9 +298,9 @@ type sessionState struct {
 	fastPolls              atomic.Int64
 	// parked counts the polls parked on this session now.
 	parked atomic.Int64
-	// Cumulative traffic counters — what the shard balancer ranks
-	// session moves by. Publishes counts every snapshot upload routed
-	// here, polls every client read (fast path included).
+	// Cumulative traffic counters, reported in session and fabric
+	// status. Publishes counts every snapshot upload routed here, polls
+	// every client read (fast path included).
 	publishes, polls atomic.Int64
 	// lastTrace is the trace ID of the most recent traced publish or
 	// mirror applied to this state — the observable that lets a test (or
@@ -1362,7 +1362,7 @@ type StatsReply struct {
 	// PollArgs.Wait). Behind a relay tier it is at most one per relay.
 	Parked int64
 	// Publishes / Polls are the session's cumulative traffic counters —
-	// the load signal the shard balancer ranks migration candidates by.
+	// its load, as session and fabric status report it.
 	Publishes, Polls int64
 	// LastTraceID is the trace ID of the most recent traced publish or
 	// mirror applied here (0 = none yet) — how trace propagation is
@@ -1473,9 +1473,9 @@ type SessionsArgs struct{}
 // SessionsReply lists the sessions a manager currently holds.
 type SessionsReply struct {
 	SessionIDs []string
-	// Loads carries each session's cumulative traffic counters, aligned
-	// with SessionIDs — one probe gives the balancer the whole shard's
-	// load picture instead of a Stats call per session.
+	// Loads carries each session's cumulative traffic counters and
+	// version, aligned with SessionIDs — one call gives a caller the
+	// whole shard's picture instead of a Stats call per session.
 	Loads []SessionLoad
 }
 
@@ -1487,8 +1487,8 @@ type SessionLoad struct {
 }
 
 // SessionList enumerates this manager's sessions, sorted, with their
-// traffic counters (RMI-compatible) — the balancer's probe surface; the
-// shard router tracks placement itself and does not depend on it.
+// traffic counters (RMI-compatible). The shard router tracks placement
+// itself; it reads this only to reconcile a revived shard's copies.
 // Lock-free: a long publish on any session never delays the
 // enumeration.
 func (m *Manager) SessionList(args SessionsArgs, reply *SessionsReply) error {

@@ -1,10 +1,10 @@
 // Fabric events and spans: structured records of the moments an
 // operator asks about after the fact — a session handoff, a replica
-// promotion, a fence, a rebalance move, an eviction, a shard revival —
-// plus per-hop spans of traced calls. They land in a bounded in-memory
-// ring (oldest overwritten first) readable over RPC (Service) and
-// surfaced in /fabric/status, so "what just happened" has an answer
-// without log scraping.
+// promotion, a fence, an eviction, a shard revival — plus per-hop spans
+// of traced calls. They land in a bounded in-memory ring (oldest
+// overwritten first) readable over RPC (Service) and surfaced in
+// /fabric/status, so "what just happened" has an answer without log
+// scraping.
 
 package obs
 
@@ -19,7 +19,6 @@ const (
 	EventHandoff      = "handoff"
 	EventPromote      = "promote"
 	EventFence        = "fence"
-	EventMove         = "rebalance-move"
 	EventEviction     = "eviction"
 	EventDeadMark     = "dead-mark"
 	EventRevival      = "revival"

@@ -233,7 +233,7 @@ func TestTraceContext(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 6; i++ {
-		r.Add(Event{Kind: EventMove, Detail: fmt.Sprintf("e%d", i)})
+		r.Add(Event{Kind: EventHandoff, Detail: fmt.Sprintf("e%d", i)})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("ring holds %d events, want 4", r.Len())

@@ -590,7 +590,7 @@ type Status struct {
 	// shard to writers.
 	RelayAddr string
 	// PlacementGen is the fabric's placement-table generation (0 when
-	// unsharded): it bumps on every topology edit, rebalance move, or
+	// unsharded): it bumps on every topology edit, session move, or
 	// fault eviction, so a client can tell "the fabric changed under me"
 	// from "nothing moved" without diffing placements.
 	PlacementGen uint64
@@ -687,7 +687,7 @@ func (s *Service) Status(sessionID string) (Status, error) {
 		st.ReplicaChain = p.ReplicasOf(sess.ID)
 	}
 	// Traffic counters ride the same lock-free Stats surface the health
-	// prober and balancer use; any fabric exposing it reports them.
+	// prober uses; any fabric exposing it reports them.
 	if p, ok := s.cfg.Merge.(interface {
 		Stats(merge.StatsArgs, *merge.StatsReply) error
 	}); ok {

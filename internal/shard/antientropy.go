@@ -1,23 +1,22 @@
-// Anti-entropy: continuous chain repair. The mirror stream already
-// self-heals on the failures it can see — an errored hop or a NeedFull
-// answer re-baselines — but silent drift is invisible to it: a replica
-// that quietly holds the wrong state at a plausible version, a copy
-// stranded on a stale epoch by a failover it slept through, or a chain
-// hop that simply stopped advancing while the session kept publishing.
-// The anti-entropy loop walks every session's chain on a ticker,
-// compares each hop's (epoch, version) pair against the owner's, and
-// re-baselines copies that are provably wrong (foreign epoch, or ahead
-// of the owner) immediately and copies that are stalled (trailing the
-// owner while neither side moved since the previous sweep) on the
-// second sighting — one round of grace absorbs normal asynchronous
-// mirror lag without ever repairing a healthy chain.
+// Anti-entropy: chain repair. The mirror stream already self-heals on
+// the failures it can see — an errored hop or a NeedFull answer
+// re-baselines — but silent drift is invisible to it: a replica that
+// quietly holds the wrong state at a plausible version, a copy stranded
+// on a stale epoch by a failover it slept through, or a chain hop that
+// simply stopped advancing while the session kept publishing. An
+// anti-entropy sweep walks every session's chain, compares each hop's
+// (epoch, version) pair against the owner's, and re-baselines copies
+// that are provably wrong (foreign epoch, or ahead of the owner)
+// immediately and copies that are stalled (trailing the owner while
+// neither side moved since the previous sweep) on the second sighting —
+// one round of grace absorbs normal asynchronous mirror lag without
+// ever repairing a healthy chain.
 
 package shard
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/ipa-grid/ipa/internal/obs"
 )
@@ -30,25 +29,19 @@ type aeSighting struct {
 	hopVersion   int64
 }
 
-// AntiEntropy is the chain-repair prober. Wire it next to Health: both
-// tick over the same Router, one watching shard liveness, this one
-// watching copy correctness.
+// AntiEntropy is the chain-repair prober. It pairs with Health over the
+// same Router, one watching shard liveness, this one watching copy
+// correctness, and like Health it has no loop of its own: the fabric's
+// owner calls RunOnce on its own schedule.
 type AntiEntropy struct {
-	// Interval between sweeps for Start (default 5s).
-	Interval time.Duration
-	// OnRepair, if set, is called after a copy is re-baselined (operator
-	// logging): session, the repaired hop, and why.
-	OnRepair func(sessionID, hop, reason string)
-
 	router *Router
 
 	mu        sync.Mutex
 	suspected map[string]aeSighting // session + "\x00" + hop → last sighting
-	stop      chan struct{}
 }
 
 // NewAntiEntropy creates a chain-repair prober over the router's fabric
-// (it does not sweep until Start or RunOnce).
+// (it does not sweep until RunOnce).
 func NewAntiEntropy(r *Router) *AntiEntropy {
 	return &AntiEntropy{router: r, suspected: make(map[string]aeSighting)}
 }
@@ -102,9 +95,6 @@ func (a *AntiEntropy) RunOnce() (repaired []string) {
 			obsAntiEntropyRepairs.Inc()
 			obs.Emit(obs.EventRepair, hop.Shard, sid, 0, reason)
 			repaired = append(repaired, sid+"/"+hop.Shard)
-			if a.OnRepair != nil {
-				a.OnRepair(sid, hop.Shard, reason)
-			}
 		}
 	}
 	// Drop sightings for chains that no longer exist.
@@ -114,43 +104,4 @@ func (a *AntiEntropy) RunOnce() (repaired []string) {
 		}
 	}
 	return repaired
-}
-
-// Start launches the sweep ticker (no-op if already running).
-func (a *AntiEntropy) Start() {
-	a.mu.Lock()
-	if a.stop != nil {
-		a.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	a.stop = stop
-	a.mu.Unlock()
-	interval := a.Interval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				a.RunOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the sweep ticker (no-op if not running).
-func (a *AntiEntropy) Stop() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	a.stop = nil
 }

@@ -68,8 +68,8 @@ func sameStateBytes(t *testing.T, a, b poller, sid string) bool {
 // throughout. Every session must come out byte-identical to the flat
 // single-manager reference. Then one surviving replica is doctored with
 // a foreign epoch at a plausible version — the residue a zombie
-// incarnation would leave — and the anti-entropy loop must repair it
-// within two sweeps.
+// incarnation would leave — and anti-entropy must repair it within two
+// sweeps.
 func TestChaosScheduleRecoversEverySession(t *testing.T) {
 	for _, seed := range []uint64{2006, 7, 31} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runChaosSchedule(t, seed) })

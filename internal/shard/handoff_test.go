@@ -3,8 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,136 +96,66 @@ func (w *loadWorker) poll(t *testing.T) {
 	}
 }
 
-// TestRebalanceMovesHotSessionsAndConverges is the rebalance property
-// test: with all the hot sessions hashing onto one shard, the balancer
-// must move load off it, converge (a steady-load round eventually makes
-// zero moves), and never diverge from the flat-merge reference.
-func TestRebalanceMovesHotSessionsAndConverges(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			router, _ := newRouterWithShards(t, 4)
-			flat := merge.NewManager()
-
-			hotShard := "shard00"
-			var workers []*loadWorker
-			hot := map[string]bool{}
-			for _, sid := range sessionsHomedOn(t, router, hotShard, 4, "hot") {
-				workers = append(workers, newLoadWorker(t, router, flat, sid))
-				hot[sid] = true
-			}
-			// A few background sessions wherever the ring puts them.
-			for i := 0; i < 6; i++ {
-				sid := fmt.Sprintf("cold-%d", i)
-				workers = append(workers, newLoadWorker(t, router, flat, sid))
-			}
-			for _, w := range workers {
-				w.publish(t, float64(rng.Intn(10)))
-			}
-
-			b := NewBalancer(router)
-			b.MaxMoves = 2
-			b.Band = 0.25
-			if _, err := b.RunOnce(); err != nil { // warm the rate window
-				t.Fatal(err)
-			}
-			lastMoves := -1
-			for round := 0; round < 10; round++ {
-				for _, w := range workers {
-					n := 1
-					if hot[w.sid] {
-						n = 12 // the skew the hash can't see
-					}
-					for k := 0; k < n; k++ {
-						w.publish(t, float64(rng.Intn(10)))
-						w.poll(t)
-					}
-				}
-				moved, err := b.RunOnce()
-				if err != nil {
-					t.Fatal(err)
-				}
-				lastMoves = moved
-			}
-			if b.Moves() == 0 {
-				t.Fatal("balancer made no moves under heavy skew")
-			}
-			if lastMoves != 0 {
-				t.Fatalf("balancer still moving (%d) after 10 steady rounds — not converging", lastMoves)
-			}
-			// The hot sessions must no longer all share one shard.
-			onHot := 0
-			for sid := range hot {
-				if router.Placement(sid) == hotShard {
-					onHot++
-				}
-			}
-			if onHot == len(hot) {
-				t.Fatalf("all %d hot sessions still on %s after rebalancing", onHot, hotShard)
-			}
-			// No lost or duplicated fills across the moves.
-			for _, w := range workers {
-				got, want := fullState(t, router, w.sid), fullState(t, flat, w.sid)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("session %s diverged after rebalancing", w.sid)
-				}
-			}
-		})
-	}
-}
-
-// TestRebalanceNoLostFillsUnderChurn runs the balancer loop concurrently
-// with live publish traffic (run under -race): every fill must survive
-// the mid-flight handoffs exactly once.
-func TestRebalanceNoLostFillsUnderChurn(t *testing.T) {
+// TestMoveSessionNoLostFillsUnderChurn moves every session round-robin
+// across the shards while its publisher keeps publishing and polling
+// (run under -race): every fill must survive the mid-flight handoffs
+// exactly once.
+func TestMoveSessionNoLostFillsUnderChurn(t *testing.T) {
 	router, _ := newRouterWithShards(t, 3)
 	flat := merge.NewManager()
 	const rounds = 60
+	shards := router.Table().Shards()
 
 	sids := sessionsHomedOn(t, router, "shard00", 3, "churn-hot")
 	sids = append(sids, "churn-a", "churn-b", "churn-c")
+	workers := make([]*loadWorker, len(sids))
+	for i, sid := range sids {
+		workers[i] = newLoadWorker(t, router, flat, sid)
+		workers[i].publish(t, 0) // record a placement for MoveSession
+	}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, sid := range sids {
-		w := newLoadWorker(t, router, flat, sid)
+	for _, w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					if i >= rounds {
+						return
+					}
+				default:
+				}
 				w.publish(t, float64(i%10))
 				w.poll(t)
 			}
 		}()
 	}
-	b := NewBalancer(router)
-	b.MaxMoves = 1
-	b.Band = 0.1
-	stop := make(chan struct{})
-	var bwg sync.WaitGroup
-	bwg.Add(1)
-	go func() {
-		defer bwg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := b.RunOnce(); err != nil {
+	// Two laps of the ring per session, each move to the shard after
+	// the session's current one; the publishers run until the last move.
+	for step := 0; step < 2*len(shards); step++ {
+		for _, sid := range sids {
+			next := (slices.Index(shards, router.Placement(sid)) + 1) % len(shards)
+			if err := router.MoveSession(sid, shards[next]); err != nil {
 				t.Error(err)
-				return
 			}
 		}
-	}()
-	wg.Wait()
+	}
 	close(stop)
-	bwg.Wait()
+	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	// A publish that raced a handoff's seal drew NeedFull; the next one
+	// is a full baseline, as an engine's final snapshot is.
+	for _, w := range workers {
+		w.publish(t, 9)
 	}
 	for _, sid := range sids {
 		got, want := fullState(t, router, sid), fullState(t, flat, sid)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("session %s diverged under rebalance churn", sid)
+			t.Fatalf("session %s diverged under MoveSession churn", sid)
 		}
 	}
 }
@@ -488,7 +418,7 @@ func TestPlacementInfoNeverReportsDepartedShard(t *testing.T) {
 	}
 }
 
-// TestMoveSessionPinnedSurvivesRingEdit: a balancer move is deliberate —
+// TestMoveSessionPinnedSurvivesRingEdit: a MoveSession is deliberate —
 // a later topology change must not silently undo it, but losing the
 // pinned shard must re-home the session.
 func TestMoveSessionPinnedSurvivesRingEdit(t *testing.T) {

@@ -9,21 +9,24 @@ import (
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-// Health is the shard fault prober: it calls every shard's lock-free
-// Stats surface on a ticker and, after Threshold consecutive failures,
-// marks the shard dead in the placement table — its sessions are
-// evicted and re-home lazily on their next touch (the new owner answers
-// their first delta with NeedFull, so the engines' full re-baseline
-// rebuilds the state from their own trees; no durable store is
-// involved). Direct-polling clients already treat endpoint failure as
-// "re-resolve placement", so they follow automatically.
+// Health is the shard fault prober: each RunOnce calls every shard's
+// lock-free Stats surface and, after Threshold consecutive failed
+// rounds, marks the shard dead in the placement table — its sessions
+// are evicted and re-home lazily on their next touch (the new owner
+// answers their first delta with NeedFull, so the engines' full
+// re-baseline rebuilds the state from their own trees; no durable store
+// is involved). Direct-polling clients already treat endpoint failure
+// as "re-resolve placement", so they follow automatically.
 //
 // A dead shard keeps being probed; a successful probe marks it alive
 // again and it simply rejoins the routing pool (state it lost stays
 // lost — the sessions that re-homed keep their new owners).
+//
+// Health has no loop of its own: whoever owns a fabric whose shards can
+// fail independently (Remote backends on other nodes) calls RunOnce on
+// its own schedule. A LocalGrid's shards are in-process managers whose
+// Stats never fails, so it runs no prober.
 type Health struct {
-	// Interval between probe rounds for Start (default 2s).
-	Interval time.Duration
 	// Threshold is the consecutive-failure count that declares a shard
 	// dead (default 3) — hysteresis against one slow or dropped probe.
 	Threshold int
@@ -48,11 +51,10 @@ type Health struct {
 	mu       sync.Mutex
 	fails    map[string]int
 	inflight map[string]chan error
-	stop     chan struct{}
 }
 
 // NewHealth creates a prober over the router's fabric (it does not
-// probe until Start or RunOnce).
+// probe until RunOnce).
 func NewHealth(r *Router) *Health {
 	return &Health{router: r, fails: make(map[string]int), inflight: make(map[string]chan error)}
 }
@@ -152,43 +154,4 @@ func (h *Health) RunOnce() (died, revived []string) {
 		}
 	}
 	return died, revived
-}
-
-// Start launches the probe ticker (no-op if already running).
-func (h *Health) Start() {
-	h.mu.Lock()
-	if h.stop != nil {
-		h.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	h.stop = stop
-	h.mu.Unlock()
-	interval := h.Interval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				h.RunOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the probe ticker (no-op if not running).
-func (h *Health) Stop() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stop == nil {
-		return
-	}
-	close(h.stop)
-	h.stop = nil
 }

@@ -1,6 +1,5 @@
 // Telemetry hooks for the shard fabric: per-shard routed-call rates,
-// handoff / promotion / mirror counters, balancer moves, and health
-// probe outcomes. Per-shard series are cached in a sync.Map so the
+// handoff / promotion / mirror counters, and health probe outcomes. Per-shard series are cached in a sync.Map so the
 // routing hot path pays one lock-free load, not a label-signature
 // build; shard names are bounded by the fabric size, so cardinality
 // stays far under the registry cap.
@@ -16,13 +15,11 @@ import (
 
 var (
 	obsHandoffs = obs.GetCounter("ipa_shard_handoffs_total",
-		"Live-session migrations completed (ring edits + rebalance moves).")
+		"Live-session migrations completed (ring edits + MoveSession calls).")
 	obsPromotions = obs.GetCounter("ipa_shard_promotions_total",
 		"Replica promotions (epoch-fenced failovers) completed.")
 	obsMirrored = obs.GetCounter("ipa_shard_mirrored_total",
 		"Publishes successfully mirrored to a replica shard.")
-	obsMoves = obs.GetCounter("ipa_shard_rebalance_moves_total",
-		"Sessions moved by the load balancer.")
 	obsProbeFails = obs.GetCounter("ipa_shard_probe_failures_total",
 		"Health-probe failures (consecutive failures lead to a dead mark).")
 	obsDeadMarks = obs.GetCounter("ipa_shard_dead_marks_total",
@@ -36,7 +33,7 @@ var (
 	obsAntiEntropyRounds = obs.GetCounter("ipa_shard_anti_entropy_rounds_total",
 		"Anti-entropy sweeps completed over the session chains.")
 	obsAntiEntropyRepairs = obs.GetCounter("ipa_shard_anti_entropy_repairs_total",
-		"Replica copies re-baselined by the anti-entropy loop (drift or stall).")
+		"Replica copies re-baselined by an anti-entropy sweep (drift or stall).")
 	obsRelayPolls = obs.GetCounter("ipa_shard_relay_routed_polls_total",
 		"Client polls routed to the relay tier instead of the owning shard.")
 )

@@ -8,8 +8,8 @@
 //   - Readers (every Publish/Poll/Reset resolution) Load the current
 //     table and walk plain maps with zero locks and zero retries; a
 //     concurrent topology edit is simply not observed until its swap.
-//   - Writers (shard add/remove, first-touch placement, rebalance
-//     flips, fault evictions) clone the table under the store mutex,
+//   - Writers (shard add/remove, first-touch placement, pinned
+//     moves, fault evictions) clone the table under the store mutex,
 //     edit the clone, and publish it with a generation bump.
 //
 // This removes the fabric's last global serialization point: after the
@@ -27,10 +27,10 @@ import (
 type Entry struct {
 	// Shard names the session's current owner.
 	Shard string
-	// Pinned marks a placement made by the load balancer rather than
-	// ring position: ring edits leave it alone (only losing its shard
-	// re-homes it), so a deliberate hot-session move is not silently
-	// undone by the next topology change.
+	// Pinned marks a placement chosen deliberately (a session move or a
+	// failover promotion) rather than by ring position: ring edits leave
+	// it alone (only losing its shard re-homes it), so a deliberate move
+	// is not silently undone by the next topology change.
 	Pinned bool
 	// Replicas names the shards holding the session's standby copies in
 	// chain order: the mirror stream visits Replicas[0] first, then
@@ -153,7 +153,7 @@ func (t *Table[B]) clone() *Table[B] {
 
 // Gen is the table generation: 0 for the empty initial table, bumped by
 // every published edit (topology change, first-touch placement,
-// rebalance flip, fault eviction). Surfaced through session status so
+// pinned move, fault eviction). Surfaced through session status so
 // clients can tell "the fabric changed under me" from "nothing moved".
 func (t *Table[B]) Gen() uint64 { return t.gen }
 

@@ -397,7 +397,7 @@ func (r *Router) failover(t *placement.Table[Backend], dead string) (evicted, pr
 		did := false
 		for _, f := range flips {
 			if e, ok := m.Lookup(f.sid); ok && e.Shard == dead {
-				// Pinned like a balancer move: ring edits must not bounce
+				// Pinned like a MoveSession: ring edits must not bounce
 				// a failed-over session around while its old home is down.
 				m.Place(f.sid, f.to, true)
 				m.SetReplicas(f.sid, f.survivors)

@@ -16,10 +16,10 @@
 // NeedFull so its producer re-baselines on the new shard.
 //
 // Placement is a subsystem of its own: routing reads are lock-free RCU
-// loads of the placement table, a Balancer migrates the hottest
-// sessions off overloaded shards by observed publish+poll rates, and a
-// Health prober marks unreachable shards dead so their sessions re-home
-// lazily from their engines' next re-baseline.
+// loads of the placement table, MoveSession pins a session to a chosen
+// shard, and a Health prober (run by whoever owns a fabric of shards
+// that can fail independently) marks unreachable shards dead so their
+// sessions re-home lazily from their engines' next re-baseline.
 package shard
 
 import (
@@ -84,7 +84,7 @@ var ErrNoShards = errors.New("shard: router has no shards")
 // placement table (one atomic pointer read) and resolves the owner from
 // immutable maps, so any number of publishes and polls resolve
 // concurrently and a slow shard or a topology edit never stalls the
-// fabric. Only topology edits, first-touch placements, rebalance
+// fabric. Only topology edits, first-touch placements, MoveSession
 // flips, and fault evictions take the write path (clone-and-swap under
 // the store mutex). Handoffs (AddShard/RemoveShard/MoveSession) run
 // concurrently with traffic: a publish that races the migration lands
@@ -152,12 +152,12 @@ func NewRouter(vnodes int) *Router {
 	return &Router{table: placement.NewStore[Backend](vnodes)}
 }
 
-// Table exposes the current placement snapshot (diagnostics, balancer,
-// health prober). Treat it as read-only.
+// Table exposes the current placement snapshot (diagnostics, health
+// prober, anti-entropy). Treat it as read-only.
 func (r *Router) Table() *placement.Table[Backend] { return r.table.Load() }
 
 // Generation is the placement table's generation stamp: it bumps on
-// every topology edit, first-touch placement, rebalance move, or fault
+// every topology edit, first-touch placement, MoveSession, or fault
 // eviction — surfaced through session status so clients can tell the
 // fabric changed under them.
 func (r *Router) Generation() uint64 { return r.table.Load().Gen() }
@@ -474,7 +474,7 @@ func (r *Router) Shards() []string { return r.table.Load().Shards() }
 func (r *Router) DeadShards() []string { return r.table.Load().DeadShards() }
 
 // Handoffs reports how many live-session migrations the router has
-// completed across all ring edits and rebalance moves.
+// completed across all ring edits and MoveSession calls.
 func (r *Router) Handoffs() int64 { return r.handoffs.Load() }
 
 // Promotions reports how many replica promotions (epoch-fenced
@@ -550,9 +550,9 @@ func (r *Router) RemoveShard(name string) error {
 }
 
 // MoveSession migrates one live session to a named shard regardless of
-// its ring position — the balancer's primitive. The new placement is
-// pinned: later ring edits leave the session where the balancer put it;
-// only removing or losing its shard re-homes it.
+// its ring position. The new placement is pinned: later ring edits
+// leave the session where the caller put it; only removing or losing
+// its shard re-homes it.
 func (r *Router) MoveSession(sessionID, to string) error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
@@ -646,15 +646,15 @@ type move struct {
 	from, to string
 	fromB    Backend
 	toB      Backend
-	// pin marks the destination placement as balancer-chosen (survives
-	// ring edits).
+	// pin marks the destination placement as deliberately chosen
+	// (MoveSession, failover): it survives ring edits.
 	pin bool
 }
 
 // pendingMoves lists the placed sessions whose required owner differs
 // from their current placement against the given table: unpinned
 // sessions follow the ring; pinned ones move only when their shard left
-// the ring or died (nothing else may undo a deliberate balancer move).
+// the ring or died (nothing else may undo a deliberate move).
 func (r *Router) pendingMoves(t *placement.Table[Backend]) []move {
 	var moves []move
 	t.EachSession(func(sid string, e placement.Entry) {

@@ -203,17 +203,13 @@ func watchFabric(addr string, every time.Duration, once bool) error {
 
 		fmt.Printf("— fabric @ %s  gen %d  %d shard(s), %d session(s)\n",
 			time.Now().Format("15:04:05"), st.PlacementGen, len(st.Shards), len(st.Placements))
-		fmt.Printf("%-10s %-5s %8s %12s %12s %10s\n", "SHARD", "STATE", "SESSIONS", "PUBLISHES", "POLLS", "RATE/POLL")
+		fmt.Printf("%-10s %8s %12s %12s %10s\n", "SHARD", "SESSIONS", "PUBLISHES", "POLLS", "RATE/POLL")
 		for _, sh := range st.Shards {
-			state := "up"
-			if sh.Dead {
-				state = "dead"
-			}
 			dPub := sh.Publishes - prevPub[sh.Name]
 			dPoll := sh.Polls - prevPoll[sh.Name]
 			prevPub[sh.Name], prevPoll[sh.Name] = sh.Publishes, sh.Polls
-			fmt.Printf("%-10s %-5s %8d %12d %12d %+5d/%+4d\n",
-				sh.Name, state, sh.Sessions, sh.Publishes, sh.Polls, dPub, dPoll)
+			fmt.Printf("%-10s %8d %12d %12d %+5d/%+4d\n",
+				sh.Name, sh.Sessions, sh.Publishes, sh.Polls, dPub, dPoll)
 		}
 		if len(st.Relays) > 0 {
 			// The read fan-out tier: how many downstream polls each relay
@@ -232,8 +228,7 @@ func watchFabric(addr string, every time.Duration, once bool) error {
 				continue
 			}
 			// Render the whole replica chain hop by hop; a "!" marks a
-			// copy on a foreign epoch or ahead of its owner, the states
-			// an anti-entropy sweep repairs.
+			// copy on a foreign epoch or ahead of its owner.
 			hops := make([]string, 0, len(p.Chain))
 			for _, h := range p.Chain {
 				mark := ""

@@ -68,9 +68,9 @@ func main() {
 	insecure := flag.Bool("insecure", false, "serve the control endpoint over plain TCP (no GSI)")
 	credDir := flag.String("creddir", "ipa-creds", "where to write CA + user credentials")
 	shards := flag.Int("shards", 1, "merge-fabric shard count (>1 = consistent-hash session sharding)")
-	replicate := flag.Bool("replicate", false, "mirror each session to a replica chain; shard death promotes the deepest caught-up replica instead of losing the session (needs -shards > 1)")
+	replicate := flag.Bool("replicate", false, "mirror every accepted publish, in order, to a write-only copy of the session on other shards of this process (needs -shards > 1)")
 	replicas := flag.Int("replicas", 0, "replica chain depth K per session (0 = 1; needs -replicate; capped at shards-1)")
-	wal := flag.String("wal", "", "directory for per-manager append-only merge logs, which a promoted replica's handoff replays; sessions do not survive a restart (\"\" = no logs)")
+	wal := flag.String("wal", "", "directory for per-manager append-only merge logs; sessions do not survive a restart (\"\" = no logs)")
 	walSync := flag.Int("wal-sync", 64, "fsync the session log every N records (0 = every record)")
 	httpAddr := flag.String("http", "", "serve /metrics, /fabric/status and /debug/pprof/ on this address (e.g. 127.0.0.1:6060; \"\" = off)")
 	relays := flag.Int("relays", 0, "read relay count: delta-subscribing mirrors that absorb client polls (0 = off; needs -shards > 1)")
@@ -147,7 +147,7 @@ func main() {
 			fmt.Printf("read relays: %d delta-subscribing mirror(s) absorbing client polls (writes stay on the owning shards)\n", len(grid.Relays))
 		}
 		if *replicate {
-			fmt.Printf("replication: each session mirrored down a chain of %d standby shard(s) (epoch-fenced failover, deepest caught-up wins)\n", max(*replicas, 1))
+			fmt.Printf("replication: each session mirrored down a chain of %d replica shard(s) (write-only copies in this process)\n", max(*replicas, 1))
 		}
 	}
 	if *wal != "" {

@@ -341,7 +341,7 @@ func (c *Client) dropDirect() {
 // pollReply fetches one PollReply, preferring the direct shard (or
 // relay) path. sinceEpoch is the mirror's last seen incarnation stamp:
 // a direct reply whose version regressed but whose epoch changed is a
-// legitimate rebuild (relay re-baseline, failover promotion) that the
+// legitimate rebuild (relay re-baseline, re-created session) that the
 // caller's resync rule handles, not a stale endpoint.
 func (c *Client) pollReply(args merge.PollArgs, sinceEpoch int64) (merge.PollReply, error) {
 	var reply merge.PollReply

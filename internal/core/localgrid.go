@@ -28,9 +28,7 @@ import (
 //
 // A LocalGrid runs no shard prober and no placement loop: its shards
 // are in-process managers that cannot fail apart from the process, and
-// each already serves its sessions concurrently. shard.Health and
-// shard.AntiEntropy are for a fabric of shards on other nodes, whose
-// owner calls their RunOnce.
+// each already serves its sessions concurrently.
 type GridOptions struct {
 	// Nodes is the worker-node count (default 4); every session runs one
 	// engine per node.
@@ -46,19 +44,17 @@ type GridOptions struct {
 	// manager shards behind a consistent-hash router.
 	Shards int
 	// Replicate mirrors every accepted publish to a per-session replica
-	// chain, so a shard death promotes the deepest caught-up replica
-	// (epoch-fenced) instead of evicting the sessions to empty. Needs
-	// Shards > 1 (NewLocalGrid refuses it otherwise); off by default (the
-	// DisableReplication ablation baseline).
+	// chain on other shards: a write-only copy in the same process that
+	// nothing reads or promotes. Needs Shards > 1 (NewLocalGrid refuses
+	// it otherwise); off by default.
 	Replicate bool
 	// ReplicaDepth is the replica chain length K per session (0 = 1, the
-	// single-standby default). Needs Shards > 1; ignored unless
+	// single-replica default). Needs Shards > 1; ignored unless
 	// Replicate is on.
 	ReplicaDepth int
 	// WALDir, when set, gives every shard manager an append-only
-	// snapshot/delta log under this directory; a promoted replica
-	// inherits a dead shard's log tail (Replicate). Sessions do not
-	// survive a restart: their records live only in memory, so startup
+	// snapshot/delta log under this directory. Sessions do not survive a
+	// restart: their records live only in memory, so startup
 	// replays each log, then drops every merge session it brought back
 	// and compacts them out of the log. WALSyncEvery batches fsyncs (0 =
 	// every record).
@@ -188,19 +184,6 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			}
 		}
 		g.Merge = g.Router
-		if opts.Replicate && opts.WALDir != "" {
-			// WAL-backed replica handoff: a promoted copy inherits the
-			// dead primary's durable log tail for its session before the
-			// promotion stamps the new epoch.
-			walDir := opts.WALDir
-			g.Router.WALTail = func(deadShard, sessionID, targetShard string) (int, error) {
-				target, ok := g.ShardMgrs[targetShard]
-				if !ok {
-					return 0, fmt.Errorf("core: no local manager for shard %q", targetShard)
-				}
-				return merge.ReplaySessionInto(filepath.Join(walDir, deadShard+".wal"), sessionID, target)
-			}
-		}
 		if opts.Relays > 0 {
 			// Read fan-out tier: relays subscribe to the owners through
 			// the router's relay-bypassing origin poller and the router

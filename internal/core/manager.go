@@ -304,8 +304,8 @@ func (c *control) Status(args SessionRequest, reply *StatusResponse) error {
 		State: string(st.State), Dataset: st.Dataset, Bundle: st.Bundle,
 		Shard: st.Shard, ShardAddr: st.ShardAddr,
 		RelayName: st.RelayName, RelayAddr: st.RelayAddr,
-		PlacementGen: st.PlacementGen, DeadShards: st.DeadShards,
-		ResultEpoch: st.ResultEpoch, Replica: st.Replica, ReplicaChain: st.ReplicaChain,
+		PlacementGen: st.PlacementGen, ResultEpoch: st.ResultEpoch,
+		Replica: st.Replica, ReplicaChain: st.ReplicaChain,
 		Publishes: st.Publishes, Polls: st.Polls, FastPolls: st.FastPolls,
 		ReplicaLag: st.ReplicaLag,
 	}

@@ -142,18 +142,13 @@ type StatusResponse struct {
 	// writes on the owning shard.
 	RelayAddr string
 	// PlacementGen is the fabric's placement-table generation — it bumps
-	// on every topology edit, session move, or fault eviction (0 when
-	// unsharded).
+	// on every topology edit or session move (0 when unsharded).
 	PlacementGen uint64
-	// DeadShards lists fabric shards currently marked unreachable by a
-	// health prober (always empty on a LocalGrid, which runs none).
-	DeadShards []string
 	// ResultEpoch stamps the session's merge-state incarnation: it
-	// changes when the state is rebuilt (failover promotion or
-	// post-fault re-baseline), telling incremental pollers to discard
-	// their mirror and full-resync.
+	// changes when the session is re-created, telling incremental
+	// pollers to discard their mirror and full-resync.
 	ResultEpoch int64
-	// Replica names the shard holding the session's first standby copy
+	// Replica names the shard holding the session's first replica copy
 	// (empty when replication is off); ReplicaChain lists the whole
 	// replica chain in order for depth-K fabrics.
 	Replica      string
@@ -164,7 +159,7 @@ type StatusResponse struct {
 	Publishes int64
 	Polls     int64
 	FastPolls int64
-	// ReplicaLag is how many merged-result versions the standby trails
+	// ReplicaLag is how many merged-result versions the replica trails
 	// the owner (0 when unreplicated or caught up).
 	ReplicaLag int64
 	Engines    []EngineStatusRow

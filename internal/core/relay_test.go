@@ -12,13 +12,14 @@ import (
 	"github.com/ipa-grid/ipa/internal/merge"
 )
 
-// TestRelayGridFailoverConvergence runs the full client workflow on a
-// replicated, relay-fronted fabric: the client's reads resolve onto
-// the relay tier (writes stay on the owning shard), and when the
-// primary dies and a replica is promoted, the epoch change propagates
+// TestRelayGridReincarnationConvergence runs the full client workflow
+// on a replicated, relay-fronted fabric: the client's reads resolve
+// onto the relay tier (writes stay on the owning shard), and when the
+// session's merge state is dropped on its owner and a rewound re-run
+// re-creates it under a fresh epoch, the epoch change propagates
 // shard → relay → client so the mirror full-resyncs and converges
-// byte-identically to the promoted owner.
-func TestRelayGridFailoverConvergence(t *testing.T) {
+// byte-identically to the owner.
+func TestRelayGridReincarnationConvergence(t *testing.T) {
 	g, err := NewLocalGrid(GridOptions{
 		Nodes: 2, BaseDir: t.TempDir(),
 		Shards: 3, Insecure: true,
@@ -83,13 +84,17 @@ func TestRelayGridFailoverConvergence(t *testing.T) {
 		t.Fatalf("status shard/epoch = %q/%d", st.Shard, st.ResultEpoch)
 	}
 
-	// Kill the primary: the replica is promoted under a fresh epoch.
-	// The engines are done, so what the client sees afterwards is
-	// exactly what the replica preserved plus the epoch-driven resync.
-	if _, promoted := g.Router.MarkDead(st.Shard); len(promoted) == 0 {
-		t.Fatalf("killing %s promoted no replicas", st.Shard)
+	// Drop the merge state on its owner, then rewind and re-run: the
+	// engines' publishes re-create the session there under a fresh
+	// epoch.
+	g.ShardMgrs[st.Shard].Drop(c.SessionID())
+	if err := c.Rewind(); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
 	var st2 StatusResponse
 	for {
 		st2, err = c.Status()
@@ -100,17 +105,18 @@ func TestRelayGridFailoverConvergence(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("ResultEpoch never flipped after failover: %d", st2.ResultEpoch)
+			t.Fatalf("ResultEpoch never flipped after the re-incarnation: %d", st2.ResultEpoch)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st2.Shard == st.Shard {
-		t.Fatalf("session still placed on the dead shard %s", st.Shard)
+	if st2.Shard != st.Shard {
+		t.Fatalf("session moved from %s to %s", st.Shard, st2.Shard)
 	}
+	waitFinished(t, c, 30*time.Second)
 
 	// The relay re-baselines on its next subscription polls and the
 	// client's epoch rule forces a full resync through it; converge on
-	// the promoted owner's exact state.
+	// the owner's exact state.
 	for {
 		if _, err := c.Poll(); err != nil {
 			t.Fatal(err)
@@ -120,7 +126,7 @@ func TestRelayGridFailoverConvergence(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("client never converged after failover: %+v", h)
+			t.Fatalf("client never converged after the re-incarnation: %+v", h)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -1,8 +1,8 @@
 // Fabric status: the JSON document behind ipa-manager's /fabric/status
 // endpoint (and ipa-client -watch). It is a read-only snapshot stitched
-// from the same lock-free surfaces the shard probers read — the
-// placement table, the per-shard Stats atomics, and the global
-// telemetry event ring — so serving it never blocks a publish.
+// from lock-free surfaces — the placement table, the per-shard Stats
+// atomics, and the global telemetry event ring — so serving it never
+// blocks a publish.
 
 package core
 
@@ -17,9 +17,6 @@ import (
 // ShardStatus is one fabric member in a FabricStatus report.
 type ShardStatus struct {
 	Name string `json:"name"`
-	// Dead marks a shard the health prober currently considers
-	// unreachable.
-	Dead bool `json:"dead,omitempty"`
 	// Sessions counts the sessions the placement table routes here.
 	Sessions int `json:"sessions"`
 	// Publishes / Polls aggregate the cumulative traffic counters of the
@@ -32,13 +29,13 @@ type ShardStatus struct {
 type SessionPlacement struct {
 	SessionID string `json:"sessionID"`
 	Shard     string `json:"shard,omitempty"`
-	// Replica is the first chain hop (kept for single-standby readers);
+	// Replica is the first chain hop (kept for single-replica readers);
 	// Chain is the per-hop breakdown of the whole replica chain in
 	// order, each hop with its own lag and staleness mark.
 	Replica string         `json:"replica,omitempty"`
 	Chain   []shard.HopLag `json:"chain,omitempty"`
-	// Epoch is the merge-state incarnation stamp (bumps on failover
-	// promotion); Version the merged-result version clients poll against.
+	// Epoch is the merge-state incarnation stamp (new when the session is
+	// re-created); Version the merged-result version clients poll against.
 	Epoch   int64 `json:"epoch,omitempty"`
 	Version int64 `json:"version"`
 	// Publishes / Polls / FastPolls are the cumulative traffic counters;
@@ -87,8 +84,8 @@ type FabricStatus struct {
 	Relays     []RelayStatus      `json:"relays,omitempty"`
 	Placements []SessionPlacement `json:"placements"`
 	// Events are the most recent structured fabric events (handoffs,
-	// promotions, fences, evictions, dead marks, revivals, spans) from
-	// the in-memory telemetry ring.
+	// chain seeds, mirror backpressure, spans) from the in-memory
+	// telemetry ring.
 	Events []obs.Event `json:"events"`
 	// NextEventSeq resumes the ring: pass it to the telemetry RPC (or
 	// compare across polls) to read only newer events.
@@ -134,15 +131,11 @@ func (g *LocalGrid) FabricStatus(maxEvents int) FabricStatus {
 
 	st.Sharded = true
 	st.PlacementGen = g.Router.Generation()
-	dead := make(map[string]bool)
-	for _, name := range g.Router.DeadShards() {
-		dead[name] = true
-	}
 	rows := make(map[string]*ShardStatus)
 	names := g.Router.Shards()
 	sort.Strings(names)
 	for _, name := range names {
-		rows[name] = &ShardStatus{Name: name, Dead: dead[name]}
+		rows[name] = &ShardStatus{Name: name}
 	}
 	for _, sid := range sortedSessions(g.Router.Sessions()) {
 		owner := g.Router.Placement(sid)

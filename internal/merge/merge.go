@@ -123,8 +123,7 @@ type PublishReply struct {
 	Version  int64 // session version after this publish
 	// Epoch is the session's incarnation stamp at this publish — what a
 	// replicating router forwards with the mirrored delta so the
-	// replica can tell live mirrors from a deposed primary's
-	// stragglers.
+	// replica can tell mirrors of its incarnation from an older one's.
 	Epoch int64
 	// NeedFull asks the worker to re-baseline: the manager cannot apply
 	// the delta (unknown worker or a sequence gap) and needs a full
@@ -151,7 +150,7 @@ type PollArgs struct {
 	// Wait parks a non-Full poll that has nothing new — SinceVersion is
 	// the current version, or the session is unknown here — for up to
 	// Wait (capped at MaxPollWait), until the session commits a new
-	// version or is dropped, sealed or fenced. The poll then answers as
+	// version or is dropped or sealed. The poll then answers as
 	// an unparked one would. 0 answers at once.
 	Wait time.Duration
 	// SinceEpoch is the epoch SinceVersion was read at (0 = not known).
@@ -236,11 +235,11 @@ type workerState struct {
 	tree  *aida.Tree
 	done  int64
 	total int64
-	// pending is the undecoded delta tail of a mirror-fed standby copy:
+	// pending is the undecoded delta tail of a mirror-fed replica copy:
 	// Mirror appends here instead of decoding and re-merging, so
 	// synchronous replication stays cheap on the publish path.
-	// Materialized (folded into tree) when it grows long, on export,
-	// and at promotion. Empty on live primaries.
+	// Materialized (folded into tree) when it grows long and on export.
+	// Empty on live primaries.
 	pending []*aida.DeltaState
 }
 
@@ -286,12 +285,6 @@ type sessionState struct {
 	// routing flips. Import clears it. Atomic so Stats never waits on a
 	// write section.
 	sealed atomic.Bool
-	// fence is the failover fence floor: state whose epoch is at or
-	// below it is refused on every write surface, and a session whose
-	// own epoch sits at or below it is a deposed copy that answers
-	// polls like an unknown session. Only ever rises. Atomic because
-	// the lock-free poll fast path reads it.
-	fence atomic.Int64
 	// Poll bookkeeping, atomic so read paths never take the write lock.
 	cacheHits, cacheMisses atomic.Int64
 	indexPolls, walkPolls  atomic.Int64
@@ -304,8 +297,8 @@ type sessionState struct {
 	publishes, polls atomic.Int64
 	// lastTrace is the trace ID of the most recent traced publish or
 	// mirror applied to this state — the observable that lets a test (or
-	// an operator) confirm one traced publish reached the owner, its
-	// replica, and the post-failover promoted copy.
+	// an operator) confirm one traced publish reached the owner and its
+	// replica.
 	lastTrace atomic.Uint64
 
 	version int64
@@ -460,7 +453,7 @@ func (s *sessionState) storePubLocked(ps *polledState) {
 }
 
 // wakeLocked wakes the parked polls of an event that changes how a poll
-// is answered but not the version — a seal, a fence — or, with retire,
+// is answered but not the version — a seal — or, with retire,
 // that ends the session here. Caller holds mu.
 func (s *sessionState) wakeLocked(retire bool) {
 	ps := *s.pub.Load()
@@ -536,7 +529,7 @@ func (s *sessionState) recordChange(path string) {
 }
 
 // invalidateChangeIndex empties the index after a bulk restamp (reset,
-// session import, promotion); it refills from the next delta.
+// session import); it refills from the next delta.
 func (s *sessionState) invalidateChangeIndex() {
 	s.changeLog = nil
 	s.indexLen = 0
@@ -636,18 +629,18 @@ func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	defer obsPubWaiting.Add(-1)
 	reply.Version = s.version
 	reply.Epoch = s.epoch.Load()
-	if s.sealed.Load() || s.fenced() {
-		// Mid-handoff (or a deposed post-failover copy): refusing with
-		// NeedFull makes the producer re-baseline — by the time it does,
-		// routing has flipped and the baseline lands on the live owner.
+	if s.sealed.Load() {
+		// Mid-handoff: refusing with NeedFull makes the producer
+		// re-baseline — by the time it does, routing has flipped and the
+		// baseline lands on the live owner.
 		reply.Accepted, reply.NeedFull = false, true
 		return nil
 	}
 	w := s.worker(args.WorkerID)
 	if len(w.pending) > 0 {
-		// A mirror-fed worker taking direct publishes (its copy went
-		// live): fold the stored tail first so the delta lands on the
-		// full baseline.
+		// A mirror-fed worker taking direct publishes (its copy became
+		// the owner by a handoff): fold the stored tail first so the
+		// delta lands on the full baseline.
 		if err := w.materialize(); err != nil {
 			return err
 		}
@@ -776,8 +769,8 @@ func (s *sessionState) recomputePath(path string) error {
 }
 
 // rebuild recomputes the merged tree from every worker tree and stamps
-// every path with the current version — how an imported or promoted copy
-// becomes servable. Paths that vanished are recorded as removed. Caller
+// every path with the current version — how an imported copy becomes
+// servable. Paths that vanished are recorded as removed. Caller
 // holds s.mu.
 func (s *sessionState) rebuild() error {
 	prev := s.merged
@@ -825,12 +818,6 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 	}
 	s.polls.Add(1)
 	obsPolls.Inc()
-	if s.fenced() {
-		// A deposed post-failover copy answers like an unknown session:
-		// version 0 sends a direct-polling straggler back to placement
-		// resolution, where it finds the promoted owner.
-		return nil
-	}
 	if !args.Full {
 		// Lock-free fast path: nothing changed since the client's last
 		// poll. The snapshot pointer is stored only after a write
@@ -927,9 +914,8 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 // park holds a poll that has nothing new for its caller until that may
 // have changed, or until args.Wait (capped at MaxPollWait) has passed.
 // Nothing is new while the session is still at the caller's version and
-// epoch, is fenced (it answers like an unknown session until it
-// changes), or is unknown here. The poll waits on the snapshot's
-// changed channel and wakes once: a commit, seal, fence or drop may
+// epoch, or is unknown here. The poll waits on the snapshot's
+// changed channel and wakes once: a commit, seal or drop may
 // change the answer, and the caller polls again to find out. A poll of
 // an unknown session waits on born instead, and then for the new
 // session's first commit, which its creator makes right after.
@@ -946,14 +932,14 @@ func (m *Manager) park(args PollArgs) {
 		case <-t.C:
 			return
 		}
-		if s = m.lookup(args.SessionID); s == nil || s.fenced() {
+		if s = m.lookup(args.SessionID); s == nil {
 			return
 		}
 		args.SinceVersion, args.SinceEpoch = 0, 0
 	}
 	ps := s.pub.Load()
-	if !s.fenced() && (ps.version != args.SinceVersion ||
-		args.SinceEpoch != 0 && args.SinceEpoch != s.epoch.Load()) {
+	if ps.version != args.SinceVersion ||
+		args.SinceEpoch != 0 && args.SinceEpoch != s.epoch.Load() {
 		return
 	}
 	s.parked.Add(1)
@@ -1285,12 +1271,6 @@ func (m *Manager) Import(args ImportArgs, reply *ImportReply) error {
 	s := m.session(args.SessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.fence.Load(); f > 0 && args.Epoch <= f {
-		// A stale incarnation (or one of unknown vintage) must not
-		// resurrect over a fenced copy — the exact zombie-rebaseline
-		// race the fence exists to close.
-		return ErrFenced
-	}
 	if args.Version > s.version {
 		s.version = args.Version
 	}
@@ -1352,10 +1332,8 @@ type StatsReply struct {
 	CacheHits, CacheMisses int64
 	Workers                int
 	Sealed                 bool
-	// Epoch is the session's incarnation stamp; Fenced marks a deposed
-	// post-failover copy (its epoch sits at or below its fence floor).
-	Epoch  int64
-	Fenced bool
+	// Epoch is the session's incarnation stamp.
+	Epoch int64
 	// FastPolls counts polls answered by the lock-free quiescent path.
 	FastPolls int64
 	// Parked counts the polls parked on the session right now (see
@@ -1366,13 +1344,13 @@ type StatsReply struct {
 	Publishes, Polls int64
 	// LastTraceID is the trace ID of the most recent traced publish or
 	// mirror applied here (0 = none yet) — how trace propagation is
-	// observed on owners, replicas, and post-failover promoted copies.
+	// observed on owners and replicas.
 	LastTraceID uint64
 }
 
 // Stats reports a session's version and cache counters (RMI-compatible).
-// Served entirely from atomics, so a fault-detection probe never blocks
-// behind a long publish holding the session write lock.
+// Served entirely from atomics, so a status probe never blocks behind a
+// long publish holding the session write lock.
 func (m *Manager) Stats(args StatsArgs, reply *StatsReply) error {
 	s := m.lookup(args.SessionID)
 	if s == nil {
@@ -1385,7 +1363,6 @@ func (m *Manager) Stats(args StatsArgs, reply *StatsReply) error {
 	reply.Workers = len(ps.progress)
 	reply.Sealed = s.sealed.Load()
 	reply.Epoch = s.epoch.Load()
-	reply.Fenced = s.fenced()
 	reply.FastPolls = s.fastPolls.Load()
 	reply.Parked = s.parked.Load()
 	reply.Publishes = s.publishes.Load()
@@ -1456,9 +1433,6 @@ func (m *Manager) DropSession(args DropArgs, reply *DropReply) error {
 	if v, ok := m.sessions.Load(args.SessionID); ok {
 		shell := newSessionState()
 		shell.sealed.Store(true)
-		// A fence floor outlives the state it fenced: the shell must
-		// keep refusing the dead incarnation's stragglers and imports.
-		shell.fence.Store(v.(*sessionState).fence.Load())
 		if m.sessions.CompareAndSwap(args.SessionID, v, shell) {
 			v.(*sessionState).retire()
 			m.walAppend(&walRecord{Kind: walDrop, Session: args.SessionID, Tombstone: true})

@@ -48,7 +48,7 @@ func waitParked(t *testing.T, m *Manager, sid string, n int64) {
 
 // TestParkedPollWakesOnEveryStateChange parks a poll at the current
 // version and checks that each event which can change its answer —
-// a commit, a seal, a fence, a drop, a handoff tombstone — ends the
+// a commit, a seal, a drop, a handoff tombstone — ends the
 // park within 5 ms, long before its deadline, and that the poll then
 // answers as an unparked poll would.
 func TestParkedPollWakesOnEveryStateChange(t *testing.T) {
@@ -70,7 +70,6 @@ func TestParkedPollWakesOnEveryStateChange(t *testing.T) {
 		{"export-seal", func(m *Manager) error {
 			return m.Export(ExportArgs{SessionID: "s", Seal: true}, &ExportReply{})
 		}, -1},
-		{"fence", func(m *Manager) error { return m.Fence(FenceArgs{SessionID: "s"}, &FenceReply{}) }, 0},
 		{"drop", func(m *Manager) error { m.Drop("s"); return nil }, 0},
 		{"tombstone", func(m *Manager) error {
 			return m.DropSession(DropArgs{SessionID: "s", Tombstone: true}, &DropReply{})

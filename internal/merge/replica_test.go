@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -69,34 +68,22 @@ func publishRounds(t *testing.T, primary, replica *Manager, sid string, rounds i
 	return tree
 }
 
-// The delta stream alone must bootstrap a standby: mirroring every
-// publish (starting with the full baseline) and promoting yields the
-// primary's exact merged state under a new epoch.
+// The delta stream alone must bootstrap a replica: mirroring every
+// publish (starting with the full baseline) yields a copy under the
+// primary's epoch that exports exactly what the primary does.
 func TestMirrorStreamBootstrapsReplicaAndPromotes(t *testing.T) {
 	primary, replica := NewManager(), NewManager()
 	publishRounds(t, primary, replica, "s", 8)
 
-	oldEpoch := primary.Epoch("s")
-	if oldEpoch == 0 {
+	epoch := primary.Epoch("s")
+	if epoch == 0 {
 		t.Fatal("live session has epoch 0")
 	}
-	if got := replica.Epoch("s"); got != oldEpoch {
-		t.Fatalf("replica adopted epoch %d, want the primary's %d", got, oldEpoch)
+	if got := replica.Epoch("s"); got != epoch {
+		t.Fatalf("replica adopted epoch %d, want the primary's %d", got, epoch)
 	}
-
-	var pr PromoteReply
-	if err := replica.Promote(PromoteArgs{SessionID: "s"}, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Found {
-		t.Fatal("promote of a mirrored copy reported nothing to promote")
-	}
-	if pr.Epoch == oldEpoch || pr.PrevEpoch != oldEpoch {
-		t.Fatalf("promote epochs = %+v, want a bump over %d", pr, oldEpoch)
-	}
-	got, want := mergedOf(t, replica, "s"), mergedOf(t, primary, "s")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("promoted state differs from the primary's:\n got %v\nwant %v", got, want)
+	if got, want := exportOf(t, replica, "s"), exportOf(t, primary, "s"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica export differs from the primary's:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -120,108 +107,6 @@ func TestMirrorGapAsksForRebaseline(t *testing.T) {
 	}
 	if mr.Accepted || !mr.NeedFull {
 		t.Fatalf("baseline-less mirror = %+v, want NeedFull", mr)
-	}
-	// And promoting the resulting empty shell must report nothing found:
-	// flipping routing onto vacuum would "recover" an empty session.
-	var pr PromoteReply
-	if err := replica.Promote(PromoteArgs{SessionID: "s"}, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Found {
-		t.Fatal("promote of an empty shell reported Found")
-	}
-}
-
-// After promotion the copy is fenced against its ancestor incarnation:
-// stale mirrors and stale imports are refused, and a straggler mirror
-// from the dead primary's epoch cannot resurrect over the new state.
-func TestPromoteFencesAncestorEpoch(t *testing.T) {
-	primary, replica := NewManager(), NewManager()
-	tree := publishRounds(t, primary, replica, "s", 4)
-	oldEpoch := primary.Epoch("s")
-
-	var pr PromoteReply
-	if err := replica.Promote(PromoteArgs{SessionID: "s"}, &pr); err != nil {
-		t.Fatal(err)
-	}
-	// A straggler mirror stamped with the dead incarnation's epoch.
-	d, _ := tree.Delta()
-	var mr MirrorReply
-	err := replica.Mirror(MirrorArgs{SessionID: "s", WorkerID: "w0", Seq: 5, Epoch: oldEpoch, Delta: d}, &mr)
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale-epoch mirror after promote: err=%v reply=%+v, want ErrFenced", err, mr)
-	}
-	// A zombie re-baseline (import) from the dead incarnation.
-	var exp ExportReply
-	if err := primary.Export(ExportArgs{SessionID: "s"}, &exp); err != nil {
-		t.Fatal(err)
-	}
-	var ir ImportReply
-	err = replica.Import(ImportArgs{
-		SessionID: "s", Version: exp.Version, Epoch: exp.Epoch, Workers: exp.Workers,
-	}, &ir)
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale-epoch import after promote: %v, want ErrFenced", err)
-	}
-	// The promoted incarnation itself keeps working: its own epoch is
-	// above the fence, so a fresh import (say, a later handoff) lands.
-	var exp2 ExportReply
-	if err := replica.Export(ExportArgs{SessionID: "s"}, &exp2); err != nil {
-		t.Fatal(err)
-	}
-	if exp2.Epoch <= oldEpoch {
-		t.Fatalf("promoted export epoch %d not above the fence %d", exp2.Epoch, oldEpoch)
-	}
-}
-
-// Self-fencing a deposed primary makes its copy refuse publishes (the
-// stragglers re-baseline elsewhere once routing flips) and answer polls
-// like an unknown session, while explicit fences create shells that
-// block resurrection-by-import.
-func TestFenceRefusesWritesAndHidesPolls(t *testing.T) {
-	primary := NewManager()
-	tree := publishRounds(t, primary, nil, "s", 4)
-	var fr FenceReply
-	if err := primary.Fence(FenceArgs{SessionID: "s"}, &fr); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Epoch != primary.Epoch("s") {
-		t.Fatalf("self-fence floor %d != epoch %d", fr.Epoch, primary.Epoch("s"))
-	}
-	// Straggler publish → NeedFull, never applied.
-	d, _ := tree.Delta()
-	var rep PublishReply
-	if err := primary.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 5, Delta: d}, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Accepted || !rep.NeedFull {
-		t.Fatalf("publish to fenced copy = %+v, want NeedFull", rep)
-	}
-	// Polls answer like an unknown session (version 0, no entries).
-	var poll PollReply
-	if err := primary.Poll(PollArgs{SessionID: "s", Full: true}, &poll); err != nil {
-		t.Fatal(err)
-	}
-	if poll.Version != 0 || len(poll.Entries) != 0 {
-		t.Fatalf("poll of fenced copy = version %d, %d entries; want empty", poll.Version, len(poll.Entries))
-	}
-	// An explicit fence on an unknown session leaves a shell that blocks
-	// a later import at or below the floor.
-	other := NewManager()
-	if err := other.Fence(FenceArgs{SessionID: "ghost", Epoch: 42}, &fr); err != nil {
-		t.Fatal(err)
-	}
-	var ir ImportReply
-	err := other.Import(ImportArgs{SessionID: "ghost", Version: 1, Epoch: 42}, &ir)
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("import at the fence floor: %v, want ErrFenced", err)
-	}
-	// Self-fence of an unknown session stays a no-op (no shell).
-	if err := other.Fence(FenceArgs{SessionID: "nobody"}, &fr); err != nil {
-		t.Fatal(err)
-	}
-	if other.Epoch("nobody") != 0 {
-		t.Fatal("self-fence of an unknown session allocated state")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Durability: an optional append-only snapshot/delta log per manager.
 // Every state-changing call the manager accepts (publish, mirror,
-// import, reset, drop, fence, promote) appends one record; a restarted
-// ipa-manager replays the log through the same entry points and rejoins
-// the fabric with its sessions intact instead of version-0 tombstones.
+// import, reset, drop) appends one record, and a replay feeds the log
+// back through the same entry points.
 //
 // Record format (ipawal2): a uvarint length, then a kind byte, a flags
 // byte, a fixed binary header (session, worker, seq, epoch, version,
@@ -61,7 +60,10 @@ const (
 )
 
 // Record kinds. Snapshot records carry the same Import-shaped payload
-// as imports; the separate kind only marks compaction re-seeds.
+// as imports; the separate kind only marks compaction re-seeds. Kinds 7
+// and 8 are reserved: older writers logged replica fences and promotions
+// under them. Nothing writes them now, replay skips them, and they are
+// never reused.
 const (
 	walPublish = 1 + iota
 	walMirror
@@ -335,8 +337,8 @@ func (r *walReader) importPayload(a *ImportArgs) {
 
 // decodeRecord parses one ipawal2 record body. Publish and mirror
 // records keep their payload as the attached frame, so re-logging a
-// replayed record (ReplaySessionInto) copies the bytes verbatim. body
-// must be a fresh slice the record may keep.
+// replayed record copies the bytes verbatim. body must be a fresh slice
+// the record may keep.
 func decodeRecord(body []byte) (*walRecord, error) {
 	r := &walReader{b: body}
 	rec := &walRecord{Kind: r.byte()}
@@ -817,16 +819,10 @@ func applyRecord(m *Manager, rec *walRecord) error {
 		return m.Publish(*rec.Publish, &pr)
 	case walMirror:
 		var mr MirrorReply
-		if err := m.Mirror(*rec.Mirror, &mr); err != nil && err != ErrFenced {
-			return err
-		}
-		return nil
+		return m.Mirror(*rec.Mirror, &mr)
 	case walImport, walSnapshot:
 		var ir ImportReply
-		if err := m.Import(*rec.Import, &ir); err != nil && err != ErrFenced {
-			return err
-		}
-		return nil
+		return m.Import(*rec.Import, &ir)
 	case walReset:
 		var rr ResetReply
 		if err := m.Reset(ResetArgs{SessionID: rec.Session}, &rr); err != nil && err != ErrSealed {
@@ -836,100 +832,14 @@ func applyRecord(m *Manager, rec *walRecord) error {
 	case walDrop:
 		var dr DropReply
 		return m.DropSession(DropArgs{SessionID: rec.Session, Tombstone: rec.Tombstone}, &dr)
-	case walFence:
-		var fr FenceReply
-		return m.Fence(FenceArgs{SessionID: rec.Session, Epoch: rec.Epoch}, &fr)
-	case walPromote:
-		var pr PromoteReply
-		return m.Promote(PromoteArgs{SessionID: rec.Session, Epoch: rec.Epoch}, &pr)
+	case walFence, walPromote:
+		// A replica fence or promotion an older writer logged. Replay
+		// drops every session it brings back, and nothing can create a
+		// deposed incarnation any more, so there is nothing to restore.
+		return nil
 	default:
 		return fmt.Errorf("merge: unknown log record kind %d", rec.Kind)
 	}
-}
-
-// ReplaySessionInto replays one session's state content from the log
-// files at path (the rotation file first, exactly like Replay) into a
-// different manager — the WAL-backed replica handoff: when a primary
-// dies, the copy about to be promoted inherits every delta the primary
-// durably logged, including ones the asynchronous mirror stream never
-// delivered. Only state-content records are applied — snapshots and
-// imports through Import, publishes and mirrors through Mirror (the
-// replica-side entry point, whose seq machinery silently drops records
-// the copy already holds) — never fences, promotions, resets, or drops:
-// those describe the dead incarnation's lifecycle, which the failover
-// itself re-decides. The files are read without truncating or locking
-// anything, so a live log being appended to concurrently just yields a
-// tolerated torn tail. Returns the number of records accepted by m.
-func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
-	applied := 0
-	apply := func(rec *walRecord) error {
-		switch rec.Kind {
-		case walImport, walSnapshot:
-			if rec.Import == nil || rec.Import.SessionID != sessionID {
-				return nil
-			}
-			var ir ImportReply
-			if err := m.Import(*rec.Import, &ir); err != nil && err != ErrFenced {
-				return err
-			}
-			applied++
-		case walPublish:
-			if rec.Publish == nil || rec.Publish.SessionID != sessionID {
-				return nil
-			}
-			p := rec.Publish
-			// The primary logged its accepted publishes; the copy replays
-			// them through Mirror, the entry point built for exactly this
-			// stream. Epoch 0 means "whatever incarnation you hold" —
-			// correct here, because the copy adopted the dead primary's
-			// epoch from the mirror stream and the promotion that follows
-			// re-stamps it anyway.
-			// A v2 record's frame rides along, so m logs the same bytes.
-			margs := MirrorArgs{
-				SessionID: p.SessionID, WorkerID: p.WorkerID, Seq: p.Seq,
-				Delta: p.Delta, EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
-				Log: p.Log, frame: p.frame,
-			}
-			var mr MirrorReply
-			if err := m.Mirror(margs, &mr); err != nil && err != ErrFenced {
-				return err
-			}
-			if mr.Accepted {
-				applied++
-			}
-		case walMirror:
-			if rec.Mirror == nil || rec.Mirror.SessionID != sessionID {
-				return nil
-			}
-			var mr MirrorReply
-			if err := m.Mirror(*rec.Mirror, &mr); err != nil && err != ErrFenced {
-				return err
-			}
-			if mr.Accepted {
-				applied++
-			}
-		}
-		return nil
-	}
-	if old, err := os.Open(path + ".old"); err == nil {
-		_, _, rerr := scanFile(old, apply)
-		old.Close()
-		if rerr != nil {
-			return applied, fmt.Errorf("merge: replaying %s.old: %w", path, rerr)
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return applied, nil
-		}
-		return applied, err
-	}
-	defer f.Close()
-	if _, _, err := scanFile(f, apply); err != nil {
-		return applied, err
-	}
-	return applied, nil
 }
 
 // SetWAL attaches the log: every subsequent state-changing call appends
@@ -1002,10 +912,9 @@ func (m *Manager) compact(w *WAL) error {
 	return w.dropOld()
 }
 
-// logSnapshot appends one session's full state as a snapshot record
-// (plus its fence floor, which Import does not carry). Takes the
-// session write lock, then the log mutex — the same order every logged
-// write uses.
+// logSnapshot appends one session's full state as a snapshot record.
+// Takes the session write lock, then the log mutex — the same order
+// every logged write uses.
 func (m *Manager) logSnapshot(sessionID string, w *WAL) error {
 	s := m.lookup(sessionID)
 	if s == nil {
@@ -1013,39 +922,33 @@ func (m *Manager) logSnapshot(sessionID string, w *WAL) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.version != 0 || len(s.workers) > 0 {
-		for _, id := range s.workerIDs {
-			if err := s.workers[id].materialize(); err != nil {
+	if s.version == 0 && len(s.workers) == 0 {
+		return nil
+	}
+	for _, id := range s.workerIDs {
+		if err := s.workers[id].materialize(); err != nil {
+			return err
+		}
+	}
+	imp := &ImportArgs{SessionID: sessionID, Version: s.version, Epoch: s.epoch.Load(), LastTraceID: s.lastTrace.Load()}
+	for _, id := range s.workerIDs {
+		wk := s.workers[id]
+		ws := WorkerSnapshot{WorkerID: id, Seq: wk.seq, Done: wk.done, Total: wk.total}
+		if wk.tree != nil {
+			st, err := wk.tree.State()
+			if err != nil {
 				return err
 			}
+			ws.HasTree, ws.Tree = true, *st
 		}
-		imp := &ImportArgs{SessionID: sessionID, Version: s.version, Epoch: s.epoch.Load(), LastTraceID: s.lastTrace.Load()}
-		for _, id := range s.workerIDs {
-			wk := s.workers[id]
-			ws := WorkerSnapshot{WorkerID: id, Seq: wk.seq, Done: wk.done, Total: wk.total}
-			if wk.tree != nil {
-				st, err := wk.tree.State()
-				if err != nil {
-					return err
-				}
-				ws.HasTree, ws.Tree = true, *st
-			}
-			imp.Workers = append(imp.Workers, ws)
-		}
-		for path, ver := range s.gone {
-			imp.Removed = append(imp.Removed, RemovedPath{Path: path, Version: ver})
-		}
-		for _, l := range s.logs {
-			imp.Logs = append(imp.Logs, LogLine{Version: l.version, Text: l.text})
-		}
-		if _, err := w.append(&walRecord{Kind: walSnapshot, Import: imp}); err != nil {
-			return err
-		}
+		imp.Workers = append(imp.Workers, ws)
 	}
-	if f := s.fence.Load(); f > 0 {
-		if _, err := w.append(&walRecord{Kind: walFence, Session: sessionID, Epoch: f}); err != nil {
-			return err
-		}
+	for path, ver := range s.gone {
+		imp.Removed = append(imp.Removed, RemovedPath{Path: path, Version: ver})
 	}
-	return nil
+	for _, l := range s.logs {
+		imp.Logs = append(imp.Logs, LogLine{Version: l.version, Text: l.text})
+	}
+	_, err := w.append(&walRecord{Kind: walSnapshot, Import: imp})
+	return err
 }

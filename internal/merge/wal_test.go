@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,44 +66,41 @@ func TestWALReplayRebuildsSessions(t *testing.T) {
 	}
 }
 
-// TestWALReplayRestoresPromotionAndFence: epoch bumps and fence floors
-// are state too — a restarted standby must still refuse its dead
-// ancestor's stragglers.
-func TestWALReplayRestoresPromotionAndFence(t *testing.T) {
+// TestWALReplaySkipsRetiredFenceAndPromote: older writers logged
+// replica fences (kind 7) and promotions (kind 8). A v2 log holding them
+// must replay without error, skipping both, and leave every session's
+// export as the other records built it.
+func TestWALReplaySkipsRetiredFenceAndPromote(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.wal")
-	primary := NewManager()
-	replica, w, _ := walManager(t, path, WALOptions{SyncEvery: 1})
-	tree := publishRounds(t, primary, replica, "s", 4)
-	oldEpoch := primary.Epoch("s")
-
-	var pr PromoteReply
-	if err := replica.Promote(PromoteArgs{SessionID: "s"}, &pr); err != nil {
+	m1, w1, _ := walManager(t, path, WALOptions{SyncEvery: 1})
+	walFixtureOps(t, m1)
+	retired := append(retiredRecords(),
+		// A fence above a live session's epoch would once have hidden it.
+		&walRecord{Kind: walFence, Session: "pub", Epoch: 1 << 62},
+		&walRecord{Kind: walPromote, Session: "unknown", Epoch: 7})
+	for _, rec := range retired {
+		if _, err := w1.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Found {
-		t.Fatal("nothing to promote")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, _, _ := walManager(t, path, WALOptions{SyncEvery: 1})
-	if got := cold.Epoch("s"); got != pr.Epoch {
-		t.Fatalf("replayed epoch %d, want the promoted %d", got, pr.Epoch)
-	}
-	got, want := mergedOf(t, cold, "s"), mergedOf(t, primary, "s")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("replayed promoted state differs from the primary's")
-	}
-	// The fence replayed with it: a straggler mirror from the deposed
-	// incarnation still bounces off the restarted copy.
-	d, err := tree.Delta()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr MirrorReply
-	if err := cold.Mirror(MirrorArgs{SessionID: "s", WorkerID: "w0", Seq: 5, Epoch: oldEpoch, Delta: d}, &mr); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale mirror after replayed promote: err=%v, want ErrFenced", err)
+	kinds := map[uint8]int{}
+	_, _, err = scanFile(f, func(rec *walRecord) error { kinds[rec.Kind]++; return nil })
+	f.Close()
+	if err != nil || kinds[walFence] != 2 || kinds[walPromote] != 2 {
+		t.Fatalf("log holds kinds %v (err %v), want two fences and two promotions", kinds, err)
+	}
+
+	m2, _, _ := walManager(t, path, WALOptions{SyncEvery: 1})
+	checkFixtureState(t, m2, walFixtureReference(t), walFixtureSessions)
+	if m2.Epoch("unknown") != 0 {
+		t.Fatal("a skipped promotion created a session")
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 var walFixtureSessions = []string{"pub", "mir", "imp", "rst", "drp"}
 
 // walFixtureOps drives one manager through every record kind the log
-// knows: delta and full-baseline publishes (with a removal, a log line
-// and a trace), a mirrored stream promoted under an explicit epoch, an
-// import with removed paths and logs, a fence, a reset and a
-// tombstoning drop. testdata/wal_v1.log is this sequence as the ipawal1
-// (gob) writer logged it, except that w2's baseline there is a legacy
-// whole-tree publish of the same tree — which replays as this full
-// delta. The same calls against a manager without a log are the
-// reference its replay must reproduce.
+// writes: delta and full-baseline publishes (with a removal, a log line
+// and a trace), a mirrored stream, an import with removed paths and
+// logs, a reset and a tombstoning drop. testdata/wal_v1.log is this
+// sequence as the ipawal1 (gob) writer logged it, with two differences:
+// w2's baseline there is a legacy whole-tree publish of the same tree,
+// which replays as this full delta; and it also holds the records
+// retiredRecords lists, logged where a promotion of "mir" and a fence of
+// "imp" once ran, which replay skips. The same calls against a manager
+// without a log are the reference its replay must reproduce.
 func walFixtureOps(t testing.TB, m *Manager) {
 	t.Helper()
 	must := func(err error) {
@@ -77,7 +78,7 @@ func walFixtureOps(t testing.TB, m *Manager) {
 	must(err)
 	publish(PublishArgs{SessionID: "pub", WorkerID: "w2", Seq: 1, Delta: d, EventsDone: 1, EventsTotal: 2})
 
-	// "mir": a mirrored stream, then promotion under an explicit epoch.
+	// "mir": a mirrored stream.
 	t3 := aida.NewTree()
 	c, err := t3.C1D("/mir", "c", "cloud")
 	must(err)
@@ -94,10 +95,8 @@ func walFixtureOps(t testing.TB, m *Manager) {
 	d, err = t3.Delta()
 	must(err)
 	must(m.Mirror(MirrorArgs{SessionID: "mir", WorkerID: "r0", Seq: 2, Epoch: 1000, Version: 2, Delta: d, EventsDone: 10, EventsTotal: 10}, &mr))
-	var pr PromoteReply
-	must(m.Promote(PromoteArgs{SessionID: "mir", Epoch: 5000}, &pr))
 
-	// "imp": an imported copy, then a fence below its epoch.
+	// "imp": an imported copy.
 	t4 := aida.NewTree()
 	hi, err := t4.H1D("/imp", "h", "x", 3, 0, 3)
 	must(err)
@@ -112,8 +111,6 @@ func walFixtureOps(t testing.TB, m *Manager) {
 		Logs:        []LogLine{{Version: 6, Text: "imported\n"}},
 		LastTraceID: 99,
 	}, &ir))
-	var fr FenceReply
-	must(m.Fence(FenceArgs{SessionID: "imp", Epoch: 1500}, &fr))
 
 	// "rst" is reset after a publish; "drp" is dropped to a tombstone.
 	for _, sid := range []string{"rst", "drp"} {
@@ -125,4 +122,14 @@ func walFixtureOps(t testing.TB, m *Manager) {
 	must(m.Reset(ResetArgs{SessionID: "rst"}, &rr))
 	var dr DropReply
 	must(m.DropSession(DropArgs{SessionID: "drp", Tombstone: true}, &dr))
+}
+
+// retiredRecords are the reserved-kind records older writers logged:
+// the fixture's promotion of "mir" under epoch 5000 and fence of "imp"
+// at floor 1500, as testdata/wal_v1.log holds them.
+func retiredRecords() []*walRecord {
+	return []*walRecord{
+		{Kind: walPromote, Session: "mir", Epoch: 5000},
+		{Kind: walFence, Session: "imp", Epoch: 1500},
+	}
 }

@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,24 +35,13 @@ func walFixtureReference(t *testing.T) *Manager {
 }
 
 // checkFixtureState compares every fixture session of got against the
-// reference, and checks the promoted and fenced incarnations survived.
+// reference.
 func checkFixtureState(t *testing.T, got, want *Manager, sessions []string) {
 	t.Helper()
 	for _, sid := range sessions {
 		if g, w := exportOf(t, got, sid), exportOf(t, want, sid); !reflect.DeepEqual(g, w) {
 			t.Fatalf("session %s after replay:\n got %+v\nwant %+v", sid, g, w)
 		}
-	}
-	if e := got.Epoch("mir"); e != 5000 {
-		t.Fatalf("promoted epoch %d, want 5000", e)
-	}
-	d, err := aida.NewTree().FullDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mr MirrorReply
-	if err := got.Mirror(MirrorArgs{SessionID: "imp", WorkerID: "x", Seq: 1, Epoch: 1400, Delta: d}, &mr); !errors.Is(err, ErrFenced) {
-		t.Fatalf("mirror below the replayed fence: err=%v, want ErrFenced", err)
 	}
 }
 
@@ -101,20 +89,6 @@ func TestWALReplaysV1Fixture(t *testing.T) {
 	// The rewrite is a compaction: sessions with state keep it exactly.
 	m2, _, _ := walManager(t, path, WALOptions{SyncEvery: 1})
 	checkFixtureState(t, m2, want, []string{"pub", "mir", "imp"})
-}
-
-// TestWALReplaySessionIntoV1: the failover handoff reads old logs too.
-func TestWALReplaySessionIntoV1(t *testing.T) {
-	path := copyFixture(t)
-	m := NewManager()
-	if n, err := ReplaySessionInto(path, "pub", m); err != nil || n == 0 {
-		t.Fatalf("ReplaySessionInto = %d, %v", n, err)
-	}
-	// The handoff fills a standby copy, whose per-worker state is what
-	// the primary held.
-	if got, want := exportOf(t, m, "pub").Workers, exportOf(t, walFixtureReference(t), "pub").Workers; !reflect.DeepEqual(got, want) {
-		t.Fatalf("workers replayed from a v1 log:\n got %+v\nwant %+v", got, want)
-	}
 }
 
 // TestWALV2ReplaysEveryRecordKind: the fixture's calls logged by the

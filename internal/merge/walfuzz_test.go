@@ -74,8 +74,9 @@ func checkWALScan(t *testing.T, data []byte) {
 	}
 }
 
-// walScanSeeds returns the seed corpus: a v2 log of every record kind
-// truncated at every offset; the v1 fixture truncated at every record
+// walScanSeeds returns the seed corpus: a v2 log of every record kind,
+// the reserved fence and promotion kinds included, truncated at every
+// offset; the v1 fixture truncated at every record
 // edge, one byte either side of it, and every 64th byte (every offset
 // of its 36 KB would make the seed run take half a minute); and both
 // magics followed by random length prefixes, small to absurd.
@@ -88,6 +89,11 @@ func walScanSeeds(tb testing.TB) [][]byte {
 	m := NewManager()
 	m.SetWAL(w)
 	walFixtureOps(tb, m)
+	for _, rec := range retiredRecords() {
+		if _, err := w.append(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}

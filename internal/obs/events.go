@@ -1,7 +1,7 @@
 // Fabric events and spans: structured records of the moments an
 // operator asks about after the fact — a session handoff, a replica
-// promotion, a fence, an eviction, a shard revival — plus per-hop spans
-// of traced calls. They land in a bounded in-memory ring (oldest
+// chain hop seeded, a mirror queue that filled — plus per-hop spans of
+// traced calls. They land in a bounded in-memory ring (oldest
 // overwritten first) readable over RPC (Service) and surfaced in
 // /fabric/status, so "what just happened" has an answer without log
 // scraping.
@@ -17,16 +17,9 @@ import (
 // well-known values).
 const (
 	EventHandoff      = "handoff"
-	EventPromote      = "promote"
-	EventFence        = "fence"
-	EventEviction     = "eviction"
-	EventDeadMark     = "dead-mark"
-	EventRevival      = "revival"
 	EventReplicate    = "replicate"
 	EventSpan         = "span"
 	EventBackpressure = "mirror-backpressure"
-	EventRepair       = "anti-entropy-repair"
-	EventWALTail      = "wal-tail"
 )
 
 // Event is one structured fabric occurrence.
@@ -56,7 +49,7 @@ type Event struct {
 
 // Ring is a bounded event buffer: appends overwrite the oldest entry
 // once full, reads are by sequence number. A single mutex is fine here
-// — events are edge occurrences (failovers, moves) plus spans, orders
+// — events are edge occurrences (handoffs, chain seeds) plus spans, orders
 // of magnitude rarer than metric increments. Storage is circular
 // (head index, no element shifting), so an append into a full ring
 // costs one slot store, not a buffer-wide move.

@@ -281,7 +281,7 @@ func GetHistogram(name, help string, buckets []float64, labels ...string) *Histo
 
 // RegisterFunc registers (or replaces) a callback-backed family: the
 // value is computed at exposition time, so counters a subsystem already
-// keeps (router handoffs, promotions) can be exported without
+// keeps (router handoffs, mirrored publishes) can be exported without
 // double bookkeeping. kind is "counter" or "gauge".
 func RegisterFunc(name, help, kind string, fn func() float64) {
 	families.Store(name, &family{name: name, help: help, kind: kind, fn: fn})

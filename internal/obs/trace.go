@@ -1,11 +1,10 @@
 // Trace propagation: a compact trace context (trace ID, span ID, hop
 // count) that rides the RMI envelope and the publish/mirror argument
 // structs, so one engine publish can be followed through client →
-// router → owning shard → mirror replica → WAL — and across an
-// epoch-fenced failover, since the replica's recorded trace survives
-// promotion. The context is deliberately tiny (two IDs and a hop
-// counter, no baggage): injecting it costs two atomic random draws and
-// copying it across a hop costs a struct assignment.
+// router → owning shard → mirror replica → WAL. The context is
+// deliberately tiny (two IDs and a hop counter, no baggage): injecting
+// it costs two atomic random draws and copying it across a hop costs a
+// struct assignment.
 
 package obs
 

@@ -138,15 +138,18 @@ func sessionsOf(r *relay.Relay) []string {
 // relays' own loops doing the syncing and every reader parked: viewers
 // on both tiers of router → r1 → r2 read only with long parked polls,
 // and after fills, removals, a rewind, a handoff, wiped relay copies
-// and a failover epoch flip each viewer must hold the owner's frames,
-// byte for byte, within a deadline far below its park bound. Catching
+// and a re-incarnation's epoch flip each viewer must hold the owner's
+// frames, byte for byte, within a deadline far below its park bound. Catching
 // up in time means the parks woke on the upstream commit and on each
 // relay's re-baseline instead of running out.
 func TestRelayTreeEquivalenceParked(t *testing.T) {
 	router := shard.NewRouter(0)
 	router.Replicate = true
+	mgrs := map[string]*merge.Manager{}
 	for i := 0; i < 3; i++ {
-		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
+		name := fmt.Sprintf("shard%02d", i)
+		mgrs[name] = merge.NewManager()
+		if err := router.AddShard(name, mgrs[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,16 +281,23 @@ func TestRelayTreeEquivalenceParked(t *testing.T) {
 	resync("wiped tier-1", viewers[s0], func() { r1.Local().Drop(s0) })
 	resync("wiped tier-2", viewers[s1][1:], func() { r2.Local().Drop(s1) })
 
-	// Failover: the promoted copy carries a new epoch; both tiers flip.
-	resync("failover", viewers[s0], func() {
-		owner := router.Placement(s0)
-		if _, promoted := router.MarkDead(owner); len(promoted) == 0 {
-			t.Fatalf("killing %s promoted nothing", owner)
+	// Re-incarnation: the session is dropped on its owning manager, and
+	// the producer's NeedFull re-baseline re-creates it there under a
+	// fresh epoch; both tiers flip.
+	resync("re-incarnation", viewers[s0], func() {
+		owner := mgrs[router.Placement(s0)]
+		epoch := owner.Epoch(s0)
+		owner.Drop(s0)
+		sessions[0].h.Fill(5)
+		sendSnap(t, sessions[0].tr, sessions[0].tree) // answered NeedFull
+		sendSnap(t, sessions[0].tr, sessions[0].tree) // full baseline
+		if e := owner.Epoch(s0); e == 0 || e == epoch {
+			t.Fatalf("re-created session epoch %d, was %d", e, epoch)
 		}
 	})
-	sessions[0].h.Fill(5)
+	sessions[0].h.Fill(6)
 	sendSnap(t, sessions[0].tr, sessions[0].tree)
-	check("after failover")
+	check("after re-incarnation")
 
 	if st := r1.Stats(); st.Rebaselines == 0 {
 		t.Fatalf("tier-1 relay reported no rebaselines: %+v", st)

@@ -14,7 +14,7 @@
 //	                         data: {"session","version","epoch","resync",
 //	                                "paths","removed","done","total","logs"}
 //	                         A `resync` frame means the upstream state was
-//	                         rebuilt (failover): discard and re-fetch views.
+//	                         rebuilt (re-created): discard and re-fetch views.
 //	/live/{session}          HTML live view (EventSource + SVG refresh).
 //	/view/{session}?path=P   SVG rendering of the object at P.
 //	/tree/{session}          text object-browser summary.
@@ -63,7 +63,7 @@ type sseFrame struct {
 	Session string `json:"session"`
 	Version int64  `json:"version"`
 	Epoch   int64  `json:"epoch"`
-	// Resync marks a post-failover rebuild: the version space restarted,
+	// Resync marks a rebuilt upstream state: the version space restarted,
 	// so viewers must discard cached state and treat Paths as complete.
 	Resync  bool     `json:"resync,omitempty"`
 	Paths   []string `json:"paths,omitempty"`

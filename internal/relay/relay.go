@@ -20,8 +20,8 @@
 // relay-of-relay tree for geographic tiers).
 //
 // Self-healing mirrors the client rules: an upstream epoch change or
-// same-epoch version regression (failover promotion, fault re-home)
-// re-baselines the subscription — the local copy is dropped, which
+// same-epoch version regression (a re-created session, a handoff
+// straggler) re-baselines the subscription — the local copy is dropped, which
 // mints a fresh local epoch, so downstream clients full-resync in turn.
 // An upstream that stops knowing the session (version 0) leaves the
 // local copy serving its final state rather than tearing it down under
@@ -307,8 +307,8 @@ func (r *Relay) syncWith(s *subscription, pre *merge.PollReply) error {
 			}
 			return nil
 		case errors.Is(err, errEpochFlip) && attempt == 0:
-			// The upstream state was rebuilt under us (failover
-			// promotion, fault re-home). Drop the local copy — the
+			// The upstream state was rebuilt under us (the session was
+			// re-created). Drop the local copy — the
 			// replacement session gets a fresh local epoch, so
 			// downstream clients discard their mirrors too — and
 			// re-baseline immediately.
@@ -367,8 +367,8 @@ func (r *Relay) syncLocked(s *subscription, pre *merge.PollReply) error {
 			obsUpPolls.Inc()
 		}
 		if pr.Version == 0 && pr.Epoch == 0 {
-			// Upstream doesn't know the session (dropped, fenced, or
-			// mid-failover): keep serving the local copy's final state.
+			// Upstream doesn't know the session (dropped, or a handoff
+			// tombstone): keep serving the local copy's final state.
 			return merge.Snapshot{}, errUnchanged
 		}
 		if s.upEpoch != 0 && pr.Epoch != 0 && pr.Epoch != s.upEpoch {
@@ -538,7 +538,7 @@ type Stats struct {
 	// out: their next reader syncs before it is served.
 	StalenessMS float64
 	// Rebaselines counts forwarded full baselines after the first
-	// (upstream failovers, handoffs, injected NeedFulls).
+	// (re-created upstream sessions, handoffs, injected NeedFulls).
 	Rebaselines int64
 }
 

@@ -222,23 +222,27 @@ func TestRelayTreeEquivalence(t *testing.T) {
 	}
 }
 
-// TestRelayFailoverConvergence kills a replicated session's primary
-// shard and asserts the relay re-baselines onto the promoted replica,
-// mints a fresh downstream epoch (so polling clients full-resync), and
-// converges byte-identical to the new owner.
-func TestRelayFailoverConvergence(t *testing.T) {
+// TestRelayReincarnationConvergence drops a session on its owning
+// manager while its producer is live: the producer's NeedFull
+// re-baseline re-creates it under a fresh epoch, and the relay must
+// re-baseline onto it, mint a fresh downstream epoch (so polling clients
+// full-resync), and converge byte-identical to the owner.
+func TestRelayReincarnationConvergence(t *testing.T) {
 	router := shard.NewRouter(0)
 	router.Replicate = true
+	mgrs := map[string]*merge.Manager{}
 	for i := 0; i < 3; i++ {
-		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
+		name := fmt.Sprintf("shard%02d", i)
+		mgrs[name] = merge.NewManager()
+		if err := router.AddShard(name, mgrs[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rel := relay.New("fo", router.OriginPoller())
+	rel := relay.New("re", router.OriginPoller())
 	rel.AutoSubscribe = true
 	defer rel.Close()
 
-	const sid = "failover-sess"
+	const sid = "reincarnated-sess"
 	tree := aida.NewTree()
 	h, err := tree.H1D("/h", "x", "", 10, 0, 10)
 	if err != nil {
@@ -256,22 +260,27 @@ func TestRelayFailoverConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A downstream client's view before the failure: its cursor holds
-	// the relay's local version and epoch.
+	// A downstream client's view before the drop: its cursor holds the
+	// relay's local version and epoch.
 	var before merge.PollReply
 	if err := rel.Poll(merge.PollArgs{SessionID: sid}, &before); err != nil {
 		t.Fatal(err)
 	}
 	if before.Epoch == 0 || before.Version == 0 {
-		t.Fatalf("relay served no epoch/version before failover: %+v", before)
+		t.Fatalf("relay served no epoch/version before the drop: %+v", before)
 	}
 
-	owner := router.Placement(sid)
-	if _, promoted := router.MarkDead(owner); len(promoted) == 0 {
-		t.Fatalf("killing %s promoted nothing", owner)
+	owner := mgrs[router.Placement(sid)]
+	epoch := owner.Epoch(sid)
+	owner.Drop(sid)
+	h.Fill(3)
+	sendSnap(t, tr, tree) // answered NeedFull
+	sendSnap(t, tr, tree) // full baseline
+	if e := owner.Epoch(sid); e == 0 || e == epoch {
+		t.Fatalf("re-created session epoch %d, was %d", e, epoch)
 	}
-	// The promotion minted a new upstream epoch: the next syncs detect
-	// the flip, drop the local copy, and re-baseline.
+	// The next syncs detect the upstream epoch flip, drop the local copy,
+	// and re-baseline.
 	for i := 0; i < 3; i++ {
 		if err := rel.SyncNow(sid); err != nil {
 			t.Fatal(err)
@@ -283,17 +292,16 @@ func TestRelayFailoverConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Epoch == 0 || after.Epoch == before.Epoch {
-		t.Fatalf("relay epoch did not flip after failover: before %d after %d", before.Epoch, after.Epoch)
+		t.Fatalf("relay epoch did not flip after the re-incarnation: before %d after %d", before.Epoch, after.Epoch)
 	}
 	// The client resync rule (epoch changed) now triggers a full
-	// re-poll; the rebuilt state must match the promoted owner's
-	// byte-for-byte.
+	// re-poll; the rebuilt state must match the owner's byte-for-byte.
 	want := frames(t, router.OriginPoller(), sid)
-	if got := frames(t, rel, sid); !sameFrames(want, got) {
-		t.Fatal("relay frames diverged from the promoted owner after failover")
-	}
 	if len(want) == 0 {
-		t.Fatal("promoted owner lost the session state entirely")
+		t.Fatal("re-created owner serves nothing")
+	}
+	if got := frames(t, rel, sid); !sameFrames(want, got) {
+		t.Fatal("relay frames diverged from the re-created owner")
 	}
 }
 

@@ -27,6 +27,7 @@ package rmi
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -129,7 +130,10 @@ func readWireString(br *bufio.Reader) (string, error) {
 }
 
 // readPayload reads one length-prefixed payload into a reusable
-// buffer, growing (and retaining, up to maxPooledWire) as needed.
+// buffer, growing (and retaining, up to maxPooledWire) as needed. A
+// payload past maxPooledWire grows with the bytes that actually arrive,
+// so a corrupt or hostile length cannot allocate far past the end of
+// the stream.
 func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -138,14 +142,23 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	if n > maxPayloadBytes {
 		return nil, fmt.Errorf("rmi: payload of %d bytes", n)
 	}
+	if n > maxPooledWire {
+		var big bytes.Buffer
+		got, err := big.ReadFrom(io.LimitReader(br, int64(n)))
+		if err != nil {
+			return nil, err
+		}
+		if uint64(got) != n {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return big.Bytes(), nil
+	}
 	var b []byte
 	if int(n) <= cap(*buf) {
 		b = (*buf)[:n]
 	} else {
 		b = make([]byte, n)
-		if n <= maxPooledWire {
-			*buf = b
-		}
+		*buf = b
 	}
 	if _, err := io.ReadFull(br, b); err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Fault injection: a server can be told to error, drop, or delay a
 // configurable fraction of dispatched calls, driven by a seeded
-// deterministic stream — so failover and retry tests exercise real
+// deterministic stream — so retry tests exercise real
 // partial failures (lost replies, hung calls, broken connections)
 // reproducibly instead of only clean process kills.
 
@@ -32,8 +32,8 @@ type Faults struct {
 	// KillAfter dispatched calls proceed normally (modulo the fractions
 	// above), then every later call severs its connection unanswered —
 	// the server is "dead" from a precise point in the call stream on.
-	// Chaos schedules use this to kill a shard mid-failover or
-	// mid-handoff instead of at a tidy boundary.
+	// Tests use this to kill a server mid-call-stream instead of at a
+	// tidy boundary.
 	KillAfter uint64
 }
 

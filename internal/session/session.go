@@ -590,20 +590,16 @@ type Status struct {
 	// shard to writers.
 	RelayAddr string
 	// PlacementGen is the fabric's placement-table generation (0 when
-	// unsharded): it bumps on every topology edit, session move, or
-	// fault eviction, so a client can tell "the fabric changed under me"
-	// from "nothing moved" without diffing placements.
+	// unsharded): it bumps on every topology edit or session move, so a
+	// client can tell "the fabric changed under me" from "nothing moved"
+	// without diffing placements.
 	PlacementGen uint64
-	// DeadShards lists fabric shards the health prober currently marks
-	// unreachable (nil when unsharded or all healthy).
-	DeadShards []string
 	// ResultEpoch is the session's merge-state incarnation stamp (0 when
-	// the fabric does not expose one). It changes when the state is
-	// rebuilt — a failover promotion or a post-fault re-baseline — so a
-	// client can tell "same state, newer version" from "new incarnation,
-	// discard the mirror".
+	// the fabric does not expose one). It changes when the session is
+	// re-created, so a client can tell "same state, newer version" from
+	// "new incarnation, discard the mirror".
 	ResultEpoch int64
-	// Replica names the shard holding this session's first standby copy
+	// Replica names the shard holding this session's first replica copy
 	// ("" when replication is off or no replica is assigned).
 	Replica string
 	// ReplicaChain lists every shard in the session's replica chain in
@@ -614,7 +610,7 @@ type Status struct {
 	// counters; FastPolls is the subset of polls answered on the
 	// lock-free quiescent path (fast-path poll ratio = FastPolls/Polls).
 	Publishes, Polls, FastPolls int64
-	// ReplicaLag is how many merged-result versions the standby copy
+	// ReplicaLag is how many merged-result versions the replica copy
 	// trails the owner (0 when unreplicated, unreachable, or caught up).
 	ReplicaLag int64
 }
@@ -658,11 +654,9 @@ func (s *Service) Status(sessionID string) (Status, error) {
 	case interface {
 		PlacementInfo(string) (string, string)
 		Generation() uint64
-		DeadShards() []string
 	}:
 		st.Shard, st.ShardAddr = p.PlacementInfo(sess.ID)
 		st.PlacementGen = p.Generation()
-		st.DeadShards = p.DeadShards()
 	case interface {
 		PlacementInfo(string) (string, string)
 	}:
@@ -676,7 +670,7 @@ func (s *Service) Status(sessionID string) (Status, error) {
 		st.RelayName, st.RelayAddr = p.RelayFor(sess.ID)
 	}
 	// Replication surfaces are capability probes too: any fabric that
-	// stamps incarnations or assigns standbys reports them.
+	// stamps incarnations or assigns replicas reports them.
 	if p, ok := s.cfg.Merge.(interface{ Epoch(string) int64 }); ok {
 		st.ResultEpoch = p.Epoch(sess.ID)
 	}

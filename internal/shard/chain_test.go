@@ -2,144 +2,98 @@ package shard
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
-	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-// TestChainDepthTwoSurvivesTwoFailures: with K=2 every session owns a
-// primary plus a two-hop replica chain, so the fabric must ride out two
-// sequential shard deaths with zero merged-state loss. The first
-// failover must promote the deepest hop (the (epoch, version) tie-break
-// prefers depth), rebuild the chain back to depth K among the
-// survivors, and leave the second death just as survivable.
-func TestChainDepthTwoSurvivesTwoFailures(t *testing.T) {
-	router, flaky, flat := newReplicatedFabric(t, 4)
-	router.ReplicaDepth = 2
-
-	const victim = "shard00"
-	var workers []*loadWorker
-	for _, sid := range sessionsHomedOn(t, router, victim, 3, "k2") {
-		workers = append(workers, newLoadWorker(t, router, flat, sid))
+// drainMirrors waits until every mirror enqueued before the call has
+// been applied. It queues a job for no placed session, which the one
+// mirror worker takes only once every job ahead of it is done, and
+// waits for the queue to empty. Tests call it with publishers quiet.
+func (r *Router) drainMirrors() {
+	r.mirrorMu.Lock()
+	q := r.mirrorQ
+	r.mirrorMu.Unlock()
+	if q == nil {
+		return
 	}
-	for r := 0; r < 6; r++ {
-		for _, w := range workers {
-			w.publish(t, float64(r%10))
-		}
-	}
-	router.drainMirrors()
-
-	// Every session carries a full two-hop chain of distinct live shards.
-	detail := workers[0].sid
-	chain := router.ReplicasOf(detail)
-	if len(chain) != 2 {
-		t.Fatalf("chain for %s = %v, want depth 2", detail, chain)
-	}
-	if chain[0] == chain[1] || chain[0] == victim || chain[1] == victim {
-		t.Fatalf("degenerate chain %v (primary %s)", chain, victim)
-	}
-	preEpoch := router.Epoch(detail)
-
-	promoted := killAndFail(t, router, flaky, victim)
-	if len(promoted) != len(workers) {
-		t.Fatalf("promoted %v, want all %d victim sessions", promoted, len(workers))
-	}
-	// Equal (epoch, version) down the chain: the tie-break promotes the
-	// deepest caught-up hop, not merely the first standby.
-	if got := router.Placement(detail); got != chain[1] {
-		t.Fatalf("promoted on %s, want deepest hop %s of chain %v", got, chain[1], chain)
-	}
-	if e := router.Epoch(detail); e <= preEpoch {
-		t.Fatalf("epoch %d did not advance past %d across failover", e, preEpoch)
-	}
-	for _, w := range workers {
-		got, want := fullState(t, router, w.sid), fullState(t, flat, w.sid)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("session %s lost state across first failover", w.sid)
-		}
-	}
-	// Eager rebuild: the chain is back at depth K on live shards only.
-	rebuilt := router.ReplicasOf(detail)
-	if len(rebuilt) != 2 {
-		t.Fatalf("chain not rebuilt to depth 2 after failover: %v", rebuilt)
-	}
-	for _, h := range rebuilt {
-		if h == victim || h == router.Placement(detail) {
-			t.Fatalf("rebuilt chain %v contains dead shard or primary", rebuilt)
-		}
-	}
-
-	// Second failure: kill the promoted primary too. Two of four shards
-	// are now dead — K=2 must still hand every byte to a survivor.
-	second := router.Placement(detail)
-	promoted = killAndFail(t, router, flaky, second)
-	if len(promoted) == 0 {
-		t.Fatalf("second failover promoted nothing")
-	}
-	for _, w := range workers {
-		got, want := fullState(t, router, w.sid), fullState(t, flat, w.sid)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("session %s lost state across second failover", w.sid)
-		}
+	q <- mirrorJob{}
+	for len(q) > 0 {
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// TestFailoverPromotesCaughtUpOverDeeper: when the chain's hops are
-// NOT equally caught up, version order must beat the depth tie-break —
-// a shallower hop holding a newer version wins promotion.
-func TestFailoverPromotesCaughtUpOverDeeper(t *testing.T) {
-	router, flaky, flat := newReplicatedFabric(t, 4)
+// exportOf reads a session's export from one shard, removed paths
+// sorted (they come from a map).
+func exportOf(t *testing.T, b Backend, sid string) merge.ExportReply {
+	t.Helper()
+	var ex merge.ExportReply
+	if err := b.Export(merge.ExportArgs{SessionID: sid}, &ex); err != nil || !ex.Found {
+		t.Fatalf("export %s: found=%v err=%v", sid, ex.Found, err)
+	}
+	sort.Slice(ex.Removed, func(i, j int) bool { return ex.Removed[i].Path < ex.Removed[j].Path })
+	return ex
+}
+
+// TestChainDepthTwoMirrorsEveryHop: with K=2 every session gets a
+// primary plus a two-hop chain of distinct shards, every publish after
+// the seeding baseline reaches each hop as an accepted mirror, and once
+// the stream has drained each hop's copy exports exactly what the
+// primary does and reports no lag, while the fabric serves the flat
+// reference's state.
+func TestChainDepthTwoMirrorsEveryHop(t *testing.T) {
+	router, mgrs := newRouterWithShards(t, 4)
+	router.Replicate = true
 	router.ReplicaDepth = 2
+	flat := merge.NewManager()
 
-	const victim = "shard00"
-	sid := sessionsHomedOn(t, router, victim, 1, "deep")[0]
-	w := newLoadWorker(t, router, flat, sid)
-	for r := 0; r < 5; r++ {
-		w.publish(t, float64(r))
+	const primary = "shard00"
+	var workers []*loadWorker
+	for _, sid := range sessionsHomedOn(t, router, primary, 3, "k2") {
+		workers = append(workers, newLoadWorker(t, router, flat, sid))
 	}
-	router.drainMirrors()
-
-	chain := router.ReplicasOf(sid)
-	if len(chain) != 2 {
-		t.Fatalf("chain = %v, want depth 2", chain)
-	}
-	// Nudge the SHALLOW hop one version ahead with an empty delta fed
-	// straight into its manager — same bytes of state, newer version,
-	// exactly what a mirror that landed after the deep hop missed one
-	// looks like at pick time.
-	shallow := flaky[chain[0]].inner
-	var exp merge.ExportReply
-	if err := shallow.Export(merge.ExportArgs{SessionID: sid}, &exp); err != nil || !exp.Found {
-		t.Fatalf("export from shallow hop: %v found=%v", err, exp.Found)
-	}
-	var seq int64
-	for _, ws := range exp.Workers {
-		if ws.WorkerID == "w0" {
-			seq = ws.Seq
+	// Round 0 seeds each chain from the primary's baseline; the rounds
+	// after it reach the hops only through the mirror stream.
+	const rounds, hops = 6, 2
+	var seeded int64
+	for r := 0; r < rounds; r++ {
+		for _, w := range workers {
+			w.publish(t, float64(r%10))
+		}
+		if r == 0 {
+			router.drainMirrors()
+			seeded = router.Mirrored()
 		}
 	}
-	if seq == 0 {
-		t.Fatalf("shallow hop never saw worker w0: %+v", exp.Workers)
-	}
-	var mr merge.MirrorReply
-	err := shallow.Mirror(merge.MirrorArgs{
-		SessionID: sid, WorkerID: "w0", Seq: seq + 1,
-		Version: exp.Version + 1, Delta: &aida.DeltaState{},
-	}, &mr)
-	if err != nil || !mr.Accepted {
-		t.Fatalf("version nudge rejected: err=%v reply=%+v", err, mr)
+	router.drainMirrors()
+	if got, want := router.Mirrored()-seeded, int64(len(workers)*(rounds-1)*hops); got != want {
+		t.Fatalf("%d mirrors accepted after the chains were seeded, want %d", got, want)
 	}
 
-	killAndFail(t, router, flaky, victim)
-	if got := router.Placement(sid); got != chain[0] {
-		t.Fatalf("promoted on %s, want the caught-up shallow hop %s (chain %v)", got, chain[0], chain)
-	}
-	got, want := fullState(t, router, sid), fullState(t, flat, sid)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("promoted caught-up hop diverged from the flat reference")
+	for _, w := range workers {
+		chain := router.ReplicasOf(w.sid)
+		if len(chain) != 2 || chain[0] == chain[1] || slices.Contains(chain, primary) {
+			t.Fatalf("chain for %s = %v, want two distinct hops besides %s", w.sid, chain, primary)
+		}
+		want := exportOf(t, mgrs[primary], w.sid)
+		for _, hop := range chain {
+			if got := exportOf(t, mgrs[hop], w.sid); !reflect.DeepEqual(got, want) {
+				t.Fatalf("session %s: hop %s exports\n%+v\nthe primary exports\n%+v", w.sid, hop, got, want)
+			}
+		}
+		for _, l := range router.ReplicaLagChain(w.sid) {
+			if l.Lag != 0 || l.Stale {
+				t.Fatalf("session %s: drained hop %+v still lags", w.sid, l)
+			}
+		}
+		if got, want := fullState(t, router, w.sid), fullState(t, flat, w.sid); !reflect.DeepEqual(got, want) {
+			t.Fatalf("session %s diverged from the flat reference", w.sid)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
-// Telemetry hooks for the shard fabric: per-shard routed-call rates,
-// handoff / promotion / mirror counters, and health probe outcomes. Per-shard series are cached in a sync.Map so the
-// routing hot path pays one lock-free load, not a label-signature
-// build; shard names are bounded by the fabric size, so cardinality
-// stays far under the registry cap.
+// Telemetry hooks for the shard fabric: per-shard routed-call rates and
+// the handoff, mirror and relay counters. Per-shard series are cached in
+// a sync.Map so the routing hot path pays one lock-free load, not a
+// label-signature build; shard names are bounded by the fabric size, so
+// cardinality stays far under the registry cap.
 
 package shard
 
@@ -16,24 +16,10 @@ import (
 var (
 	obsHandoffs = obs.GetCounter("ipa_shard_handoffs_total",
 		"Live-session migrations completed (ring edits + MoveSession calls).")
-	obsPromotions = obs.GetCounter("ipa_shard_promotions_total",
-		"Replica promotions (epoch-fenced failovers) completed.")
 	obsMirrored = obs.GetCounter("ipa_shard_mirrored_total",
 		"Publishes successfully mirrored to a replica shard.")
-	obsProbeFails = obs.GetCounter("ipa_shard_probe_failures_total",
-		"Health-probe failures (consecutive failures lead to a dead mark).")
-	obsDeadMarks = obs.GetCounter("ipa_shard_dead_marks_total",
-		"Shards declared unreachable by the health prober.")
-	obsRevivals = obs.GetCounter("ipa_shard_revivals_total",
-		"Dead marks lifted after a shard answered a probe again.")
 	obsMirrorBackpressure = obs.GetCounter("ipa_shard_mirror_backpressure_total",
 		"Publishes that blocked because the mirror queue was full.")
-	obsWALTails = obs.GetCounter("ipa_shard_wal_tail_replays_total",
-		"Failovers that replayed a dead primary's WAL tail into the promoted copy.")
-	obsAntiEntropyRounds = obs.GetCounter("ipa_shard_anti_entropy_rounds_total",
-		"Anti-entropy sweeps completed over the session chains.")
-	obsAntiEntropyRepairs = obs.GetCounter("ipa_shard_anti_entropy_repairs_total",
-		"Replica copies re-baselined by an anti-entropy sweep (drift or stall).")
 	obsRelayPolls = obs.GetCounter("ipa_shard_relay_routed_polls_total",
 		"Client polls routed to the relay tier instead of the owning shard.")
 )
@@ -78,7 +64,7 @@ type HopLag struct {
 	// unreachable or empty).
 	Version int64 `json:"version,omitempty"`
 	// Stale marks a hop whose copy could not be probed, holds a foreign
-	// epoch, or is ahead of the owner — the states anti-entropy repairs.
+	// epoch, or is ahead of the owner.
 	Stale bool `json:"stale,omitempty"`
 }
 

@@ -2,14 +2,14 @@
 // from the Router so placement is a first-class subsystem rather than a
 // field under a mutex. One immutable Table holds everything a call
 // needs to find its shard — session placements, the consistent-hash
-// ring, shard backends, advertised endpoints, and fault marks — and a
+// ring, shard backends, advertised endpoints and relays — and a
 // Store swaps whole tables through one atomic.Pointer, RCU-style:
 //
 //   - Readers (every Publish/Poll/Reset resolution) Load the current
 //     table and walk plain maps with zero locks and zero retries; a
 //     concurrent topology edit is simply not observed until its swap.
 //   - Writers (shard add/remove, first-touch placement, pinned
-//     moves, fault evictions) clone the table under the store mutex,
+//     moves) clone the table under the store mutex,
 //     edit the clone, and publish it with a generation bump.
 //
 // This removes the fabric's last global serialization point: after the
@@ -27,12 +27,12 @@ import (
 type Entry struct {
 	// Shard names the session's current owner.
 	Shard string
-	// Pinned marks a placement chosen deliberately (a session move or a
-	// failover promotion) rather than by ring position: ring edits leave
-	// it alone (only losing its shard re-homes it), so a deliberate move
+	// Pinned marks a placement chosen deliberately (a session move)
+	// rather than by ring position: ring edits leave it alone (only
+	// removing its shard re-homes it), so a deliberate move
 	// is not silently undone by the next topology change.
 	Pinned bool
-	// Replicas names the shards holding the session's standby copies in
+	// Replicas names the shards holding the session's replica copies in
 	// chain order: the mirror stream visits Replicas[0] first, then
 	// Replicas[1], and so on (nil = none assigned). Never contains
 	// Shard, never holds duplicates. The slice is shared across table
@@ -42,7 +42,7 @@ type Entry struct {
 }
 
 // Replica is the first chain hop ("" when the chain is empty) — the
-// single-standby view kept for callers that predate depth-K chains.
+// single-replica view kept for callers that predate depth-K chains.
 func (e Entry) Replica() string {
 	if len(e.Replicas) == 0 {
 		return ""
@@ -60,8 +60,8 @@ func (e Entry) HasReplica(shard string) bool {
 	return false
 }
 
-// sanitizeChain copies a proposed chain, dropping the owner, dead or
-// empty names, and duplicates — the invariants every stored chain keeps.
+// sanitizeChain copies a proposed chain, dropping the owner, empty
+// names, and duplicates — the invariants every stored chain keeps.
 func sanitizeChain(chain []string, owner string) []string {
 	if len(chain) == 0 {
 		return nil
@@ -99,7 +99,6 @@ type Table[B any] struct {
 	sessions map[string]Entry
 	backends map[string]B
 	addrs    map[string]string
-	dead     map[string]struct{}
 	// relays maps relay name → advertised endpoint ("" for in-process
 	// relays). Relays are the read fan-out tier: they never own
 	// sessions, so they live beside the shard ring, with their own
@@ -114,7 +113,6 @@ func newTable[B any](vnodes int) *Table[B] {
 		sessions:  make(map[string]Entry),
 		backends:  make(map[string]B),
 		addrs:     make(map[string]string),
-		dead:      make(map[string]struct{}),
 		relays:    make(map[string]string),
 		relayRing: NewRing(vnodes),
 	}
@@ -127,7 +125,6 @@ func (t *Table[B]) clone() *Table[B] {
 		sessions:  make(map[string]Entry, len(t.sessions)),
 		backends:  make(map[string]B, len(t.backends)),
 		addrs:     make(map[string]string, len(t.addrs)),
-		dead:      make(map[string]struct{}, len(t.dead)),
 		relays:    make(map[string]string, len(t.relays)),
 		relayRing: t.relayRing.Clone(),
 	}
@@ -140,9 +137,6 @@ func (t *Table[B]) clone() *Table[B] {
 	for k, v := range t.addrs {
 		cp.addrs[k] = v
 	}
-	for k := range t.dead {
-		cp.dead[k] = struct{}{}
-	}
 	for k, v := range t.relays {
 		cp.relays[k] = v
 	}
@@ -153,7 +147,7 @@ func (t *Table[B]) clone() *Table[B] {
 
 // Gen is the table generation: 0 for the empty initial table, bumped by
 // every published edit (topology change, first-touch placement,
-// pinned move, fault eviction). Surfaced through session status so
+// pinned move). Surfaced through session status so
 // clients can tell "the fabric changed under me" from "nothing moved".
 func (t *Table[B]) Gen() uint64 { return t.gen }
 
@@ -163,31 +157,20 @@ func (t *Table[B]) Lookup(sessionID string) (Entry, bool) {
 	return e, ok
 }
 
-// Home is the shard the ring assigns a session, skipping shards marked
-// dead ("" when the ring is empty or everything is dead). Unplaced
-// sessions route here; a session evicted by a fault re-homes here on
-// its next touch.
+// Home is the shard the ring assigns a session ("" when the ring is
+// empty). Unplaced sessions route here.
 func (t *Table[B]) Home(sessionID string) string {
-	if len(t.dead) == 0 {
-		return t.ring.Owner(sessionID)
-	}
-	return t.ring.OwnerFunc(sessionID, func(s string) bool {
-		_, d := t.dead[s]
-		return !d
-	})
+	return t.ring.Owner(sessionID)
 }
 
 // ReplicaHome is the ring's choice of the next replica shard for a
-// session: the first ring successor that is not the primary, not dead,
-// has a backend, and is not already taken by an earlier chain hop (""
+// session: the first ring successor that is not the primary, has a
+// backend, and is not already taken by an earlier chain hop (""
 // when the fabric has no such shard — a one-shard fabric cannot
 // replicate, and a K-shard fabric caps chains at K-1 hops).
 func (t *Table[B]) ReplicaHome(sessionID, primary string, taken []string) string {
 	return t.ring.OwnerFunc(sessionID, func(s string) bool {
 		if s == primary {
-			return false
-		}
-		if _, dead := t.dead[s]; dead {
 			return false
 		}
 		for _, h := range taken {
@@ -201,22 +184,16 @@ func (t *Table[B]) ReplicaHome(sessionID, primary string, taken []string) string
 }
 
 // MaxChainDepth is the deepest replica chain the current topology can
-// host for any session: live ring members minus the primary, floored at
-// zero.
+// host for any session: ring members with a backend minus the primary,
+// floored at zero.
 func (t *Table[B]) MaxChainDepth() int {
-	live := 0
+	n := 0
 	for _, s := range t.ring.Shards() {
-		if _, dead := t.dead[s]; dead {
-			continue
-		}
 		if _, ok := t.backends[s]; ok {
-			live++
+			n++
 		}
 	}
-	if live <= 1 {
-		return 0
-	}
-	return live - 1
+	return max(n-1, 0)
 }
 
 // Backend returns a shard's handle.
@@ -252,27 +229,8 @@ func (t *Table[B]) Addr(shard string) string {
 // before the shard joins) — the no-op check for SetAddr callers.
 func (t *Table[B]) AddrEntry(shard string) string { return t.addrs[shard] }
 
-// IsDead reports whether the health prober marked a shard unreachable.
-func (t *Table[B]) IsDead(shard string) bool {
-	_, ok := t.dead[shard]
-	return ok
-}
-
 // Shards lists ring members, sorted.
 func (t *Table[B]) Shards() []string { return t.ring.Shards() }
-
-// DeadShards lists the shards currently marked dead, sorted.
-func (t *Table[B]) DeadShards() []string {
-	if len(t.dead) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(t.dead))
-	for s := range t.dead {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Relays lists registered relay names, sorted.
 func (t *Table[B]) Relays() []string { return t.relayRing.Shards() }
@@ -348,55 +306,16 @@ func (t *Table[B]) SetReplicas(sessionID string, chain []string) {
 	t.sessions[sessionID] = e
 }
 
-// SetReplica records a single-standby chain ("" clears the whole
-// chain) — the depth-1 convenience kept for callers that predate
-// chains. No-op for unplaced sessions or when the named shard is the
-// session's owner.
-func (t *Table[B]) SetReplica(sessionID, shard string) {
-	e, ok := t.sessions[sessionID]
-	if !ok || shard == e.Shard {
-		return
-	}
-	if shard == "" {
-		e.Replicas = nil
-	} else {
-		e.Replicas = []string{shard}
-	}
-	t.sessions[sessionID] = e
-}
-
-// DropReplica removes one shard from a session's chain, preserving the
-// order of the remaining hops. No-op when absent.
-func (t *Table[B]) DropReplica(sessionID, shard string) {
-	e, ok := t.sessions[sessionID]
-	if !ok || !e.HasReplica(shard) {
-		return
-	}
-	out := make([]string, 0, len(e.Replicas)-1)
-	for _, r := range e.Replicas {
-		if r != shard {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		out = nil
-	}
-	e.Replicas = out
-	t.sessions[sessionID] = e
-}
-
-// Evict forgets a session's placement (teardown, or a fault eviction —
-// the session re-homes by ring position on its next touch).
+// Evict forgets a session's placement (teardown: the session re-homes by
+// ring position on its next touch).
 func (t *Table[B]) Evict(sessionID string) {
 	delete(t.sessions, sessionID)
 }
 
-// AddShard registers a backend and joins it to the ring. A re-added
-// shard starts alive.
+// AddShard registers a backend and joins it to the ring.
 func (t *Table[B]) AddShard(shard string, b B) {
 	t.backends[shard] = b
 	t.ring.Add(shard)
-	delete(t.dead, shard)
 }
 
 // RemoveFromRing takes a shard off the ring while keeping its backend —
@@ -405,14 +324,13 @@ func (t *Table[B]) RemoveFromRing(shard string) {
 	t.ring.Remove(shard)
 }
 
-// DropShard forgets a shard entirely: backend, advertised endpoint,
-// fault mark. Clearing addrs here is what keeps PlacementInfo from ever
+// DropShard forgets a shard entirely: backend and advertised endpoint.
+// Clearing addrs here is what keeps PlacementInfo from ever
 // reporting a departed shard's endpoint.
 func (t *Table[B]) DropShard(shard string) {
 	t.ring.Remove(shard)
 	delete(t.backends, shard)
 	delete(t.addrs, shard)
-	delete(t.dead, shard)
 }
 
 // SetAddr records a shard's RMI endpoint ("" clears it).
@@ -442,31 +360,6 @@ func (t *Table[B]) SetRelayAddr(name, addr string) {
 	if _, ok := t.relays[name]; ok {
 		t.relays[name] = addr
 	}
-}
-
-// SetDead marks or clears a shard's fault state.
-func (t *Table[B]) SetDead(shard string, on bool) {
-	if on {
-		t.dead[shard] = struct{}{}
-		return
-	}
-	delete(t.dead, shard)
-}
-
-// EvictSessionsOn drops every placement pointing at a shard and returns
-// the evicted session IDs, sorted — the fault path: the state is gone,
-// so each session lazily re-homes on its next touch and its engines
-// rebuild it through the normal NeedFull re-baseline.
-func (t *Table[B]) EvictSessionsOn(shard string) []string {
-	var out []string
-	for id, e := range t.sessions {
-		if e.Shard == shard {
-			out = append(out, id)
-			delete(t.sessions, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ------------------------------------------------------------ store

@@ -37,53 +37,6 @@ func TestStoreRCUSemantics(t *testing.T) {
 	}
 }
 
-func TestHomeSkipsDeadShards(t *testing.T) {
-	s := NewStore[int](0)
-	s.Update(func(m *Table[int]) bool {
-		for i := 0; i < 4; i++ {
-			m.AddShard(fmt.Sprintf("shard%02d", i), i)
-		}
-		return true
-	})
-	tb := s.Load()
-	// Find a session homed on shard00, then kill shard00: the session
-	// must re-home deterministically onto a live shard — and onto the
-	// same successor a real ring-remove would pick.
-	sid := ""
-	for i := 0; ; i++ {
-		sid = fmt.Sprintf("sess-%d", i)
-		if tb.Home(sid) == "shard00" {
-			break
-		}
-	}
-	dead := s.Update(func(m *Table[int]) bool {
-		m.SetDead("shard00", true)
-		return true
-	})
-	rehomed := dead.Home(sid)
-	if rehomed == "" || rehomed == "shard00" {
-		t.Fatalf("dead-shard home = %q, want a live shard", rehomed)
-	}
-	removed := s.Update(func(m *Table[int]) bool {
-		m.SetDead("shard00", false)
-		m.DropShard("shard00")
-		return true
-	})
-	if got := removed.Home(sid); got != rehomed {
-		t.Fatalf("ring-remove home %q != dead-skip home %q (fault and removal must agree)", got, rehomed)
-	}
-	// Everything dead → no home.
-	allDead := s.Update(func(m *Table[int]) bool {
-		for _, name := range m.Shards() {
-			m.SetDead(name, true)
-		}
-		return true
-	})
-	if got := allDead.Home(sid); got != "" {
-		t.Fatalf("all-dead home = %q, want empty", got)
-	}
-}
-
 func TestDropShardClearsAddr(t *testing.T) {
 	s := NewStore[int](0)
 	tb := s.Update(func(m *Table[int]) bool {

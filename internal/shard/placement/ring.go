@@ -101,9 +101,8 @@ func (r *Ring) Owner(sessionID string) string {
 
 // OwnerFunc is Owner restricted to shards accepted by ok (nil accepts
 // all): the first acceptable virtual node at or after the key's hash,
-// wrapping. Successor semantics keep fault re-homing consistent —
-// every key of a dead shard lands on the same successors a ring-remove
-// would pick, so a later real removal moves nothing twice.
+// wrapping. Replica placement uses it to skip the primary and the hops
+// already taken.
 func (r *Ring) OwnerFunc(sessionID string, ok func(shard string) bool) string {
 	if len(r.points) == 0 {
 		return ""

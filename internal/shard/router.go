@@ -7,19 +7,18 @@
 // The paper's architecture funnels every session's publishes and polls
 // through one mediator, the ceiling DIAL's distributed-scheduler design
 // warns about for interactive analysis at scale. Here the root tier
-// becomes N managers (in-process or behind RMI on other nodes), an
-// immutable placement table (internal/shard/placement) assigns each
-// session a home shard, and ring changes migrate live sessions with no
-// lost updates: the old owner is sealed and exported, the dump is
+// becomes N in-process managers, an immutable placement table
+// (internal/shard/placement) assigns each session a home shard, and
+// ring changes migrate live sessions with no lost updates: the old owner is sealed and exported, the dump is
 // imported into the new owner as a baseline at the same version,
 // routing flips, and any publish that raced the move is answered
 // NeedFull so its producer re-baselines on the new shard.
 //
 // Placement is a subsystem of its own: routing reads are lock-free RCU
-// loads of the placement table, MoveSession pins a session to a chosen
-// shard, and a Health prober (run by whoever owns a fabric of shards
-// that can fail independently) marks unreachable shards dead so their
-// sessions re-home lazily from their engines' next re-baseline.
+// loads of the placement table, and MoveSession pins a session to a
+// chosen shard. Every shard is an in-process manager that lives and dies
+// with the process, so the fabric has no notion of a dead shard: a
+// session leaves its shard only by a handoff.
 package shard
 
 import (
@@ -37,9 +36,8 @@ import (
 )
 
 // Backend is one merge shard as the router sees it: the engine/client
-// RPC triple plus the handoff and bookkeeping calls. *merge.Manager
-// implements it directly (an in-process shard); Remote implements it
-// over an rmi.Client for shards on other nodes.
+// RPC triple, the handoff and bookkeeping calls, and Mirror, which feeds
+// a replica's write-only copy. *merge.Manager implements it directly.
 type Backend interface {
 	Publish(args merge.PublishArgs, reply *merge.PublishReply) error
 	Poll(args merge.PollArgs, reply *merge.PollReply) error
@@ -50,13 +48,14 @@ type Backend interface {
 	Seal(args merge.SealArgs, reply *merge.SealReply) error
 	DropSession(args merge.DropArgs, reply *merge.DropReply) error
 	SessionList(args merge.SessionsArgs, reply *merge.SessionsReply) error
-	// Replication surface (PR 6): Mirror feeds a standby copy, Promote
-	// makes it live under a bumped epoch, Fence refuses a deposed
-	// incarnation's stragglers.
 	Mirror(args merge.MirrorArgs, reply *merge.MirrorReply) error
-	Promote(args merge.PromoteArgs, reply *merge.PromoteReply) error
-	Fence(args merge.FenceArgs, reply *merge.FenceReply) error
 }
+
+// ObjectName is the RMI registration name of one shard's manager on its
+// node — "AIDAShard:" + the shard's fabric name. Shard-aware clients
+// poll the owning shard directly under it; engines keep publishing to
+// the fabric's front door (merge.RMIObjectName).
+func ObjectName(shard string) string { return "AIDAShard:" + shard }
 
 // ReadBackend is the read-only surface a relay tier exposes to the
 // router: just Poll. Relays never own sessions, so they need none of
@@ -65,15 +64,13 @@ type ReadBackend interface {
 	Poll(args merge.PollArgs, reply *merge.PollReply) error
 }
 
-// ErrNoShards rejects routing on an empty fabric (or one whose every
-// shard is marked dead).
+// ErrNoShards rejects routing on an empty fabric.
 var ErrNoShards = errors.New("shard: router has no shards")
 
 // Router fronts a set of Manager shards behind the single-manager
 // surface (merge.Service plus the handoff RPCs). Every call is routed
 // to the session's home shard, assigned by the consistent-hash ring on
-// first touch and moved only by explicit handoff or fault eviction, so
-// a ring edit never silently strands a live session's state on its old
+// first touch and moved only by explicit handoff, so a ring edit never silently strands a live session's state on its old
 // owner.
 //
 // The RPC methods (Publish/Poll/Reset) have RMI-compatible signatures:
@@ -84,33 +81,24 @@ var ErrNoShards = errors.New("shard: router has no shards")
 // placement table (one atomic pointer read) and resolves the owner from
 // immutable maps, so any number of publishes and polls resolve
 // concurrently and a slow shard or a topology edit never stalls the
-// fabric. Only topology edits, first-touch placements, MoveSession
-// flips, and fault evictions take the write path (clone-and-swap under
+// fabric. Only topology edits, first-touch placements and MoveSession
+// flips take the write path (clone-and-swap under
 // the store mutex). Handoffs (AddShard/RemoveShard/MoveSession) run
 // concurrently with traffic: a publish that races the migration lands
 // on the sealed old owner, is answered NeedFull, and its producer
 // re-baselines on the new owner — nothing is lost and nothing is
 // double-merged.
 type Router struct {
-	// Replicate mirrors every accepted publish to a per-session replica
-	// chain and turns shard-death handling from lossy eviction into
-	// epoch-fenced promotion of the deepest caught-up replica. Off by
-	// default — the DisableReplication baseline is exactly the PR 5
-	// behavior. Set before first use.
+	// Replicate mirrors every accepted publish, in order, to a
+	// per-session replica chain on other shards. The copies are
+	// write-only: nothing reads or promotes them. Off by default. Set
+	// before first use.
 	Replicate bool
 	// ReplicaDepth is the target chain length K (primary → r1 → … → rK).
-	// Zero or negative means 1 — the PR 6 single-standby behavior.
+	// Zero or negative means 1, a single replica.
 	// Chains are silently capped at the fabric's live-shard count minus
 	// one. Set before first use.
 	ReplicaDepth int
-	// WALTail, when set, replays a dead primary's on-disk write-ahead
-	// log for one session into the replica about to be promoted, so the
-	// promoted copy inherits every delta the primary durably logged —
-	// including ones the asynchronous mirror stream never delivered.
-	// Called as WALTail(deadShard, sessionID, targetShard); returns the
-	// number of records applied. Best-effort: errors only mean the
-	// promoted copy starts from the mirror stream's high-water mark.
-	WALTail func(deadShard, sessionID, targetShard string) (int, error)
 	// replMu serializes replica re-baselines (Export→Import copies) so
 	// a burst of NeedFull answers cannot storm a shard.
 	replMu sync.Mutex
@@ -136,10 +124,9 @@ type Router struct {
 	// needs no second type parameter.
 	relayHandles sync.Map
 
-	table      *placement.Store[Backend]
-	handoffs   atomic.Int64
-	promotions atomic.Int64
-	mirrored   atomic.Int64
+	table    *placement.Store[Backend]
+	handoffs atomic.Int64
+	mirrored atomic.Int64
 
 	// topoMu serializes topology edits (and their handoffs) against each
 	// other without blocking routing.
@@ -152,13 +139,12 @@ func NewRouter(vnodes int) *Router {
 	return &Router{table: placement.NewStore[Backend](vnodes)}
 }
 
-// Table exposes the current placement snapshot (diagnostics, health
-// prober, anti-entropy). Treat it as read-only.
+// Table exposes the current placement snapshot (diagnostics). Treat it
+// as read-only.
 func (r *Router) Table() *placement.Table[Backend] { return r.table.Load() }
 
 // Generation is the placement table's generation stamp: it bumps on
-// every topology edit, first-touch placement, MoveSession, or fault
-// eviction — surfaced through session status so clients can tell the
+// every topology edit, first-touch placement or MoveSession — surfaced through session status so clients can tell the
 // fabric changed under them.
 func (r *Router) Generation() uint64 { return r.table.Load().Gen() }
 
@@ -470,16 +456,9 @@ func (r *Router) PlacementInfo(sessionID string) (shard, addr string) {
 // Shards lists the fabric members, sorted.
 func (r *Router) Shards() []string { return r.table.Load().Shards() }
 
-// DeadShards lists the shards currently marked unreachable, sorted.
-func (r *Router) DeadShards() []string { return r.table.Load().DeadShards() }
-
 // Handoffs reports how many live-session migrations the router has
 // completed across all ring edits and MoveSession calls.
 func (r *Router) Handoffs() int64 { return r.handoffs.Load() }
-
-// Promotions reports how many replica promotions (epoch-fenced
-// failovers) the router has completed.
-func (r *Router) Promotions() int64 { return r.promotions.Load() }
 
 // Mirrored reports how many publishes were successfully mirrored to a
 // replica shard.
@@ -490,8 +469,7 @@ func (r *Router) Sessions() []string { return r.table.Load().Sessions() }
 
 // AddShard joins a shard to the fabric and migrates to it every live
 // session the new ring assigns it. The first error aborts the remaining
-// migrations (already-moved sessions stay moved). A re-added shard
-// starts alive even if its previous incarnation was marked dead.
+// migrations (already-moved sessions stay moved).
 func (r *Router) AddShard(name string, b Backend) error {
 	if name == "" || b == nil {
 		return errors.New("shard: AddShard needs a name and a backend")
@@ -515,8 +493,7 @@ func (r *Router) AddShard(name string, b Backend) error {
 
 // RemoveShard retires a shard, first migrating every session it owns to
 // the shard's successors on the ring. The last shard cannot be removed.
-// The shard's backend, advertised endpoint, and fault mark are all
-// forgotten, so PlacementInfo never reports a departed shard.
+// The shard's backend and advertised endpoint are both forgotten, so PlacementInfo never reports a departed shard.
 func (r *Router) RemoveShard(name string) error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
@@ -551,8 +528,8 @@ func (r *Router) RemoveShard(name string) error {
 
 // MoveSession migrates one live session to a named shard regardless of
 // its ring position. The new placement is pinned: later ring edits
-// leave the session where the caller put it; only removing or losing
-// its shard re-homes it.
+// leave the session where the caller put it; only removing its shard
+// re-homes it.
 func (r *Router) MoveSession(sessionID, to string) error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
@@ -568,9 +545,6 @@ func (r *Router) MoveSession(sessionID, to string) error {
 	if !ok {
 		return fmt.Errorf("shard: no shard %q", to)
 	}
-	if t.IsDead(to) {
-		return fmt.Errorf("shard: shard %q is marked dead", to)
-	}
 	fromB, ok := t.Backend(e.Shard)
 	if !ok {
 		return fmt.Errorf("shard: session %s placed on unknown shard %q", sessionID, e.Shard)
@@ -582,84 +556,24 @@ func (r *Router) MoveSession(sessionID, to string) error {
 	return nil
 }
 
-// MarkDead declares a shard unreachable: it stays on the ring (so a
-// revival needs no re-add) but stops receiving routes. What happens to
-// its sessions depends on Replicate. Off (the DisableReplication
-// baseline), every session placed on it is evicted from the table and
-// re-homes lazily on its next touch — the new shard answers the first
-// delta with NeedFull and the engines' full re-baseline rebuilds the
-// state, which loses everything a finished engine will never republish.
-// On, each session with a live replica is instead promoted there under
-// a bumped, fenced epoch (see failover); only sessions with no usable
-// replica fall back to eviction. Returns the evicted and promoted
-// session IDs, both sorted.
-func (r *Router) MarkDead(name string) (evicted, promoted []string) {
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	changed := false
-	t := r.table.Update(func(m *placement.Table[Backend]) bool {
-		if !m.HasBackend(name) || m.IsDead(name) {
-			return false
-		}
-		m.SetDead(name, true)
-		changed = true
-		if !r.Replicate {
-			evicted = m.EvictSessionsOn(name)
-		}
-		return true
-	})
-	if !changed || !r.Replicate {
-		for _, sid := range evicted {
-			obs.Emit(obs.EventEviction, name, sid, 0, "shard dead, replication off")
-		}
-		return evicted, nil
-	}
-	return r.failover(t, name)
-}
-
-// MarkAlive lifts a shard's dead mark (a recovered probe). Sessions do
-// not move back — the revived shard simply rejoins the routing pool for
-// ring-position resolution. With replication on, the revived shard's
-// leftover session copies are reconciled against current placement
-// (see reapRevived) so deposed state can never serve or resurrect.
-// Reports whether anything changed.
-func (r *Router) MarkAlive(name string) bool {
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	changed := false
-	r.table.Update(func(m *placement.Table[Backend]) bool {
-		if !m.HasBackend(name) || !m.IsDead(name) {
-			return false
-		}
-		m.SetDead(name, false)
-		changed = true
-		return true
-	})
-	if changed && r.Replicate {
-		r.reapRevived(name)
-	}
-	return changed
-}
-
 type move struct {
 	session  string
 	from, to string
 	fromB    Backend
 	toB      Backend
 	// pin marks the destination placement as deliberately chosen
-	// (MoveSession, failover): it survives ring edits.
+	// (MoveSession): it survives ring edits.
 	pin bool
 }
 
 // pendingMoves lists the placed sessions whose required owner differs
 // from their current placement against the given table: unpinned
 // sessions follow the ring; pinned ones move only when their shard left
-// the ring or died (nothing else may undo a deliberate move).
+// the ring (nothing else may undo a deliberate move).
 func (r *Router) pendingMoves(t *placement.Table[Backend]) []move {
 	var moves []move
 	t.EachSession(func(sid string, e placement.Entry) {
-		displaced := !t.InRing(e.Shard) || t.IsDead(e.Shard)
-		if e.Pinned && !displaced {
+		if e.Pinned && t.InRing(e.Shard) {
 			return
 		}
 		want := t.Home(sid)

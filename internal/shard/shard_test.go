@@ -12,7 +12,6 @@ import (
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
-	"github.com/ipa-grid/ipa/internal/rmi"
 )
 
 // ---------------------------------------------------------------- ring
@@ -529,93 +528,6 @@ func TestHandoffRollbackOnImportFailure(t *testing.T) {
 	}
 	if n := live.(*aida.Histogram1D).Entries(); n != 2 {
 		t.Fatalf("entries after rollback = %d, want 2", n)
-	}
-}
-
-// ------------------------------------------------------- remote shards
-
-// TestRemoteShardsOverRMI runs the fabric with both shards behind a
-// real RMI server: publishes, polls, and a full handoff (export /
-// import / drop) all cross the wire.
-func TestRemoteShardsOverRMI(t *testing.T) {
-	srv := rmi.NewServer(nil)
-	m0, m1 := merge.NewManager(), merge.NewManager()
-	if err := srv.Register(ObjectName("m0"), m0); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(ObjectName("m1"), m1); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dial := func() *rmi.Client {
-		c, err := rmi.Dial(addr.String(), "token")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	router := NewRouter(0)
-	if err := router.AddShard("m0", NewRemote(dial(), ObjectName("m0"))); err != nil {
-		t.Fatal(err)
-	}
-
-	const sid = "sess-rmi"
-	w := &testWorker{session: sid, id: "w0", tree: aida.NewTree()}
-	h, _ := w.tree.H1D("/h", "x", "", 10, 0, 10)
-	h.Fill(1)
-	h.Fill(2)
-	w.publish(t, router, false)
-
-	if err := router.AddShard("m1", NewRemote(dial(), ObjectName("m1"))); err != nil {
-		t.Fatal(err)
-	}
-	// Wherever the session landed, force it across the wire once.
-	var moveTo *merge.Manager
-	if router.Placement(sid) == "m0" {
-		if err := router.RemoveShard("m0"); err != nil {
-			t.Fatal(err)
-		}
-		moveTo = m1
-	} else {
-		if err := router.RemoveShard("m1"); err != nil {
-			t.Fatal(err)
-		}
-		moveTo = m0
-	}
-	var sl merge.SessionsReply
-	if err := moveTo.SessionList(merge.SessionsArgs{}, &sl); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sl.SessionIDs, []string{sid}) {
-		t.Fatalf("surviving shard sessions = %v, want [%s]", sl.SessionIDs, sid)
-	}
-	// The drained shard's RMI registration is withdrawn; later calls to
-	// it must fail fast rather than hit a zombie manager.
-	gone := "m0"
-	if moveTo == m0 {
-		gone = "m1"
-	}
-	srv.Unregister(ObjectName(gone))
-	var stats merge.StatsReply
-	err = dial().Call(ObjectName(gone)+".Stats", merge.StatsArgs{SessionID: sid}, &stats)
-	if err == nil || !strings.Contains(err.Error(), "no object") {
-		t.Fatalf("call to unregistered shard = %v, want no-object error", err)
-	}
-	// Post-handoff delta continues the exported sequence without resync.
-	h.Fill(3)
-	w.publish(t, router, false)
-	st := fullState(t, router, sid)
-	live, err := st["/h/x"].Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := live.(*aida.Histogram1D).Entries(); n != 3 {
-		t.Fatalf("entries after RMI handoff = %d, want 3", n)
 	}
 }
 

@@ -146,9 +146,10 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	}
 	g.Cluster = cluster
 
-	// Storage: per-node scratch. Staging streams each part from the
-	// dataset's replica straight to its node, so the site needs no shared
-	// disk.
+	// Storage: per-node scratch, where staging streams each part of a
+	// gsiftp:// replica. The site's own datasets are file:// replicas on
+	// the same host, which engines read in place, so the site needs no
+	// shared disk.
 	for i := 0; i < opts.Nodes; i++ {
 		name := fmt.Sprintf("node%02d", i)
 		el, err := storage.New(name, filepath.Join(opts.BaseDir, "scratch", name))

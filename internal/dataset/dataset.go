@@ -5,7 +5,7 @@
 // the analysis results can be logically merged". The container is therefore
 // a flat sequence of opaque, length-prefixed records plus a sparse offset
 // index so a splitter can cut the file at exact record boundaries without
-// scanning it (§3.4), and a CRC so staging can be verified end to end.
+// scanning it (§3.4), and a CRC over the payloads (Reader.VerifyChecksum).
 //
 // Layout:
 //
@@ -87,7 +87,10 @@ func NewWriterStride(w io.Writer, indexEvery uint32) (*Writer, error) {
 	if indexEvery == 0 {
 		return nil, errors.New("dataset: indexEvery must be ≥ 1")
 	}
-	dw := &Writer{w: bufio.NewWriterSize(w, 1<<16), underlying: w, indexEvery: indexEvery}
+	// Records reach w in 1 MiB writes. Engines read a replica in place,
+	// and one written in 64 KiB writes read measurably slower (two
+	// engines over a 70 MB replica on a 2 vCPU host).
+	dw := &Writer{w: bufio.NewWriterSize(w, 1<<20), underlying: w, indexEvery: indexEvery}
 	if _, err := dw.w.Write(magic[:]); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 // Package engine implements the analysis engine of §2.3/§3.5–3.6:
 // "processes that accept a dataset and an analysis script and analyze the
 // dataset using the script to produce a result." Engines run on worker
-// nodes (as scheduler jobs), read their staged dataset part, feed records to
-// the analysis code, publish intermediate AIDA snapshots to the manager,
-// and obey the interactive controls of Figure 4: run, pause, resume, stop,
-// rewind, step, and dynamic code reload.
+// nodes (as scheduler jobs), read their record range of the dataset, feed
+// records to the analysis code, publish intermediate AIDA snapshots to the
+// manager, and obey the interactive controls of Figure 4: run, pause,
+// resume, stop, rewind, step, and dynamic code reload.
 package engine
 
 import (
@@ -54,8 +54,6 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// Registry resolves native analyses (nil = analysis.Default).
 	Registry *analysis.Registry
-	// GlobalOffset is the absolute index of the part's first record.
-	GlobalOffset int64
 }
 
 // Engine is a single-goroutine event-loop worker; all control methods are
@@ -68,14 +66,15 @@ type Engine struct {
 	state   State
 	stopped bool // terminal shutdown
 
-	partPath string
-	reader   *dataset.Reader
-	closer   io.Closer   // unmaps the part
-	retired  []io.Closer // parts SetPart replaced; the loop unmaps them
-	total    int64
-	// gen counts SetPart and Rewind calls. A batch that began under an
-	// older gen commits no progress or state, and the iterator it read
-	// through is not reused.
+	reader  *dataset.Reader
+	closer  io.Closer   // unmaps the file
+	retired []io.Closer // files SetPart or SetRange replaced; the loop unmaps them
+	// The engine's records are reader's [first, first+total); the first of
+	// them has the absolute index globalOffset.
+	first, total, globalOffset int64
+	// gen counts SetPart, SetRange and Rewind calls. A batch that began
+	// under an older gen commits no progress or state, and the iterator it
+	// read through is not reused.
 	gen uint64
 
 	bundle        *codeloader.Bundle
@@ -140,12 +139,34 @@ func (e *Engine) Rebaselines() int64 {
 	return e.transport.Rebaselines()
 }
 
-// SetPart points the engine at its staged dataset part (a container file
-// on the worker's scratch disk, which the engine maps).
+// SetPart points the engine at a whole container file, such as a part
+// staged on the worker's scratch disk from a gsiftp:// replica, and maps
+// it. globalOffset is the absolute index of its first record.
 func (e *Engine) SetPart(path string, globalOffset int64) error {
+	return e.setRecords(path, 0, -1, globalOffset)
+}
+
+// SetRange points the engine at records [from, to) of the container file
+// at path, such as a file:// replica on a filesystem the worker shares:
+// the engine maps the file and iterates its range in place, and a
+// record's index in the file is its absolute index.
+func (e *Engine) SetRange(path string, from, to int64) error {
+	return e.setRecords(path, from, to, from)
+}
+
+// setRecords maps path and makes its records [from, to) (to == -1: to the
+// end) the engine's, the first with the absolute index globalOffset.
+func (e *Engine) setRecords(path string, from, to, globalOffset int64) error {
 	r, m, err := dataset.Open(path)
 	if err != nil {
 		return fmt.Errorf("engine %s: opening part: %w", e.cfg.WorkerID, err)
+	}
+	if to == -1 {
+		to = r.NumRecords()
+	}
+	if from < 0 || from > to || to > r.NumRecords() {
+		m.Close()
+		return fmt.Errorf("engine %s: range [%d,%d) of %d records", e.cfg.WorkerID, from, to, r.NumRecords())
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -156,11 +177,9 @@ func (e *Engine) SetPart(path string, globalOffset int64) error {
 	if e.closer != nil {
 		e.retired = append(e.retired, e.closer)
 	}
-	e.partPath = path
 	e.reader = r
 	e.closer = m
-	e.total = r.NumRecords()
-	e.cfg.GlobalOffset = globalOffset
+	e.first, e.total, e.globalOffset = from, to-from, globalOffset
 	e.gen++
 	e.nextRec = 0
 	e.events = 0
@@ -309,7 +328,8 @@ func (e *Engine) Serve() {
 				cur.parked = time.Now()
 			}
 			// Between batches no batch reads a part, so the loop unmaps
-			// the ones SetPart replaced, and the last one when it exits.
+			// the ones SetPart or SetRange replaced, and the last one when
+			// it exits.
 			for _, c := range e.retired {
 				c.Close()
 				cur.it = nil
@@ -406,8 +426,8 @@ func (y *netYield) close() {
 }
 
 // cursor is the Serve goroutine's read position: one block iterator,
-// reused batch after batch while no SetPart or Rewind intervened and it
-// stands at nextRec.
+// reused batch after batch while no SetPart, SetRange or Rewind
+// intervened and it stands at nextRec.
 type cursor struct {
 	it     *dataset.Iterator
 	gen    uint64    // Engine.gen when it was opened
@@ -467,14 +487,16 @@ func (e *Engine) processBatch(cur *cursor) {
 	reader := e.reader
 	anal := e.anal
 	ctx := e.ctx
-	offset := e.cfg.GlobalOffset
+	// The batch reads reader's records from at, up to the range's end.
+	at, end := e.first+from, e.first+e.total
+	index := e.globalOffset + from
 	e.mu.Unlock()
 
-	processed, procErr := cur.process(reader, gen, anal, ctx, offset+from, from, n)
+	processed, procErr := cur.process(reader, gen, anal, ctx, index, at, end, n)
 
 	e.mu.Lock()
 	if e.gen != gen {
-		// A SetPart or Rewind during the batch owns the state now.
+		// A SetPart, SetRange or Rewind during the batch owns the state now.
 		e.mu.Unlock()
 		return
 	}
@@ -524,15 +546,17 @@ func (e *Engine) processBatch(cur *cursor) {
 	e.mu.Unlock()
 }
 
-// process feeds records [from, from+n) of the part gen to anal, whose
-// first has the absolute index first, and returns how many it processed.
-// A fault reading the part's mapping ends it with ErrCorrupt.
+// process feeds reader's records [from, from+n) of the part gen to anal,
+// the first of them with the absolute index index, and returns how many
+// it processed. The iterator it reads through stops at record end, the
+// end of the engine's range. A fault reading the part's mapping ends it
+// with ErrCorrupt.
 func (c *cursor) process(reader *dataset.Reader, gen uint64, anal analysis.Analysis, ctx *analysis.Context,
-	first, from, n int64) (processed int64, err error) {
+	index, from, end, n int64) (processed int64, err error) {
 	defer dataset.CatchFault(&err)
 	if n > 0 && (c.it == nil || c.gen != gen || c.it.Index() != from) {
 		c.it, c.gen = nil, gen
-		if c.it, err = reader.Iter(from, -1); err != nil {
+		if c.it, err = reader.Iter(from, end); err != nil {
 			return 0, err
 		}
 	}
@@ -541,7 +565,7 @@ func (c *cursor) process(reader *dataset.Reader, gen uint64, anal analysis.Analy
 		if err != nil {
 			return processed, err
 		}
-		ctx.EventIndex = first + processed
+		ctx.EventIndex = index + processed
 		if err := anal.Process(rec, ctx); err != nil {
 			return processed, fmt.Errorf("record %d: %w", ctx.EventIndex, err)
 		}

@@ -335,42 +335,82 @@ func TestSnapshotBuildErrorSurfaced(t *testing.T) {
 	}
 }
 
+// The analysis sees each record under its absolute index: SetPart's
+// global offset plus the record's place in the part, or under SetRange
+// the record's index in the file. A range reads exactly its records,
+// across steps, batch boundaries and rewinds, and never the one at its
+// end.
 func TestGlobalOffsetVisibleToContext(t *testing.T) {
-	// Verify the engine passes absolute event indices via dataset records.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.ipa")
-	w, closer, err := dataset.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		w.Append([]byte{byte(i)})
-	}
-	closer()
-	mgr := merge.NewManager()
-	e := New(Config{SessionID: "s", WorkerID: "w", Publisher: mgr, SnapshotInterval: time.Hour})
-	go e.Serve()
-	defer e.Shutdown()
-	if err := e.SetPart(path, 500); err != nil {
-		t.Fatal(err)
-	}
-	b := scriptBundle(t, `
-		c = tree.c1d("/t", "indices", "");
-		function process(r) { c.fill(len(r)); }
-	`)
-	// Use the raw decoder: override the bundle decoder.
-	b.Decoder = "raw"
-	if err := e.LoadCode(b); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if _, err := e.WaitState(10*time.Second, StateFinished); err != nil {
-		t.Fatal(err)
-	}
-	done, total := e.Progress()
-	if done != 10 || total != 10 {
-		t.Fatalf("progress %d/%d", done, total)
-	}
+	t.Run("setpart", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "p.ipa")
+		w, closer, err := dataset.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := w.Append([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := closer(); err != nil {
+			t.Fatal(err)
+		}
+		e, rec := recordingEngine(t, "", nil)
+		if err := e.SetPart(path, 500); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		if done, total := e.Progress(); done != 10 || total != 10 {
+			t.Fatalf("progress %d/%d", done, total)
+		}
+		wantLog := []string{"init"}
+		for i := 0; i < 10; i++ {
+			wantLog = append(wantLog, fmt.Sprintf("%d:%02x", 500+i, i))
+		}
+		sameLog(t, rec.lines(), wantLog)
+	})
+	t.Run("setrange", func(t *testing.T) {
+		// 193 records, not a multiple of the 64-record batch.
+		const from, to = 37, 230
+		part := makePart(t, 300, 18)
+		e, rec := recordingEngine(t, "", nil)
+		if err := e.SetRange(part, from, to); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Step(100); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StatePaused)
+		if err := e.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Step(150); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StatePaused)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, e, StateFinished)
+		if done, total := e.Progress(); done != to-from || total != to-from {
+			t.Fatalf("progress %d/%d, want %d/%d", done, total, to-from, to-from)
+		}
+		wantLog := append([]string{"init"}, want(t, part, from, from+100)...)
+		wantLog = append(append(wantLog, "init"), want(t, part, from, to)...)
+		sameLog(t, rec.lines(), wantLog)
+	})
+	t.Run("bad range", func(t *testing.T) {
+		part := makePart(t, 10, 19)
+		e := New(Config{SessionID: "s", WorkerID: "w"})
+		for _, r := range [][2]int64{{-1, 5}, {6, 5}, {0, 11}} {
+			if err := e.SetRange(part, r[0], r[1]); err == nil {
+				t.Errorf("SetRange(%d, %d) of 10 records accepted", r[0], r[1])
+			}
+		}
+	})
 }
 
 // Script output rides the next snapshot once: a line printed at top level
@@ -511,7 +551,7 @@ func (r *recording) lines() []string {
 }
 
 // recordingEngine starts an engine running the recording analysis on
-// part. A non-nil hook runs before each record is logged.
+// part ("": none yet). A non-nil hook runs before each record is logged.
 func recordingEngine(t *testing.T, part string, hook func(i int64)) (*Engine, *recording) {
 	t.Helper()
 	rec := &recording{}
@@ -534,8 +574,10 @@ func recordingEngine(t *testing.T, part string, hook func(i int64)) (*Engine, *r
 	})
 	go e.Serve()
 	t.Cleanup(e.Shutdown)
-	if err := e.SetPart(part, 0); err != nil {
-		t.Fatal(err)
+	if part != "" {
+		if err := e.SetPart(part, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.LoadCode(&codeloader.Bundle{Name: "rec", Language: codeloader.LangNative, Analysis: "record"}); err != nil {
 		t.Fatal(err)

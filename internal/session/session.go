@@ -3,9 +3,12 @@
 //
 // A session is the unit of interactivity: creating one starts a set of
 // analysis engines as jobs on the site's interactive scheduler queue,
-// attaching a dataset runs the locate → split → stage pipeline of §3.4 as
-// one streaming pass from the replica to the workers, loading code ships the user's analysis to every engine (§3.5),
-// and the run controls of §3.6 fan out to all engines. Every client call
+// attaching a dataset runs the locate → split → stage pipeline of §3.4
+// as one pass over the replica (a file:// replica is planned and each
+// engine reads its record range of it in place; a gsiftp:// replica
+// streams each range into its worker's scratch), loading code ships the
+// user's analysis to every engine (§3.5), and the run controls of §3.6
+// fan out to all engines. Every client call
 // happens "in the context of this session", authenticated by an
 // unguessable token, and a session idle past its lifetime is swept (the
 // WS-Resource lifetime of §3.2).
@@ -53,7 +56,8 @@ type Config struct {
 	Merge  merge.Service
 	Loader *codeloader.Loader
 	// WorkerScratch resolves a node name to its scratch storage, where
-	// the node's engine reads its staged part.
+	// the node's engine reads its part staged from a gsiftp:// replica. A
+	// file:// replica is read in place and stages nothing.
 	WorkerScratch func(node string) (*storage.Element, error)
 	// Engines is the pre-configured engine count per session — "the
 	// number of nodes is determined by the Grid site policy" (§3.2).
@@ -105,6 +109,9 @@ type Session struct {
 // Service manages sessions.
 type Service struct {
 	cfg Config
+	// open opens a replica for staging: openReplica, which a test wraps
+	// to act on a replica between its opening and the plan.
+	open func(url string) (*replica, error)
 
 	mu       sync.Mutex
 	sessions map[string]*Session // by ID
@@ -127,7 +134,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SessionLifetime == 0 {
 		cfg.SessionLifetime = 30 * time.Minute
 	}
-	return &Service{cfg: cfg, sessions: make(map[string]*Session), byToken: make(map[string]*Session)}, nil
+	return &Service{cfg: cfg, open: openReplica, sessions: make(map[string]*Session), byToken: make(map[string]*Session)}, nil
 }
 
 // newKey generates a fresh unguessable session ID or token.
@@ -249,7 +256,10 @@ func (s *Service) TokenChecker() gridftp.TokenChecker {
 // one fused pass, so the three columns are its sub-spans, end to end:
 // MoveWhole opens the replica and reads its trailer and index (the
 // records stay where they are), Split plans the record ranges, and
-// MoveParts streams every range into its worker's scratch in parallel.
+// MoveParts streams every range of a gsiftp:// replica into its worker's
+// scratch in parallel. Staging from a file:// replica is planning only:
+// its engines read their ranges in place, nothing moves, and MoveParts
+// is zero.
 type StagingReport struct {
 	DatasetID  string
 	SizeMB     float64
@@ -263,10 +273,12 @@ type StagingReport struct {
 
 // AttachDataset runs the §3.4 staging pipeline as one pass: resolve the
 // dataset ID via the catalog and locator, read the replica's index, plan
-// one record range per engine, stream each range from the replica
-// straight into its worker's scratch disk as a standalone container, and
-// point every engine at its part. No byte lands on the shared disk: there
-// is no whole-file copy and no part file.
+// one record range per engine, and point every engine at its range. A
+// file:// replica lies on a filesystem the workers share, so each engine
+// maps it and reads its range in place, and no byte is copied. From a
+// gsiftp:// replica each range streams straight into its worker's scratch
+// disk as a standalone container, which the engine then maps. There is no
+// whole-file copy and no shared-disk part file.
 func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, error) {
 	sess, err := s.use(sessionID)
 	if err != nil {
@@ -287,9 +299,8 @@ func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, er
 	}
 	report := &StagingReport{DatasetID: datasetID, SizeMB: info.Dataset.SizeMB, Parts: len(sess.engines)}
 
-	// A replica that fails anywhere in the pass — opening, its index, or
-	// any part's stream — hands the whole pass to the next one; a part
-	// staged again from there replaces the earlier copy.
+	// A replica that fails anywhere in the pass — opening, its index, its
+	// plan, or any part's stream — hands the whole pass to the next one.
 	start := time.Now()
 	var plan splitter.Plan
 	var staged []string
@@ -300,14 +311,22 @@ func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, er
 			break
 		}
 	}
-	if staged == nil {
+	if report.ReplicaURL == "" {
 		return nil, fmt.Errorf("session: no replica could stage %s: %w", datasetID, lastErr)
 	}
 	sess.plan = plan
 
-	// Point engines at their parts.
+	// Point engines at their ranges: of the file:// replica itself, or of
+	// the parts staged from a gsiftp:// one.
+	local, inPlace := strings.CutPrefix(report.ReplicaURL, "file://")
 	for i, eng := range sess.engines {
-		if err := eng.SetPart(staged[i], plan.Parts[i].FromRecord); err != nil {
+		p := plan.Parts[i]
+		if inPlace {
+			err = eng.SetRange(local, p.FromRecord, p.ToRecord)
+		} else {
+			err = eng.SetPart(staged[i], p.FromRecord)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("session: engine %d: %w", i, err)
 		}
 	}
@@ -318,17 +337,20 @@ func (s *Service) AttachDataset(sessionID, datasetID string) (*StagingReport, er
 }
 
 // stageFrom runs the staging pass from one replica: open it and read its
-// index, plan one record range per engine, and stream every range into
-// its worker's scratch (§3.4: "the transfers are done in parallel"). It
-// returns the plan and the staged files' local paths, and fills the
-// report's phase timings; MoveWhole counts from start, so it includes
-// replicas that failed before this one. A file:// replica is read
-// through its mapping, so a file truncated under it faults; the fault
-// fails this replica's pass as ErrCorrupt, like a short read.
+// index, and plan one record range per engine. A file:// replica's pass
+// ends there, as its engines read their ranges in place. A gsiftp://
+// replica's ranges then stream into their workers' scratch (§3.4: "the
+// transfers are done in parallel"). It returns the plan and the staged
+// files' local paths (none for file://), and fills the report's phase
+// timings; MoveWhole counts from start, so it includes replicas that
+// failed before this one. A pass that fails deletes the parts it staged.
+// The plan reads a file:// replica through its mapping, so a file
+// truncated under it faults; the fault fails this replica's pass as
+// ErrCorrupt, like a short read.
 func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *StagingReport) (_ splitter.Plan, _ []string, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer dataset.CatchFault(&err)
-	src, err := openReplica(url)
+	src, err := s.open(url)
 	if err != nil {
 		return splitter.Plan{}, nil, err
 	}
@@ -342,6 +364,9 @@ func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *
 	}
 	report.Split = time.Since(t0)
 	report.Imbalance = plan.Imbalance()
+	if src.open == nil {
+		return plan, nil, nil
+	}
 
 	t0 = time.Now()
 	errs := make(chan error, len(sess.engines))
@@ -361,18 +386,28 @@ func (s *Service) stageFrom(url string, sess *Session, start time.Time, report *
 		}
 	}
 	if stageErr != nil {
+		// The next replica's pass may not stage at all, so nothing this
+		// one staged may stay behind.
+		for i, local := range staged {
+			if scratch, err := s.cfg.WorkerScratch(sess.nodes[i]); local != "" && err == nil {
+				scratch.Delete(partFile(sess.ID, i))
+			}
+		}
 		return splitter.Plan{}, nil, fmt.Errorf("staging parts: %w", stageErr)
 	}
 	report.MoveParts = time.Since(t0)
 	return plan, staged, nil
 }
 
+// partFile names part i of a session on its node's scratch disk.
+func partFile(sessionID string, i int) string {
+	return path.Join("/scratch", sessionID, fmt.Sprintf("part-%d.ipa", i))
+}
+
 // stagePart streams one part's record range from the replica into the
 // node's scratch disk as a standalone container and returns the staged
 // file's local path.
-func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.Part) (_ string, err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer dataset.CatchFault(&err)
+func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.Part) (string, error) {
 	scratch, err := s.cfg.WorkerScratch(node)
 	if err != nil {
 		return "", err
@@ -383,7 +418,7 @@ func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.
 	}
 	// Put has read and checked every byte by the time it returns.
 	defer rc.Close()
-	dst := path.Join("/scratch", sessionID, fmt.Sprintf("part-%d.ipa", part.Index))
+	dst := partFile(sessionID, part.Index)
 	if _, err := scratch.Put(dst, rc); err != nil {
 		return "", fmt.Errorf("part %d: %w", part.Index, err)
 	}
@@ -391,7 +426,9 @@ func (s *Service) stagePart(src *replica, sessionID, node string, part splitter.
 }
 
 // replica is an open dataset replica: its container index plans the
-// split, and open streams one part of it as a standalone container.
+// split. open streams one part of a gsiftp:// replica as a standalone
+// container; it is nil for a file:// replica, whose engines read their
+// ranges in place.
 type replica struct {
 	index *dataset.Reader
 	open  func(splitter.Part) (io.ReadCloser, error)
@@ -399,9 +436,9 @@ type replica struct {
 }
 
 // openReplica opens a replica for staging. Supported schemes: file://
-// (shared filesystem: the file is mapped, and each part is written from
-// the mapping) and gsiftp://host:port/path (GridFTP: the index is read
-// through ranged retrieves, and each part streams over a control
+// (a filesystem the workers share: the file is mapped to read its index
+// and plan the split) and gsiftp://host:port/path (GridFTP: the index is
+// read through ranged retrieves, and each part streams over a control
 // connection of its own).
 func openReplica(url string) (*replica, error) {
 	switch {
@@ -410,14 +447,7 @@ func openReplica(url string) (*replica, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &replica{index: r, close: m.Close, open: func(p splitter.Part) (io.ReadCloser, error) {
-			rr, err := r.Range(p.FromRecord, p.ToRecord)
-			if err != nil {
-				return nil, err
-			}
-			// NopCloser keeps the range's WriteTo.
-			return io.NopCloser(rr), nil
-		}}, nil
+		return &replica{index: r, close: m.Close}, nil
 	case strings.HasPrefix(url, "gsiftp://"):
 		rest := strings.TrimPrefix(url, "gsiftp://")
 		slash := strings.Index(rest, "/")
@@ -696,8 +726,9 @@ func (s *Service) Status(sessionID string) (Status, error) {
 	return st, nil
 }
 
-// Close tears the session down: engines and their jobs, staged files and
-// merge state. Closing a session that is already gone does nothing.
+// Close tears the session down: engines and their jobs, parts staged from
+// a gsiftp:// replica and merge state. Closing a session that is already
+// gone does nothing.
 func (s *Service) Close(sessionID string) {
 	if sess, err := s.Get(sessionID); err == nil {
 		s.teardown(sess)
@@ -720,8 +751,8 @@ func (s *Service) teardown(sess *Session) {
 	}
 	s.cancelJobs(jobs)
 	s.cfg.Merge.Drop(sess.ID)
-	// The staged parts on every worker's scratch disk add up to the whole
-	// dataset; they go with the session.
+	// Parts staged from a gsiftp:// replica add up to the whole dataset
+	// over the workers' scratch disks; they go with the session.
 	if s.cfg.WorkerScratch != nil {
 		for _, node := range nodes {
 			if scratch, err := s.cfg.WorkerScratch(node); err == nil {

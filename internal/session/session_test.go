@@ -3,6 +3,7 @@ package session
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ipa-grid/ipa/internal/analysis"
 	"github.com/ipa-grid/ipa/internal/catalog"
 	"github.com/ipa-grid/ipa/internal/codeloader"
 	"github.com/ipa-grid/ipa/internal/dataset"
@@ -29,6 +31,13 @@ import (
 // nodes; cfg supplies Engines, ActivateTimeout and SessionLifetime.
 func newService(t *testing.T, nodes int, cfg Config) (*Service, *scheduler.Cluster) {
 	t.Helper()
+	return newServiceWith(t, nodes, cfg, nil)
+}
+
+// newServiceWith is newService whose engines resolve native analyses in
+// reg (nil: the default registry).
+func newServiceWith(t *testing.T, nodes int, cfg Config, reg *analysis.Registry) (*Service, *scheduler.Cluster) {
+	t.Helper()
 	var nc []scheduler.NodeConfig
 	for i := 0; i < nodes; i++ {
 		nc = append(nc, scheduler.NodeConfig{Name: fmt.Sprintf("node%02d", i), Slots: 1})
@@ -41,7 +50,7 @@ func newService(t *testing.T, nodes int, cfg Config) (*Service, *scheduler.Clust
 	mgr := merge.NewManager()
 	cfg.Cluster = cluster
 	cfg.NewEngine = func(sessionID, workerID string) *engine.Engine {
-		return engine.New(engine.Config{SessionID: sessionID, WorkerID: workerID, Publisher: mgr})
+		return engine.New(engine.Config{SessionID: sessionID, WorkerID: workerID, Publisher: mgr, Registry: reg})
 	}
 	cfg.Locator, cfg.Catalog, cfg.Merge = locator.New(), catalog.New(), mgr
 	cfg.Loader, cfg.Queue = codeloader.New(), "interactive"
@@ -140,10 +149,12 @@ func TestControlRejectsUnknownActionAndClosedSession(t *testing.T) {
 	}
 }
 
-// TestAttachStreamsPartsStraightToScratch: from a file:// and from a
-// gsiftp:// replica, staging leaves on each engine's node exactly one
-// file — its part, byte for byte the container a Writer builds from the
-// part's records — and points the engine at it.
+// TestAttachStreamsPartsStraightToScratch: from a gsiftp:// replica,
+// staging leaves on each engine's node exactly one file — its part, byte
+// for byte the container a Writer builds from the part's records — and
+// points the engine at it; closing the session deletes the parts. From a
+// file:// replica it stages nothing, and each engine reads exactly its
+// range of the replica.
 func TestAttachStreamsPartsStraightToScratch(t *testing.T) {
 	src, recs := writeDataset(t)
 	addr := serveDir(t, filepath.Dir(src))
@@ -154,8 +165,8 @@ func TestAttachStreamsPartsStraightToScratch(t *testing.T) {
 
 // TestAttachFailsOverMidStream: a gsiftp:// replica that serves the index
 // and one part's range but refuses every later ERET hands the whole pass
-// to the next replica, and the parts it did stage are replaced, not left
-// beside the new ones.
+// to the next replica, a file:// one, and the part it did stage is
+// deleted: no node holds any file of the session.
 func TestAttachFailsOverMidStream(t *testing.T) {
 	src, recs := writeDataset(t)
 	flaky := refuseERETAfter(t, serveDir(t, filepath.Dir(src)), 2)
@@ -164,9 +175,9 @@ func TestAttachFailsOverMidStream(t *testing.T) {
 }
 
 // TestMappingTruncatedReplicaFailsOver: a file:// replica truncated once
-// its index is read and the split planned faults the part streams
-// reading its mapping; the pass falls over to the next replica as it
-// does on a short read, and the process lives on.
+// it is mapped and its index read, before the plan reads it, faults the
+// plan walking its records through the mapping; the pass falls over to
+// the next replica as it does on a short read, and the process lives on.
 func TestMappingTruncatedReplicaFailsOver(t *testing.T) {
 	src, recs := writeDataset(t)
 	raw, err := os.ReadFile(src)
@@ -177,14 +188,13 @@ func TestMappingTruncatedReplicaFailsOver(t *testing.T) {
 	if err := os.WriteFile(doomed, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var once sync.Once
 	file := "file://" + src
-	stageAndCheck(t, recs, []string{"file://" + doomed, file}, file, func() {
-		once.Do(func() {
+	stageAndCheck(t, recs, []string{"file://" + doomed, file}, file, func(url string) {
+		if url == "file://"+doomed {
 			if err := os.Truncate(doomed, 0); err != nil {
 				t.Error(err)
 			}
-		})
+		}
 	})
 }
 
@@ -277,12 +287,14 @@ func refuseERETAfter(t *testing.T, addr string, n int) string {
 }
 
 // stageAndCheck attaches the dataset recs were written to, located at
-// replicas and tried in that order, to a three-engine session and checks that it
-// staged from wantURL: each engine's node holds exactly its part, byte
-// for byte the container a Writer builds from the part's records, and
-// the engine sees the part's record count. A non-nil beforePart runs as
-// each part's stream begins.
-func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL string, beforePart func()) {
+// replicas and tried in that order, to a three-engine session and checks
+// that it staged from wantURL. From a gsiftp:// replica each engine's
+// node holds exactly its part, byte for byte the container a Writer
+// builds from the part's records, until the session closes. From a
+// file:// replica no node holds any file of the session. Either way each
+// engine sees its range's record count. A non-nil opened runs once each
+// replica is open, before its split is planned.
+func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL string, opened func(url string)) {
 	t.Helper()
 	const nodes = 3
 	scratch := map[string]*storage.Element{}
@@ -294,12 +306,19 @@ func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL strin
 		}
 		scratch[name] = el
 	}
-	svc, _ := newService(t, nodes, Config{Engines: nodes, WorkerScratch: func(node string) (*storage.Element, error) {
-		if beforePart != nil {
-			beforePart()
-		}
+	checker := &recordChecker{recs: recs, seen: map[string][]int64{}}
+	svc, _ := newServiceWith(t, nodes, Config{Engines: nodes, WorkerScratch: func(node string) (*storage.Element, error) {
 		return scratch[node], nil
-	}})
+	}}, checker.registry())
+	if opened != nil {
+		svc.open = func(url string) (*replica, error) {
+			src, err := openReplica(url)
+			if err == nil {
+				opened(url)
+			}
+			return src, err
+		}
+	}
 	if err := svc.cfg.Catalog.AddDataset("/test", catalog.DatasetRef{ID: "ds", Name: "ds", Records: int64(len(recs))}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +343,23 @@ func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := path.Join("/scratch", sess.ID)
+	inPlace := strings.HasPrefix(wantURL, "file://")
 	for i, part := range sess.plan.Parts {
-		el := scratch[sess.nodes[i]]
-		if names, _ := el.List(path.Join("/scratch", sess.ID)); len(names) != 1 {
-			t.Fatalf("%s: node %s holds %v, want one part", wantURL, sess.nodes[i], names)
+		if e := st.Engines[i]; e.Total != part.Records() {
+			t.Fatalf("%s: engine %d sees %d records, its range holds %d", wantURL, i, e.Total, part.Records())
 		}
-		got, err := el.ReadBytes(path.Join("/scratch", sess.ID, fmt.Sprintf("part-%d.ipa", i)))
+		el := scratch[sess.nodes[i]]
+		if inPlace {
+			if files := filesUnder(t, el, dir); len(files) != 0 {
+				t.Fatalf("%s: node %s holds %v, want nothing staged", wantURL, sess.nodes[i], files)
+			}
+			continue
+		}
+		if files := filesUnder(t, el, dir); len(files) != 1 {
+			t.Fatalf("%s: node %s holds %v, want one part", wantURL, sess.nodes[i], files)
+		}
+		got, err := el.ReadBytes(partFile(sess.ID, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,9 +379,161 @@ func stageAndCheck(t *testing.T, recs [][]byte, replicas []string, wantURL strin
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("%s: part %d (%d bytes) differs from the appended container (%d bytes)", wantURL, i, len(got), want.Len())
 		}
-		if e := st.Engines[i]; e.Total != part.Records() {
-			t.Fatalf("%s: engine %d sees %d records, its part holds %d", wantURL, i, e.Total, part.Records())
+	}
+	// Each engine reads exactly its range: every record once, in order,
+	// under its absolute index.
+	runToEnd(t, svc, sess, engine.StateFinished)
+	for i, part := range sess.plan.Parts {
+		seen := checker.indices(fmt.Sprintf("engine-%02d", i))
+		if int64(len(seen)) != part.Records() {
+			t.Fatalf("%s: engine %d read %d records, its range [%d,%d) holds %d",
+				wantURL, i, len(seen), part.FromRecord, part.ToRecord, part.Records())
 		}
+		for k, idx := range seen {
+			if idx != part.FromRecord+int64(k) {
+				t.Fatalf("%s: engine %d's record %d has index %d, want %d", wantURL, i, k, idx, part.FromRecord+int64(k))
+			}
+		}
+	}
+	svc.Close(sess.ID)
+	for node, el := range scratch {
+		if files := filesUnder(t, el, dir); len(files) != 0 {
+			t.Fatalf("%s: closed session's parts still staged on %s: %v", wantURL, node, files)
+		}
+	}
+}
+
+// filesUnder lists the files (not directories) under dir on el, at any
+// depth; a missing dir holds none.
+func filesUnder(t *testing.T, el *storage.Element, dir string) []string {
+	t.Helper()
+	var files []string
+	root, err := el.LocalPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err == nil && !d.IsDir() {
+			files = append(files, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// recordChecker is a native analysis, "check", that compares every record
+// with recs[ctx.EventIndex] and logs the indices each worker read. A
+// non-nil hook runs before each record is compared.
+type recordChecker struct {
+	recs [][]byte
+	hook func(index int64)
+	mu   sync.Mutex
+	seen map[string][]int64 // by worker
+}
+
+func (c *recordChecker) registry() *analysis.Registry {
+	reg := analysis.NewRegistry()
+	reg.Register("check", func(map[string]string) (analysis.Analysis, error) {
+		return &analysis.Func{ProcessFn: func(rec []byte, ctx *analysis.Context) error {
+			if c.hook != nil {
+				c.hook(ctx.EventIndex)
+			}
+			if ctx.EventIndex < 0 || ctx.EventIndex >= int64(len(c.recs)) || !bytes.Equal(rec, c.recs[ctx.EventIndex]) {
+				return fmt.Errorf("record %d differs from the dataset's", ctx.EventIndex)
+			}
+			c.mu.Lock()
+			c.seen[ctx.WorkerID] = append(c.seen[ctx.WorkerID], ctx.EventIndex)
+			c.mu.Unlock()
+			return nil
+		}}, nil
+	})
+	return reg
+}
+
+func (c *recordChecker) indices(worker string) []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int64(nil), c.seen[worker]...)
+}
+
+// runToEnd loads the "check" analysis into the session, runs it and waits
+// until every engine is in state want.
+func runToEnd(t *testing.T, svc *Service, sess *Session, want engine.State) {
+	t.Helper()
+	if _, err := svc.LoadCode(sess.ID, codeloader.Bundle{Name: "check", Language: codeloader.LangNative, Analysis: "check"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Control(sess.ID, ActionRun, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range sess.engines {
+		if st, err := eng.WaitState(10*time.Second, engine.StateFinished, engine.StateError); err != nil || st != want {
+			_, lastErr := eng.State()
+			t.Fatalf("engine %d: state %v (%v), want %v; last error %v", i, st, err, want, lastErr)
+		}
+	}
+}
+
+// TestMappingTruncatedReplicaUnderInPlaceEngines: a file:// replica that
+// is truncated while every engine reads its range of it in place faults
+// each engine's next read. Every engine ends in Error wrapping
+// ErrCorrupt, and the process lives on.
+func TestMappingTruncatedReplicaUnderInPlaceEngines(t *testing.T) {
+	src, recs := writeDataset(t)
+	const nodes = 3
+	checker := &recordChecker{recs: recs, seen: map[string][]int64{}}
+	svc, _ := newServiceWith(t, nodes, Config{Engines: nodes}, checker.registry())
+	if err := svc.cfg.Catalog.AddDataset("/test", catalog.DatasetRef{ID: "ds", Name: "ds", Records: int64(len(recs))}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.cfg.Locator.Register("ds", locator.Replica{URL: "file://" + src}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := svc.Create("/CN=alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AttachDataset(sess.ID, "ds"); err != nil {
+		t.Fatal(err)
+	}
+	// Each engine stops at the first record of its range until the
+	// replica is truncated.
+	firsts := map[int64]bool{}
+	for _, p := range sess.plan.Parts {
+		firsts[p.FromRecord] = true
+	}
+	arrived, truncated := make(chan struct{}, nodes), make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(truncated) }) })
+	checker.hook = func(i int64) {
+		if firsts[i] {
+			arrived <- struct{}{}
+			<-truncated
+		}
+	}
+	go func() {
+		for range nodes {
+			<-arrived
+		}
+		if err := os.Truncate(src, 0); err != nil {
+			t.Error(err)
+		}
+		release.Do(func() { close(truncated) })
+	}()
+	runToEnd(t, svc, sess, engine.StateError)
+	for i, eng := range sess.engines {
+		if _, err := eng.State(); !errors.Is(err, dataset.ErrCorrupt) {
+			t.Fatalf("engine %d: error %v, want ErrCorrupt", i, err)
+		}
+	}
+	if _, err := svc.Status(sess.ID); err != nil {
+		t.Fatalf("status after the fault: %v", err)
 	}
 }
 

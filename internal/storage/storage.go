@@ -2,8 +2,9 @@
 // behind the paper's "Grid Storage Element" and the "Shared Disk Space" of
 // the compute element (Figure 2). A storage element is a directory tree
 // with space accounting and se:// URL naming; the GridFTP server serves
-// one, and each worker node's scratch area, where staging streams its
-// dataset part, is one.
+// one, and each worker node's scratch area is one. Staging streams a
+// worker's dataset part into its scratch only from a gsiftp:// replica:
+// a file:// replica is read in place and stages nothing.
 package storage
 
 import (

@@ -176,7 +176,6 @@ func gatewayRelay(grid *ipa.LocalGrid) (gw *relay.Relay, owned bool) {
 	}
 	rel := relay.New("gateway", grid.Merge)
 	rel.Interval = relay.ParkBound
-	rel.AutoSubscribe = true
 	return rel, true
 }
 

@@ -29,13 +29,11 @@ type Client struct {
 	engines   int
 	rmiAddr   string
 
-	mu      sync.Mutex
-	tree    *aida.Tree // client-side mirror of the merged results
-	version int64
-	// epoch is the last seen session-state incarnation (see
-	// merge.PollReply.Epoch); a change means the merged state was
-	// rebuilt from scratch and the mirror must full-resync.
-	epoch int64
+	mu   sync.Mutex
+	tree *aida.Tree // client-side mirror of the merged results
+	// cur is how far the mirror has read the session's merged state; its
+	// resync rule tells when the mirror must be rebuilt.
+	cur merge.Cursor
 
 	// Direct shard polling (SetDirectPoll): a second RMI connection to
 	// the session's owning shard, bypassing the router hop.
@@ -89,6 +87,9 @@ func (c *Client) CreateSession() error {
 		return err
 	}
 	c.sessionID = resp.SessionID
+	c.mu.Lock()
+	c.cur.Session = resp.SessionID
+	c.mu.Unlock()
 	c.token = resp.Token
 	c.engines = resp.Engines
 	c.rmiAddr = resp.RMIAddr
@@ -338,26 +339,23 @@ func (c *Client) dropDirect() {
 	}
 }
 
-// pollReply fetches one PollReply, preferring the direct shard (or
-// relay) path. sinceEpoch is the mirror's last seen incarnation stamp:
-// a direct reply whose version regressed but whose epoch changed is a
-// legitimate rebuild (relay re-baseline, re-created session) that the
-// caller's resync rule handles, not a stale endpoint.
-func (c *Client) pollReply(args merge.PollArgs, sinceEpoch int64) (merge.PollReply, error) {
+// pollReply fetches the poll that continues from cur, preferring the
+// direct shard (or relay) path. A direct reply is used unless it
+// reports the session unknown: a rebuilt state (relay re-baseline,
+// re-created session) is for the caller's resync rule, not a sign of a
+// stale endpoint.
+func (c *Client) pollReply(cur merge.Cursor, full bool, wait time.Duration) (merge.PollReply, error) {
 	var reply merge.PollReply
+	args := cur.Args(full, wait)
 	if rc, target := c.ensureDirect(); rc != nil {
 		err := rc.Call(target, args, &reply)
-		// A tombstone's version-0 reply is NOT a rebuild whatever epoch it
-		// carries — only a reply with actual state qualifies.
-		epochFlip := err == nil && reply.Version > 0 &&
-			reply.Epoch != 0 && sinceEpoch != 0 && reply.Epoch != sinceEpoch
-		if err == nil && reply.Version > 0 && (reply.Version >= args.SinceVersion || epochFlip) {
+		if err == nil && cur.Verdict(&reply) != merge.Unknown {
 			return reply, nil
 		}
-		if err != nil || (reply.Version < args.SinceVersion && !epochFlip) {
-			// Broken endpoint, or the shard no longer owns the session
-			// (a tombstone's version regresses): re-resolve placement on
-			// the next poll.
+		if err != nil || cur.Version > 0 {
+			// Broken endpoint, or the shard no longer owns the session (a
+			// tombstone answers version 0): re-resolve placement on the
+			// next poll.
 			c.dropDirect()
 		}
 		// Otherwise the direct reply reported version 0 with the mirror
@@ -365,7 +363,7 @@ func (c *Client) pollReply(args merge.PollArgs, sinceEpoch int64) (merge.PollRep
 		// yet" and "tombstone of a moved session". Serve this poll via
 		// the router (authoritative either way) but keep the direct
 		// connection: once data flows the client's version rises and a
-		// tombstone's regressed version becomes detectable.
+		// tombstone's version 0 becomes detectable.
 		reply.Release()
 		reply = merge.PollReply{}
 		// The direct poll already parked; the fallback answers at once.
@@ -393,22 +391,17 @@ func (c *Client) poll(wait time.Duration) (Update, error) {
 		return Update{}, fmt.Errorf("core: no session (CreateSession first)")
 	}
 	c.mu.Lock()
-	since, sinceEpoch := c.version, c.epoch
+	cur := c.cur
 	c.mu.Unlock()
-	reply, err := c.pollReply(merge.PollArgs{
-		SessionID: c.sessionID, SinceVersion: since, SinceEpoch: sinceEpoch, Wait: wait,
-	}, sinceEpoch)
+	reply, err := c.pollReply(cur, false, wait)
 	if err != nil {
 		return Update{}, err
 	}
-	// Resync when the merged state was rebuilt under us: the version
-	// regressed (a handoff tombstone reset a straggler poll), or the
-	// incarnation epoch changed (a shard died and the engines
-	// re-baselined on a fresh owner — whose new version counter may
-	// already have overtaken ours, which is why regression alone is not
-	// a sufficient signal).
-	resync := since > 0 && (reply.Version < since ||
-		(reply.Epoch != 0 && sinceEpoch != 0 && reply.Epoch != sinceEpoch))
+	// Resync when the merged state was rebuilt under us (see
+	// merge.Cursor.Verdict), or when a session we had read is no longer
+	// known.
+	verdict := cur.Verdict(&reply)
+	resync := verdict == merge.Rebuilt || verdict == merge.Unknown && cur.Version > 0
 	if resync {
 		// Our mirror may hold state the new owner never saw, so rebuild
 		// it from a full poll instead of patching. The full poll must go
@@ -417,10 +410,8 @@ func (c *Client) poll(wait time.Duration) (Update, error) {
 		// router-epoch baseline with relay-epoch increments would resync
 		// forever.
 		reply.Release()
-		reply = merge.PollReply{}
-		reply, err = c.pollReply(merge.PollArgs{
-			SessionID: c.sessionID, Full: true,
-		}, 0)
+		cur.Reset()
+		reply, err = c.pollReply(cur, true, 0)
 		if err != nil {
 			return Update{}, err
 		}
@@ -432,10 +423,8 @@ func (c *Client) poll(wait time.Duration) (Update, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.version = reply.Version
-	if reply.Epoch != 0 {
-		c.epoch = reply.Epoch
-	}
+	cur.Take(&reply)
+	c.cur = cur
 	if resync {
 		c.tree = aida.NewTree()
 	}

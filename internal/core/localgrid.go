@@ -194,13 +194,11 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 				name := fmt.Sprintf("relay%02d", i)
 				rel := relay.New(name, g.Router.OriginPoller())
 				rel.Interval = relay.ParkBound
-				rel.AutoSubscribe = true
 				g.Relays[name] = rel
 				if err := g.Router.AddRelay(name, rel); err != nil {
 					return nil, err
 				}
 			}
-			g.Router.RelayReads = true
 		}
 	} else {
 		mgr := merge.NewManager()

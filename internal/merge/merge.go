@@ -21,9 +21,10 @@
 // (path, version), so N polling clients share one encode per change.
 // For large worker counts a SubMerger aggregates a group of workers and
 // republishes upward as one pseudo-worker, the §2.5 "sub-level of
-// components" scalability design (ablation A2); it forwards
-// touched-only deltas through the snapshot Transport, so the hierarchy
-// composes with the incremental pipeline.
+// components" scalability design (ablation A2). It reads its local
+// manager's Poll through a Cursor, like every other follower of a
+// session, and forwards what changed through the snapshot Transport, so
+// the hierarchy composes with the incremental pipeline.
 //
 // Concurrency: sessions live in a lock-free table and
 // each carries its own RWMutex, so publishes and polls of unrelated
@@ -45,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1056,69 +1056,6 @@ func (m *Manager) MergedTree(sessionID string) (*aida.Tree, int64, error) {
 	return cp, s.version, err
 }
 
-// FlushState is the upstream-snapshot material a SubMerger pulls from
-// its local manager in one locked read: the merged objects stamped
-// after since (all of them, as a Full baseline, when since is 0), the
-// paths removed after since, aggregate progress, and the log lines
-// accumulated after logSince.
-type FlushState struct {
-	Delta       *aida.DeltaState
-	Version     int64
-	Done, Total int64
-	Logs        []string
-}
-
-// FlushState assembles a forwardable delta of everything that changed
-// in the merged tree after since. Unknown sessions yield an empty
-// snapshot.
-func (m *Manager) FlushState(sessionID string, since, logSince int64) (FlushState, error) {
-	fs := FlushState{Delta: &aida.DeltaState{Full: since == 0}}
-	s := m.lookup(sessionID)
-	if s == nil {
-		return fs, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs.Version = s.version
-	for _, id := range s.workerIDs {
-		w := s.workers[id]
-		fs.Done += w.done
-		fs.Total += w.total
-	}
-	for _, l := range s.logs {
-		if l.version > logSince {
-			fs.Logs = append(fs.Logs, l.text)
-		}
-	}
-	var firstErr error
-	s.merged.Walk(func(path string, obj aida.Object) {
-		if firstErr != nil {
-			return
-		}
-		if since != 0 && s.objVersion[path] <= since {
-			return
-		}
-		st, err := aida.StateOf(obj)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		fs.Delta.Entries = append(fs.Delta.Entries, aida.TreeEntry{Path: path, Object: st})
-	})
-	if firstErr != nil {
-		return fs, firstErr
-	}
-	if since != 0 {
-		for path, ver := range s.gone {
-			if ver > since {
-				fs.Delta.Removed = append(fs.Delta.Removed, path)
-			}
-		}
-		sort.Strings(fs.Delta.Removed)
-	}
-	return fs, nil
-}
-
 // ------------------------------------------------------------------
 // Shard handoff surface. A shard router migrates a session between
 // Manager shards by Export(Seal)ing it on the old owner, Import()ing the
@@ -1504,20 +1441,20 @@ func (m *Manager) FastPolls(sessionID string) int64 {
 
 // SubMerger aggregates the engines of one group and forwards one
 // combined pseudo-worker snapshot upstream (§2.5). It implements
-// Publisher so engines can't tell it from the root manager. Flushes
-// forward touched-only deltas through the shared snapshot Transport —
-// cost proportional to what the group changed since the last flush —
-// so multi-level hierarchies compose with the incremental pipeline
-// instead of re-shipping the group's whole state every hop.
+// Publisher so engines can't tell it from the root manager. A flush
+// reads its local manager through a Cursor, as a relay reads its
+// upstream, and forwards what changed since the last accepted flush
+// through the shared snapshot Transport — cost proportional to what the
+// group changed — so multi-level hierarchies compose with the
+// incremental pipeline instead of re-shipping the group's whole state
+// every hop.
 type SubMerger struct {
-	session string
-
 	mu        sync.Mutex
 	local     *Manager
 	transport *Transport
-	// lastFlushed is the local merged version covered by the last
-	// accepted upstream flush; the next delta starts there.
-	lastFlushed int64
+	// cur is at the local merged version covered by the last accepted
+	// upstream flush; the next delta starts there.
+	cur Cursor
 	// FlushEvery forwards upstream after this many local publishes
 	// (1 = every time; larger batches trade freshness for fan-in).
 	FlushEvery int
@@ -1531,9 +1468,9 @@ func NewSubMerger(name, sessionID string, upstream Publisher, flushEvery int) *S
 		flushEvery = 1
 	}
 	return &SubMerger{
-		session:    sessionID,
 		local:      NewManager(),
 		transport:  NewTransport(sessionID, name, upstream),
+		cur:        Cursor{Session: sessionID},
 		FlushEvery: flushEvery,
 	}
 }
@@ -1561,28 +1498,21 @@ func (s *SubMerger) Flush() error {
 	return s.flushLocked()
 }
 
+// flushLocked forwards one snapshot, changed or not: the local manager
+// never rebuilds the session, so every reply continues the cursor.
 func (s *SubMerger) flushLocked() error {
-	var covered int64
+	var pr PollReply
 	reply, err := s.transport.Send(func(full bool) (Snapshot, error) {
-		since := s.lastFlushed
-		if full {
-			since = 0
-		}
-		fs, err := s.local.FlushState(s.session, since, s.lastFlushed)
-		if err != nil {
+		if err := s.local.Poll(s.cur.Args(full, 0), &pr); err != nil {
 			return Snapshot{}, err
 		}
-		covered = fs.Version
-		return Snapshot{
-			Delta: fs.Delta, Done: fs.Done, Total: fs.Total,
-			Log: strings.Join(fs.Logs, "\n"),
-		}, nil
+		return pr.Snapshot(full)
 	})
 	if err != nil {
 		return err
 	}
 	if reply.Accepted {
-		s.lastFlushed = covered
+		s.cur.Take(&pr)
 	}
 	return nil
 }

@@ -1,19 +1,22 @@
 // Snapshot transport: the one delta-native uplink every tier of the
 // merge hierarchy publishes through. Engines send their result trees to
-// a manager, SubMergers (the §2.5 hierarchy of ablation A2) forward
-// their group totals upstream, and relays republish into their local
-// copy, all via the same generation-stamped protocol: incremental
-// DeltaState snapshots by default, a full baseline on the first send,
-// after a transport failure, and whenever the receiver asks for a
-// resync (NeedFull). Centralizing the seq/re-baseline state machine
-// here is what lets multi-level hierarchies compose: each hop speaks
-// exactly the protocol the next hop's Publish expects.
+// a manager; SubMergers (the §2.5 hierarchy of ablation A2) and relays
+// read a session through a Cursor and forward each poll reply it judges
+// a continuation (PollReply.Snapshot) — SubMergers upstream as their
+// group total, relays downhill into their local copy. All use the same
+// generation-stamped protocol: incremental DeltaState snapshots by
+// default, a full baseline on the first send, after a transport
+// failure, and whenever the receiver asks for a resync (NeedFull).
+// Centralizing the seq/re-baseline state machine here is what lets
+// multi-level hierarchies compose: each hop speaks exactly the protocol
+// the next hop's Publish expects.
 package merge
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/obs"
@@ -55,7 +58,7 @@ type Transport struct {
 	policy      *aida.CompressionPolicy
 	gen         int64
 	needFull    bool
-	rebaselines int64
+	rebaselines atomic.Int64
 }
 
 // NewTransport creates a transport publishing to upstream as workerID
@@ -83,10 +86,15 @@ func (t *Transport) Generation() int64 {
 // Rebaselines counts the sends after the first that were forced to
 // carry a full baseline (receiver NeedFull or a transport failure) — a
 // shard handoff surfaces here as exactly one re-baseline per producer.
-func (t *Transport) Rebaselines() int64 {
+// Lock-free.
+func (t *Transport) Rebaselines() int64 { return t.rebaselines.Load() }
+
+// Rebaseline makes the next send a full baseline: the receiver lost
+// the state the transport's deltas build on.
+func (t *Transport) Rebaseline() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rebaselines
+	t.needFull = true
 }
 
 var errEmptySnapshot = errors.New("merge: transport snapshot carries no delta")
@@ -109,7 +117,7 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 		return PublishReply{}, errEmptySnapshot
 	}
 	if t.needFull && t.gen > 0 {
-		t.rebaselines++
+		t.rebaselines.Add(1)
 	}
 	t.gen++
 	args := PublishArgs{

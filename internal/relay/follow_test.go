@@ -154,10 +154,8 @@ func TestRelayTreeEquivalenceParked(t *testing.T) {
 		}
 	}
 	r1 := relay.New("r1", router.OriginPoller())
-	r1.AutoSubscribe = true
 	r1.Interval = 50 * time.Millisecond
 	r2 := relay.New("r2", r1)
-	r2.AutoSubscribe = true
 	r2.Interval = 50 * time.Millisecond
 
 	type sess struct {
@@ -331,7 +329,6 @@ func TestRelayParksOnceUpstream(t *testing.T) {
 	sendSnap(t, tr, tree)
 
 	rel := relay.New("fan", owner)
-	rel.AutoSubscribe = true
 	rel.Interval = relay.ParkBound
 	defer rel.Close()
 	var first merge.PollReply
@@ -399,7 +396,6 @@ func TestRelayIdlesWithoutReaders(t *testing.T) {
 	publish(0)
 
 	rel := relay.New("idle", owner)
-	rel.AutoSubscribe = true
 	rel.Interval = 20 * time.Millisecond
 	defer rel.Close()
 
@@ -583,7 +579,6 @@ func TestRelayTeardownDoesNotWaitOutParks(t *testing.T) {
 	sendSnap(t, merge.NewTransport(sid2, "w0", owner), tree)
 
 	rel := relay.New("teardown", owner)
-	rel.AutoSubscribe = true
 	rel.Interval = time.Hour // capped at merge.MaxPollWait by the owner
 	var first merge.PollReply
 	if err := rel.Poll(merge.PollArgs{SessionID: sid}, &first); err != nil {

@@ -94,11 +94,10 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 		tick = 200 * time.Millisecond
 	}
 	enc := json.NewEncoder(w)
-	var since, sinceEpoch int64
+	cur := merge.Cursor{Session: sid}
 	push := func() bool {
 		var reply merge.PollReply
-		args := merge.PollArgs{SessionID: sid, SinceVersion: since, SinceEpoch: sinceEpoch, Wait: tick}
-		if err := g.relay.Poll(args, &reply); err != nil {
+		if err := g.relay.Poll(cur.Args(false, tick), &reply); err != nil {
 			// A failing relay answers at once: retry after a tick.
 			t := time.NewTimer(tick)
 			defer t.Stop()
@@ -108,22 +107,23 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 			}
 			return true
 		}
-		if reply.Version == 0 {
+		resync := false
+		switch cur.Verdict(&reply) {
+		case merge.Unknown:
 			return true // session unknown yet (the poll parked); keep waiting
-		}
-		resync := since > 0 && (reply.Version < since ||
-			(reply.Epoch != 0 && sinceEpoch != 0 && reply.Epoch != sinceEpoch))
-		if resync {
+		case merge.Rebuilt:
 			// The relay re-baselined under us; restart from zero so the
 			// next frame carries the complete rebuilt state.
-			since, sinceEpoch = 0, 0
+			resync = true
+			cur.Reset()
 			reply = merge.PollReply{}
-			if err := g.relay.Poll(merge.PollArgs{SessionID: sid}, &reply); err != nil || reply.Version == 0 {
+			if err := g.relay.Poll(cur.Args(false, 0), &reply); err != nil || reply.Version == 0 {
 				return true
 			}
-		}
-		if !reply.Changed && reply.Version == since && !resync {
-			return true
+		default:
+			if cur.Unchanged(&reply) {
+				return true
+			}
 		}
 		f := sseFrame{
 			Session: sid, Version: reply.Version, Epoch: reply.Epoch,
@@ -147,12 +147,12 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Flush()
 		obsSSEFrames.Inc()
-		if since > 0 && reply.Version > since+1 {
+		if since := cur.Version; since > 0 && reply.Version > since+1 {
 			// The versions between since and reply.Version were coalesced
 			// into this one frame.
 			obsSSECoalesced.Add(reply.Version - since - 1)
 		}
-		since, sinceEpoch = reply.Version, reply.Epoch
+		cur.Take(&reply)
 		return true
 	}
 	for r.Context().Err() == nil && push() {

@@ -61,7 +61,6 @@ func TestGatewaySSE(t *testing.T) {
 	sendSnap(t, tr, tree)
 
 	rel := relay.New("gw", mgr)
-	rel.AutoSubscribe = true
 	rel.Interval = time.Millisecond
 	defer rel.Close()
 
@@ -155,7 +154,6 @@ func TestGatewayPushesOnCommit(t *testing.T) {
 	sendSnap(t, tr, tree)
 
 	rel := relay.New("push", mgr)
-	rel.AutoSubscribe = true
 	rel.Interval = relay.ParkBound
 	defer rel.Close()
 	gw := relay.NewGateway(rel)

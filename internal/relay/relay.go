@@ -10,33 +10,36 @@
 // because the codec is deterministic, relay-served frames are
 // byte-identical to the owner's.
 //
-// A subscription follows its upstream only while it has demand: a
-// downstream poll since its last sync, or one parked on it right now.
-// Without either it goes idle and polls upstream no more; the first
-// read of an idle subscription syncs inline before it is served, then
-// wakes the loop to follow again.
+// The first read of a session opens its subscription. A subscription
+// follows its upstream only while it has demand: a downstream poll
+// since its last sync, or one parked on it right now. Without either it
+// goes idle and polls upstream no more. A read syncs inline before it
+// is served while the subscription is idle or has not yet taken a
+// single upstream reply — a loop that has started following may not
+// have landed its first exchange — and an idle one's read then wakes
+// the loop to follow again.
 //
 // Relays compose: a Relay's upstream may itself be a Relay (a
 // relay-of-relay tree for geographic tiers).
 //
-// Self-healing mirrors the client rules: an upstream epoch change or
-// same-epoch version regression (a re-created session, a handoff
-// straggler) re-baselines the subscription — the local copy is dropped, which
-// mints a fresh local epoch, so downstream clients full-resync in turn.
-// An upstream that stops knowing the session (version 0) leaves the
-// local copy serving its final state rather than tearing it down under
-// the viewers.
+// A subscription reads its upstream through a merge.Cursor, so it
+// heals by the same resync rule as every other follower: a rebuilt
+// upstream (an epoch change or a version regression: a re-created
+// session, a handoff straggler) re-baselines the subscription — the
+// local copy is dropped, which mints a fresh local epoch, so downstream
+// clients full-resync in turn. An upstream that does not know the
+// session (version 0, a tombstone included) leaves the local copy
+// serving its final state rather than tearing it down under the
+// viewers.
 package relay
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/rmi"
 )
@@ -81,9 +84,6 @@ type Relay struct {
 	// once, so Interval sets no cadence. 0 = no background loop; tests
 	// and embedders drive syncs via SyncNow. Set before Subscribe.
 	Interval time.Duration
-	// AutoSubscribe makes the first downstream poll of an unknown
-	// session open its subscription on demand. Set before use.
-	AutoSubscribe bool
 
 	mu     sync.Mutex
 	closed bool
@@ -97,33 +97,28 @@ type Relay struct {
 type subscription struct {
 	sid string
 
+	// tr republishes upstream replies into the local copy; its
+	// re-baseline count is the subscription's.
+	tr *merge.Transport
 	// syncMu serializes applying upstream replies to the local copy
-	// (the loop, inline syncs and SyncNow); the fields below it are
-	// guarded by it. The loop does not hold it while parked upstream.
-	syncMu    sync.Mutex
-	tr        *merge.Transport
-	upVersion int64
-	upEpoch   int64
+	// (the loop, inline syncs and SyncNow) and guards cur. The loop does
+	// not hold it while parked upstream.
+	syncMu sync.Mutex
+	cur    merge.Cursor
 
-	// progress is the upstream per-worker progress at upVersion,
+	// progress is the upstream per-worker progress at the cursor,
 	// re-served verbatim on downstream polls (the local manager only
 	// sees one aggregate "worker", the relay itself).
 	progress atomic.Pointer[[]merge.WorkerProgress]
-	// lastSyncNS is the wall clock of the last successful upstream
-	// exchange (unix nanos); staleness lag is measured against it.
+	// lastSyncNS is the wall clock of the last upstream reply the cursor
+	// took (unix nanos); staleness lag is measured against it. 0 = none
+	// yet, so reads sync inline.
 	lastSyncNS atomic.Int64
-	// rebaselines mirrors the transport's re-baseline count (plus one
-	// per epoch-flip transport replacement) into an atomic, so Stats
-	// never touches the syncMu-guarded transport. rebaseBase carries
-	// the total across transport replacements (guarded by syncMu).
-	rebaselines atomic.Int64
-	rebaseBase  int64
 
 	// Demand. read is set by a downstream poll and cleared when the loop
 	// starts an upstream exchange; parked counts downstream polls parked
-	// on the local copy now. idle means nothing keeps the local copy
-	// current — before the first sync, and while the loop waits for
-	// demand — so the next read syncs inline; kick then wakes the loop.
+	// on the local copy now. idle means the loop waits for demand, so
+	// the next read syncs inline; kick then wakes the loop.
 	read   atomic.Bool
 	parked atomic.Int32
 	idle   atomic.Bool
@@ -165,44 +160,50 @@ func (r *Relay) Name() string { return r.name }
 func (r *Relay) Local() *merge.Manager { return r.local }
 
 // errUnchanged aborts a transport send without consuming a generation:
-// the upstream had nothing new (or doesn't know the session), so the
-// local version must not churn — downstream quiescent polls stay on
-// the lock-free fast path.
+// the reply is not a change to republish (nothing new, an unknown
+// session or a rebuilt upstream), so the local version must not churn —
+// downstream quiescent polls stay on the lock-free fast path.
 var errUnchanged = errors.New("relay: upstream unchanged")
 
-// errEpochFlip aborts a send because the upstream state was rebuilt
-// (new epoch, or a same-epoch version regression): the local copy must
-// be dropped and re-baselined.
-var errEpochFlip = errors.New("relay: upstream epoch changed")
+// testHookFollow, when set, runs in a session's loop after it has
+// claimed the demand and before its upstream exchange.
+var testHookFollow atomic.Pointer[func(sessionID string)]
 
-// Subscribe opens the session's upstream subscription (idempotent). It
-// starts idle: the first downstream read or SyncNow syncs it, and with
-// a positive Interval the read also starts the loop following upstream.
+// Subscribe opens the session's upstream subscription (idempotent). The
+// first downstream read or SyncNow syncs it; with a positive Interval it
+// starts idle, and that read also wakes the loop following upstream.
 func (r *Relay) Subscribe(sessionID string) error {
-	if _, ok := r.subs.Load(sessionID); ok {
-		return nil
+	_, err := r.subscribe(sessionID)
+	return err
+}
+
+// subscribe returns the session's subscription, opening it if needed.
+func (r *Relay) subscribe(sessionID string) (*subscription, error) {
+	if v, ok := r.subs.Load(sessionID); ok {
+		return v.(*subscription), nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return fmt.Errorf("relay %s: closed", r.name)
+		return nil, fmt.Errorf("relay %s: closed", r.name)
 	}
-	if _, ok := r.subs.Load(sessionID); ok {
-		return nil
+	if v, ok := r.subs.Load(sessionID); ok {
+		return v.(*subscription), nil
 	}
 	s := &subscription{
 		sid:  sessionID,
 		tr:   merge.NewTransport(sessionID, "relay:"+r.name, r.local),
+		cur:  merge.Cursor{Session: sessionID},
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}
-	s.idle.Store(true)
+	s.idle.Store(r.Interval > 0)
 	r.subs.Store(sessionID, s)
 	obsSubscriptions.Add(1)
 	if r.Interval > 0 {
 		go r.loop(s)
 	}
-	return nil
+	return s, nil
 }
 
 // loop follows upstream while the subscription has demand and waits
@@ -226,6 +227,9 @@ func (r *Relay) loop(s *subscription) {
 		}
 		s.idle.Store(false)
 		s.read.Store(false)
+		if h := testHookFollow.Load(); h != nil {
+			(*h)(s.sid)
+		}
 		if err := r.follow(s); err != nil {
 			// Errors are retried; the transport's re-baseline state
 			// machine covers anything half-applied.
@@ -240,31 +244,26 @@ func (r *Relay) loop(s *subscription) {
 }
 
 // follow runs one upstream exchange of the loop: a poll parked for up
-// to Interval until the upstream moves past the local copy's version,
-// then applied. The poll parks without syncMu, so SyncNow, inline syncs
-// and teardown never wait out a park.
+// to Interval until the upstream moves past the cursor, then applied.
+// The poll parks without syncMu, so SyncNow, inline syncs and teardown
+// never wait out a park.
 func (r *Relay) follow(s *subscription) error {
 	s.syncMu.Lock()
-	since, epoch := s.upVersion, s.upEpoch
+	at := s.cur
 	s.syncMu.Unlock()
 	var pr merge.PollReply
-	err := r.upstream.Poll(merge.PollArgs{
-		SessionID: s.sid, SinceVersion: since, SinceEpoch: epoch, Wait: r.Interval,
-	}, &pr)
-	if err != nil {
+	if err := r.pollUp(at.Args(false, r.Interval), &pr); err != nil {
 		return err
 	}
-	r.upPolls.Add(1)
-	obsUpPolls.Inc()
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	if s.upVersion != since || s.upEpoch != epoch {
-		// Another sync moved the subscription while this poll was
-		// parked: the reply is a diff from a version the copy has left.
+	if s.cur != at {
+		// Another sync moved the cursor while this poll was parked: the
+		// reply is a diff from a version the copy has left.
 		r.releaseReply(&pr)
 		return nil
 	}
-	return r.syncWith(s, &pr)
+	return r.apply(s, &pr)
 }
 
 // SyncNow forces one synchronous subscription exchange for a session
@@ -282,69 +281,43 @@ func (r *Relay) SyncNow(sessionID string) error {
 func (r *Relay) syncOnce(s *subscription) error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	return r.syncWith(s, nil)
+	return r.apply(s, nil)
 }
 
-// syncWith applies one upstream exchange, starting from pre when the
-// caller already polled (nil = poll now). Caller holds syncMu.
-func (r *Relay) syncWith(s *subscription, pre *merge.PollReply) error {
-	if s.stopped() {
-		// Torn down: the local copy is gone and must stay gone.
-		if pre != nil {
-			r.releaseReply(pre)
-		}
-		return nil
+// pollUp polls the upstream and counts the exchange.
+func (r *Relay) pollUp(args merge.PollArgs, pr *merge.PollReply) error {
+	if err := r.upstream.Poll(args, pr); err != nil {
+		return err
 	}
-	for attempt := 0; ; attempt++ {
-		err := r.syncLocked(s, pre)
-		pre = nil
-		switch {
-		case err == nil || errors.Is(err, errUnchanged):
-			if r.Interval <= 0 {
-				// Without a loop, whoever drives SyncNow keeps the copy
-				// current from here on.
-				s.idle.Store(false)
-			}
-			return nil
-		case errors.Is(err, errEpochFlip) && attempt == 0:
-			// The upstream state was rebuilt under us (the session was
-			// re-created). Drop the local copy — the
-			// replacement session gets a fresh local epoch, so
-			// downstream clients discard their mirrors too — and
-			// re-baseline immediately.
-			obsRebaselines.Inc()
-			s.rebaseBase += s.tr.Rebaselines() + 1
-			s.rebaselines.Store(s.rebaseBase)
-			r.local.Drop(s.sid)
-			s.tr = merge.NewTransport(s.sid, "relay:"+r.name, r.local)
-			s.upVersion, s.upEpoch = 0, 0
-			s.progress.Store(nil)
-			continue
-		case errors.Is(err, errEpochFlip):
-			// Flipped twice in one sync: let the next exchange retry.
-			return nil
-		default:
-			return err
-		}
-	}
+	r.upPolls.Add(1)
+	obsUpPolls.Inc()
+	return nil
 }
 
-// syncLocked applies one upstream reply: pre when given and the
-// transport wants an increment, else a fresh poll. It consumes pre.
-// Caller holds syncMu.
-func (r *Relay) syncLocked(s *subscription, pre *merge.PollReply) error {
+// apply takes one upstream reply through the cursor: pre, polled with
+// the cursor's args, when the transport wants an increment, else a
+// fresh poll. A continuation that brings something new is republished
+// into the local copy; a rebuilt upstream drops the copy and
+// re-baselines at once; an unknown session leaves the copy serving its
+// last state. It consumes pre. Caller holds syncMu.
+func (r *Relay) apply(s *subscription, pre *merge.PollReply) error {
 	defer func() {
 		if pre != nil {
 			r.releaseReply(pre)
 		}
 	}()
-	if s.upVersion != 0 && r.local.Version(s.sid) == 0 {
+	if s.stopped() {
+		// Torn down: the local copy is gone and must stay gone.
+		return nil
+	}
+	if s.cur.Version != 0 && r.local.Version(s.sid) == 0 {
 		// The local copy was wiped under the subscription (an injected
 		// NeedFull, an operator drop). An unchanged upstream would
 		// otherwise skip publishing forever; rebuild from a fresh
 		// baseline instead.
-		return errEpochFlip
+		r.rebaseline(s)
 	}
+	verdict := merge.Continues
 	// applied is the reply the send republished; its frames are seeded
 	// into the local frame cache once the publish commits.
 	var applied merge.PollReply
@@ -353,72 +326,58 @@ func (r *Relay) syncLocked(s *subscription, pre *merge.PollReply) error {
 		var pr merge.PollReply
 		if pre != nil && !full {
 			pr, pre = *pre, nil
-		} else {
-			args := merge.PollArgs{SessionID: s.sid}
-			if full {
-				args.Full = true
-			} else {
-				args.SinceVersion = s.upVersion
-			}
-			if err := r.upstream.Poll(args, &pr); err != nil {
-				return merge.Snapshot{}, err
-			}
-			r.upPolls.Add(1)
-			obsUpPolls.Inc()
+		} else if err := r.pollUp(s.cur.Args(full, 0), &pr); err != nil {
+			return merge.Snapshot{}, err
 		}
-		if pr.Version == 0 && pr.Epoch == 0 {
-			// Upstream doesn't know the session (dropped, or a handoff
-			// tombstone): keep serving the local copy's final state.
+		verdict = s.cur.Verdict(&pr)
+		if verdict != merge.Continues || !full && s.cur.Unchanged(&pr) {
+			r.releaseReply(&pr)
 			return merge.Snapshot{}, errUnchanged
 		}
-		if s.upEpoch != 0 && pr.Epoch != 0 && pr.Epoch != s.upEpoch {
+		snap, err := pr.Snapshot(full)
+		if err != nil {
 			r.releaseReply(&pr)
-			return merge.Snapshot{}, errEpochFlip
-		}
-		if !full && pr.Version < s.upVersion {
-			// Same-epoch version regression: a legacy peer without epoch
-			// stamps rebuilt the state. Treat like an epoch flip.
-			r.releaseReply(&pr)
-			return merge.Snapshot{}, errEpochFlip
-		}
-		if !full && !pr.Changed && pr.Version == s.upVersion {
-			s.lastSyncNS.Store(time.Now().UnixNano())
-			return merge.Snapshot{}, errUnchanged
-		}
-		d := &aida.DeltaState{Full: full}
-		for _, e := range pr.Entries {
-			st, err := e.State()
-			if err != nil {
-				r.releaseReply(&pr)
-				return merge.Snapshot{}, err
-			}
-			d.Entries = append(d.Entries, aida.TreeEntry{Path: e.Path, Object: st})
-		}
-		if !full {
-			d.Removed = pr.Removed
-		}
-		snap := merge.Snapshot{Delta: d, Log: strings.Join(pr.Logs, "\n")}
-		for _, p := range pr.Progress {
-			snap.Done += p.EventsDone
-			snap.Total += p.EventsTotal
+			return merge.Snapshot{}, err
 		}
 		applied = pr
 		return snap, nil
 	})
-	if err != nil || !reply.Accepted {
+	switch {
+	case verdict == merge.Rebuilt:
+		// The upstream state was rebuilt under us (the session was
+		// re-created). Drop the local copy — the replacement session
+		// gets a fresh local epoch, so downstream clients discard their
+		// mirrors too — and re-baseline at once. A cursor at its zero
+		// position never judges a reply rebuilt, so this recurses once.
+		r.rebaseline(s)
+		return r.apply(s, nil)
+	case errors.Is(err, errUnchanged):
+		s.lastSyncNS.Store(time.Now().UnixNano())
+		return nil
+	case err != nil || !reply.Accepted:
 		r.releaseReply(&applied)
 		return err
 	}
 	// The frames now belong to the local frame cache: a wire reply's
 	// pooled buffers are never released back to the pool.
 	r.local.SeedFrames(s.sid, reply.Version, applied.Entries)
-	s.upVersion, s.upEpoch = applied.Version, applied.Epoch
+	s.cur.Take(&applied)
 	s.progress.Store(&applied.Progress)
-	s.rebaselines.Store(s.rebaseBase + s.tr.Rebaselines())
 	now := time.Now()
 	s.lastSyncNS.Store(now.UnixNano())
 	obsSyncSeconds.Observe(now.Sub(t0).Seconds())
 	return nil
+}
+
+// rebaseline drops the local copy and moves the subscription back to
+// the cursor's zero position; its next send is a full baseline. Caller
+// holds syncMu.
+func (r *Relay) rebaseline(s *subscription) {
+	obsRebaselines.Inc()
+	r.local.Drop(s.sid)
+	s.tr.Rebaseline()
+	s.cur.Reset()
+	s.progress.Store(nil)
 }
 
 // releaseReply recycles a wire-decoded reply's frames. In-process
@@ -436,50 +395,42 @@ func (r *Relay) DropClient() { r.clients.Add(-1) }
 
 // Poll re-serves a downstream read from the local merged copy
 // (RMI-compatible — the same wire surface as a Manager, so core.Client
-// needs no new protocol). A poll with args.Wait parks on the local copy
-// and counts as demand while it does; a read of an idle subscription
-// syncs it first.
+// needs no new protocol). The first read of a session subscribes it. A
+// poll with args.Wait parks on the local copy and counts as demand
+// while it does; a read of an idle or never-synced subscription syncs
+// it first.
 func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 	r.downPolls.Add(1)
 	obsDownPolls.Inc()
-	v, ok := r.subs.Load(args.SessionID)
-	if !ok && r.AutoSubscribe {
-		if err := r.Subscribe(args.SessionID); err != nil {
+	s, err := r.subscribe(args.SessionID)
+	if err != nil {
+		return err
+	}
+	if args.Wait > 0 && !args.Full {
+		s.parked.Add(1)
+		defer s.parked.Add(-1)
+	}
+	if !s.read.Load() {
+		s.read.Store(true)
+	}
+	if s.idle.Load() || s.lastSyncNS.Load() == 0 {
+		// Nothing keeps this copy current — its loop went idle, or has
+		// not landed a first exchange yet (including for a poll that
+		// finds a subscription another poll just opened): catch up
+		// before serving, then wake the loop to follow on.
+		if err := r.syncOnce(s); err != nil {
 			return err
 		}
-		v, ok = r.subs.Load(args.SessionID)
-	}
-	var s *subscription
-	if ok {
-		s = v.(*subscription)
-		if args.Wait > 0 && !args.Full {
-			s.parked.Add(1)
-			defer s.parked.Add(-1)
-		}
-		if !s.read.Load() {
-			s.read.Store(true)
-		}
-		if s.idle.Load() {
-			// Nothing keeps this copy current — it was never synced, or
-			// its loop went idle: catch up before serving (including a
-			// poll that finds a subscription another poll just opened),
-			// then wake the loop to follow on.
-			if err := r.syncOnce(s); err != nil {
-				return err
-			}
-			select {
-			case s.kick <- struct{}{}:
-			default:
-			}
+		select {
+		case s.kick <- struct{}{}:
+		default:
 		}
 	}
 	if err := r.local.Poll(args, reply); err != nil {
 		return err
 	}
-	if s != nil {
-		if p := s.progress.Load(); p != nil && len(*p) > 0 {
-			reply.Progress = *p
-		}
+	if p := s.progress.Load(); p != nil && len(*p) > 0 {
+		reply.Progress = *p
 	}
 	return nil
 }
@@ -559,7 +510,7 @@ func (r *Relay) Stats() Stats {
 				st.StalenessMS = ms
 			}
 		}
-		st.Rebaselines += s.rebaselines.Load()
+		st.Rebaselines += s.tr.Rebaselines()
 		return true
 	})
 	if st.UpPolls > 0 {

@@ -83,11 +83,9 @@ func TestRelayTreeEquivalence(t *testing.T) {
 		}
 	}
 	r1 := relay.New("r1", router.OriginPoller())
-	r1.AutoSubscribe = true
 	r1.Interval = time.Millisecond
 	defer r1.Close()
 	r2 := relay.New("r2", r1)
-	r2.AutoSubscribe = true
 	r2.Interval = time.Millisecond
 	defer r2.Close()
 
@@ -239,7 +237,6 @@ func TestRelayReincarnationConvergence(t *testing.T) {
 		}
 	}
 	rel := relay.New("re", router.OriginPoller())
-	rel.AutoSubscribe = true
 	defer rel.Close()
 
 	const sid = "reincarnated-sess"
@@ -330,7 +327,6 @@ func TestRelayReleaseContractOverRMI(t *testing.T) {
 	defer upClient.Close()
 
 	rel := relay.New("wan", relay.NewRemotePoller(upClient, ""))
-	rel.AutoSubscribe = true
 	defer rel.Close()
 
 	downSrv := rmi.NewServer(nil)
@@ -419,12 +415,10 @@ func TestRelayFanOutOneUpstreamSyncPerRound(t *testing.T) {
 	// Interval 0: no background loop; the relay syncs once per round via
 	// SyncNow, so the upstream count is deterministic.
 	rel := relay.New("relay00", router.OriginPoller())
-	rel.AutoSubscribe = true
 	defer rel.Close()
 	if err := router.AddRelay("relay00", rel); err != nil {
 		t.Fatal(err)
 	}
-	router.RelayReads = true
 
 	flat := merge.NewManager()
 	type sess struct {

@@ -111,13 +111,6 @@ type Router struct {
 	// blocked publish (the counter records every occurrence).
 	backpressured atomic.Bool
 
-	// RelayReads routes client polls of placed sessions through the
-	// registered relay tier (read-only mirrors that subscribe once to
-	// the owner's delta stream and re-serve any number of pollers).
-	// Writes always go to the primary. Off by default — the
-	// DisableRelay baseline is direct owner polling. Set before first
-	// use.
-	RelayReads bool
 	// relayHandles maps relay name → its locally reachable read
 	// surface. Registration data (names, endpoints, the relay ring)
 	// lives in the placement table; the handles stay here so the table
@@ -216,20 +209,19 @@ func (r *Router) Publish(args merge.PublishArgs, reply *merge.PublishReply) erro
 	return nil
 }
 
-// Poll routes a client update request (RMI-compatible). With
-// RelayReads on, placed sessions are served by their assigned read
+// Poll routes a client update request (RMI-compatible). While a relay
+// is registered, placed sessions are served by their assigned read
 // relay — the owner shard sees one subscription stream instead of
-// every viewer's round-trip; everything else (relay off, unplaced
-// session, relay not locally reachable) polls the owner.
+// every viewer's round-trip; everything else (no relay, unplaced
+// session, relay not locally reachable) polls the owner. Writes always
+// go to the primary.
 func (r *Router) Poll(args merge.PollArgs, reply *merge.PollReply) error {
-	if r.RelayReads {
-		if name, rb := r.relayFor(args.SessionID); rb != nil {
-			if !obs.Disabled() {
-				obsRelayPolls.Inc()
-				shardCall("relay/"+name, "poll").Inc()
-			}
-			return rb.Poll(args, reply)
+	if name, rb := r.relayFor(args.SessionID); rb != nil {
+		if !obs.Disabled() {
+			obsRelayPolls.Inc()
+			shardCall("relay/"+name, "poll").Inc()
 		}
+		return rb.Poll(args, reply)
 	}
 	return r.PollOwner(args, reply)
 }
@@ -327,12 +319,9 @@ func (r *Router) SetRelayAddr(name, addr string) {
 func (r *Router) Relays() []string { return r.table.Load().Relays() }
 
 // RelayFor names the relay assigned a session's reads together with
-// its advertised endpoint — both "" when relay reads are off or no
-// relay is registered, sending the client to the owner instead.
+// its advertised endpoint — both "" when no relay is registered,
+// sending the client to the owner instead.
 func (r *Router) RelayFor(sessionID string) (name, addr string) {
-	if !r.RelayReads {
-		return "", ""
-	}
 	t := r.table.Load()
 	name = t.RelayHome(sessionID)
 	return name, t.RelayAddr(name)

@@ -1,30 +1,27 @@
 // Package gridftp implements the data movement protocol of the framework —
-// the "thick green arrows" of Figure 2. It reproduces the GridFTP design:
-// a text control channel negotiating transfers, block-framed data flowing
-// over K parallel TCP streams (the striped transfer mode that made GridFTP
-// fast over 2006 WANs), third-party transfers (server → server, how the
-// paper's splitter pushes dataset parts to the worker nodes, §3.4), ranged
-// retrieves (how staging streams each part straight from a replica),
-// sizes, and CRC checksums for end-to-end verification.
+// the "thick green arrows" of Figure 2. It reproduces the GridFTP design
+// as far as staging uses it: a text control channel granting transfers,
+// and block-framed data flowing over parallel TCP streams (the striped
+// transfer mode that made GridFTP fast over 2006 WANs). The paper's
+// splitter pushed dataset parts to the worker nodes by third-party
+// transfers (§3.4); here each worker's part streams straight from the
+// replica by one ranged retrieve, so uploads, third-party pushes,
+// whole-file retrieves and checksums are not part of the protocol.
 //
 // Control protocol (one line per message, space separated):
 //
 //	C: AUTH <token>                          S: 230 ok
 //	C: SIZE <path>                           S: 213 <bytes>
-//	C: CKSM <path>                           S: 213 <crc32-hex>
-//	C: PARALLEL <n>                          S: 200 ok
-//	C: STOR <path> <bytes>                   S: 150 <xfer-id> <port>
-//	C: RETR <path>                           S: 150 <xfer-id> <port> <bytes>
 //	C: ERET <path> <offset> <length>         S: 150 <xfer-id> <port> <length>
-//	C: XFER <src-path> <host:port> <dst-path> <token>   S: 226 <bytes>
 //	C: QUIT                                  S: 221 bye
 //
 // Data connections open to <port> and introduce themselves with one line
 // "DATA <xfer-id> <stream>\n", then exchange length-prefixed blocks:
 // offset uint64, length uint32, payload. A zero-length block ends a stream.
-// RETR and ERET (a byte range of the file) send block j of what they move
-// on stream j mod S, so a client that reads one block from each stream in
-// turn receives the bytes in order.
+// An ERET (a byte range of the file) moves over exactly parallelism data
+// streams and sends block j of the range on stream j mod parallelism, so
+// a client that reads one block from each stream in turn receives the
+// bytes in order.
 package gridftp
 
 import (
@@ -32,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
@@ -43,8 +39,9 @@ import (
 	"github.com/ipa-grid/ipa/internal/storage"
 )
 
-// DefaultParallelism is the stream count when the client does not negotiate.
-const DefaultParallelism = 4
+// parallelism is the data-stream count of every transfer. Client and
+// server ship together, so nothing negotiates it.
+const parallelism = 4
 
 // blockSize is the data-channel block payload size.
 const blockSize = 256 * 1024
@@ -64,21 +61,17 @@ type Server struct {
 	closed bool
 }
 
+// serverXfer is one ERET: size bytes of the open file f from off. Its
+// streams close f.
 type serverXfer struct {
-	id       string
-	path     string
-	off      int64 // first file byte a RETR/ERET sends
-	size     int64
-	incoming bool
-	streams  int
-	ln       net.Listener
-	srv      *Server
-
-	mu       sync.Mutex
-	chunks   map[int64][]byte // offset → payload (STOR reassembly)
-	received int64
-	done     chan error
-	once     sync.Once
+	id   string
+	f    io.ReadSeekCloser
+	path string
+	off  int64
+	size int64
+	ln   net.Listener
+	done chan error
+	once sync.Once
 }
 
 // NewServer creates a GridFTP server for a storage element.
@@ -103,14 +96,6 @@ func (s *Server) Listen(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the control address.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops the server.
@@ -143,7 +128,6 @@ func (s *Server) serveControl(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	authed := s.check == nil
-	parallel := DefaultParallelism
 	reply(w, "220 IPA GridFTP ready")
 	for {
 		line, err := r.ReadString('\n')
@@ -180,18 +164,6 @@ func (s *Server) serveControl(conn net.Conn) {
 			continue
 		}
 		switch cmd {
-		case "PARALLEL":
-			if len(args) != 1 {
-				reply(w, "501 PARALLEL <n>")
-				continue
-			}
-			n, err := strconv.Atoi(args[0])
-			if err != nil || n < 1 || n > 64 {
-				reply(w, "501 bad stream count")
-				continue
-			}
-			parallel = n
-			reply(w, "200 ok")
 		case "SIZE":
 			if len(args) != 1 {
 				reply(w, "501 SIZE <path>")
@@ -203,67 +175,32 @@ func (s *Server) serveControl(conn net.Conn) {
 				continue
 			}
 			reply(w, "213 %d", size)
-		case "CKSM":
-			if len(args) != 1 {
-				reply(w, "501 CKSM <path>")
+		case "ERET":
+			if len(args) != 3 {
+				reply(w, "501 ERET <path> <offset> <length>")
 				continue
 			}
-			sum, err := s.checksum(args[0])
+			// Open before granting: a path that names no readable file
+			// (a directory, say) is refused here, not by a transfer
+			// whose streams nobody serves.
+			f, size, err := s.store.Open(args[0])
 			if err != nil {
 				reply(w, "550 %v", err)
 				continue
 			}
-			reply(w, "213 %08x", sum)
-		case "STOR":
-			if len(args) != 2 {
-				reply(w, "501 STOR <path> <bytes>")
+			off, err := strconv.ParseInt(args[1], 10, 64)
+			var n int64
+			if err == nil {
+				n, err = strconv.ParseInt(args[2], 10, 64)
+			}
+			if err != nil || off < 0 || n < 0 || off > size || n > size-off {
+				f.Close()
+				reply(w, "501 bad range")
 				continue
 			}
-			size, err := strconv.ParseInt(args[1], 10, 64)
-			if err != nil || size < 0 {
-				reply(w, "501 bad size")
-				continue
-			}
-			x, err := s.newXfer(args[0], 0, size, true, parallel)
+			x, err := s.newXfer(f, args[0], off, n)
 			if err != nil {
-				reply(w, "550 %v", err)
-				continue
-			}
-			reply(w, "150 %s %d", x.id, dataPort(x.ln))
-			// Completion is reported on the control channel.
-			if err := <-x.done; err != nil {
-				reply(w, "451 transfer failed: %v", err)
-			} else {
-				reply(w, "226 %d", x.received)
-			}
-			s.dropXfer(x)
-		case "RETR", "ERET":
-			want := 1
-			if cmd == "ERET" {
-				want = 3
-			}
-			if len(args) != want {
-				reply(w, "501 RETR <path> | ERET <path> <offset> <length>")
-				continue
-			}
-			size, err := s.store.Size(args[0])
-			if err != nil {
-				reply(w, "550 %v", err)
-				continue
-			}
-			off, n := int64(0), size
-			if cmd == "ERET" {
-				off, err = strconv.ParseInt(args[1], 10, 64)
-				if err == nil {
-					n, err = strconv.ParseInt(args[2], 10, 64)
-				}
-				if err != nil || off < 0 || n < 0 || off > size || n > size-off {
-					reply(w, "501 bad range")
-					continue
-				}
-			}
-			x, err := s.newXfer(args[0], off, n, false, parallel)
-			if err != nil {
+				f.Close()
 				reply(w, "550 %v", err)
 				continue
 			}
@@ -274,22 +211,6 @@ func (s *Server) serveControl(conn net.Conn) {
 				reply(w, "226 %d", n)
 			}
 			s.dropXfer(x)
-		case "XFER":
-			// Third-party: push a local file to a remote GridFTP server.
-			if len(args) != 4 {
-				reply(w, "501 XFER <src> <host:port> <dst> <token>")
-				continue
-			}
-			token := args[3]
-			if token == "-" {
-				token = ""
-			}
-			n, err := s.thirdParty(args[0], args[1], args[2], token, parallel)
-			if err != nil {
-				reply(w, "451 %v", err)
-				continue
-			}
-			reply(w, "226 %d", n)
 		default:
 			reply(w, "500 unknown command %s", cmd)
 		}
@@ -298,20 +219,7 @@ func (s *Server) serveControl(conn net.Conn) {
 
 func dataPort(ln net.Listener) int { return ln.Addr().(*net.TCPAddr).Port }
 
-func (s *Server) checksum(path string) (uint32, error) {
-	f, _, err := s.store.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
-}
-
-func (s *Server) newXfer(path string, off, size int64, incoming bool, streams int) (*serverXfer, error) {
+func (s *Server) newXfer(f io.ReadSeekCloser, path string, off, size int64) (*serverXfer, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -325,10 +233,8 @@ func (s *Server) newXfer(path string, off, size int64, incoming bool, streams in
 		return nil, err
 	}
 	x := &serverXfer{
-		id: id, path: path, off: off, size: size, incoming: incoming,
-		streams: streams, ln: ln, srv: s,
-		chunks: make(map[int64][]byte),
-		done:   make(chan error, 1),
+		id: id, f: f, path: path, off: off, size: size, ln: ln,
+		done: make(chan error, 1),
 	}
 	s.mu.Lock()
 	s.xfers[id] = x
@@ -348,10 +254,32 @@ func (x *serverXfer) finish(err error) {
 	x.once.Do(func() { x.done <- err })
 }
 
-// acceptStreams handles the data side of one transfer.
+// acceptStreams handles the data side of one transfer: the client opens
+// exactly parallelism connections, each naming its stream number.
 func (x *serverXfer) acceptStreams() {
-	deadline := time.Now().Add(60 * time.Second)
-	x.ln.(*net.TCPListener).SetDeadline(deadline)
+	defer x.f.Close()
+	x.ln.(*net.TCPListener).SetDeadline(time.Now().Add(60 * time.Second))
+	ra := x.f.(io.ReaderAt)
+	conns := make([]net.Conn, parallelism)
+	for accepted := 0; accepted < parallelism; {
+		conn, err := x.ln.Accept()
+		if err != nil {
+			for _, c := range conns {
+				if c != nil {
+					c.Close()
+				}
+			}
+			x.finish(fmt.Errorf("gridftp: accepting data stream: %w", err))
+			return
+		}
+		k, err := readDataHello(conn, x.id)
+		if err != nil || k < 0 || k >= parallelism || conns[k] != nil {
+			conn.Close()
+			continue
+		}
+		conns[k] = conn
+		accepted++
+	}
 	var wg sync.WaitGroup
 	var streamErr error
 	var errMu sync.Mutex
@@ -362,171 +290,36 @@ func (x *serverXfer) acceptStreams() {
 		}
 		errMu.Unlock()
 	}
-	if !x.incoming {
-		// RETR/ERET: the client opens exactly x.streams connections, each
-		// naming its stream number.
-		f, _, err := x.srv.store.Open(x.path)
-		if err != nil {
-			x.finish(err)
-			return
-		}
-		defer f.Close()
-		ra := f.(io.ReaderAt)
-		conns := make([]net.Conn, x.streams)
-		for accepted := 0; accepted < x.streams; {
-			conn, err := x.ln.Accept()
-			if err != nil {
-				for _, c := range conns {
-					if c != nil {
-						c.Close()
-					}
+	// Stream k sends blocks k, k+S, k+2S, … of the range.
+	for k, conn := range conns {
+		wg.Add(1)
+		go func(k int, conn net.Conn) {
+			defer wg.Done()
+			defer conn.Close()
+			w := bufio.NewWriterSize(conn, blockSize+16)
+			buf := make([]byte, blockSize)
+			for rel := int64(k) * blockSize; rel < x.size; rel += parallelism * blockSize {
+				n := min(blockSize, x.size-rel)
+				if m, err := ra.ReadAt(buf[:n], x.off+rel); int64(m) < n {
+					fail(fmt.Errorf("gridftp: reading %s at %d: %v", x.path, x.off+rel, err))
+					return
 				}
-				x.finish(fmt.Errorf("gridftp: accepting data stream: %w", err))
-				return
-			}
-			k, _, err := readDataHello(conn, x.id) // only writes follow; the reader is unused
-			if err != nil || k < 0 || k >= x.streams || conns[k] != nil {
-				conn.Close()
-				continue
-			}
-			conns[k] = conn
-			accepted++
-		}
-		// Stream k sends blocks k, k+S, k+2S, … of the range.
-		for k, conn := range conns {
-			wg.Add(1)
-			go func(k int, conn net.Conn) {
-				defer wg.Done()
-				defer conn.Close()
-				w := bufio.NewWriterSize(conn, blockSize+16)
-				buf := make([]byte, blockSize)
-				for rel := int64(k) * blockSize; rel < x.size; rel += int64(x.streams) * blockSize {
-					n := min(blockSize, x.size-rel)
-					if m, err := ra.ReadAt(buf[:n], x.off+rel); int64(m) < n {
-						fail(fmt.Errorf("gridftp: reading %s at %d: %v", x.path, x.off+rel, err))
-						return
-					}
-					if err := writeBlock(w, uint64(x.off+rel), buf[:n]); err != nil {
-						fail(err)
-						return
-					}
-				}
-				err := writeBlock(w, 0, nil) // EOF block
-				if err == nil {
-					err = w.Flush()
-				}
-				if err != nil {
+				if err := writeBlock(w, uint64(x.off+rel), buf[:n]); err != nil {
 					fail(err)
+					return
 				}
-			}(k, conn)
-		}
-		wg.Wait()
-		x.finish(streamErr)
-		return
-	}
-	// STOR: the client opens exactly x.streams data connections and ends
-	// each with an EOF block — including streams that carry no data, when
-	// the file has fewer blocks than streams. Accept and drain every one
-	// before completing: the control reply that follows closes the
-	// listener, and a stream still dialling would be refused.
-	if x.size > 0 {
-		for accepted := 0; accepted < x.streams; {
-			conn, err := x.ln.Accept()
+			}
+			err := writeBlock(w, 0, nil) // EOF block
+			if err == nil {
+				err = w.Flush()
+			}
 			if err != nil {
-				fail(fmt.Errorf("gridftp: accepting data stream: %w", err))
-				break
+				fail(err)
 			}
-			_, r, err := readDataHello(conn, x.id)
-			if err != nil {
-				conn.Close()
-				continue
-			}
-			accepted++
-			conn.SetReadDeadline(deadline)
-			wg.Add(1)
-			go func(conn net.Conn, r *bufio.Reader) {
-				defer wg.Done()
-				defer conn.Close()
-				for {
-					off, payload, err := readBlock(r)
-					if err != nil {
-						if err != io.EOF {
-							fail(err)
-						}
-						return
-					}
-					if payload == nil {
-						return // stream EOF
-					}
-					x.mu.Lock()
-					x.chunks[int64(off)] = payload
-					x.received += int64(len(payload))
-					x.mu.Unlock()
-				}
-			}(conn, r)
-		}
-		wg.Wait()
+		}(k, conn)
 	}
-	if streamErr == nil && x.received != x.size {
-		streamErr = fmt.Errorf("gridftp: received %d of %d bytes", x.received, x.size)
-	}
-	if streamErr != nil {
-		x.finish(streamErr)
-		return
-	}
-	// Reassemble in offset order and store.
-	x.mu.Lock()
-	offsets := make([]int64, 0, len(x.chunks))
-	for off := range x.chunks {
-		offsets = append(offsets, off)
-	}
-	x.mu.Unlock()
-	sortInt64s(offsets)
-	pr, pw := io.Pipe()
-	go func() {
-		for _, off := range offsets {
-			x.mu.Lock()
-			chunk := x.chunks[off]
-			x.mu.Unlock()
-			if _, err := pw.Write(chunk); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		pw.Close()
-	}()
-	_, err := x.srv.store.Put(x.path, pr)
-	x.finish(err)
-}
-
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// thirdParty pushes a local file to another GridFTP server (server-side
-// copy: data never touches the orchestrating client).
-func (s *Server) thirdParty(src, remoteAddr, dst, token string, parallel int) (int64, error) {
-	f, size, err := s.store.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	c, err := Dial(remoteAddr, token)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	if err := c.SetParallel(parallel); err != nil {
-		return 0, err
-	}
-	if err := c.StoreFrom(dst, f.(io.ReaderAt), size); err != nil {
-		return 0, err
-	}
-	return size, nil
+	wg.Wait()
+	x.finish(streamErr)
 }
 
 // Data-channel framing.
@@ -568,24 +361,22 @@ func readBlock(r *bufio.Reader) (uint64, []byte, error) {
 }
 
 // readDataHello consumes the introduction line of a data connection and
-// returns the buffered reader wrapping conn. Callers MUST keep reading
-// through the returned reader: it may already hold buffered payload bytes
-// that arrived in the same TCP segment as the hello.
-func readDataHello(conn net.Conn, wantID string) (stream int, r *bufio.Reader, err error) {
+// returns the stream it names. Only writes follow on a data connection,
+// so nothing the reader buffers past the line is lost.
+func readDataHello(conn net.Conn, wantID string) (int, error) {
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	r = bufio.NewReaderSize(conn, blockSize+16)
-	line, err := r.ReadString('\n')
+	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	fields := strings.Fields(strings.TrimSpace(line))
 	if len(fields) != 3 || fields[0] != "DATA" || fields[1] != wantID {
-		return 0, nil, fmt.Errorf("gridftp: bad data hello %q", line)
+		return 0, fmt.Errorf("gridftp: bad data hello %q", line)
 	}
 	n, err := strconv.Atoi(fields[2])
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	conn.SetReadDeadline(time.Time{})
-	return n, r, nil
+	return n, nil
 }

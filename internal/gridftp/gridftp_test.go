@@ -3,11 +3,8 @@ package gridftp
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"github.com/ipa-grid/ipa/internal/storage"
@@ -35,80 +32,9 @@ func randBytes(n int, seed int64) []byte {
 	return b
 }
 
-func TestStoreAndRetrieve(t *testing.T) {
+func TestSize(t *testing.T) {
 	_, store, addr := newServer(t, nil)
-	c, err := Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	payload := randBytes(3*blockSize+12345, 1) // multiple blocks + remainder
-	if err := c.StoreBytes("/data/part0.ipa", payload); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := store.ReadBytes("/data/part0.ipa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, payload) {
-		t.Fatal("stored bytes differ")
-	}
-	got, err := c.RetrieveBytes("/data/part0.ipa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("retrieved bytes differ")
-	}
-}
-
-func TestParallelStreamCounts(t *testing.T) {
-	_, _, addr := newServer(t, nil)
-	for _, streams := range []int{1, 2, 8} {
-		c, err := Dial(addr, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SetParallel(streams); err != nil {
-			t.Fatal(err)
-		}
-		payload := randBytes(2*blockSize+99, int64(streams))
-		path := fmt.Sprintf("/p%d.bin", streams)
-		if err := c.StoreBytes(path, payload); err != nil {
-			t.Fatalf("streams=%d: %v", streams, err)
-		}
-		got, err := c.RetrieveBytes(path)
-		if err != nil {
-			t.Fatalf("streams=%d: %v", streams, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("streams=%d: corrupted", streams)
-		}
-		c.Close()
-	}
-}
-
-func TestEmptyFile(t *testing.T) {
-	_, _, addr := newServer(t, nil)
-	c, _ := Dial(addr, "")
-	defer c.Close()
-	if err := c.StoreBytes("/empty", nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.RetrieveBytes("/empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("got %d bytes", len(got))
-	}
-}
-
-func TestSizeAndChecksum(t *testing.T) {
-	_, store, addr := newServer(t, nil)
-	payload := randBytes(10000, 7)
-	if err := store.PutBytes("/f.bin", payload); err != nil {
+	if err := store.PutBytes("/f.bin", randBytes(10000, 7)); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := Dial(addr, "")
@@ -117,18 +43,33 @@ func TestSizeAndChecksum(t *testing.T) {
 	if err != nil || size != 10000 {
 		t.Fatalf("Size = %d, %v", size, err)
 	}
-	sum, err := c.Checksum("/f.bin")
-	if err != nil || sum != crc32.ChecksumIEEE(payload) {
-		t.Fatalf("Checksum = %08x, %v", sum, err)
-	}
-	if err := c.VerifyTransfer("/f.bin", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyTransfer("/f.bin", payload[1:]); err == nil {
-		t.Fatal("corrupt verify passed")
-	}
 	if _, err := c.Size("/missing"); err == nil {
 		t.Fatal("SIZE of missing file succeeded")
+	}
+}
+
+// TestEmptyFile: an empty file has size 0 and its one range, [0, 0),
+// streams nothing and completes.
+func TestEmptyFile(t *testing.T) {
+	_, store, addr := newServer(t, nil)
+	if err := store.PutBytes("/empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := Dial(addr, "")
+	defer c.Close()
+	if size, err := c.Size("/empty"); err != nil || size != 0 {
+		t.Fatalf("Size = %d, %v", size, err)
+	}
+	rc, err := c.OpenRange("/empty", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || len(got) != 0 {
+		t.Fatalf("got %d bytes, %v", len(got), err)
 	}
 }
 
@@ -139,7 +80,10 @@ func TestAuthRequired(t *testing.T) {
 		}
 		return nil
 	}
-	_, _, addr := newServer(t, check)
+	_, store, addr := newServer(t, check)
+	if err := store.PutBytes("/ok", []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Dial(addr, "wrong"); err == nil {
 		t.Fatal("bad token accepted")
 	}
@@ -148,42 +92,16 @@ func TestAuthRequired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.StoreBytes("/ok", []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestThirdPartyTransfer(t *testing.T) {
-	// Source server (the manager's shared disk) pushes to a destination
-	// server (a worker scratch area) — the §3.4 staging path.
-	_, srcStore, srcAddr := newServer(t, nil)
-	_, dstStore, dstAddr := newServer(t, nil)
-	payload := randBytes(2*blockSize+500, 42)
-	if err := srcStore.PutBytes("/dataset/part3", payload); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := Dial(srcAddr, "")
-	defer c.Close()
-	n, err := c.ThirdParty("/dataset/part3", dstAddr, "/scratch/part3", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(payload)) {
-		t.Fatalf("transferred %d, want %d", n, len(payload))
-	}
-	got, err := dstStore.ReadBytes("/scratch/part3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("third-party corrupted data")
+	if size, err := c.Size("/ok"); err != nil || size != 2 {
+		t.Fatalf("Size = %d, %v", size, err)
 	}
 }
 
 // TestOpenRangeStreamsInOrder: a ranged retrieve delivers exactly the
-// range's bytes in order for any stream count — ranges inside one block,
-// across block edges, empty and to the end — and leaves the control
-// connection usable, also after the reader gave up part way.
+// range's bytes in order — ranges inside one block (fewer blocks than
+// streams), across block edges, with a ragged last block, empty and to
+// the end — and leaves the control connection usable, also after the
+// reader gave up part way.
 func TestOpenRangeStreamsInOrder(t *testing.T) {
 	_, store, addr := newServer(t, nil)
 	payload := randBytes(3*blockSize+12345, 9)
@@ -191,42 +109,37 @@ func TestOpenRangeStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := int64(len(payload))
-	for _, streams := range []int{1, 3} {
-		c, err := Dial(addr, "")
+	c, err := Dial(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, r := range [][2]int64{{0, size}, {7, 100}, {blockSize - 5, 10}, {100, 2*blockSize + 3}, {size, 0}, {size - 1, 1}} {
+		rc, err := c.OpenRange("/d.ipa", r[0], r[1])
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("range %v: %v", r, err)
 		}
-		if err := c.SetParallel(streams); err != nil {
-			t.Fatal(err)
+		got, err := io.ReadAll(rc)
+		if cerr := rc.Close(); err == nil {
+			err = cerr
 		}
-		for _, r := range [][2]int64{{0, size}, {7, 100}, {blockSize - 5, 10}, {100, 2*blockSize + 3}, {size, 0}, {size - 1, 1}} {
-			rc, err := c.OpenRange("/d.ipa", r[0], r[1])
-			if err != nil {
-				t.Fatalf("streams=%d range %v: %v", streams, r, err)
-			}
-			got, err := io.ReadAll(rc)
-			if cerr := rc.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil || !bytes.Equal(got, payload[r[0]:r[0]+r[1]]) {
-				t.Fatalf("streams=%d range %v: %d bytes, %v", streams, r, len(got), err)
-			}
+		if err != nil || !bytes.Equal(got, payload[r[0]:r[0]+r[1]]) {
+			t.Fatalf("range %v: %d bytes, %v", r, len(got), err)
 		}
-		rc, err := c.OpenRange("/d.ipa", 0, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(rc, make([]byte, 10)); err != nil {
-			t.Fatal(err)
-		}
-		rc.Close()
-		if n, err := c.Size("/d.ipa"); err != nil || n != size {
-			t.Fatalf("streams=%d: control connection after an abandoned range: %d, %v", streams, n, err)
-		}
-		if _, err := c.OpenRange("/d.ipa", size-10, 11); err == nil {
-			t.Fatalf("streams=%d: range past the end granted", streams)
-		}
-		c.Close()
+	}
+	rc, err := c.OpenRange("/d.ipa", 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(rc, make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	if n, err := c.Size("/d.ipa"); err != nil || n != size {
+		t.Fatalf("control connection after an abandoned range: %d, %v", n, err)
+	}
+	if _, err := c.OpenRange("/d.ipa", size-10, 11); err == nil {
+		t.Fatal("range past the end granted")
 	}
 }
 
@@ -263,35 +176,20 @@ func TestReaderAtSpendsFewTransfers(t *testing.T) {
 	}
 }
 
+// TestRetrieveMissing: a range of a missing file is refused, and the
+// control connection stays usable.
 func TestRetrieveMissing(t *testing.T) {
-	_, _, addr := newServer(t, nil)
+	_, store, addr := newServer(t, nil)
+	if err := store.PutBytes("/after", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
 	c, _ := Dial(addr, "")
 	defer c.Close()
-	if _, err := c.RetrieveBytes("/nope"); err == nil {
-		t.Fatal("RETR of missing file succeeded")
+	if _, err := c.OpenRange("/nope", 0, 0); err == nil {
+		t.Fatal("ERET of missing file succeeded")
 	}
-	// Connection still usable.
-	if err := c.StoreBytes("/after", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoreRetrieveFiles(t *testing.T) {
-	_, _, addr := newServer(t, nil)
-	c, _ := Dial(addr, "")
-	defer c.Close()
-	dir := t.TempDir()
-	local := filepath.Join(dir, "in.bin")
-	payload := randBytes(blockSize+77, 5)
-	if err := writeFile(local, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StoreFile("/files/in.bin", local); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.RetrieveBytes("/files/in.bin")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatal("file round trip corrupted")
+	if size, err := c.Size("/after"); err != nil || size != 1 {
+		t.Fatalf("Size after a refused ERET = %d, %v", size, err)
 	}
 }
 
@@ -324,8 +222,4 @@ func TestStoragePathEscapeRejected(t *testing.T) {
 			}
 		}
 	}
-}
-
-func writeFile(path string, b []byte) error {
-	return osWriteFile(path, b)
 }

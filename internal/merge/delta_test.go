@@ -374,9 +374,9 @@ func TestUnknownSessionReadsAllocateNothing(t *testing.T) {
 	if err := m.Reset(ResetArgs{SessionID: "ghost"}, &rr); err != nil {
 		t.Fatal(err)
 	}
-	tree, ver, err := m.MergedTree("ghost")
-	if err != nil || ver != 0 || tree.Size() != 0 {
-		t.Fatalf("ghost merged tree = %v %d %v", tree, ver, err)
+	var full PollReply
+	if err := m.Poll(PollArgs{SessionID: "ghost", Full: true}, &full); err != nil || full.Version != 0 || len(full.Entries) != 0 {
+		t.Fatalf("ghost full poll = %+v, %v", full, err)
 	}
 	n := 0
 	m.sessions.Range(func(_, _ any) bool { n++; return true })

@@ -1043,19 +1043,6 @@ func (m *Manager) SeedFrames(sessionID string, version int64, entries []PollEntr
 	}
 }
 
-// MergedTree returns a deep copy of the current merged tree (manager-side
-// consumers like XML export). Unknown sessions yield an empty tree.
-func (m *Manager) MergedTree(sessionID string) (*aida.Tree, int64, error) {
-	s := m.lookup(sessionID)
-	if s == nil {
-		return aida.NewTree(), 0, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cp, err := s.merged.Clone()
-	return cp, s.version, err
-}
-
 // ------------------------------------------------------------------
 // Shard handoff surface. A shard router migrates a session between
 // Manager shards by Export(Seal)ing it on the old owner, Import()ing the

@@ -219,19 +219,3 @@ func TestPublishValidation(t *testing.T) {
 		t.Fatal("empty publish accepted")
 	}
 }
-
-func TestMergedTreeCopyIsIndependent(t *testing.T) {
-	m := NewManager()
-	var rep PublishReply
-	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
-	tree, ver, err := m.MergedTree("s")
-	if err != nil || ver == 0 {
-		t.Fatal(err)
-	}
-	tree.Get("/h").(*aida.Histogram1D).Fill(9)
-	tree2, _, _ := m.MergedTree("s")
-	if tree2.Get("/h").(*aida.Histogram1D).Entries() != 1 {
-		t.Fatal("MergedTree aliases internal state")
-	}
-}

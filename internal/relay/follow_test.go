@@ -452,9 +452,10 @@ func TestRelayIdlesWithoutReaders(t *testing.T) {
 
 // TestRelaySeededFramesAreItsOwnEncoding: after each sync, every frame
 // the relay serves came from the upstream (the local frame cache never
-// encoded one) and equals, byte for byte, the relay's own encoding of
-// the object it holds — over an in-process upstream, and over RMI, where
-// the seeded frames are pooled wire buffers the relay must keep.
+// encoded one) and equals, byte for byte, the owner's frame of its path
+// and the relay's own encoding of the object it holds — over an
+// in-process upstream, and over RMI, where the seeded frames are pooled
+// wire buffers the relay must keep.
 func TestRelaySeededFramesAreItsOwnEncoding(t *testing.T) {
 	for _, wire := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wire=%v", wire), func(t *testing.T) {
@@ -539,15 +540,24 @@ func TestRelaySeededFramesAreItsOwnEncoding(t *testing.T) {
 			if _, misses := rel.Local().CacheStats(sid); misses != 0 {
 				t.Fatalf("the relay encoded %d frames itself; every one should have been seeded", misses)
 			}
-			held, _, err := rel.Local().MergedTree(sid)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if len(reply.Entries) != 5 {
 				t.Fatalf("relay served %d objects, want 5", len(reply.Entries))
 			}
+			var ownerReply merge.PollReply
+			if err := owner.Poll(merge.PollArgs{SessionID: sid, Full: true}, &ownerReply); err != nil {
+				t.Fatal(err)
+			}
+			ownerFrames := make(map[string]aida.ObjectFrame)
+			for _, e := range ownerReply.Entries {
+				ownerFrames[e.Path] = e.Frame
+			}
 			for _, e := range reply.Entries {
-				st, err := aida.StateOf(held.Get(e.Path))
+				// The relay holds the object its frame restores to.
+				held, err := e.Restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := aida.StateOf(held)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -555,7 +565,7 @@ func TestRelaySeededFramesAreItsOwnEncoding(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(e.Frame, own) {
+				if !bytes.Equal(e.Frame, own) || !bytes.Equal(e.Frame, ownerFrames[e.Path]) {
 					t.Fatalf("%s: seeded frame differs from the relay's own encoding", e.Path)
 				}
 			}

@@ -4,7 +4,7 @@
 // version, then pushes one `update` frame covering everything since the
 // client's last frame — publishes that land while a frame is being
 // written coalesce into the next one. Rendering reuses the aida
-// SVG/XML/text renderers over the relay's local merged copy; no new
+// SVG/XML/text renderers over a full poll of the relay; no new
 // protocol, no per-viewer load on the owning shard.
 //
 // Endpoint contract (all GET):
@@ -159,15 +159,52 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// read answers a full poll of the session through the relay, which
+// subscribes the session and syncs a copy nothing follows, so a render
+// is current without an SSE stream open. The entries are frames of the
+// relay's own encode cache and are never released.
+func (g *Gateway) read(sid string) (merge.PollReply, error) {
+	var reply merge.PollReply
+	err := g.relay.Poll(merge.PollArgs{SessionID: sid, Full: true}, &reply)
+	return reply, err
+}
+
+// merged restores every object of the session into one tree.
+func (g *Gateway) merged(sid string) (*aida.Tree, int64, error) {
+	reply, err := g.read(sid)
+	if err != nil {
+		return nil, 0, err
+	}
+	tree := aida.NewTree()
+	for _, e := range reply.Entries {
+		obj, err := e.Restore()
+		if err == nil {
+			err = tree.PutAt(e.Path, obj)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return tree, reply.Version, nil
+}
+
 func (g *Gateway) view(w http.ResponseWriter, r *http.Request) {
-	sid := r.PathValue("session")
 	path := r.URL.Query().Get("path")
-	tree, _, err := g.relay.Local().MergedTree(sid)
+	reply, err := g.read(r.PathValue("session"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	obj := tree.Get(path)
+	var obj aida.Object
+	for _, e := range reply.Entries {
+		if e.Path == path {
+			if obj, err = e.Restore(); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			break
+		}
+	}
 	if obj == nil {
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
@@ -188,7 +225,7 @@ func (g *Gateway) view(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) tree(w http.ResponseWriter, r *http.Request) {
-	tree, ver, err := g.relay.Local().MergedTree(r.PathValue("session"))
+	tree, ver, err := g.merged(r.PathValue("session"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -198,7 +235,7 @@ func (g *Gateway) tree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) xml(w http.ResponseWriter, r *http.Request) {
-	tree, _, err := g.relay.Local().MergedTree(r.PathValue("session"))
+	tree, _, err := g.merged(r.PathValue("session"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

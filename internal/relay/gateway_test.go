@@ -185,6 +185,66 @@ func TestGatewayPushesOnCommit(t *testing.T) {
 	}
 }
 
+// TestGatewayRendersWithoutStream: /view, /tree and /xml serve the
+// session's current state when no SSE stream follows it — a render
+// subscribes the session and syncs the relay's copy — and a later render
+// shows a later publish.
+func TestGatewayRendersWithoutStream(t *testing.T) {
+	mgr := merge.NewManager()
+	const sid = "render-sess"
+	tree := aida.NewTree()
+	h, err := tree.H1D("/h", "x", "", 10, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := merge.NewTransport(sid, "w0", mgr)
+	h.Fill(1)
+	sendSnap(t, tr, tree)
+
+	rel := relay.New("render", mgr)
+	rel.Interval = relay.ParkBound
+	defer rel.Close()
+	srv := httptest.NewServer(relay.NewGateway(rel))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, readAll(t, resp)
+	}
+
+	if code, body := get("/view/" + sid + "?path=/h/x"); code != http.StatusOK || !strings.Contains(body, "<svg") {
+		t.Fatalf("/view = %d %.80q", code, body)
+	}
+	if code, body := get("/view/" + sid + "?path=/h/none"); code != http.StatusNotFound {
+		t.Fatalf("/view of a missing path = %d %.80q", code, body)
+	}
+	want := fmt.Sprintf("version %d\n", mgr.Version(sid))
+	if code, body := get("/tree/" + sid); code != http.StatusOK || !strings.HasPrefix(body, want) || !strings.Contains(body, "/h/x") {
+		t.Fatalf("/tree = %d %q, want %q and /h/x", code, body, want)
+	}
+	if code, body := get("/xml/" + sid); code != http.StatusOK || !strings.Contains(body, "histogram1d") {
+		t.Fatalf("/xml = %d %.80q", code, body)
+	}
+
+	h.Fill(2)
+	sendSnap(t, tr, tree)
+	want = fmt.Sprintf("version %d\n", mgr.Version(sid))
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		_, body := get("/tree/" + sid)
+		if strings.HasPrefix(body, want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/tree still serves %q after a publish, want %q", body, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func readAll(t *testing.T, r *http.Response) string {
 	t.Helper()
 	var sb strings.Builder

@@ -155,8 +155,8 @@ func New(name string, upstream Poller) *Relay {
 // Name returns the relay's registered name.
 func (r *Relay) Name() string { return r.name }
 
-// Local exposes the relay's private merged copy — tests inject
-// NeedFull-style damage through it, and the gateway renders from it.
+// Local exposes the relay's private merged copy, for its stats; tests
+// inject NeedFull-style damage through it.
 func (r *Relay) Local() *merge.Manager { return r.local }
 
 // errUnchanged aborts a transport send without consuming a generation:

@@ -397,10 +397,10 @@ func TestRelayReleaseContractOverRMI(t *testing.T) {
 	}
 }
 
-// TestRelayFanOutOneUpstreamSyncPerRound: with RelayReads on, N
-// incremental pollers per session cost the owning shards one
-// subscription sync per session per publish round — during the serve
-// phase the owners' per-session Polls counters grow by exactly
+// TestRelayFanOutOneUpstreamSyncPerRound: N incremental pollers of a
+// relay per session cost the owning shards one subscription sync per
+// session per publish round — during the serve phase the owners'
+// per-session Polls counters grow by exactly
 // sessions × rounds, however many downstream reads there are — while
 // every session's relayed frames stay identical to the owner's full
 // poll and to a flat single-manager reference.

@@ -234,7 +234,7 @@ func (s *Service) use(id string) (*Session, error) {
 	return sess, err
 }
 
-// ValidateToken authorizes an RMI/GridFTP token: it must belong to a live
+// ValidateToken authorizes an RMI token: it must belong to a live
 // session — the paper's rule that no RMI object works without a Web
 // Service session (§3.7).
 func (s *Service) ValidateToken(token string) error {
@@ -244,11 +244,6 @@ func (s *Service) ValidateToken(token string) error {
 		return errors.New("session: unknown or expired session token")
 	}
 	return nil
-}
-
-// TokenChecker adapts ValidateToken for the gridftp server.
-func (s *Service) TokenChecker() gridftp.TokenChecker {
-	return func(token string) error { return s.ValidateToken(token) }
 }
 
 // StagingReport carries the phase timings of one AttachDataset — the

@@ -48,6 +48,24 @@ func splitPath(path string) []string {
 // JoinPath builds a canonical absolute path from segments.
 func JoinPath(segs ...string) string { return "/" + strings.Join(segs, "/") }
 
+// CanonicalPath reports whether p is an object path as JoinPath writes
+// it: one or more names, none empty or ".", each after a slash.
+func CanonicalPath(p string) bool {
+	if len(p) < 2 || p[0] != '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i == len(p) || p[i] == '/' {
+			if seg := p[start:i]; seg == "" || seg == "." {
+				return false
+			}
+			start = i + 1
+		}
+	}
+	return true
+}
+
 // Mkdirs creates the directory path (and parents), returning an error only
 // if a path segment is occupied by an object.
 func (t *Tree) Mkdirs(path string) error {

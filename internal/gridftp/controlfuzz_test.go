@@ -30,8 +30,8 @@ type controlConn struct {
 func (c controlConn) Read(p []byte) (int, error) { return c.in.Read(p) }
 
 // controlSeeds returns control streams as a client writes them, cut at
-// every length, plus ranges at edge offsets and lengths and commands
-// refused before AUTH.
+// every length, plus ranges at edge offsets and lengths, commands
+// refused before AUTH, and lines at and past maxLine.
 func controlSeeds() [][]byte {
 	size := int64(len(fuzzFile))
 	streams := []string{
@@ -51,7 +51,14 @@ func controlSeeds() [][]byte {
 			seeds = append(seeds, []byte(fmt.Sprintf("AUTH tok\nERET /f %d %d\n", off, n)))
 		}
 	}
-	return append(seeds, []byte("AUTH tok\nERET /f 0 18446744073709551616\n"))
+	seeds = append(seeds, []byte("AUTH tok\nERET /f 0 18446744073709551616\n"))
+	// Lines of maxLine bytes and one more, before and after AUTH: the
+	// longer ones are refused and end the connection.
+	long := strings.Repeat("x", maxLine)
+	for _, s := range []string{long[:maxLine-2] + "\r\nQUIT\r\n", long + "\nQUIT\r\n", "AUTH tok\r\nSIZE /f" + long + "\r\n"} {
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
 }
 
 // FuzzGridFTPControl feeds arbitrary bytes as the control stream of one

@@ -46,6 +46,32 @@ const parallelism = 4
 // blockSize is the data-channel block payload size.
 const blockSize = 256 * 1024
 
+// maxLine caps a control line or a data hello, line break included. The
+// longest line staging sends, an ERET of a storage path and two decimal
+// int64s, is far shorter.
+const maxLine = 4096
+
+// errLineTooLong rejects a line of more than maxLine bytes.
+var errLineTooLong = fmt.Errorf("gridftp: line longer than %d bytes", maxLine)
+
+// authWait is how long a connection behind a token check has to
+// authenticate. An authenticated connection gets no read deadline, so
+// none cuts off a transfer.
+var authWait = 30 * time.Second
+
+// newLineReader buffers exactly one maximal line, so that readLine
+// never holds more than maxLine bytes of a peer's input.
+func newLineReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, maxLine) }
+
+// readLine reads one line through a newLineReader.
+func readLine(r *bufio.Reader) (string, error) {
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return "", errLineTooLong
+	}
+	return string(line), err
+}
+
 // TokenChecker authorizes control connections; nil accepts everything.
 type TokenChecker func(token string) error
 
@@ -125,12 +151,26 @@ func reply(w *bufio.Writer, format string, args ...any) {
 
 func (s *Server) serveControl(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	r := newLineReader(conn)
 	w := bufio.NewWriter(conn)
 	authed := s.check == nil
+	if !authed {
+		conn.SetReadDeadline(time.Now().Add(authWait))
+	}
 	reply(w, "220 IPA GridFTP ready")
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
+		if errors.Is(err, errLineTooLong) {
+			// One refusal, then the connection goes: the rest of the
+			// line cannot be told from the next command. Before AUTH it
+			// is refused as every other line but AUTH and QUIT is.
+			code := 500
+			if !authed {
+				code = 530
+			}
+			reply(w, "%d %v", code, err)
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -156,6 +196,7 @@ func (s *Server) serveControl(conn net.Conn) {
 				}
 			}
 			authed = true
+			conn.SetReadDeadline(time.Time{})
 			reply(w, "230 ok")
 			continue
 		}
@@ -365,7 +406,7 @@ func readBlock(r *bufio.Reader) (uint64, []byte, error) {
 // so nothing the reader buffers past the line is lost.
 func readDataHello(conn net.Conn, wantID string) (int, error) {
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	line, err := readLine(newLineReader(conn))
 	if err != nil {
 		return 0, err
 	}

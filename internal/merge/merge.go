@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -605,14 +606,24 @@ func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	}
 	// Restore all payload objects before locking anything so a corrupt
 	// delta is rejected atomically and decode cost stays outside the
-	// critical section.
+	// critical section. Paths must be canonical: the merged tree files
+	// "/h//x" as "/h/x", and the version stamps that Poll lists must name
+	// the paths the tree holds.
 	objs := make([]aida.Object, len(d.Entries))
 	for i, e := range d.Entries {
 		obj, err := e.Object.Restore()
+		if err == nil && !aida.CanonicalPath(e.Path) {
+			err = errors.New("path is not canonical")
+		}
 		if err != nil {
 			return fmt.Errorf("merge: bad delta from %s at %q: %w", args.WorkerID, e.Path, err)
 		}
 		objs[i] = obj
+	}
+	for _, path := range d.Removed {
+		if !aida.CanonicalPath(path) {
+			return fmt.Errorf("merge: bad delta from %s: removed path %q is not canonical", args.WorkerID, path)
+		}
 	}
 	var err error
 	if args.frame, err = m.logFrame(args.frame, d); err != nil {
@@ -806,6 +817,9 @@ func (s *sessionState) rebuild() error {
 // return on one atomic load; other polls share the session read lock,
 // so any number of clients poll concurrently with each other. With
 // args.Wait a poll that has nothing new parks first (see park).
+// Entries list stamped paths in sorted order, each served from the
+// frame cache; only a miss encodes the merged object, so a copy kept by
+// Install, which holds frames and no objects, is never decoded.
 func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 	if args.Wait > 0 && !args.Full {
 		m.park(args)
@@ -843,63 +857,51 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 			reply.Logs = append(reply.Logs, l.text)
 		}
 	}
-	var firstErr error
-	emit := func(path string, obj aida.Object) {
-		if firstErr != nil {
-			return
-		}
-		ver := s.objVersion[path]
-		if v, ok := s.frames.Load(path); ok {
-			if cf := v.(cachedFrame); cf.version == ver {
-				s.cacheHits.Add(1)
-				obsCacheHits.Inc()
-				reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: cf.frame})
-				return
+	var paths []string
+	if !args.Full && args.SinceVersion > 0 && args.SinceVersion >= s.indexedSince {
+		// Change-index fast path: touch only the paths stamped after the
+		// client's version instead of enumerating every stamped path.
+		s.indexPolls.Add(1)
+		paths = s.changedSince(args.SinceVersion)
+	} else {
+		s.walkPolls.Add(1)
+		paths = make([]string, 0, len(s.objVersion))
+		for path, ver := range s.objVersion {
+			if args.Full || args.SinceVersion == 0 || ver > args.SinceVersion {
+				paths = append(paths, path)
 			}
+		}
+		sort.Strings(paths)
+	}
+	for _, path := range paths {
+		ver, ok := s.objVersion[path]
+		if !ok {
+			continue // removed since the change index stamped it
+		}
+		if v, ok := s.frames.Load(path); ok && v.(cachedFrame).version == ver {
+			s.cacheHits.Add(1)
+			obsCacheHits.Inc()
+			reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: v.(cachedFrame).frame})
+			continue
+		}
+		obj := s.merged.Get(path)
+		if obj == nil {
+			return fmt.Errorf("merge: polling %s: %q has no frame or object at version %d", args.SessionID, path, ver)
 		}
 		st, err := aida.StateOf(obj)
 		if err != nil {
-			firstErr = err
-			return
+			return err
 		}
 		frame, err := aida.EncodeObjectFrame(&st)
 		if err != nil {
-			firstErr = err
-			return
+			return err
 		}
 		s.cacheMisses.Add(1)
 		obsCacheMisses.Inc()
 		// Concurrent pollers may both miss and store; the entries are
-		// identical for a given (path, version), so last-write-wins is
-		// fine.
+		// identical for a given (path, version), so last-write-wins is fine.
 		s.frames.Store(path, cachedFrame{version: ver, frame: frame})
 		reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: frame})
-	}
-	if !args.Full && args.SinceVersion > 0 && args.SinceVersion >= s.indexedSince {
-		// Change-index fast path: touch only the paths stamped after the
-		// client's version instead of walking the whole merged tree.
-		s.indexPolls.Add(1)
-		for _, path := range s.changedSince(args.SinceVersion) {
-			if obj := s.merged.Get(path); obj != nil {
-				emit(path, obj)
-			}
-		}
-	} else {
-		s.walkPolls.Add(1)
-		include := func(path string) bool {
-			if args.Full || args.SinceVersion == 0 {
-				return true
-			}
-			return s.objVersion[path] > args.SinceVersion
-		}
-		s.merged.Walk(func(path string, obj aida.Object) {
-			if include(path) {
-				emit(path, obj)
-			}
-		})
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	for path, ver := range s.gone {
 		if args.Full || ver > args.SinceVersion {
@@ -1021,26 +1023,34 @@ func (m *Manager) Drop(sessionID string) {
 	}
 }
 
-// SeedFrames stores encoded frames that another manager made for this
-// session's objects in the poll frame cache, stamped at version: the
-// version at which the caller's own publish of those objects committed.
-// An entry whose path has changed since is skipped. A relay seeds the
-// upstream's frames after republishing them, so its readers are served
-// the owner's encoding instead of a second one; the codec is
-// deterministic, so the bytes are the same. The frames must not be
-// modified or released afterwards.
-func (m *Manager) SeedFrames(sessionID string, version int64, entries []PollEntry) {
-	s := m.lookup(sessionID)
-	if s == nil {
-		return
+// Install commits one reply of another manager's Poll as the next
+// version of this manager's copy of the session, creating the session
+// on first use, and returns that version. Each entry's frame is cached
+// for its path at the new version and is never decoded; the Removed
+// paths are marked gone; the reply's log lines are kept as one line,
+// joined by newlines; and its progress becomes the committed progress.
+// A relay keeps its copies this way, so its readers are served the
+// source's encoding. Nothing is logged: a follower's copy rebuilds from
+// its source. The frames must not be modified or released afterwards.
+func (m *Manager) Install(sessionID string, r *PollReply) int64 {
+	s := m.session(sessionID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.version++
+	for _, e := range r.Entries {
+		s.objVersion[e.Path] = s.version
+		s.frames.Store(e.Path, cachedFrame{version: s.version, frame: e.Frame})
+		s.recordChange(e.Path)
+		delete(s.gone, e.Path)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range entries {
-		if s.objVersion[e.Path] == version {
-			s.frames.Store(e.Path, cachedFrame{version: version, frame: e.Frame})
-		}
+	for _, path := range r.Removed {
+		delete(s.objVersion, path)
+		s.frames.Delete(path)
+		s.gone[path] = s.version
 	}
+	s.appendLog(strings.Join(r.Logs, "\n"))
+	s.storePubLocked(&polledState{version: s.version, progress: r.Progress})
+	return s.version
 }
 
 // ------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Snapshot transport: the one delta-native uplink every tier of the
 // merge hierarchy publishes through. Engines send their result trees to
-// a manager; SubMergers (the §2.5 hierarchy of ablation A2) and relays
-// read a session through a Cursor and forward each poll reply it judges
-// a continuation (PollReply.Snapshot) — SubMergers upstream as their
-// group total, relays downhill into their local copy. All use the same
+// a manager; SubMergers (the §2.5 hierarchy of ablation A2) read their
+// local manager through a Cursor and forward each poll reply upstream as
+// their group total (PollReply.Snapshot). Both use the same
 // generation-stamped protocol: incremental DeltaState snapshots by
 // default, a full baseline on the first send, after a transport
 // failure, and whenever the receiver asks for a resync (NeedFull).
@@ -88,14 +87,6 @@ func (t *Transport) Generation() int64 {
 // shard handoff surfaces here as exactly one re-baseline per producer.
 // Lock-free.
 func (t *Transport) Rebaselines() int64 { return t.rebaselines.Load() }
-
-// Rebaseline makes the next send a full baseline: the receiver lost
-// the state the transport's deltas build on.
-func (t *Transport) Rebaseline() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.needFull = true
-}
 
 var errEmptySnapshot = errors.New("merge: transport snapshot carries no delta")
 

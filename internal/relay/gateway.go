@@ -162,7 +162,7 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 // read answers a full poll of the session through the relay, which
 // subscribes the session and syncs a copy nothing follows, so a render
 // is current without an SSE stream open. The entries are frames of the
-// relay's own encode cache and are never released.
+// relay's frame cache and are never released.
 func (g *Gateway) read(sid string) (merge.PollReply, error) {
 	var reply merge.PollReply
 	err := g.relay.Poll(merge.PollArgs{SessionID: sid, Full: true}, &reply)

@@ -12,11 +12,11 @@ var (
 	obsUpPolls = obs.GetCounter("ipa_relay_upstream_polls_total",
 		"Subscription poll exchanges issued upstream.")
 	obsDownPolls = obs.GetCounter("ipa_relay_downstream_polls_total",
-		"Downstream reads re-served from relay-local merged copies.")
+		"Downstream reads re-served from relay-local copies.")
 	obsRebaselines = obs.GetCounter("ipa_relay_rebaselines_total",
 		"Subscription re-baselines after an upstream epoch change or regression.")
 	obsSyncSeconds = obs.GetHistogram("ipa_relay_sync_seconds",
-		"One subscription exchange (upstream poll + local republish) in seconds.", nil)
+		"One subscription exchange (upstream poll + local install) in seconds.", nil)
 	obsSSEClients = obs.GetGauge("ipa_relay_sse_clients",
 		"Live SSE clients attached to the gateway.")
 	obsSSEFrames = obs.GetCounter("ipa_relay_sse_frames_total",

@@ -1,14 +1,13 @@
 // Package relay is the fabric's read fan-out tier. A Relay follows each
 // session through ONE upstream subscription: a loop of version-gated
 // long polls (merge.PollArgs.Wait) that return as soon as the upstream
-// commits a new version. Each change is republished into a private
-// merge.Manager through the same generation-stamped merge.Transport the
-// engines use, pointed downhill, and the upstream's encoded frames are
-// seeded into that copy's frame cache. Downstream pollers, parked or
+// commits a new version. Each reply that brings something new is
+// installed into a private merge.Manager as it came (Manager.Install):
+// the upstream's encoded frames become that copy's frame cache, and
+// nothing is decoded, restored or merged. Downstream pollers, parked or
 // not, hit the local manager's lock-free fast path and frame cache, so
 // N viewers cost the owning shard one parked poll instead of N, and
-// because the codec is deterministic, relay-served frames are
-// byte-identical to the owner's.
+// relay-served frames are the owner's own bytes.
 //
 // The first read of a session opens its subscription. A subscription
 // follows its upstream only while it has demand: a downstream poll
@@ -17,7 +16,9 @@
 // is served while the subscription is idle or has not yet taken a
 // single upstream reply — a loop that has started following may not
 // have landed its first exchange — and an idle one's read then wakes
-// the loop to follow again.
+// the loop to follow again. A subscription that goes idle without ever
+// holding a copy (reads of a session the upstream does not know) is
+// removed, and its loop exits.
 //
 // Relays compose: a Relay's upstream may itself be a Relay (a
 // relay-of-relay tree for geographic tiers).
@@ -27,14 +28,13 @@
 // upstream (an epoch change or a version regression: a re-created
 // session, a handoff straggler) re-baselines the subscription — the
 // local copy is dropped, which mints a fresh local epoch, so downstream
-// clients full-resync in turn. An upstream that does not know the
-// session (version 0, a tombstone included) leaves the local copy
-// serving its final state rather than tearing it down under the
-// viewers.
+// clients full-resync in turn. The local copy keeps its own epoch and
+// version space. An upstream that does not know the session (version 0,
+// a tombstone included) leaves the local copy serving its final state
+// rather than tearing it down under the viewers.
 package relay
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -70,11 +70,11 @@ const retryPause = 25 * time.Millisecond
 type Relay struct {
 	name     string
 	upstream Poller
-	// releaseUp: upstream replies crossed the wire, so their decoded
-	// frames go back to the frame pool unless the local frame cache
-	// keeps them. Never set for in-process upstreams, whose replies
-	// share the owner's encode cache (releasing those would corrupt
-	// later polls).
+	// releaseUp: upstream replies crossed the wire, so the decoded
+	// frames of a reply that is not installed go back to the frame pool;
+	// an installed one's belong to the local frame cache for good. Never
+	// set for in-process upstreams, whose replies share the owner's
+	// encode cache (releasing those would corrupt later polls).
 	releaseUp bool
 	local     *merge.Manager
 
@@ -97,19 +97,15 @@ type Relay struct {
 type subscription struct {
 	sid string
 
-	// tr republishes upstream replies into the local copy; its
-	// re-baseline count is the subscription's.
-	tr *merge.Transport
 	// syncMu serializes applying upstream replies to the local copy
 	// (the loop, inline syncs and SyncNow) and guards cur. The loop does
 	// not hold it while parked upstream.
 	syncMu sync.Mutex
 	cur    merge.Cursor
 
-	// progress is the upstream per-worker progress at the cursor,
-	// re-served verbatim on downstream polls (the local manager only
-	// sees one aggregate "worker", the relay itself).
-	progress atomic.Pointer[[]merge.WorkerProgress]
+	// rebaselines counts the local copy's drops after its first
+	// baseline.
+	rebaselines atomic.Int64
 	// lastSyncNS is the wall clock of the last upstream reply the cursor
 	// took (unix nanos); staleness lag is measured against it. 0 = none
 	// yet, so reads sync inline.
@@ -155,15 +151,10 @@ func New(name string, upstream Poller) *Relay {
 // Name returns the relay's registered name.
 func (r *Relay) Name() string { return r.name }
 
-// Local exposes the relay's private merged copy, for its stats; tests
-// inject NeedFull-style damage through it.
+// Local exposes the manager holding the relay's copies, for its stats;
+// tests wipe a copy through it. A copy holds the upstream's frames and
+// no objects: each session there is written only by Install.
 func (r *Relay) Local() *merge.Manager { return r.local }
-
-// errUnchanged aborts a transport send without consuming a generation:
-// the reply is not a change to republish (nothing new, an unknown
-// session or a rebuilt upstream), so the local version must not churn —
-// downstream quiescent polls stay on the lock-free fast path.
-var errUnchanged = errors.New("relay: upstream unchanged")
 
 // testHookFollow, when set, runs in a session's loop after it has
 // claimed the demand and before its upstream exchange.
@@ -192,7 +183,6 @@ func (r *Relay) subscribe(sessionID string) (*subscription, error) {
 	}
 	s := &subscription{
 		sid:  sessionID,
-		tr:   merge.NewTransport(sessionID, "relay:"+r.name, r.local),
 		cur:  merge.Cursor{Session: sessionID},
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -208,7 +198,8 @@ func (r *Relay) subscribe(sessionID string) (*subscription, error) {
 
 // loop follows upstream while the subscription has demand and waits
 // for a kick while it has none. It exits once the subscription stops
-// and its current upstream poll returns.
+// and its current upstream poll returns, or when it goes idle without
+// a copy (see reap).
 func (r *Relay) loop(s *subscription) {
 	for !s.stopped() {
 		if !s.demanded() {
@@ -217,6 +208,9 @@ func (r *Relay) loop(s *subscription) {
 			// the copy followed shows up here; any later one sees idle,
 			// syncs inline and kicks.
 			if !s.demanded() {
+				if r.reap(s) {
+					return
+				}
 				select {
 				case <-s.stop:
 					return
@@ -231,8 +225,8 @@ func (r *Relay) loop(s *subscription) {
 			(*h)(s.sid)
 		}
 		if err := r.follow(s); err != nil {
-			// Errors are retried; the transport's re-baseline state
-			// machine covers anything half-applied.
+			// Errors are retried from the cursor, which moves only when
+			// a reply is installed.
 			t := time.NewTimer(retryPause)
 			select {
 			case <-s.stop:
@@ -241,6 +235,26 @@ func (r *Relay) loop(s *subscription) {
 			t.Stop()
 		}
 	}
+}
+
+// reap removes a subscription that has taken an upstream reply but
+// never held a copy: its cursor is at the zero position and the local
+// manager has no copy of the session, as after reads of a session its
+// upstream does not know. One that has taken no reply yet is kept: the
+// read that opened it may not have registered its demand. reap reports
+// whether it removed s; the loop then exits, and the next read opens a
+// new subscription. Whoever removes a subscription from subs closes its
+// stop, so reap, Unsubscribe and Close never close it twice.
+func (r *Relay) reap(s *subscription) bool {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	if s.lastSyncNS.Load() == 0 || s.cur.Version != 0 || r.local.Version(s.sid) != 0 ||
+		!r.subs.CompareAndDelete(s.sid, s) {
+		return false
+	}
+	close(s.stop)
+	obsSubscriptions.Add(-1)
+	return true
 }
 
 // follow runs one upstream exchange of the loop: a poll parked for up
@@ -277,7 +291,7 @@ func (r *Relay) SyncNow(sessionID string) error {
 	return r.syncOnce(v.(*subscription))
 }
 
-// syncOnce performs one upstream poll → local publish exchange.
+// syncOnce performs one upstream exchange from the cursor.
 func (r *Relay) syncOnce(s *subscription) error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
@@ -294,75 +308,56 @@ func (r *Relay) pollUp(args merge.PollArgs, pr *merge.PollReply) error {
 	return nil
 }
 
-// apply takes one upstream reply through the cursor: pre, polled with
-// the cursor's args, when the transport wants an increment, else a
-// fresh poll. A continuation that brings something new is republished
-// into the local copy; a rebuilt upstream drops the copy and
-// re-baselines at once; an unknown session leaves the copy serving its
-// last state. It consumes pre. Caller holds syncMu.
+// apply takes one upstream reply, pre or else a fresh poll from the
+// cursor, and judges it by the cursor's resync rule. A continuation
+// that brings something new is installed into the local copy as the
+// upstream encoded it, and the cursor takes it. A rebuilt upstream
+// drops the copy and re-baselines at once. An unknown session, or
+// nothing new, leaves the copy and its version as they are, so
+// downstream quiescent polls stay on the lock-free fast path. It
+// consumes pre. Caller holds syncMu.
 func (r *Relay) apply(s *subscription, pre *merge.PollReply) error {
-	defer func() {
-		if pre != nil {
-			r.releaseReply(pre)
-		}
-	}()
 	if s.stopped() {
 		// Torn down: the local copy is gone and must stay gone.
+		r.releaseReply(pre)
 		return nil
 	}
 	if s.cur.Version != 0 && r.local.Version(s.sid) == 0 {
-		// The local copy was wiped under the subscription (an injected
-		// NeedFull, an operator drop). An unchanged upstream would
-		// otherwise skip publishing forever; rebuild from a fresh
-		// baseline instead.
+		// The local copy was wiped under the subscription (an operator
+		// drop, an injected fault). An unchanged upstream would
+		// otherwise never be installed again; rebuild from a fresh
+		// baseline instead. pre continues the wiped copy.
+		r.releaseReply(pre)
+		pre = nil
 		r.rebaseline(s)
 	}
-	verdict := merge.Continues
-	// applied is the reply the send republished; its frames are seeded
-	// into the local frame cache once the publish commits.
-	var applied merge.PollReply
 	t0 := time.Now()
-	reply, err := s.tr.Send(func(full bool) (merge.Snapshot, error) {
-		var pr merge.PollReply
-		if pre != nil && !full {
-			pr, pre = *pre, nil
-		} else if err := r.pollUp(s.cur.Args(full, 0), &pr); err != nil {
-			return merge.Snapshot{}, err
+	pr := pre
+	if pr == nil {
+		pr = new(merge.PollReply)
+		if err := r.pollUp(s.cur.Args(false, 0), pr); err != nil {
+			return err
 		}
-		verdict = s.cur.Verdict(&pr)
-		if verdict != merge.Continues || !full && s.cur.Unchanged(&pr) {
-			r.releaseReply(&pr)
-			return merge.Snapshot{}, errUnchanged
-		}
-		snap, err := pr.Snapshot(full)
-		if err != nil {
-			r.releaseReply(&pr)
-			return merge.Snapshot{}, err
-		}
-		applied = pr
-		return snap, nil
-	})
-	switch {
-	case verdict == merge.Rebuilt:
+	}
+	switch v := s.cur.Verdict(pr); {
+	case v == merge.Rebuilt:
 		// The upstream state was rebuilt under us (the session was
-		// re-created). Drop the local copy — the replacement session
-		// gets a fresh local epoch, so downstream clients discard their
+		// re-created). Drop the local copy — the replacement gets a
+		// fresh local epoch, so downstream clients discard their
 		// mirrors too — and re-baseline at once. A cursor at its zero
 		// position never judges a reply rebuilt, so this recurses once.
+		r.releaseReply(pr)
 		r.rebaseline(s)
 		return r.apply(s, nil)
-	case errors.Is(err, errUnchanged):
+	case v == merge.Unknown || s.cur.Unchanged(pr):
+		r.releaseReply(pr)
 		s.lastSyncNS.Store(time.Now().UnixNano())
 		return nil
-	case err != nil || !reply.Accepted:
-		r.releaseReply(&applied)
-		return err
 	}
 	// The frames now belong to the local frame cache: a wire reply's
 	// pooled buffers are never released back to the pool.
-	r.local.SeedFrames(s.sid, reply.Version, applied.Entries)
-	s.cur.Take(&applied)
-	s.progress.Store(&applied.Progress)
+	r.local.Install(s.sid, pr)
+	s.cur.Take(pr)
 	now := time.Now()
 	s.lastSyncNS.Store(now.UnixNano())
 	obsSyncSeconds.Observe(now.Sub(t0).Seconds())
@@ -370,20 +365,19 @@ func (r *Relay) apply(s *subscription, pre *merge.PollReply) error {
 }
 
 // rebaseline drops the local copy and moves the subscription back to
-// the cursor's zero position; its next send is a full baseline. Caller
-// holds syncMu.
+// the cursor's zero position, so its next exchange installs the whole
+// upstream state into a fresh copy. Caller holds syncMu.
 func (r *Relay) rebaseline(s *subscription) {
 	obsRebaselines.Inc()
+	s.rebaselines.Add(1)
 	r.local.Drop(s.sid)
-	s.tr.Rebaseline()
 	s.cur.Reset()
-	s.progress.Store(nil)
 }
 
 // releaseReply recycles a wire-decoded reply's frames. In-process
 // upstream replies share the owner's encode cache and are left alone.
 func (r *Relay) releaseReply(pr *merge.PollReply) {
-	if r.releaseUp {
+	if r.releaseUp && pr != nil {
 		pr.Release()
 	}
 }
@@ -393,7 +387,7 @@ func (r *Relay) releaseReply(pr *merge.PollReply) {
 func (r *Relay) AddClient()  { r.clients.Add(1) }
 func (r *Relay) DropClient() { r.clients.Add(-1) }
 
-// Poll re-serves a downstream read from the local merged copy
+// Poll re-serves a downstream read from the local copy
 // (RMI-compatible — the same wire surface as a Manager, so core.Client
 // needs no new protocol). The first read of a session subscribes it. A
 // poll with args.Wait parks on the local copy and counts as demand
@@ -426,13 +420,7 @@ func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 		default:
 		}
 	}
-	if err := r.local.Poll(args, reply); err != nil {
-		return err
-	}
-	if p := s.progress.Load(); p != nil && len(*p) > 0 {
-		reply.Progress = *p
-	}
-	return nil
+	return r.local.Poll(args, reply)
 }
 
 // Unsubscribe stops a session's subscription and forgets its local
@@ -488,8 +476,8 @@ type Stats struct {
 	// last successful upstream exchange. Idle subscriptions are left
 	// out: their next reader syncs before it is served.
 	StalenessMS float64
-	// Rebaselines counts forwarded full baselines after the first
-	// (re-created upstream sessions, handoffs, injected NeedFulls).
+	// Rebaselines counts the local copies dropped and re-baselined after
+	// their first baseline (re-created upstream sessions, wiped copies).
 	Rebaselines int64
 }
 
@@ -510,7 +498,7 @@ func (r *Relay) Stats() Stats {
 				st.StalenessMS = ms
 			}
 		}
-		st.Rebaselines += s.tr.Rebaselines()
+		st.Rebaselines += s.rebaselines.Load()
 		return true
 	})
 	if st.UpPolls > 0 {

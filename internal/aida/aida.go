@@ -109,6 +109,14 @@ func mergeAnnotations(dst, src *Annotation) {
 // Title is the conventional annotation key for display titles.
 const TitleKey = "Title"
 
+// displayTitle is the title in ann, or name when there is none.
+func displayTitle(ann *Annotation, name string) string {
+	if t := ann.Get(TitleKey); t != "" {
+		return t
+	}
+	return name
+}
+
 // Axis is a fixed-width binning over [lo, hi) with nBins bins.
 // Bin indices: 0..nBins-1 in range; Underflow and Overflow are separate.
 type Axis struct {
@@ -153,19 +161,46 @@ func (a Axis) BinUpperEdge(i int) float64 { return a.lo + float64(i+1)*a.BinWidt
 // BinCenter returns the center of bin i.
 func (a Axis) BinCenter(i int) float64 { return a.lo + (float64(i)+0.5)*a.BinWidth() }
 
-// CoordToIndex maps x to a bin index, or Underflow/Overflow.
+// CoordToIndex maps x to a bin index, or Underflow/Overflow (NaN is
+// Overflow).
 func (a Axis) CoordToIndex(x float64) int {
+	if s, _ := a.slotOf(x); s <= a.nBins {
+		return s - 1 // slot 0 is Underflow
+	}
+	return Overflow
+}
+
+// slotOf returns the slot a fill at x lands in, 0 for underflow, 1…nBins
+// in range and nBins+1 for overflow, and whether x is in range. NaN
+// fails both comparisons and counts as overflow, so it stays visible in
+// entry totals instead of disappearing.
+func (a Axis) slotOf(x float64) (s int, in bool) {
+	if x >= a.lo && x < a.hi {
+		i := int(float64(a.nBins) * (x - a.lo) / (a.hi - a.lo))
+		if i >= a.nBins { // guard float rounding at the upper edge
+			i = a.nBins - 1
+		}
+		return i + 1, true
+	}
 	if x < a.lo {
-		return Underflow
+		return 0, false
 	}
-	if x >= a.hi {
-		return Overflow
+	return a.nBins + 1, false
+}
+
+// slot returns the slot of bin i, which may be Underflow or Overflow. It
+// panics on any other index outside the axis: bin indices come from the
+// analysis author's code, and silently clamping would corrupt results.
+func (a Axis) slot(i int) int {
+	switch {
+	case i == Underflow:
+		return 0
+	case i == Overflow:
+		return a.nBins + 1
+	case i < 0 || i >= a.nBins:
+		panic(fmt.Sprintf("aida: bin %d out of range [0,%d)", i, a.nBins))
 	}
-	i := int(float64(a.nBins) * (x - a.lo) / (a.hi - a.lo))
-	if i >= a.nBins { // guard float rounding at the upper edge
-		i = a.nBins - 1
-	}
-	return i
+	return i + 1
 }
 
 // Equal reports whether two axes have identical binning.

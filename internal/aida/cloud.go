@@ -34,12 +34,8 @@ func NewCloud1D(name, title string) *Cloud1D { return NewCloud1DLimit(name, titl
 // NewCloud1DLimit creates a cloud converting after limit entries
 // (limit ≤ 0 means never).
 func NewCloud1DLimit(name, title string, limit int) *Cloud1D {
-	c := &Cloud1D{name: name, ann: NewAnnotation(), limit: limit, lo: math.Inf(1), hi: math.Inf(-1),
-		dirty: true} // born dirty — see NewHistogram1D
-	if title != "" {
-		c.ann.Set(TitleKey, title)
-	}
-	return c
+	return &Cloud1D{name: name, ann: titled(title), limit: limit, lo: math.Inf(1), hi: math.Inf(-1),
+		dirty: true} // born dirty — see binned.init
 }
 
 // Name implements Object.
@@ -52,12 +48,7 @@ func (c *Cloud1D) Kind() string { return "Cloud1D" }
 func (c *Cloud1D) Annotations() *Annotation { return c.ann }
 
 // Title returns the display title (falls back to the name).
-func (c *Cloud1D) Title() string {
-	if t := c.ann.Get(TitleKey); t != "" {
-		return t
-	}
-	return c.name
-}
+func (c *Cloud1D) Title() string { return displayTitle(c.ann, c.name) }
 
 // IsConverted reports whether the cloud has collapsed into a histogram.
 func (c *Cloud1D) IsConverted() bool { return c.converted != nil }
@@ -104,10 +95,7 @@ func (c *Cloud1D) Mean() float64 {
 	if c.converted != nil {
 		return c.converted.Mean()
 	}
-	if c.sumW == 0 {
-		return 0
-	}
-	return c.sumWX / c.sumW
+	return mean(c.sumW, c.sumWX)
 }
 
 // Rms returns the weighted standard deviation (exact while unbinned).
@@ -115,15 +103,7 @@ func (c *Cloud1D) Rms() float64 {
 	if c.converted != nil {
 		return c.converted.Rms()
 	}
-	if c.sumW == 0 {
-		return 0
-	}
-	m := c.Mean()
-	v := c.sumWX2/c.sumW - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
+	return rms(c.sumW, c.sumWX, c.sumWX2)
 }
 
 // LowerEdge returns the smallest sample seen (∞ when empty, histogram edge
@@ -278,15 +258,11 @@ type Cloud2D struct {
 
 // NewCloud2D creates a 2D cloud with the default auto-convert limit.
 func NewCloud2D(name, title string) *Cloud2D {
-	c := &Cloud2D{
-		name: name, ann: NewAnnotation(), limit: DefaultCloudLimit,
+	return &Cloud2D{
+		name: name, ann: titled(title), limit: DefaultCloudLimit,
 		xlo: math.Inf(1), xhi: math.Inf(-1), ylo: math.Inf(1), yhi: math.Inf(-1),
-		dirty: true, // born dirty — see NewHistogram1D
+		dirty: true, // born dirty — see binned.init
 	}
-	if title != "" {
-		c.ann.Set(TitleKey, title)
-	}
-	return c
 }
 
 // Name implements Object.

@@ -51,7 +51,7 @@ func TestDeltaCarriesOnlyTouchedObjects(t *testing.T) {
 		t.Fatalf("delta paths = %v", paths)
 	}
 	// The snapshot is a deep copy: filling after Delta must not change it.
-	if d.Entries[0].Object.H1.SumW != tr.Get(d.Entries[0].Path).(*Histogram1D).sumW {
+	if d.Entries[0].Object.H1.SumW != tr.Get(d.Entries[0].Path).(*Histogram1D).SumBinHeights() {
 		t.Fatal("unexpected state divergence before mutation")
 	}
 }

@@ -31,12 +31,8 @@ func NewDataPointSet(name, title string, dim int) *DataPointSet {
 	if dim <= 0 {
 		panic(fmt.Sprintf("aida: DataPointSet dimension %d must be positive", dim))
 	}
-	d := &DataPointSet{name: name, ann: NewAnnotation(), dim: dim,
-		dirty: true} // born dirty — see NewHistogram1D
-	if title != "" {
-		d.ann.Set(TitleKey, title)
-	}
-	return d
+	return &DataPointSet{name: name, ann: titled(title), dim: dim,
+		dirty: true} // born dirty — see binned.init
 }
 
 // Name implements Object.
@@ -49,12 +45,7 @@ func (d *DataPointSet) Kind() string { return "DataPointSet" }
 func (d *DataPointSet) Annotations() *Annotation { return d.ann }
 
 // Title returns the display title (falls back to the name).
-func (d *DataPointSet) Title() string {
-	if t := d.ann.Get(TitleKey); t != "" {
-		return t
-	}
-	return d.name
-}
+func (d *DataPointSet) Title() string { return displayTitle(d.ann, d.name) }
 
 // Dimension returns the coordinate count per point.
 func (d *DataPointSet) Dimension() int { return d.dim }

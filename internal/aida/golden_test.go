@@ -19,10 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 const binnedGoldenFile = "binned_formats.golden"
 
 // TestBinnedFormatsUnchanged pins the bytes the binned kinds put on the
-// wire and into AIDA-XML: the AppendObjectState frame of every object and
-// the WriteXML document of two seeded trees that reach every mutation
-// path (weighted and negative fills, FillN with and without weights,
-// flow coordinates, Scale, MergeFrom, Reset, Clone, converted clouds).
+// wire and into AIDA-XML: the AppendObjectState frame of every object of
+// two trees, and the WriteXML document of one of each kind from both.
+// Together the trees reach every mutation path: weighted and negative
+// fills, FillN with and without weights, NaN, ±Inf and flow coordinates,
+// Scale, MergeFrom, Reset, Clone and converted clouds.
 // Any change to how the histograms keep or encode their sums shows up
 // here as a changed line.
 //
@@ -127,7 +128,7 @@ func goldenByLabel(s string) map[string]string {
 	return m
 }
 
-func mustNoErr(t *testing.T, err error) {
+func mustNoErr(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func mustNoErr(t *testing.T, err error) {
 
 // goldenExactTree fills only eighths with weights of a few bits, so no
 // sum, product or scale here ever rounds.
-func goldenExactTree(t *testing.T) *Tree {
+func goldenExactTree(t testing.TB) *Tree {
 	tr := NewTree()
 	ws := []float64{1, 0.5, -0.25, 2, -1.5}
 	// x runs -3 … 7.875 over [-2, 6): underflow, in range, overflow and
@@ -226,7 +227,7 @@ func goldenExactTree(t *testing.T) *Tree {
 
 // goldenSeededTree fills random weights and coordinates, NaN and ±Inf,
 // scales by a factor that rounds, and converts clouds.
-func goldenSeededTree(t *testing.T) *Tree {
+func goldenSeededTree(t testing.TB) *Tree {
 	rng := rand.New(rand.NewSource(56))
 	tr := NewTree()
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}

@@ -1,77 +1,27 @@
 package aida
 
-import (
-	"fmt"
-	"math"
-)
-
-// binStat is the per-bin accumulator for weighted fills.
-type binStat struct {
-	entries int64
-	sumW    float64 // height
-	sumW2   float64 // error² source
-	sumWX   float64 // for the in-bin weighted mean
-}
-
-func (b *binStat) add(o binStat) {
-	b.entries += o.entries
-	b.sumW += o.sumW
-	b.sumW2 += o.sumW2
-	b.sumWX += o.sumWX
-}
+import "math"
 
 // Histogram1D is a fixed-binning one-dimensional weighted histogram
 // (AIDA IHistogram1D). The sample analyses of the paper — dijet invariant
 // mass in the Higgs search — fill these on every worker.
-type Histogram1D struct {
-	name string
-	ann  *Annotation
-	axis Axis
-	// bins[0] = underflow, bins[1..n] in-range, bins[n+1] = overflow.
-	bins []binStat
-	// In-range moment sums for Mean/Rms.
-	sumW, sumWX, sumWX2 float64
-	// dirty marks content mutations since the last ClearDirty (delta
-	// snapshots — see Tree.Delta).
-	dirty bool
-}
+type Histogram1D struct{ binned }
+
+// h1Sums is the number of sums a Histogram1D cell keeps: Σw, Σw², Σw·x.
+const h1Sums = 3
 
 // NewHistogram1D creates a histogram with nBins over [lo, hi).
 func NewHistogram1D(name, title string, nBins int, lo, hi float64) *Histogram1D {
-	h := &Histogram1D{
-		name: name,
-		ann:  NewAnnotation(),
-		axis: NewAxis(nBins, lo, hi),
-		bins: make([]binStat, nBins+2),
-		// Born dirty: a fresh object stored over an already-snapshotted
-		// path must still appear in the next delta.
-		dirty: true,
-	}
-	if title != "" {
-		h.ann.Set(TitleKey, title)
-	}
+	h := new(Histogram1D)
+	h.init(name, titled(title), NewAxis(nBins, lo, hi), Axis{}, h1Sums)
 	return h
 }
-
-// Name implements Object.
-func (h *Histogram1D) Name() string { return h.name }
 
 // Kind implements Object.
 func (h *Histogram1D) Kind() string { return "Histogram1D" }
 
-// Annotations implements Object.
-func (h *Histogram1D) Annotations() *Annotation { return h.ann }
-
-// Title returns the display title (falls back to the name).
-func (h *Histogram1D) Title() string {
-	if t := h.ann.Get(TitleKey); t != "" {
-		return t
-	}
-	return h.name
-}
-
 // Axis returns the binning.
-func (h *Histogram1D) Axis() Axis { return h.axis }
+func (h *Histogram1D) Axis() Axis { return h.x }
 
 // Fill adds x with weight 1.
 func (h *Histogram1D) Fill(x float64) { h.FillW(x, 1) }
@@ -80,194 +30,111 @@ func (h *Histogram1D) Fill(x float64) { h.FillW(x, 1) }
 // they remain visible in entry totals instead of disappearing.
 func (h *Histogram1D) FillW(x, w float64) {
 	h.dirty = true
-	idx := h.axis.CoordToIndex(x)
-	if math.IsNaN(x) {
-		idx = Overflow
+	s, in := h.x.slotOf(x)
+	h.add(h.n, h.sums, s, in, x, w)
+}
+
+// FillN adds every xs[i] with weight ws[i]; a nil ws fills with weight
+// 1. It panics when ws is non-nil with a different length, like a
+// mismatched slice index would. It is the sequence of FillW calls, bit
+// for bit, without the per-call overhead.
+func (h *Histogram1D) FillN(xs, ws []float64) {
+	if len(xs) == 0 {
+		return
 	}
-	slot := h.slot(idx)
-	h.bins[slot].entries++
-	h.bins[slot].sumW += w
-	h.bins[slot].sumW2 += w * w
-	h.bins[slot].sumWX += w * x
-	if idx >= 0 {
-		h.sumW += w
-		h.sumWX += w * x
-		h.sumWX2 += w * x * x
+	checkFillN(xs, xs, ws)
+	h.dirty = true
+	ax, n, sums := h.x, h.n, h.sums
+	for i, x := range xs {
+		s, in := ax.slotOf(x)
+		h.add(n, sums, s, in, x, fillWeight(ws, i))
 	}
 }
 
-func (h *Histogram1D) slot(idx int) int {
-	switch idx {
-	case Underflow:
-		return 0
-	case Overflow:
-		return len(h.bins) - 1
-	default:
-		return idx + 1
+// add is the one fill, into h's cells n and sums (parameters so that
+// FillN's loop holds them in registers): slot s gains an entry, w, w²
+// and w·x, and a fill in range adds to the totals.
+func (h *Histogram1D) add(n []int64, sums []float64, s int, in bool, x, w float64) {
+	n[s]++
+	c := cell(sums, s, h1Sums)
+	c[sumW] += w
+	c[sumW2] += w * w
+	c[sumWX] += w * x
+	if in {
+		h.in.w += w
+		h.in.wx += w * x
+		h.in.wx2 += w * x * x
 	}
-}
-
-// checkBin panics on out-of-range bin arguments: bin indices come from the
-// analysis author's code, and silently clamping would corrupt results.
-func (h *Histogram1D) checkBin(i int) int {
-	if i == Underflow || i == Overflow {
-		return h.slot(i)
-	}
-	if i < 0 || i >= h.axis.nBins {
-		panic(fmt.Sprintf("aida: bin %d out of range [0,%d)", i, h.axis.nBins))
-	}
-	return i + 1
 }
 
 // BinEntries returns the number of fills in bin i
 // (i may be Underflow or Overflow).
-func (h *Histogram1D) BinEntries(i int) int64 { return h.bins[h.checkBin(i)].entries }
+func (h *Histogram1D) BinEntries(i int) int64 { return h.n[h.x.slot(i)] }
 
 // BinHeight returns the weighted height of bin i.
-func (h *Histogram1D) BinHeight(i int) float64 { return h.bins[h.checkBin(i)].sumW }
+func (h *Histogram1D) BinHeight(i int) float64 { return cell(h.sums, h.x.slot(i), h1Sums)[sumW] }
 
 // BinError returns the Poisson-style error sqrt(Σw²) of bin i.
-func (h *Histogram1D) BinError(i int) float64 { return math.Sqrt(h.bins[h.checkBin(i)].sumW2) }
+func (h *Histogram1D) BinError(i int) float64 {
+	return math.Sqrt(cell(h.sums, h.x.slot(i), h1Sums)[sumW2])
+}
 
 // BinMean returns the weighted mean x within bin i, or the bin center when
 // the bin is empty.
 func (h *Histogram1D) BinMean(i int) float64 {
-	b := h.bins[h.checkBin(i)]
-	if b.sumW == 0 {
+	c := cell(h.sums, h.x.slot(i), h1Sums)
+	if c[sumW] == 0 {
 		if i >= 0 {
-			return h.axis.BinCenter(i)
+			return h.x.BinCenter(i)
 		}
 		return math.NaN()
 	}
-	return b.sumWX / b.sumW
+	return c[sumWX] / c[sumW]
 }
-
-// Entries returns the number of in-range fills.
-func (h *Histogram1D) Entries() int64 {
-	var n int64
-	for i := 1; i <= h.axis.nBins; i++ {
-		n += h.bins[i].entries
-	}
-	return n
-}
-
-// EntriesCount implements Object.
-func (h *Histogram1D) EntriesCount() int64 { return h.Entries() }
 
 // AllEntries includes the flow bins.
 func (h *Histogram1D) AllEntries() int64 {
 	var n int64
-	for i := range h.bins {
-		n += h.bins[i].entries
+	for _, e := range h.n {
+		n += e
 	}
 	return n
 }
 
 // SumBinHeights returns the total in-range weight.
-func (h *Histogram1D) SumBinHeights() float64 { return h.sumW }
+func (h *Histogram1D) SumBinHeights() float64 { return h.in.w }
 
 // Mean returns the weighted in-range mean.
-func (h *Histogram1D) Mean() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	return h.sumWX / h.sumW
-}
+func (h *Histogram1D) Mean() float64 { return mean(h.in.w, h.in.wx) }
 
 // Rms returns the weighted in-range standard deviation.
-func (h *Histogram1D) Rms() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	m := h.Mean()
-	v := h.sumWX2/h.sumW - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
+func (h *Histogram1D) Rms() float64 { return rms(h.in.w, h.in.wx, h.in.wx2) }
 
 // MaxBinHeight returns the largest in-range bin height.
-func (h *Histogram1D) MaxBinHeight() float64 {
-	max := 0.0
-	for i := 1; i <= h.axis.nBins; i++ {
-		if h.bins[i].sumW > max {
-			max = h.bins[i].sumW
-		}
-	}
-	return max
-}
+func (h *Histogram1D) MaxBinHeight() float64 { return h.maxHeight() }
 
 // MaxBin returns the index of the highest in-range bin (ties → lowest index).
 func (h *Histogram1D) MaxBin() int {
 	best, bestH := 0, math.Inf(-1)
-	for i := 0; i < h.axis.nBins; i++ {
-		if hgt := h.bins[i+1].sumW; hgt > bestH {
+	for i := 0; i < h.x.nBins; i++ {
+		if hgt := h.sums[(i+1)*h1Sums]; hgt > bestH {
 			best, bestH = i, hgt
 		}
 	}
 	return best
 }
 
-// Reset clears all content, keeping binning and annotations.
-func (h *Histogram1D) Reset() {
-	h.dirty = true
-	for i := range h.bins {
-		h.bins[i] = binStat{}
-	}
-	h.sumW, h.sumWX, h.sumWX2 = 0, 0, 0
-}
-
 // Scale multiplies all weights by f (entry counts are unchanged).
-func (h *Histogram1D) Scale(f float64) {
-	h.dirty = true
-	for i := range h.bins {
-		h.bins[i].sumW *= f
-		h.bins[i].sumW2 *= f * f
-		h.bins[i].sumWX *= f
-	}
-	h.sumW *= f
-	h.sumWX *= f
-	h.sumWX2 *= f
-}
+func (h *Histogram1D) Scale(f float64) { h.scale(f) }
 
 // Clone returns a deep copy (used when snapshotting live histograms).
-func (h *Histogram1D) Clone() *Histogram1D {
-	c := &Histogram1D{
-		name:   h.name,
-		ann:    h.ann.clone(),
-		axis:   h.axis,
-		bins:   make([]binStat, len(h.bins)),
-		sumW:   h.sumW,
-		sumWX:  h.sumWX,
-		sumWX2: h.sumWX2,
-		dirty:  h.dirty,
-	}
-	copy(c.bins, h.bins)
-	return c
-}
-
-// Dirty implements Dirtyable.
-func (h *Histogram1D) Dirty() bool { return h.dirty }
-
-// ClearDirty implements Dirtyable.
-func (h *Histogram1D) ClearDirty() { h.dirty = false }
+func (h *Histogram1D) Clone() *Histogram1D { return &Histogram1D{h.clone()} }
 
 // MergeFrom implements Mergeable: adds src (a *Histogram1D with identical
-// binning) into h. This is the operation the AIDA manager performs when
-// collecting intermediate results from the engines (§3.7).
+// binning) into h.
 func (h *Histogram1D) MergeFrom(src Object) error {
-	o, ok := src.(*Histogram1D)
-	if !ok || !h.axis.Equal(o.axis) {
+	if o, ok := src.(*Histogram1D); !ok || !h.merge(&o.binned) {
 		return errIncompatible("merge", h, src)
 	}
-	h.dirty = true
-	for i := range h.bins {
-		h.bins[i].add(o.bins[i])
-	}
-	h.sumW += o.sumW
-	h.sumWX += o.sumWX
-	h.sumWX2 += o.sumWX2
-	mergeAnnotations(h.ann, o.ann)
 	return nil
 }

@@ -1,330 +1,152 @@
 package aida
 
-import (
-	"fmt"
-	"math"
-)
-
-// binStat2 is the per-cell accumulator for 2D fills.
-type binStat2 struct {
-	entries int64
-	sumW    float64
-	sumW2   float64
-	sumWX   float64
-	sumWY   float64
-}
-
-func (b *binStat2) add(o binStat2) {
-	b.entries += o.entries
-	b.sumW += o.sumW
-	b.sumW2 += o.sumW2
-	b.sumWX += o.sumWX
-	b.sumWY += o.sumWY
-}
+import "math"
 
 // Histogram2D is a fixed-binning two-dimensional weighted histogram
 // (AIDA IHistogram2D), e.g. energy vs polar angle in the physics examples
 // or the (X, N) timing surface of Figure 5.
-type Histogram2D struct {
-	name  string
-	ann   *Annotation
-	xAxis Axis
-	yAxis Axis
-	// Row-major (nx+2)×(ny+2) grid; index 0 rows/cols are underflow,
-	// nx+1/ny+1 are overflow.
-	cells  []binStat2
-	sumW   float64
-	sumWX  float64
-	sumWY  float64
-	sumWX2 float64
-	sumWY2 float64
-	dirty  bool // content mutations since the last ClearDirty
-}
+type Histogram2D struct{ binned }
+
+// h2Sums is the number of sums a Histogram2D cell keeps: Σw, Σw², Σw·x,
+// Σw·y.
+const h2Sums = 4
 
 // NewHistogram2D creates a 2D histogram.
 func NewHistogram2D(name, title string, nx int, xlo, xhi float64, ny int, ylo, yhi float64) *Histogram2D {
-	h := &Histogram2D{
-		name:  name,
-		ann:   NewAnnotation(),
-		xAxis: NewAxis(nx, xlo, xhi),
-		yAxis: NewAxis(ny, ylo, yhi),
-		cells: make([]binStat2, (nx+2)*(ny+2)),
-		dirty: true, // born dirty — see NewHistogram1D
-	}
-	if title != "" {
-		h.ann.Set(TitleKey, title)
-	}
+	h := new(Histogram2D)
+	h.init(name, titled(title), NewAxis(nx, xlo, xhi), NewAxis(ny, ylo, yhi), h2Sums)
 	return h
 }
-
-// Name implements Object.
-func (h *Histogram2D) Name() string { return h.name }
 
 // Kind implements Object.
 func (h *Histogram2D) Kind() string { return "Histogram2D" }
 
-// Annotations implements Object.
-func (h *Histogram2D) Annotations() *Annotation { return h.ann }
-
-// Title returns the display title (falls back to the name).
-func (h *Histogram2D) Title() string {
-	if t := h.ann.Get(TitleKey); t != "" {
-		return t
-	}
-	return h.name
-}
-
 // XAxis returns the x binning.
-func (h *Histogram2D) XAxis() Axis { return h.xAxis }
+func (h *Histogram2D) XAxis() Axis { return h.x }
 
 // YAxis returns the y binning.
-func (h *Histogram2D) YAxis() Axis { return h.yAxis }
+func (h *Histogram2D) YAxis() Axis { return h.y }
 
-func (h *Histogram2D) slot(ix, iy int) int {
-	sx := 0
-	switch ix {
-	case Underflow:
-		sx = 0
-	case Overflow:
-		sx = h.xAxis.nBins + 1
-	default:
-		sx = ix + 1
-	}
-	sy := 0
-	switch iy {
-	case Underflow:
-		sy = 0
-	case Overflow:
-		sy = h.yAxis.nBins + 1
-	default:
-		sy = iy + 1
-	}
-	return sx*(h.yAxis.nBins+2) + sy
-}
-
-func (h *Histogram2D) checkXY(ix, iy int) (int, int) {
-	okX := ix == Underflow || ix == Overflow || (ix >= 0 && ix < h.xAxis.nBins)
-	okY := iy == Underflow || iy == Overflow || (iy >= 0 && iy < h.yAxis.nBins)
-	if !okX || !okY {
-		panic(fmt.Sprintf("aida: bin (%d,%d) out of range (%d,%d)", ix, iy, h.xAxis.nBins, h.yAxis.nBins))
-	}
-	return ix, iy
-}
+// slot returns the cell of bin (ix, iy), panicking on an index outside
+// its axis.
+func (h *Histogram2D) slot(ix, iy int) int { return h.x.slot(ix)*(h.y.nBins+2) + h.y.slot(iy) }
 
 // Fill adds (x, y) with weight 1.
 func (h *Histogram2D) Fill(x, y float64) { h.FillW(x, y, 1) }
 
-// FillW adds (x, y) with weight w.
+// FillW adds (x, y) with weight w, and is the one 2D fill: cell (x, y)
+// gains an entry, w, w², w·x and w·y, and a fill in range on both axes
+// adds to the totals. A NaN coordinate counts as overflow on its axis.
 func (h *Histogram2D) FillW(x, y, w float64) {
 	h.dirty = true
-	ix := h.xAxis.CoordToIndex(x)
-	iy := h.yAxis.CoordToIndex(y)
-	if math.IsNaN(x) {
-		ix = Overflow
+	sx, inX := h.x.slotOf(x)
+	sy, inY := h.y.slotOf(y)
+	s := sx*(h.y.nBins+2) + sy
+	h.n[s]++
+	c := cell(h.sums, s, h2Sums)
+	c[sumW] += w
+	c[sumW2] += w * w
+	c[sumWX] += w * x
+	c[sumWY] += w * y
+	if inX && inY {
+		h.in.w += w
+		h.in.wx += w * x
+		h.in.wy += w * y
+		h.in.wx2 += w * x * x
+		h.in.wy2 += w * y * y
 	}
-	if math.IsNaN(y) {
-		iy = Overflow
+}
+
+// FillN adds every (xs[i], ys[i]) with weight ws[i]; a nil ws fills
+// with weight 1. Panics on mismatched slice lengths. It is the sequence
+// of FillW calls: the 2D fill is too large for Go to inline, so a batch
+// saves only the per-call checks.
+func (h *Histogram2D) FillN(xs, ys, ws []float64) {
+	if len(xs) == 0 {
+		return
 	}
-	c := &h.cells[h.slot(ix, iy)]
-	c.entries++
-	c.sumW += w
-	c.sumW2 += w * w
-	c.sumWX += w * x
-	c.sumWY += w * y
-	if ix >= 0 && iy >= 0 {
-		h.sumW += w
-		h.sumWX += w * x
-		h.sumWY += w * y
-		h.sumWX2 += w * x * x
-		h.sumWY2 += w * y * y
+	checkFillN(xs, ys, ws)
+	for i, x := range xs {
+		h.FillW(x, ys[i], fillWeight(ws, i))
 	}
 }
 
 // BinEntries returns fills in cell (ix, iy).
-func (h *Histogram2D) BinEntries(ix, iy int) int64 {
-	h.checkXY(ix, iy)
-	return h.cells[h.slot(ix, iy)].entries
-}
+func (h *Histogram2D) BinEntries(ix, iy int) int64 { return h.n[h.slot(ix, iy)] }
 
 // BinHeight returns the weighted height of cell (ix, iy).
 func (h *Histogram2D) BinHeight(ix, iy int) float64 {
-	h.checkXY(ix, iy)
-	return h.cells[h.slot(ix, iy)].sumW
+	return cell(h.sums, h.slot(ix, iy), h2Sums)[sumW]
 }
 
 // BinError returns sqrt(Σw²) for cell (ix, iy).
 func (h *Histogram2D) BinError(ix, iy int) float64 {
-	h.checkXY(ix, iy)
-	return math.Sqrt(h.cells[h.slot(ix, iy)].sumW2)
+	return math.Sqrt(cell(h.sums, h.slot(ix, iy), h2Sums)[sumW2])
 }
-
-// Entries returns the number of in-range fills.
-func (h *Histogram2D) Entries() int64 {
-	var n int64
-	for ix := 1; ix <= h.xAxis.nBins; ix++ {
-		for iy := 1; iy <= h.yAxis.nBins; iy++ {
-			n += h.cells[ix*(h.yAxis.nBins+2)+iy].entries
-		}
-	}
-	return n
-}
-
-// EntriesCount implements Object.
-func (h *Histogram2D) EntriesCount() int64 { return h.Entries() }
 
 // SumBinHeights returns total in-range weight.
-func (h *Histogram2D) SumBinHeights() float64 { return h.sumW }
+func (h *Histogram2D) SumBinHeights() float64 { return h.in.w }
 
 // MeanX returns the weighted in-range mean of x.
-func (h *Histogram2D) MeanX() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	return h.sumWX / h.sumW
-}
+func (h *Histogram2D) MeanX() float64 { return mean(h.in.w, h.in.wx) }
 
 // MeanY returns the weighted in-range mean of y.
-func (h *Histogram2D) MeanY() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	return h.sumWY / h.sumW
-}
+func (h *Histogram2D) MeanY() float64 { return mean(h.in.w, h.in.wy) }
 
 // RmsX returns the weighted in-range standard deviation of x.
-func (h *Histogram2D) RmsX() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	m := h.MeanX()
-	v := h.sumWX2/h.sumW - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
+func (h *Histogram2D) RmsX() float64 { return rms(h.in.w, h.in.wx, h.in.wx2) }
 
 // RmsY returns the weighted in-range standard deviation of y.
-func (h *Histogram2D) RmsY() float64 {
-	if h.sumW == 0 {
-		return 0
-	}
-	m := h.MeanY()
-	v := h.sumWY2/h.sumW - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
+func (h *Histogram2D) RmsY() float64 { return rms(h.in.w, h.in.wy, h.in.wy2) }
 
 // MaxBinHeight returns the largest in-range cell height.
-func (h *Histogram2D) MaxBinHeight() float64 {
-	max := 0.0
-	for ix := 1; ix <= h.xAxis.nBins; ix++ {
-		for iy := 1; iy <= h.yAxis.nBins; iy++ {
-			if v := h.cells[ix*(h.yAxis.nBins+2)+iy].sumW; v > max {
-				max = v
-			}
-		}
-	}
-	return max
-}
+func (h *Histogram2D) MaxBinHeight() float64 { return h.maxHeight() }
 
 // ProjectionX sums over y (in-range only) into a 1D histogram.
 func (h *Histogram2D) ProjectionX() *Histogram1D {
-	p := NewHistogram1D(h.name+"_px", h.Title()+" (X projection)", h.xAxis.nBins, h.xAxis.lo, h.xAxis.hi)
-	for ix := 0; ix < h.xAxis.nBins; ix++ {
-		for iy := 0; iy < h.yAxis.nBins; iy++ {
-			c := h.cells[h.slot(ix, iy)]
-			p.bins[ix+1].entries += c.entries
-			p.bins[ix+1].sumW += c.sumW
-			p.bins[ix+1].sumW2 += c.sumW2
-			p.bins[ix+1].sumWX += c.sumWX
-			p.sumW += c.sumW
-			p.sumWX += c.sumWX
-		}
-	}
+	p := NewHistogram1D(h.name+"_px", h.Title()+" (X projection)", h.x.nBins, h.x.lo, h.x.hi)
+	h.project(p, h.y, h.y.nBins+2, 1, sumWX)
+	// The projection's in-range cells are exactly the 2D in-range cells,
+	// so its totals are the 2D totals of its axis.
+	p.in = moments{w: h.in.w, wx: h.in.wx, wx2: h.in.wx2}
 	return p
 }
 
 // ProjectionY sums over x (in-range only) into a 1D histogram.
 func (h *Histogram2D) ProjectionY() *Histogram1D {
-	p := NewHistogram1D(h.name+"_py", h.Title()+" (Y projection)", h.yAxis.nBins, h.yAxis.lo, h.yAxis.hi)
-	for iy := 0; iy < h.yAxis.nBins; iy++ {
-		for ix := 0; ix < h.xAxis.nBins; ix++ {
-			c := h.cells[h.slot(ix, iy)]
-			p.bins[iy+1].entries += c.entries
-			p.bins[iy+1].sumW += c.sumW
-			p.bins[iy+1].sumW2 += c.sumW2
-			p.bins[iy+1].sumWX += c.sumWY
-			p.sumW += c.sumW
-			p.sumWX += c.sumWY
-		}
-	}
+	p := NewHistogram1D(h.name+"_py", h.Title()+" (Y projection)", h.y.nBins, h.y.lo, h.y.hi)
+	h.project(p, h.x, 1, h.y.nBins+2, sumWY)
+	p.in = moments{w: h.in.w, wx: h.in.wy, wx2: h.in.wy2} // as in ProjectionX
 	return p
 }
 
-// Reset clears content.
-func (h *Histogram2D) Reset() {
-	h.dirty = true
-	for i := range h.cells {
-		h.cells[i] = binStat2{}
+// project adds the in-range cells into p's bins, summing over the other
+// axis: p's slot i gathers cells i*di + j*dj for j in range on other, and
+// its Σw·x is sum xsum of those cells.
+func (h *Histogram2D) project(p *Histogram1D, other Axis, di, dj, xsum int) {
+	for i := 1; i <= p.x.nBins; i++ {
+		pc := cell(p.sums, i, h1Sums)
+		for j := 1; j <= other.nBins; j++ {
+			s := i*di + j*dj
+			c := cell(h.sums, s, h2Sums)
+			p.n[i] += h.n[s]
+			pc[sumW] += c[sumW]
+			pc[sumW2] += c[sumW2]
+			pc[sumWX] += c[xsum]
+		}
 	}
-	h.sumW, h.sumWX, h.sumWY, h.sumWX2, h.sumWY2 = 0, 0, 0, 0, 0
 }
 
 // Scale multiplies all weights by f.
-func (h *Histogram2D) Scale(f float64) {
-	h.dirty = true
-	for i := range h.cells {
-		h.cells[i].sumW *= f
-		h.cells[i].sumW2 *= f * f
-		h.cells[i].sumWX *= f
-		h.cells[i].sumWY *= f
-	}
-	h.sumW *= f
-	h.sumWX *= f
-	h.sumWY *= f
-	h.sumWX2 *= f
-	h.sumWY2 *= f
-}
+func (h *Histogram2D) Scale(f float64) { h.scale(f) }
 
 // Clone returns a deep copy.
-func (h *Histogram2D) Clone() *Histogram2D {
-	c := &Histogram2D{
-		name: h.name, ann: h.ann.clone(),
-		xAxis: h.xAxis, yAxis: h.yAxis,
-		cells: make([]binStat2, len(h.cells)),
-		sumW:  h.sumW,
-		sumWX: h.sumWX, sumWY: h.sumWY,
-		sumWX2: h.sumWX2, sumWY2: h.sumWY2,
-		dirty: h.dirty,
-	}
-	copy(c.cells, h.cells)
-	return c
-}
-
-// Dirty implements Dirtyable.
-func (h *Histogram2D) Dirty() bool { return h.dirty }
-
-// ClearDirty implements Dirtyable.
-func (h *Histogram2D) ClearDirty() { h.dirty = false }
+func (h *Histogram2D) Clone() *Histogram2D { return &Histogram2D{h.clone()} }
 
 // MergeFrom implements Mergeable.
 func (h *Histogram2D) MergeFrom(src Object) error {
-	o, ok := src.(*Histogram2D)
-	if !ok || !h.xAxis.Equal(o.xAxis) || !h.yAxis.Equal(o.yAxis) {
+	if o, ok := src.(*Histogram2D); !ok || !h.merge(&o.binned) {
 		return errIncompatible("merge", h, src)
 	}
-	h.dirty = true
-	for i := range h.cells {
-		h.cells[i].add(o.cells[i])
-	}
-	h.sumW += o.sumW
-	h.sumWX += o.sumWX
-	h.sumWY += o.sumWY
-	h.sumWX2 += o.sumWX2
-	h.sumWY2 += o.sumWY2
-	mergeAnnotations(h.ann, o.ann)
 	return nil
 }

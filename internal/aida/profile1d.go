@@ -1,186 +1,95 @@
 package aida
 
-import (
-	"fmt"
-	"math"
-)
-
-// profBin accumulates y-statistics within an x bin.
-type profBin struct {
-	entries int64
-	sumW    float64
-	sumWY   float64
-	sumWY2  float64
-}
-
-func (b *profBin) add(o profBin) {
-	b.entries += o.entries
-	b.sumW += o.sumW
-	b.sumWY += o.sumWY
-	b.sumWY2 += o.sumWY2
-}
+import "math"
 
 // Profile1D records the mean and spread of y as a function of binned x
 // (AIDA IProfile1D) — e.g. mean analysis time per event vs event size.
-type Profile1D struct {
-	name  string
-	ann   *Annotation
-	axis  Axis
-	bins  []profBin // 0 = underflow, n+1 = overflow
-	dirty bool      // content mutations since the last ClearDirty
-}
+type Profile1D struct{ binned }
+
+// p1Sums is the number of sums a Profile1D cell keeps: Σw, Σw·y, Σw·y².
+const p1Sums = 3
 
 // NewProfile1D creates a profile with nBins over [lo, hi).
 func NewProfile1D(name, title string, nBins int, lo, hi float64) *Profile1D {
-	p := &Profile1D{
-		name:  name,
-		ann:   NewAnnotation(),
-		axis:  NewAxis(nBins, lo, hi),
-		bins:  make([]profBin, nBins+2),
-		dirty: true, // born dirty — see NewHistogram1D
-	}
-	if title != "" {
-		p.ann.Set(TitleKey, title)
-	}
+	p := new(Profile1D)
+	p.init(name, titled(title), NewAxis(nBins, lo, hi), Axis{}, p1Sums)
 	return p
 }
-
-// Name implements Object.
-func (p *Profile1D) Name() string { return p.name }
 
 // Kind implements Object.
 func (p *Profile1D) Kind() string { return "Profile1D" }
 
-// Annotations implements Object.
-func (p *Profile1D) Annotations() *Annotation { return p.ann }
-
-// Title returns the display title (falls back to the name).
-func (p *Profile1D) Title() string {
-	if t := p.ann.Get(TitleKey); t != "" {
-		return t
-	}
-	return p.name
-}
-
 // Axis returns the binning.
-func (p *Profile1D) Axis() Axis { return p.axis }
-
-func (p *Profile1D) slot(idx int) int {
-	switch idx {
-	case Underflow:
-		return 0
-	case Overflow:
-		return len(p.bins) - 1
-	default:
-		return idx + 1
-	}
-}
-
-func (p *Profile1D) checkBin(i int) int {
-	if i == Underflow || i == Overflow {
-		return p.slot(i)
-	}
-	if i < 0 || i >= p.axis.nBins {
-		panic(fmt.Sprintf("aida: profile bin %d out of range [0,%d)", i, p.axis.nBins))
-	}
-	return i + 1
-}
+func (p *Profile1D) Axis() Axis { return p.x }
 
 // Fill adds the sample (x, y) with weight 1.
 func (p *Profile1D) Fill(x, y float64) { p.FillW(x, y, 1) }
 
-// FillW adds the sample (x, y) with weight w.
+// FillW adds the sample (x, y) with weight w. A NaN x counts as
+// overflow.
 func (p *Profile1D) FillW(x, y, w float64) {
 	p.dirty = true
-	idx := p.axis.CoordToIndex(x)
-	if math.IsNaN(x) {
-		idx = Overflow
+	s, _ := p.x.slotOf(x)
+	p.add(p.n, p.sums, s, y, w)
+}
+
+// FillN adds every sample (xs[i], ys[i]) with weight ws[i]; a nil ws
+// fills with weight 1. Panics on mismatched slice lengths. It is the
+// sequence of FillW calls, bit for bit.
+func (p *Profile1D) FillN(xs, ys, ws []float64) {
+	if len(xs) == 0 {
+		return
 	}
-	b := &p.bins[p.slot(idx)]
-	b.entries++
-	b.sumW += w
-	b.sumWY += w * y
-	b.sumWY2 += w * y * y
+	checkFillN(xs, ys, ws)
+	p.dirty = true
+	ax, n, sums := p.x, p.n, p.sums
+	for i, x := range xs {
+		s, _ := ax.slotOf(x)
+		p.add(n, sums, s, ys[i], fillWeight(ws, i))
+	}
+}
+
+// add is the one fill, into p's cells n and sums (parameters, as in
+// Histogram1D.add): slot s gains an entry, w, w·y and w·y².
+func (p *Profile1D) add(n []int64, sums []float64, s int, y, w float64) {
+	n[s]++
+	c := cell(sums, s, p1Sums)
+	c[sumW] += w
+	c[sumPWY] += w * y
+	c[sumPWY2] += w * y * y
 }
 
 // BinEntries returns the fills in bin i.
-func (p *Profile1D) BinEntries(i int) int64 { return p.bins[p.checkBin(i)].entries }
+func (p *Profile1D) BinEntries(i int) int64 { return p.n[p.x.slot(i)] }
 
 // BinHeight returns the mean y in bin i (0 when empty).
 func (p *Profile1D) BinHeight(i int) float64 {
-	b := p.bins[p.checkBin(i)]
-	if b.sumW == 0 {
-		return 0
-	}
-	return b.sumWY / b.sumW
+	c := cell(p.sums, p.x.slot(i), p1Sums)
+	return mean(c[sumW], c[sumPWY])
 }
 
 // BinRms returns the y standard deviation in bin i.
 func (p *Profile1D) BinRms(i int) float64 {
-	b := p.bins[p.checkBin(i)]
-	if b.sumW == 0 {
-		return 0
-	}
-	m := b.sumWY / b.sumW
-	v := b.sumWY2/b.sumW - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
+	c := cell(p.sums, p.x.slot(i), p1Sums)
+	return rms(c[sumW], c[sumPWY], c[sumPWY2])
 }
 
 // BinError returns the error on the mean of bin i (rms/√n).
 func (p *Profile1D) BinError(i int) float64 {
-	b := p.bins[p.checkBin(i)]
-	if b.entries == 0 {
+	n := p.n[p.x.slot(i)]
+	if n == 0 {
 		return 0
 	}
-	return p.BinRms(i) / math.Sqrt(float64(b.entries))
-}
-
-// Entries returns the in-range sample count.
-func (p *Profile1D) Entries() int64 {
-	var n int64
-	for i := 1; i <= p.axis.nBins; i++ {
-		n += p.bins[i].entries
-	}
-	return n
-}
-
-// EntriesCount implements Object.
-func (p *Profile1D) EntriesCount() int64 { return p.Entries() }
-
-// Reset clears all content.
-func (p *Profile1D) Reset() {
-	p.dirty = true
-	for i := range p.bins {
-		p.bins[i] = profBin{}
-	}
+	return p.BinRms(i) / math.Sqrt(float64(n))
 }
 
 // Clone returns a deep copy.
-func (p *Profile1D) Clone() *Profile1D {
-	c := &Profile1D{name: p.name, ann: p.ann.clone(), axis: p.axis, bins: make([]profBin, len(p.bins)), dirty: p.dirty}
-	copy(c.bins, p.bins)
-	return c
-}
-
-// Dirty implements Dirtyable.
-func (p *Profile1D) Dirty() bool { return p.dirty }
-
-// ClearDirty implements Dirtyable.
-func (p *Profile1D) ClearDirty() { p.dirty = false }
+func (p *Profile1D) Clone() *Profile1D { return &Profile1D{p.clone()} }
 
 // MergeFrom implements Mergeable.
 func (p *Profile1D) MergeFrom(src Object) error {
-	o, ok := src.(*Profile1D)
-	if !ok || !p.axis.Equal(o.axis) {
+	if o, ok := src.(*Profile1D); !ok || !p.merge(&o.binned) {
 		return errIncompatible("merge", p, src)
 	}
-	p.dirty = true
-	for i := range p.bins {
-		p.bins[i].add(o.bins[i])
-	}
-	mergeAnnotations(p.ann, o.ann)
 	return nil
 }

@@ -43,7 +43,7 @@ func annFromState(kvs []KV) *Annotation {
 	return a
 }
 
-// BinState mirrors binStat with exported fields.
+// BinState is one Histogram1D cell with exported fields.
 type BinState struct {
 	Entries int64
 	SumW    float64
@@ -65,12 +65,13 @@ type H1DState struct {
 func (h *Histogram1D) State() *H1DState {
 	s := &H1DState{
 		Name: h.name, Ann: annState(h.ann),
-		Bins: h.axis.nBins, Lo: h.axis.lo, Hi: h.axis.hi,
-		Data: make([]BinState, len(h.bins)),
-		SumW: h.sumW, SumWX: h.sumWX, SumWX2: h.sumWX2,
+		Bins: h.x.nBins, Lo: h.x.lo, Hi: h.x.hi,
+		Data: make([]BinState, len(h.n)),
+		SumW: h.in.w, SumWX: h.in.wx, SumWX2: h.in.wx2,
 	}
-	for i, b := range h.bins {
-		s.Data[i] = BinState{b.entries, b.sumW, b.sumW2, b.sumWX}
+	for i, n := range h.n {
+		c := cell(h.sums, i, h1Sums)
+		s.Data[i] = BinState{n, c[sumW], c[sumW2], c[sumWX]}
 	}
 	return s
 }
@@ -80,12 +81,15 @@ func (s *H1DState) Restore() (*Histogram1D, error) {
 	if !validAxis(s.Bins, s.Lo, s.Hi) || len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad H1D state for %q: %d bins, %d data", s.Name, s.Bins, len(s.Data))
 	}
-	h := NewHistogram1D(s.Name, "", s.Bins, s.Lo, s.Hi)
-	h.ann = annFromState(s.Ann)
+	h := new(Histogram1D)
+	h.init(s.Name, annFromState(s.Ann), NewAxis(s.Bins, s.Lo, s.Hi), Axis{}, h1Sums)
+	n, sums := h.n, h.sums
 	for i, b := range s.Data {
-		h.bins[i] = binStat{b.Entries, b.SumW, b.SumW2, b.SumWX}
+		n[i] = b.Entries
+		c := cell(sums, i, h1Sums)
+		c[sumW], c[sumW2], c[sumWX] = b.SumW, b.SumW2, b.SumWX
 	}
-	h.sumW, h.sumWX, h.sumWX2 = s.SumW, s.SumWX, s.SumWX2
+	h.in = moments{w: s.SumW, wx: s.SumWX, wx2: s.SumWX2}
 	return h, nil
 }
 
@@ -93,7 +97,7 @@ func (s *H1DState) Restore() (*Histogram1D, error) {
 // wire must fail to restore, not panic.
 func validAxis(bins int, lo, hi float64) bool { return bins > 0 && lo < hi }
 
-// Bin2State mirrors binStat2 with exported fields.
+// Bin2State is one Histogram2D cell with exported fields.
 type Bin2State struct {
 	Entries      int64
 	SumW         float64
@@ -121,13 +125,14 @@ type H2DState struct {
 func (h *Histogram2D) State() *H2DState {
 	s := &H2DState{
 		Name: h.name, Ann: annState(h.ann),
-		NX: h.xAxis.nBins, XLo: h.xAxis.lo, XHi: h.xAxis.hi,
-		NY: h.yAxis.nBins, YLo: h.yAxis.lo, YHi: h.yAxis.hi,
-		Cells: make([]Bin2State, len(h.cells)),
-		SumW:  h.sumW, SumWX: h.sumWX, SumWY: h.sumWY, SumWX2: h.sumWX2, SumWY2: h.sumWY2,
+		NX: h.x.nBins, XLo: h.x.lo, XHi: h.x.hi,
+		NY: h.y.nBins, YLo: h.y.lo, YHi: h.y.hi,
+		Cells: make([]Bin2State, len(h.n)),
+		SumW:  h.in.w, SumWX: h.in.wx, SumWY: h.in.wy, SumWX2: h.in.wx2, SumWY2: h.in.wy2,
 	}
-	for i, c := range h.cells {
-		s.Cells[i] = Bin2State{c.entries, c.sumW, c.sumW2, c.sumWX, c.sumWY}
+	for i, n := range h.n {
+		c := cell(h.sums, i, h2Sums)
+		s.Cells[i] = Bin2State{n, c[sumW], c[sumW2], c[sumWX], c[sumWY]}
 	}
 	return s
 }
@@ -140,16 +145,19 @@ func (s *H2DState) Restore() (*Histogram2D, error) {
 		s.NX > len(s.Cells) || s.NY > len(s.Cells) || len(s.Cells) != (s.NX+2)*(s.NY+2) {
 		return nil, fmt.Errorf("aida: bad H2D state for %q", s.Name)
 	}
-	h := NewHistogram2D(s.Name, "", s.NX, s.XLo, s.XHi, s.NY, s.YLo, s.YHi)
-	h.ann = annFromState(s.Ann)
-	for i, c := range s.Cells {
-		h.cells[i] = binStat2{c.Entries, c.SumW, c.SumW2, c.SumWX, c.SumWY}
+	h := new(Histogram2D)
+	h.init(s.Name, annFromState(s.Ann), NewAxis(s.NX, s.XLo, s.XHi), NewAxis(s.NY, s.YLo, s.YHi), h2Sums)
+	n, sums := h.n, h.sums
+	for i, b := range s.Cells {
+		n[i] = b.Entries
+		c := cell(sums, i, h2Sums)
+		c[sumW], c[sumW2], c[sumWX], c[sumWY] = b.SumW, b.SumW2, b.SumWX, b.SumWY
 	}
-	h.sumW, h.sumWX, h.sumWY, h.sumWX2, h.sumWY2 = s.SumW, s.SumWX, s.SumWY, s.SumWX2, s.SumWY2
+	h.in = moments{s.SumW, s.SumWX, s.SumWY, s.SumWX2, s.SumWY2}
 	return h, nil
 }
 
-// ProfBinState mirrors profBin with exported fields.
+// ProfBinState is one Profile1D cell with exported fields.
 type ProfBinState struct {
 	Entries int64
 	SumW    float64
@@ -170,11 +178,12 @@ type P1DState struct {
 func (p *Profile1D) State() *P1DState {
 	s := &P1DState{
 		Name: p.name, Ann: annState(p.ann),
-		Bins: p.axis.nBins, Lo: p.axis.lo, Hi: p.axis.hi,
-		Data: make([]ProfBinState, len(p.bins)),
+		Bins: p.x.nBins, Lo: p.x.lo, Hi: p.x.hi,
+		Data: make([]ProfBinState, len(p.n)),
 	}
-	for i, b := range p.bins {
-		s.Data[i] = ProfBinState{b.entries, b.sumW, b.sumWY, b.sumWY2}
+	for i, n := range p.n {
+		c := cell(p.sums, i, p1Sums)
+		s.Data[i] = ProfBinState{n, c[sumW], c[sumPWY], c[sumPWY2]}
 	}
 	return s
 }
@@ -184,10 +193,13 @@ func (s *P1DState) Restore() (*Profile1D, error) {
 	if !validAxis(s.Bins, s.Lo, s.Hi) || len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad P1D state for %q", s.Name)
 	}
-	p := NewProfile1D(s.Name, "", s.Bins, s.Lo, s.Hi)
-	p.ann = annFromState(s.Ann)
+	p := new(Profile1D)
+	p.init(s.Name, annFromState(s.Ann), NewAxis(s.Bins, s.Lo, s.Hi), Axis{}, p1Sums)
+	n, sums := p.n, p.sums
 	for i, b := range s.Data {
-		p.bins[i] = profBin{b.Entries, b.SumW, b.SumWY, b.SumWY2}
+		n[i] = b.Entries
+		c := cell(sums, i, p1Sums)
+		c[sumW], c[sumPWY], c[sumPWY2] = b.SumW, b.SumWY, b.SumWY2
 	}
 	return p, nil
 }

@@ -100,8 +100,10 @@ func checkAIDAFrames(t *testing.T, b []byte) {
 
 // aidaFrameSeeds returns the seed corpus: the codec tests' frames — a
 // tree holding every object kind, plain and compressed, a baseline and an
-// incremental delta, each object's own frame, and the frames of
-// inconsistentStates — cut at every length.
+// incremental delta, each object's own frame, the frames of
+// inconsistentStates, and the object frames of the seeded golden tree
+// (scaled, merged, reset and NaN-bearing states of every binned kind,
+// converted clouds) — cut at every length.
 func aidaFrameSeeds(tb testing.TB) [][]byte {
 	tr := fullTree(tb)
 	st, err := tr.State()
@@ -136,6 +138,13 @@ func aidaFrameSeeds(tb testing.TB) [][]byte {
 	}
 	objects := inconsistentStates()
 	for _, e := range st.Entries {
+		objects = append(objects, e.Object)
+	}
+	golden, err := goldenSeededTree(tb).State()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range golden.Entries {
 		objects = append(objects, e.Object)
 	}
 	for i := range objects {

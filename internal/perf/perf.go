@@ -81,7 +81,8 @@ func PaperParams() Params {
 // 53 + (62 + 5.3·X)/N) rather than the raw tables. The paper's equations
 // and tables disagree with each other (the 5.3 s/MB analysis coefficient
 // vs Table 2's measured 0.7 s/MB; the 6.2 s/MB WAN coefficient vs
-// Table 1's 4.1) — see EXPERIMENTS.md. Figure 5 plots the equations, so
+// Table 1's 4.1) — see README.md and ROADMAP.md item 12, which refits the
+// law on the live pipeline. Figure 5 plots the equations, so
 // reproducing it exactly needs this calibration. The LAN rate of 7.6 MB/s
 // makes the parts term equal 62/N at the paper's 471 MB operating point.
 func EquationCalibratedParams() Params {
@@ -189,7 +190,8 @@ func SimulateLocal(p Params, sizeMB float64) LocalRun {
 	}
 }
 
-// Paper-reported values (for EXPERIMENTS.md comparisons).
+// Paper-reported values, for comparing the model with the paper (README.md;
+// ROADMAP.md item 12).
 
 // PaperTable1 holds the paper's Table 1 rows in seconds.
 type PaperTable1Values struct {

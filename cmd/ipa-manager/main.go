@@ -2,8 +2,8 @@
 // plus an in-process compute element, listening on loopback ports so
 // ipa-client (or any RMI client) can connect from other processes. The
 // control endpoint (sessions, catalog, run control) is GSI mutual TLS;
-// the RMI endpoint carries result polls and publishes, each call gated by
-// a live session token.
+// the RMI endpoint carries result polls only, each one limited to the
+// live session whose token it carries.
 //
 // Usage:
 //

@@ -2,7 +2,9 @@ package aida
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -177,6 +179,10 @@ func TestGobRoundTrip(t *testing.T) {
 	assertTreesEqual(t, tr, back)
 }
 
+// TestXMLRoundTrip: every field of every object's state comes back
+// exactly — entries, heights, weighted means, the in-range sums, cloud
+// samples, points — except a bin's Σw², which the format carries as the
+// bin error sqrt(Σw²) and so comes back through a square root.
 func TestXMLRoundTrip(t *testing.T) {
 	tr := buildRichTree(t)
 	var buf bytes.Buffer
@@ -191,6 +197,47 @@ func TestXMLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTreesEqual(t, tr, back)
+	for _, path := range tr.ObjectPaths() {
+		want, got := tr.Get(path), back.Get(path)
+		// Σw² is the one field allowed to differ, in its last bits;
+		// adopt the original's value once it is that close.
+		sumW2 := func(a, b *float64) {
+			if math.Abs(*a-*b) > 1e-12*math.Abs(*a) {
+				t.Errorf("%s: bin Σw² %v came back as %v", path, *a, *b)
+			}
+			*b = *a
+		}
+		var ws, gs any
+		switch w := want.(type) {
+		case *Histogram1D:
+			a, b := w.State(), got.(*Histogram1D).State()
+			for i := range a.Data {
+				if i < len(b.Data) {
+					sumW2(&a.Data[i].SumW2, &b.Data[i].SumW2)
+				}
+			}
+			ws, gs = a, b
+		case *Histogram2D:
+			a, b := w.State(), got.(*Histogram2D).State()
+			for i := range a.Cells {
+				if i < len(b.Cells) {
+					sumW2(&a.Cells[i].SumW2, &b.Cells[i].SumW2)
+				}
+			}
+			ws, gs = a, b
+		case *Profile1D:
+			ws, gs = w.State(), got.(*Profile1D).State()
+		case *Cloud1D:
+			ws, gs = w.State(), got.(*Cloud1D).State()
+		case *DataPointSet:
+			ws, gs = w.State(), got.(*DataPointSet).State()
+		default:
+			t.Fatalf("%s: no exact comparison for %T", path, want)
+		}
+		if !reflect.DeepEqual(ws, gs) {
+			t.Errorf("%s changed in an XML round trip:\n got %+v\nwant %+v", path, gs, ws)
+		}
+	}
 }
 
 func TestXMLRejectsGarbage(t *testing.T) {

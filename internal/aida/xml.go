@@ -13,7 +13,10 @@ import (
 // The writer emits one element per object carrying its tree path; the
 // reader reconstructs a Tree. Converted clouds serialize as histograms
 // (annotated "aida.cloud=converted"), matching AIDA's own lossy cloud
-// semantics; everything else round-trips exactly.
+// semantics. A histogram bin's Σw² travels as its error, sqrt(Σw²), and
+// is read back squared, so it may come back off in its last bits (two
+// unit-weight fills: 2.0000000000000004). Everything else round-trips
+// exactly.
 
 type xmlDoc struct {
 	XMLName xml.Name `xml:"aida"`

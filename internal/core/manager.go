@@ -10,7 +10,6 @@ import (
 	"github.com/ipa-grid/ipa/internal/codeloader"
 	"github.com/ipa-grid/ipa/internal/gsi"
 	"github.com/ipa-grid/ipa/internal/merge"
-	"github.com/ipa-grid/ipa/internal/obs"
 	"github.com/ipa-grid/ipa/internal/relay"
 	"github.com/ipa-grid/ipa/internal/rmi"
 	"github.com/ipa-grid/ipa/internal/session"
@@ -23,9 +22,10 @@ type ManagerConfig struct {
 	Sessions *session.Service
 	// Catalog backs the Dataset Catalog Service.
 	Catalog *catalog.Catalog
-	// Merge is the AIDA result fabric exposed over RMI as the front
-	// door ("AIDAManager", Publish/Poll/Reset only): a single
-	// merge.Manager or a shard.Router.
+	// Merge is the AIDA result fabric: a single merge.Manager or a
+	// shard.Router. Engines publish to it and the session service resets
+	// it in process; over RMI its front door ("AIDAManager") serves Poll
+	// only.
 	Merge merge.Service
 	// ShardManagers are the fabric's member shards, each additionally
 	// registered under shard.ObjectName(name) (Poll only) so clients can
@@ -57,8 +57,8 @@ const unauthenticated = "(unauthenticated)"
 // Figure 2. One RMI server carries the control object and the AIDA result
 // fabric. It listens twice: on Addr() for the control plane — GSI mutual
 // TLS when Host/Roots are set, the peer verified once per connection — and
-// on RMIAddr() for the data plane, plain TCP where every call must carry a
-// live session token (§3.7).
+// on RMIAddr() for the data plane, plain TCP where every call is a Poll
+// of the live session whose token it carries (§3.7).
 type Manager struct {
 	cfg     ManagerConfig
 	RMI     *rmi.Server
@@ -75,26 +75,35 @@ func NewManager(cfg ManagerConfig, controlAddr, rmiAddr string) (*Manager, error
 		return nil, fmt.Errorf("core: incomplete manager configuration")
 	}
 	m := &Manager{cfg: cfg, secure: cfg.Host != nil && cfg.Roots != nil}
-	m.RMI = rmi.NewServer(func(token, object, method string) error {
+	m.RMI = rmi.NewServer(nil)
+	// The data plane serves reads only, and a token reads only its own
+	// session: every data-plane call must be a Poll of the live session
+	// the token opens (so an unknown session is refused too).
+	m.RMI.SetCallCheck(func(token, object string, arg any) error {
 		if object == ControlObject {
 			return nil // authenticated by grid identity, authorized per operation
 		}
-		return cfg.Sessions.ValidateToken(token)
+		sid, err := cfg.Sessions.ValidateToken(token)
+		if err != nil {
+			return err
+		}
+		if p, ok := arg.(*merge.PollArgs); !ok || p.SessionID != sid {
+			return errors.New("core: a session token reads only its own session")
+		}
+		return nil
 	})
-	// The data plane checks only that a token is live, so it exposes just
-	// the calls engines and clients make: the wrappers below hide the
-	// fabric's admin calls (SessionList, Export, DropSession, ...), which
-	// rmi.Register would otherwise serve to any session's token.
+	// The wrappers expose Poll alone: rmi.Register would otherwise serve
+	// every RMI-shaped method, the fabric's writes and admin calls
+	// (Publish, Reset, SessionList, Export, DropSession, ...) included.
 	objects := map[string]any{
 		ControlObject:       &control{m},
-		merge.RMIObjectName: struct{ merge.Service }{cfg.Merge},
-		obs.RMIObjectName:   obs.NewService(), // the telemetry event ring
+		merge.RMIObjectName: struct{ relay.Poller }{cfg.Merge},
 	}
 	for name, mgr := range cfg.ShardManagers {
 		objects[shard.ObjectName(name)] = struct{ relay.Poller }{mgr}
 	}
 	for name, rel := range cfg.Relays {
-		objects[relay.ObjectName(name)] = rel
+		objects[relay.ObjectName(name)] = struct{ relay.Poller }{rel}
 	}
 	for name, obj := range objects {
 		if err := m.RMI.Register(name, obj); err != nil {

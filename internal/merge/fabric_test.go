@@ -341,63 +341,3 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("continuing delta after import = %+v", rep)
 	}
 }
-
-// TestTransportAdaptiveCompression: the transport compresses large
-// frames and skips small ones.
-func TestTransportAdaptiveCompression(t *testing.T) {
-	encode := func(args PublishArgs) byte {
-		t.Helper()
-		// The state's GobEncode is exactly what gob would embed when the
-		// args cross RMI.
-		frame, err := args.Delta.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame[0]
-	}
-	root := NewManager()
-	var last PublishArgs
-	tr := NewTransport("s", "w", publisherFunc(func(args PublishArgs, reply *PublishReply) error {
-		last = args
-		return root.Publish(args, reply)
-	}))
-
-	small := aida.NewTree()
-	h, _ := small.H1D("/a", "h", "", 4, 0, 4)
-	h.Fill(1)
-	if _, err := tr.Send(func(full bool) (Snapshot, error) {
-		d, err := small.FullDelta()
-		return Snapshot{Delta: d}, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v := encode(last); v != 1 {
-		t.Fatalf("small frame version = %d, want plain", v)
-	}
-
-	big := aida.NewTree()
-	bh, _ := big.H1D("/a", "big", "", 400, 0, 400)
-	for i := 0; i < 400; i++ {
-		bh.Fill(float64(i))
-	}
-	tr2 := NewTransport("s2", "w", publisherFunc(func(args PublishArgs, reply *PublishReply) error {
-		last = args
-		return root.Publish(args, reply)
-	}))
-	if _, err := tr2.Send(func(full bool) (Snapshot, error) {
-		d, err := big.FullDelta()
-		return Snapshot{Delta: d}, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v := encode(last); v != 2 {
-		t.Fatalf("large frame version = %d, want flate", v)
-	}
-	if c, s := tr2.CompressionStats(); c != 1 {
-		t.Fatalf("transport stats = %d compressed / %d skipped, want 1 compressed", c, s)
-	}
-}
-
-type publisherFunc func(PublishArgs, *PublishReply) error
-
-func (f publisherFunc) Publish(args PublishArgs, reply *PublishReply) error { return f(args, reply) }

@@ -56,8 +56,9 @@ import (
 )
 
 // Service is the result-fabric surface the session service and the node
-// wiring program against: the RMI triple every client and engine speaks
-// (Publish/Poll/Reset) plus the manager-side bookkeeping calls. Both the
+// wiring program against: Publish (engines, in process), Poll (clients;
+// the only call the data plane serves over RMI) and Reset (the session
+// service, in process), plus the manager-side bookkeeping calls. Both the
 // single Manager and the sharded shard.Router implement it, so one
 // configuration field selects a bare manager or a multi-shard fabric.
 type Service interface {
@@ -89,10 +90,8 @@ type PublishArgs struct {
 	// Log carries accumulated script print() output (may be "").
 	Log string
 	// Trace is the publish's propagated trace context (zero = untraced).
-	// Injected by the snapshot Transport, lifted into the RMI envelope by
-	// the client, hop-advanced by the server, and forwarded into the
-	// mirror stream — so one engine publish is followable end to end.
-	// Old gob peers silently drop the field.
+	// Injected by the snapshot Transport and forwarded into the mirror
+	// stream, so one engine publish is followable end to end.
 	Trace obs.TraceContext
 
 	// frame is the publish's delta as a plain binary frame
@@ -102,10 +101,6 @@ type PublishArgs struct {
 	frame []byte
 }
 
-// TraceCtx implements obs.Carrier: rmi.Client lifts the context into
-// the wire envelope.
-func (a PublishArgs) TraceCtx() obs.TraceContext { return a.Trace }
-
 // SetFrame attaches the delta's encoded frame. b must be exactly
 // aida.AppendDeltaState of the delta, must not be modified afterwards,
 // and may be shared by every copy that logs this publish.
@@ -113,10 +108,6 @@ func (a *PublishArgs) SetFrame(b []byte) { a.frame = b }
 
 // Frame returns the attached encoded frame (nil when none).
 func (a PublishArgs) Frame() []byte { return a.frame }
-
-// SetTraceCtx implements obs.Setter: rmi.Server stores the recovered,
-// hop-advanced context back before dispatch.
-func (a *PublishArgs) SetTraceCtx(t obs.TraceContext) { a.Trace = t }
 
 // PublishReply acknowledges a snapshot.
 type PublishReply struct {
@@ -594,7 +585,7 @@ func (s *sessionState) recordTrace(t obs.TraceContext, t0 time.Time) {
 	}
 }
 
-// Publish ingests a worker snapshot (RMI-compatible): patch the worker's
+// Publish ingests a worker snapshot: patch the worker's
 // retained tree with the delta, then re-merge only the touched paths.
 func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
 	if args.SessionID == "" || args.WorkerID == "" {

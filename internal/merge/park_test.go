@@ -164,9 +164,9 @@ func TestParkedPollWakesOnSessionBirth(t *testing.T) {
 }
 
 // TestParkedPollOverRMI: a parked poll holds one handler goroutine, not
-// the connection — a publish on the same client connection goes
-// through at once and wakes it — and the server caps an hour-long Wait
-// at MaxPollWait.
+// the connection — another poll on the same client connection is
+// answered at once — a publish wakes it, and the server caps an
+// hour-long Wait at MaxPollWait.
 func TestParkedPollOverRMI(t *testing.T) {
 	t.Parallel()
 	m := NewManager()
@@ -184,8 +184,7 @@ func TestParkedPollOverRMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	remote := NewRemotePublisher(cl, "")
-	if err := remote.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 1,
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 1,
 		Delta: snapshot(t, map[string][]float64{"/h/x": {1}})}, &PublishReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +192,20 @@ func TestParkedPollOverRMI(t *testing.T) {
 	poller := rmiPoller{cl}
 	done := parkedPoll(poller, "s", 1, time.Hour)
 	waitParked(t, m, "s", 1)
+	t0 := time.Now()
+	var quick PollReply
+	if err := poller.Poll(PollArgs{SessionID: "s"}, &quick); err != nil || quick.Version != 1 {
+		t.Fatalf("poll behind a parked poll: %+v %v", quick, err)
+	}
+	quick.Release()
+	if took := time.Since(t0); took > time.Second {
+		t.Fatalf("a poll on the parked poll's connection took %v", took)
+	}
 	d := snapshot(t, map[string][]float64{"/h/x": {2}})
 	d.Full = false
-	t0 := time.Now()
 	var rep PublishReply
-	if err := remote.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2, Delta: d}, &rep); err != nil || !rep.Accepted {
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2, Delta: d}, &rep); err != nil || !rep.Accepted {
 		t.Fatalf("publish behind a parked poll: %+v %v", rep, err)
-	}
-	if took := time.Since(t0); took > time.Second {
-		t.Fatalf("a publish on the parked poll's connection took %v", took)
 	}
 	select {
 	case res := <-done:

@@ -42,8 +42,7 @@ type MirrorArgs struct {
 	EventsTotal int64
 	Log         string
 	// Trace is the mirrored publish's trace context, forwarded from the
-	// primary so the same trace ID is observable on the replica. Old gob
-	// peers silently drop the field.
+	// primary so the same trace ID is observable on the replica.
 	Trace obs.TraceContext
 
 	// frame is Delta's encoded frame as the primary logged it; the
@@ -51,18 +50,12 @@ type MirrorArgs struct {
 	frame []byte
 }
 
-// TraceCtx implements obs.Carrier (see PublishArgs.TraceCtx).
-func (a MirrorArgs) TraceCtx() obs.TraceContext { return a.Trace }
-
 // SetFrame attaches Delta's encoded frame, under the same contract as
 // PublishArgs.SetFrame.
 func (a *MirrorArgs) SetFrame(b []byte) { a.frame = b }
 
 // Frame returns the attached encoded frame (nil when none).
 func (a MirrorArgs) Frame() []byte { return a.frame }
-
-// SetTraceCtx implements obs.Setter (see PublishArgs.SetTraceCtx).
-func (a *MirrorArgs) SetTraceCtx(t obs.TraceContext) { a.Trace = t }
 
 // MirrorReply acknowledges a mirrored publish.
 type MirrorReply struct {

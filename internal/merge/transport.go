@@ -19,12 +19,10 @@ import (
 
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/obs"
-	"github.com/ipa-grid/ipa/internal/rmi"
 )
 
-// Publisher abstracts where a transport sends snapshots: the root
-// manager directly, a SubMerger, or an RMI connection in a
-// remote-worker deployment.
+// Publisher abstracts where a transport sends snapshots: a manager, a
+// shard router or a SubMerger, all in process.
 type Publisher interface {
 	Publish(args PublishArgs, reply *PublishReply) error
 }
@@ -44,17 +42,13 @@ type Snapshot struct {
 
 // Transport is the delta-native snapshot uplink for one producer
 // (engine or SubMerger). It owns the generation stamp (PublishArgs.Seq)
-// and the re-baseline state machine, and hands outgoing states its
-// adaptive wire-compression policy. Safe for concurrent use; sends are
+// and the re-baseline state machine. Safe for concurrent use; sends are
 // serialized, which the generation ordering requires anyway.
 type Transport struct {
-	mu       sync.Mutex
-	session  string
-	worker   string
-	upstream Publisher
-	// policy makes the per-frame wire-compression choice: small or
-	// incompressible frames ship plain.
-	policy      *aida.CompressionPolicy
+	mu          sync.Mutex
+	session     string
+	worker      string
+	upstream    Publisher
 	gen         int64
 	needFull    bool
 	rebaselines atomic.Int64
@@ -63,16 +57,7 @@ type Transport struct {
 // NewTransport creates a transport publishing to upstream as workerID
 // within sessionID.
 func NewTransport(sessionID, workerID string, upstream Publisher) *Transport {
-	return &Transport{
-		session: sessionID, worker: workerID, upstream: upstream,
-		policy: aida.NewCompressionPolicy(),
-	}
-}
-
-// CompressionStats reports how many frames the transport's adaptive
-// policy compressed and skipped.
-func (t *Transport) CompressionStats() (compressed, skipped int64) {
-	return t.policy.Stats()
+	return &Transport{session: sessionID, worker: workerID, upstream: upstream}
 }
 
 // Generation returns the stamp of the last send (0 before the first).
@@ -121,7 +106,6 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 		Trace: obs.NewTrace(),
 		Delta: snap.Delta,
 	}
-	snap.Delta.SetCompressionPolicy(t.policy)
 	var reply PublishReply
 	if err := t.upstream.Publish(args, &reply); err != nil {
 		t.needFull = true
@@ -131,35 +115,12 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 	return reply, nil
 }
 
-// RemotePublisher adapts an RMI connection into a Publisher for
-// deployments where the next merge tier lives on another node.
-type RemotePublisher struct {
-	client *rmi.Client
-	object string
-	target string
-}
-
 // RMIObjectName is the registration name of the AIDA manager on the
 // RMI server (see core.Manager).
 const RMIObjectName = "AIDAManager"
 
-// NewRemotePublisher wraps an RMI connection. object is the remote
-// registration name ("" = RMIObjectName).
-func NewRemotePublisher(client *rmi.Client, object string) *RemotePublisher {
-	if object == "" {
-		object = RMIObjectName
-	}
-	return &RemotePublisher{client: client, object: object, target: object + ".Publish"}
-}
-
-// Publish implements Publisher over the wire.
-func (p *RemotePublisher) Publish(args PublishArgs, reply *PublishReply) error {
-	return p.client.Call(p.target, args, reply)
-}
-
 var (
 	_ Publisher = (*Manager)(nil)
 	_ Publisher = (*SubMerger)(nil)
-	_ Publisher = (*RemotePublisher)(nil)
 	_ Service   = (*Manager)(nil)
 )

@@ -95,20 +95,6 @@ func waitCaughtUp(t *testing.T, mgrs map[string]*merge.Manager, sid string) {
 	}
 }
 
-// TestWALLogsDoNotTrainTheSenderPolicy: in process, no delta frame
-// crosses a wire, so neither the primary's log nor the replica's may
-// consult the sending Transport's adaptive compression policy.
-func TestWALLogsDoNotTrainTheSenderPolicy(t *testing.T) {
-	const n = 20
-	r, mgrs, _ := replicatedWALRouter(t, t.TempDir())
-	tp := merge.NewTransport("sess", "w0", r)
-	publishWide(t, tp, n, nil)
-	waitCaughtUp(t, mgrs, "sess")
-	if c, s := tp.CompressionStats(); c != 0 || s != 0 {
-		t.Fatalf("in-process publishes into a logged K=1 fabric: compressed=%d skipped=%d, want 0/0", c, s)
-	}
-}
-
 // TestWALReplicaLogsThePrimaryBytes: with K=1, the delta payload the
 // replica logs for each mirrored publish is byte-identical to the one
 // the primary logged.

@@ -1,7 +1,7 @@
 // Trace propagation: a compact trace context (trace ID, span ID, hop
-// count) that rides the RMI envelope and the publish/mirror argument
-// structs, so one engine publish can be followed through client →
-// router → owning shard → mirror replica → WAL. The context is
+// count) that rides the publish/mirror argument structs in process, so
+// one engine publish can be followed through router → owning shard →
+// mirror replica → WAL. The context is
 // deliberately tiny (two IDs and a hop counter, no baggage): injecting
 // it costs two atomic random draws and copying it across a hop costs a
 // struct assignment.
@@ -21,7 +21,7 @@ type TraceContext struct {
 	TraceID uint64
 	// SpanID identifies this hop's span within the trace.
 	SpanID uint64
-	// Hop counts RMI/forwarding hops from the origin (0 at injection).
+	// Hop counts forwarding hops from the origin (0 at injection).
 	Hop uint32
 }
 
@@ -59,19 +59,4 @@ func nonzero64() uint64 {
 			return v
 		}
 	}
-}
-
-// Carrier is implemented by argument structs that carry a trace
-// context across the wire inside their own payload (merge.PublishArgs,
-// merge.MirrorArgs). rmi.Client probes call arguments for it and lifts
-// the context into the envelope.
-type Carrier interface {
-	TraceCtx() TraceContext
-}
-
-// Setter is implemented by argument structs that accept a recovered
-// trace context. rmi.Server probes decoded arguments for it and stores
-// the envelope's context (hop-advanced) before dispatch.
-type Setter interface {
-	SetTraceCtx(TraceContext)
 }

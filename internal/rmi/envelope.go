@@ -14,15 +14,10 @@
 // Frame layout (uvarint = unsigned varint, str = uvarint len + bytes):
 //
 //	request:  'Q' seq(uvarint) object(str) method(str) token(str)
-//	          tflag(1B; 0=untraced 1=traced)
-//	          tflag 1: traceID(8B BE) spanID(8B BE) hop(uvarint)
 //	          n(uvarint) payload(n)
 //	response: 'S' seq(uvarint) status(1B; 0=ok 1=err)
 //	          status 1: msg(str)          — no payload
 //	          status 0: n(uvarint) payload(n)
-//
-// Both ends of a connection ship together, so the trace block needs no
-// flag negotiation.
 package rmi
 
 import (
@@ -197,15 +192,11 @@ func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitG
 		if err != nil {
 			return
 		}
-		tc, err := readTraceBlock(br)
-		if err != nil {
-			return
-		}
 		body, err := readPayload(br, &payload)
 		if err != nil {
 			return
 		}
-		if !s.dispatch(seq, object, method, token, p, tc, body, feed, pdec, w, handlers, slots) {
+		if !s.dispatch(seq, object, method, token, p, body, feed, pdec, w, handlers, slots) {
 			return
 		}
 	}
@@ -217,7 +208,7 @@ func (s *Server) serveLoop(br *bufio.Reader, w *connWriter, handlers *sync.WaitG
 // blocks the next request on the same connection. Returns false when
 // the connection must drop (payload gob state poisoned, the peer's
 // credential expired, or an injected crash).
-func (s *Server) dispatch(seq uint64, object, method, token string, p peer, trace obs.TraceContext, payload []byte,
+func (s *Server) dispatch(seq uint64, object, method, token string, p peer, payload []byte,
 	feed *byteFeeder, pdec *gob.Decoder, w *connWriter, handlers *sync.WaitGroup, slots chan struct{}) bool {
 	fail := func(msg string) bool {
 		// The payload still carries this call's share of the persistent
@@ -275,13 +266,16 @@ func (s *Server) dispatch(seq uint64, object, method, token string, p peer, trac
 		w.writeError(seq, "rmi: decoding argument")
 		return false
 	}
-	tc := trace.NextHop()
 	arg := argp.Interface()
-	recoverTrace(arg, tc)
 	if ps, ok := arg.(PeerSetter); ok {
 		ps.SetPeer(p.dn)
 	}
-	target := object + "." + method
+	if s.check != nil {
+		if err := s.check(token, object, arg); err != nil {
+			w.writeError(seq, err.Error())
+			return true
+		}
+	}
 	slots <- struct{}{} // blocks past maxInFlightPerConn
 	handlers.Add(1)
 	go func() {
@@ -292,11 +286,7 @@ func (s *Server) dispatch(seq uint64, object, method, token string, p peer, trac
 		t0 := obs.Now()
 		reply := reflect.New(m.replyType)
 		out := m.fn.Call([]reflect.Value{argp.Elem(), reply})
-		if !t0.IsZero() {
-			d := time.Since(t0)
-			m.hist.Observe(d.Seconds())
-			obs.RecordSpan(tc, target, d)
-		}
+		m.hist.ObserveSince(t0)
 		if errv := out[0].Interface(); errv != nil {
 			w.writeError(seq, errv.(error).Error())
 			return
@@ -304,34 +294,6 @@ func (s *Server) dispatch(seq uint64, object, method, token string, p peer, trac
 		w.writeReply(seq, reply)
 	}()
 	return true
-}
-
-// readTraceBlock parses the optional request trace block: one flag
-// byte, then (when set) two big-endian 8-byte IDs and a hop uvarint.
-func readTraceBlock(br *bufio.Reader) (obs.TraceContext, error) {
-	var tc obs.TraceContext
-	flag, err := br.ReadByte()
-	if err != nil {
-		return tc, err
-	}
-	if flag == 0 {
-		return tc, nil
-	}
-	if flag != 1 {
-		return tc, fmt.Errorf("rmi: bad trace flag 0x%02x", flag)
-	}
-	var idb [16]byte
-	if _, err := io.ReadFull(br, idb[:]); err != nil {
-		return tc, err
-	}
-	tc.TraceID = binary.BigEndian.Uint64(idb[:8])
-	tc.SpanID = binary.BigEndian.Uint64(idb[8:])
-	hop, err := binary.ReadUvarint(br)
-	if err != nil {
-		return tc, err
-	}
-	tc.Hop = uint32(hop)
-	return tc, nil
 }
 
 // writeError emits an error response frame.
@@ -388,7 +350,7 @@ func (w *connWriter) writeReply(seq uint64, reply reflect.Value) {
 // writeRequest encodes args into the connection's persistent payload
 // gob stream and ships them behind a binary request header. Caller
 // holds cc.wmu.
-func (cc *clientConn) writeRequest(seq uint64, object, method, token string, trace obs.TraceContext, args any) error {
+func (cc *clientConn) writeRequest(seq uint64, object, method, token string, args any) error {
 	cc.pbuf.Reset()
 	if err := cc.penc.Encode(args); err != nil {
 		return err
@@ -399,14 +361,6 @@ func (cc *clientConn) writeRequest(seq uint64, object, method, token string, tra
 	hdr = appendWireString(hdr, object)
 	hdr = appendWireString(hdr, method)
 	hdr = appendWireString(hdr, token)
-	if trace.Valid() {
-		hdr = append(hdr, 1)
-		hdr = binary.BigEndian.AppendUint64(hdr, trace.TraceID)
-		hdr = binary.BigEndian.AppendUint64(hdr, trace.SpanID)
-		hdr = binary.AppendUvarint(hdr, uint64(trace.Hop))
-	} else {
-		hdr = append(hdr, 0)
-	}
 	hdr = binary.AppendUvarint(hdr, uint64(cc.pbuf.Len()))
 	cc.hdr = hdr
 	if _, err := cc.bw.Write(hdr); err != nil {

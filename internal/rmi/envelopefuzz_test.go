@@ -53,19 +53,8 @@ func wellFormedHits(data []byte) int {
 		object, ok1 := str()
 		method, ok2 := str()
 		_, ok3 := str()
-		if !ok1 || !ok2 || !ok3 || len(data) == 0 || data[0] > 1 {
+		if !ok1 || !ok2 || !ok3 {
 			break
-		}
-		traced := data[0] == 1
-		data = data[1:]
-		if traced {
-			if len(data) < 16 {
-				break
-			}
-			data = data[16:]
-			if _, ok := uvarint(); !ok {
-				break
-			}
 		}
 		n, ok := uvarint()
 		if !ok || n > maxPayloadBytes || n > uint64(len(data)) {
@@ -80,28 +69,20 @@ func wellFormedHits(data []byte) int {
 }
 
 // requestFrame builds one request frame as a client writes it.
-func requestFrame(seq uint64, object, method, token string, traced bool, payload []byte) []byte {
+func requestFrame(seq uint64, object, method, token string, payload []byte) []byte {
 	b := []byte{frameRequest}
 	b = binary.AppendUvarint(b, seq)
 	b = appendWireString(b, object)
 	b = appendWireString(b, method)
 	b = appendWireString(b, token)
-	if traced {
-		b = append(b, 1)
-		b = binary.BigEndian.AppendUint64(b, 0x1122334455667788)
-		b = binary.BigEndian.AppendUint64(b, 0x99aabbccddeeff00)
-		b = binary.AppendUvarint(b, 3)
-	} else {
-		b = append(b, 0)
-	}
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	return append(b, payload...)
 }
 
 // rmiEnvelopeSeeds returns request streams as a client writes them: one
-// call, two calls sharing the payload gob stream, a traced call, calls
-// to an unknown object and method — each cut at every offset — plus
-// headers with edge lengths and a bad trace flag.
+// call, two calls sharing the payload gob stream, calls to an unknown
+// object and method — each cut at every offset — plus headers with edge
+// lengths and a frame with a stray byte before its payload length.
 func rmiEnvelopeSeeds() [][]byte {
 	var pbuf bytes.Buffer
 	enc := gob.NewEncoder(&pbuf)
@@ -114,10 +95,9 @@ func rmiEnvelopeSeeds() [][]byte {
 	}
 	first, second := payload(7), payload(8)
 	streams := [][]byte{
-		requestFrame(1, "Probe", "Hit", "tok", false, first),
-		append(requestFrame(1, "Probe", "Hit", "tok", false, first), requestFrame(2, "Probe", "Hit", "tok", false, second)...),
-		requestFrame(1, "Probe", "Hit", "tok", true, first),
-		append(requestFrame(1, "Nobody", "Hit", "", false, first), requestFrame(2, "Probe", "Miss", "", false, second)...),
+		requestFrame(1, "Probe", "Hit", "tok", first),
+		append(requestFrame(1, "Probe", "Hit", "tok", first), requestFrame(2, "Probe", "Hit", "tok", second)...),
+		append(requestFrame(1, "Nobody", "Hit", "", first), requestFrame(2, "Probe", "Miss", "", second)...),
 	}
 	var seeds [][]byte
 	for _, s := range streams {
@@ -125,15 +105,18 @@ func rmiEnvelopeSeeds() [][]byte {
 			seeds = append(seeds, s[:i])
 		}
 	}
-	head := requestFrame(1, "Probe", "Hit", "tok", false, nil)
+	head := requestFrame(1, "Probe", "Hit", "tok", nil)
 	head = head[:len(head)-1] // up to the payload length
 	for _, n := range []uint64{maxHeaderString, maxHeaderString + 1, maxPayloadBytes, maxPayloadBytes + 1, 1<<64 - 1} {
 		seeds = append(seeds,
 			binary.AppendUvarint([]byte{frameRequest, 1}, n),
 			binary.AppendUvarint(bytes.Clone(head), n))
 	}
-	bad := requestFrame(1, "Probe", "Hit", "tok", false, first)
-	bad[len(bad)-len(first)-2] = 2 // the trace flag
+	// A stray byte before the payload length: the server reads it as
+	// the length, and the real length and payload as a short payload.
+	bad := requestFrame(1, "Probe", "Hit", "tok", first)
+	at := len(bad) - len(first) - 1
+	bad = append(bad[:at:at], append([]byte{2}, bad[at:]...)...)
 	return append(seeds, bad, []byte{frameReply, 0, 0})
 }
 
@@ -143,8 +126,7 @@ func rmiEnvelopeSeeds() [][]byte {
 func rmiServeAllocBound(n int) uint64 { return 8<<20 + 256*uint64(n) }
 
 // FuzzRMIEnvelope feeds arbitrary bytes, after the handshake, into a
-// server connection: request header strings, token, trace block and
-// payload length. The server must not panic, must dispatch no call
+// server connection: request header strings, token and payload length. The server must not panic, must dispatch no call
 // whose header is malformed, must allocate no more than the input
 // bounds, and must close the connection once the peer has gone.
 func FuzzRMIEnvelope(f *testing.F) {

@@ -48,23 +48,3 @@ func serverCallHist(method string) *obs.Histogram {
 	return obs.GetHistogram("ipa_rmi_server_call_seconds",
 		"RMI server dispatch latency (seconds), by method.", nil, "method", method)
 }
-
-// traceOf lifts a trace context out of call arguments that carry one
-// (the untraced zero context otherwise).
-func traceOf(args any) obs.TraceContext {
-	if c, ok := args.(obs.Carrier); ok {
-		return c.TraceCtx()
-	}
-	return obs.TraceContext{}
-}
-
-// recoverTrace stores the envelope's hop-advanced context into decoded
-// arguments that accept one; argp must be a pointer value.
-func recoverTrace(argp any, tc obs.TraceContext) {
-	if !tc.Valid() {
-		return
-	}
-	if s, ok := argp.(obs.Setter); ok {
-		s.SetTraceCtx(tc)
-	}
-}

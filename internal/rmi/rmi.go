@@ -1,8 +1,8 @@
 // Package rmi is the Remote Method Invocation layer of the reference
 // implementation (the "thin black arrows" of the paper's Figure 2).
 //
-// The JAS client polls the AIDA manager over RMI, and engines push result
-// snapshots the same way. The wire protocol is a binary request/response
+// The JAS client polls the AIDA manager over RMI; engines publish their
+// result snapshots to it in process. The wire protocol is a binary request/response
 // envelope over TCP carrying gob-encoded payloads (envelope.go). Like the
 // original — "all of the RMI connections are
 // insecure, but ... none of the RMI objects could be instantiated without
@@ -47,8 +47,9 @@ var writerPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 8192) },
 }
 
-// TokenValidator authorizes a session token for an object/method pair.
-// A nil validator on the server accepts everything (for tests only).
+// TokenValidator authorizes a session token for an object/method pair
+// before the call's argument is read. A nil validator accepts every
+// token: in tests, or on a server whose CallCheck judges them.
 type TokenValidator func(token, object, method string) error
 
 // PeerVerifier authenticates the far end of a TLS connection once, right
@@ -62,6 +63,12 @@ type PeerVerifier func(tls.ConnectionState) (dn string, expires time.Time, err e
 // whatever the client sent: the DN its PeerVerifier returned for the
 // connection, or "" on a plain-TCP connection.
 type PeerSetter interface{ SetPeer(dn string) }
+
+// CallCheck authorizes one call after its argument is decoded: it sees
+// the call's token, its object and the argument (a pointer to the
+// decoded value), so it can judge what the call asks for, not only who
+// asks. An error fails the call with its message.
+type CallCheck func(token, object string, arg any) error
 
 // peer is the identity a connection's verifier established.
 type peer struct {
@@ -91,6 +98,7 @@ type Server struct {
 	mu       sync.RWMutex
 	objects  map[string]*objectInfo
 	validate TokenValidator
+	check    CallCheck
 
 	// faults, when set, injects failures into dispatch (see SetFaults).
 	faults atomic.Pointer[faultState]
@@ -109,6 +117,10 @@ func NewServer(validate TokenValidator) *Server {
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
+
+// SetCallCheck installs c for every later call. Set it before the
+// server listens.
+func (s *Server) SetCallCheck(c CallCheck) { s.check = c }
 
 var errType = reflect.TypeOf((*error)(nil)).Elem()
 
@@ -490,14 +502,13 @@ func (c *Client) Call(objectDotMethod string, args any, reply any) error {
 		return err
 	}
 	t0 := obs.Now()
-	tc := traceOf(args)
 	pc := &pendingCall{reply: reply, done: make(chan error, 1)}
 	seq, err := cc.register(pc)
 	if err != nil {
 		return err
 	}
 	cc.wmu.Lock()
-	err = cc.writeRequest(seq, obj, method, token, tc, args)
+	err = cc.writeRequest(seq, obj, method, token, args)
 	cc.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("rmi: sending request: %w", err)

@@ -234,16 +234,17 @@ func (s *Service) use(id string) (*Session, error) {
 	return sess, err
 }
 
-// ValidateToken authorizes an RMI token: it must belong to a live
-// session — the paper's rule that no RMI object works without a Web
-// Service session (§3.7).
-func (s *Service) ValidateToken(token string) error {
+// ValidateToken authorizes an RMI token and returns the ID of the
+// session it opens: it must belong to a live session — the paper's rule
+// that no RMI object works without a Web Service session (§3.7).
+func (s *Service) ValidateToken(token string) (sessionID string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byToken[token]; !ok {
-		return errors.New("session: unknown or expired session token")
+	sess, ok := s.byToken[token]
+	if !ok {
+		return "", errors.New("session: unknown or expired session token")
 	}
-	return nil
+	return sess.ID, nil
 }
 
 // StagingReport carries the phase timings of one AttachDataset — the

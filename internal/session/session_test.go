@@ -124,7 +124,7 @@ func TestCloseCancelsEnginesAndIsIdempotent(t *testing.T) {
 	}
 	svc.Close(sess.ID)
 	waitDrained(t, cluster)
-	if err := svc.ValidateToken(sess.Token); err == nil {
+	if _, err := svc.ValidateToken(sess.Token); err == nil {
 		t.Fatal("closed session's token still validates")
 	}
 	svc.Close(sess.ID)
@@ -559,16 +559,16 @@ func TestSweepClosesIdleSessionsOnly(t *testing.T) {
 		}
 		svc.Sweep(now)
 	}
-	if err := svc.ValidateToken(active.Token); err != nil {
+	if _, err := svc.ValidateToken(active.Token); err != nil {
 		t.Fatalf("active session swept: %v", err)
 	}
-	if err := svc.ValidateToken(idle.Token); err == nil {
+	if _, err := svc.ValidateToken(idle.Token); err == nil {
 		t.Fatal("idle session survived two lifetimes of sweeps")
 	}
 	if n := svc.Sweep(time.Now().Add(2 * lifetime)); n != 1 {
 		t.Fatalf("sweep after the active session went idle closed %d sessions, want 1", n)
 	}
-	if err := svc.ValidateToken(active.Token); err == nil {
+	if _, err := svc.ValidateToken(active.Token); err == nil {
 		t.Fatal("session idle past its lifetime still validates")
 	}
 }

@@ -53,8 +53,8 @@ type Backend interface {
 
 // ObjectName is the RMI registration name of one shard's manager on its
 // node — "AIDAShard:" + the shard's fabric name. Shard-aware clients
-// poll the owning shard directly under it; engines keep publishing to
-// the fabric's front door (merge.RMIObjectName).
+// poll the owning shard directly under it; engines publish to the
+// Router in process.
 func ObjectName(shard string) string { return "AIDAShard:" + shard }
 
 // ReadBackend is the read-only surface a relay tier exposes to the
@@ -73,9 +73,9 @@ var ErrNoShards = errors.New("shard: router has no shards")
 // first touch and moved only by explicit handoff, so a ring edit never silently strands a live session's state on its old
 // owner.
 //
-// The RPC methods (Publish/Poll/Reset) have RMI-compatible signatures:
-// registering the Router on an rmi.Server under the AIDA manager's name
-// gives remote engines and clients a sharded fabric transparently.
+// Poll has an RMI-compatible signature: registered under the AIDA
+// manager's name (Poll only, see core.Manager), the Router gives remote
+// clients a sharded fabric transparently.
 //
 // Safe for concurrent use. Routing is lock-free: it loads the current
 // placement table (one atomic pointer read) and resolves the owner from

@@ -128,7 +128,8 @@ func readWireString(br *bufio.Reader) (string, error) {
 // buffer, growing (and retaining, up to maxPooledWire) as needed. A
 // payload past maxPooledWire grows with the bytes that actually arrive,
 // so a corrupt or hostile length cannot allocate far past the end of
-// the stream.
+// the stream. A payload that is not a run of whole gob messages is
+// refused before the gob decoder sees it.
 func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -137,6 +138,7 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	if n > maxPayloadBytes {
 		return nil, fmt.Errorf("rmi: payload of %d bytes", n)
 	}
+	var b []byte
 	if n > maxPooledWire {
 		var big bytes.Buffer
 		got, err := big.ReadFrom(io.LimitReader(br, int64(n)))
@@ -146,19 +148,50 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 		if uint64(got) != n {
 			return nil, io.ErrUnexpectedEOF
 		}
-		return big.Bytes(), nil
-	}
-	var b []byte
-	if int(n) <= cap(*buf) {
-		b = (*buf)[:n]
+		b = big.Bytes()
 	} else {
-		b = make([]byte, n)
-		*buf = b
+		if int(n) <= cap(*buf) {
+			b = (*buf)[:n]
+		} else {
+			b = make([]byte, n)
+			*buf = b
+		}
+		if _, err := io.ReadFull(br, b); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := io.ReadFull(br, b); err != nil {
-		return nil, err
+	if !gobFramed(b) {
+		return nil, errors.New("rmi: payload is not whole gob messages")
 	}
 	return b, nil
+}
+
+// gobFramed reports whether b is a run of whole gob messages, each a
+// gob-encoded byte count and that many bytes. The gob decoder sizes its
+// buffer from a message's count before reading it, so a payload of a
+// few bytes declaring a large message would otherwise allocate that
+// much.
+func gobFramed(b []byte) bool {
+	for len(b) > 0 {
+		n := uint64(b[0])
+		b = b[1:]
+		if n >= 0x80 {
+			k := 0x100 - int(n) // the count's big-endian byte length
+			if k > 8 || k > len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[:k] {
+				n = n<<8 | uint64(c)
+			}
+			b = b[k:]
+		}
+		if n > uint64(len(b)) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // --- server side ---

@@ -24,8 +24,9 @@ func (p *probeService) Hit(arg int, reply *int) error {
 // wellFormedHits parses data with the request grammar envelope.go
 // documents and counts the frames addressed to Probe.Hit before the
 // first malformed one — the most calls the server may dispatch. A
-// frame's payload only has to be present, not decodable: an undecodable
-// argument fails the call after its header was read.
+// frame's payload has to be present and a run of whole gob messages,
+// not decodable: an undecodable argument fails the call after its
+// header was read.
 func wellFormedHits(data []byte) int {
 	uvarint := func() (uint64, bool) {
 		v, n := binary.Uvarint(data)
@@ -57,7 +58,7 @@ func wellFormedHits(data []byte) int {
 			break
 		}
 		n, ok := uvarint()
-		if !ok || n > maxPayloadBytes || n > uint64(len(data)) {
+		if !ok || n > maxPayloadBytes || n > uint64(len(data)) || !gobFramed(data[:n]) {
 			break
 		}
 		data = data[n:]
@@ -79,10 +80,35 @@ func requestFrame(seq uint64, object, method, token string, payload []byte) []by
 	return append(b, payload...)
 }
 
+// oldLayoutFrame builds a request frame as clients of the earlier
+// envelope wrote it, with a trace flag byte after the token and, when
+// traced, a 16-byte trace ID and a uvarint hop count. The server reads
+// the flag as the payload length.
+func oldLayoutFrame(seq uint64, object, method, token string, traced bool, payload []byte) []byte {
+	b := []byte{frameRequest}
+	b = binary.AppendUvarint(b, seq)
+	b = appendWireString(b, object)
+	b = appendWireString(b, method)
+	b = appendWireString(b, token)
+	if traced {
+		b = append(b, 1)
+		b = binary.BigEndian.AppendUint64(b, 0x1122334455667788)
+		b = binary.BigEndian.AppendUint64(b, 0x99aabbccddeeff00)
+		b = binary.AppendUvarint(b, 3)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	return append(b, payload...)
+}
+
 // rmiEnvelopeSeeds returns request streams as a client writes them: one
 // call, two calls sharing the payload gob stream, calls to an unknown
-// object and method — each cut at every offset — plus headers with edge
-// lengths and a frame with a stray byte before its payload length.
+// object and method, and a traced call in the earlier envelope layout —
+// each cut at every offset — plus headers with edge lengths, a frame
+// with a stray byte before its payload length, untraced frames in the
+// earlier layout with a good and a bad flag, and malformed frames
+// followed by a well-formed call.
 func rmiEnvelopeSeeds() [][]byte {
 	var pbuf bytes.Buffer
 	enc := gob.NewEncoder(&pbuf)
@@ -98,6 +124,7 @@ func rmiEnvelopeSeeds() [][]byte {
 		requestFrame(1, "Probe", "Hit", "tok", first),
 		append(requestFrame(1, "Probe", "Hit", "tok", first), requestFrame(2, "Probe", "Hit", "tok", second)...),
 		append(requestFrame(1, "Nobody", "Hit", "", first), requestFrame(2, "Probe", "Miss", "", second)...),
+		oldLayoutFrame(1, "Probe", "Hit", "tok", true, first),
 	}
 	var seeds [][]byte
 	for _, s := range streams {
@@ -117,7 +144,16 @@ func rmiEnvelopeSeeds() [][]byte {
 	bad := requestFrame(1, "Probe", "Hit", "tok", first)
 	at := len(bad) - len(first) - 1
 	bad = append(bad[:at:at], append([]byte{2}, bad[at:]...)...)
-	return append(seeds, bad, []byte{frameReply, 0, 0})
+	oldBadFlag := oldLayoutFrame(1, "Probe", "Hit", "tok", false, first)
+	oldBadFlag[len(oldBadFlag)-len(first)-2] = 2
+	seeds = append(seeds, bad, oldLayoutFrame(1, "Probe", "Hit", "tok", false, first), oldBadFlag)
+	// A malformed frame followed by a well-formed call: the server must
+	// not dispatch the call.
+	next := requestFrame(2, "Probe", "Hit", "tok", second)
+	for _, m := range [][]byte{bad, oldLayoutFrame(1, "Probe", "Hit", "tok", true, first), oldLayoutFrame(1, "Probe", "Hit", "tok", false, first)} {
+		seeds = append(seeds, append(bytes.Clone(m), next...))
+	}
+	return append(seeds, []byte{frameReply, 0, 0})
 }
 
 // rmiServeAllocBound is what serving n input bytes may allocate: the
@@ -126,8 +162,9 @@ func rmiEnvelopeSeeds() [][]byte {
 func rmiServeAllocBound(n int) uint64 { return 8<<20 + 256*uint64(n) }
 
 // FuzzRMIEnvelope feeds arbitrary bytes, after the handshake, into a
-// server connection: request header strings, token and payload length. The server must not panic, must dispatch no call
-// whose header is malformed, must allocate no more than the input
+// server connection: request header strings, token and payload length.
+// The server must not panic, must dispatch no call whose header is
+// malformed, must allocate no more than the input
 // bounds, and must close the connection once the peer has gone.
 func FuzzRMIEnvelope(f *testing.F) {
 	for _, s := range rmiEnvelopeSeeds() {
